@@ -61,7 +61,7 @@ def _run_one(path: Path, oracle, max_jet, budget, tau):
 
 @main.command()
 @click.argument("file", type=str)
-@click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the jet oracle.")
+@click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it.")
 @click.option("--max-jet", type=int, default=None, help="Oracle truncation cap (default 32).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None, help="Output format.")
 @click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases.")
@@ -90,7 +90,7 @@ def check(file, oracle, max_jet, fmt, budget, tau):
 
 @main.command()
 @click.argument("directory", type=str)
-@click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the jet oracle.")
+@click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it.")
 @click.option("--max-jet", type=int, default=None, help="Oracle truncation cap (default 32).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Output format.")
 @click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases.")

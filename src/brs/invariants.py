@@ -16,6 +16,12 @@ only through Jacobians and minors, so an agreement is a genuine cross-check
 rather than an algebraic tautology.  Identities whose hypotheses fail on a
 given input (an infinite invariant, a hypersurface with non-isolated
 singular locus) are reported as skipped with a reason, never as failures.
+
+Every colength takes the cheapest proof available (`_count`): the axis
+certificate of infinite colength, then a stabilized jet walk, and only when
+the walk hands the ideal back, a Mora standard basis.  A jet model also
+carries the colon, membership and equality checks of the ledger; the Mora
+operations run only for ideals without one.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Union
 
+from .oracle import INCONCLUSIVE, JetModel, axis_certificate, jet_model, oracle_colength
 from .polycore import Polynomial, VarContext, jacobian_ideal, minors_2x2
 from .stdbasis import (
     DEFAULT_BUDGET,
@@ -77,6 +84,8 @@ class InvariantReport:
     timings_ms: dict[str, float] = field(default_factory=dict)
     ideals: dict[str, Ideal] = field(default_factory=dict)
     colengths: dict[str, Value] = field(default_factory=dict)
+    # How each colength was proven: "certificate", "jet" or "mora".
+    routes: dict[str, str] = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -88,18 +97,43 @@ class InvariantReport:
 
 
 # ---------------------------------------------------------------------------
+# colengths
+
+
+class _Count:
+    """A colength and its proof: route "certificate", "jet" (with its model) or "mora"."""
+
+    __slots__ = ("value", "route", "model")
+
+    def __init__(self, value: Value, route: str, model: JetModel | None = None):
+        self.value = value
+        self.route = route
+        self.model = model
+
+
+def _count(I: Ideal, budget: int) -> _Count:
+    """Colength of I with the cheapest proof that settles it."""
+    if axis_certificate(I):
+        return _Count(NOT_FINITE, "certificate")
+    model = jet_model(I)
+    if model is not None:
+        return _Count(model.colength, "jet", model)
+    return _Count(colength(I, budget=budget), "mora")
+
+
+# ---------------------------------------------------------------------------
 # the individual invariants
 
 
 def milnor(f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Milnor number: colength of the Jacobian ideal."""
-    return colength(Ideal(f.ctx, jacobian_ideal(f)), budget=budget)
+    return _count(Ideal(f.ctx, jacobian_ideal(f)), budget).value
 
 
 def tjurina(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Tjurina number: colength of (phi) + Jacobian ideal of phi."""
     gens = [phi] + jacobian_ideal(phi)
-    return colength(Ideal(phi.ctx, gens), budget=budget)
+    return _count(Ideal(phi.ctx, gens), budget).value
 
 
 def _legreuel_ideal(phi: Polynomial, f: Polynomial) -> Ideal:
@@ -113,7 +147,7 @@ def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET
     subtracted off.  Not finite when the pair (phi, f) fails to cut out an
     isolated complete intersection.
     """
-    total = colength(_legreuel_ideal(phi, f), budget=budget)
+    total = _count(_legreuel_ideal(phi, f), budget).value
     mu_x = milnor(phi, budget=budget)
     if not (is_finite(total) and is_finite(mu_x)):
         return NOT_FINITE
@@ -123,7 +157,7 @@ def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET
 def bruce_roberts(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Bruce-Roberts number of f with respect to {phi = 0}."""
     theta = theta_full(phi, budget=budget)
-    return colength(df_ideal(f, theta), budget=budget)
+    return _count(df_ideal(f, theta), budget).value
 
 
 def relative_bruce_roberts(
@@ -131,7 +165,7 @@ def relative_bruce_roberts(
 ) -> Value:
     """Relative Bruce-Roberts number: df(tangent module) plus (phi)."""
     theta = theta_full(phi, budget=budget)
-    return colength(df_ideal(f, theta) + Ideal(phi.ctx, [phi]), budget=budget)
+    return _count(df_ideal(f, theta) + Ideal(phi.ctx, [phi]), budget).value
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +262,66 @@ def _numeric_entry(name: str, gate_ok: bool, reason: str, lhs: Value, rhs: Value
     return LedgerEntry(name=name, status=status, lhs=_value_out(lhs), rhs=_value_out(rhs))
 
 
-def _equality_entry(
-    name: str, gate_ok: bool, reason: str, cache: _SBCache, lhs: Ideal, rhs: Ideal
-) -> LedgerEntry:
-    if not gate_ok:
-        return LedgerEntry(name=name, status="skip", reason=reason)
-    forward = cache.contains(rhs, lhs)
-    backward = cache.contains(lhs, rhs)
+def _mutual_entry(name: str, forward: bool, backward: bool) -> LedgerEntry:
     status = "pass" if (forward and backward) else "fail"
     return LedgerEntry(name=name, status=status, lhs=forward, rhs=backward)
+
+
+def _ideal_entries(
+    phi: Polynomial,
+    Jf: Ideal,
+    df_X: Ideal,
+    df_T: Ideal,
+    counts: dict[str, _Count],
+    budget: int,
+) -> dict[str, LedgerEntry]:
+    """`intersect-product`, `colon-full` and `colon-trivial`, all gates open.
+
+    With jet models of Jf and of the dividend, each check is linear algebra
+    in R/m^N.  The intersection df_X cap (phi) is phi * (df_X : phi), and
+    phi*k lies in phi*Jf exactly when k lies in Jf (the local ring is a
+    domain), so it needs no intersection of its own.  Without models, Mora
+    standard bases decide.
+    """
+    I_X = Ideal(phi.ctx, [phi])
+    prod = ideal_product(Jf, I_X)
+    m_f = counts["mu_f"].model
+    entries: dict[str, LedgerEntry] = {}
+    colons: dict[str, Ideal] = {}
+    for name, key, dividend in (("colon-full", "br", df_X), ("colon-trivial", "trivial", df_T)):
+        model = counts[key].model
+        if m_f is None or model is None:
+            colons[name] = dividend
+            continue
+        colon = model.colon([phi])
+        inside_jf = m_f.contains_all(colon.generators())
+        entries[name] = _mutual_entry(name, inside_jf, colon.contains_all(Jf.gens))
+        if key == "br":
+            # Each generator of Jf*(phi) is a multiple of phi by construction.
+            entries["intersect-product"] = _mutual_entry(
+                "intersect-product", inside_jf, model.contains_all(prod.gens)
+            )
+    if not colons:
+        return entries
+    cache = _SBCache(budget)
+    if "colon-full" in colons:
+        # Mutual membership without ever completing the intersection's own
+        # generators: p lies in the intersection exactly when it lies in both
+        # factors, and the factors have well-behaved bases.
+        inter = ideal_intersection(df_X, I_X, budget=budget)
+        entries["intersect-product"] = _mutual_entry(
+            "intersect-product",
+            cache.contains(prod, inter),
+            all(
+                membership(h, cache.basis(df_X), budget=budget)
+                and membership(h, cache.basis(I_X), budget=budget)
+                for h in prod.gens
+            ),
+        )
+    for name, dividend in colons.items():
+        colon = ideal_colon(dividend, I_X, budget=budget)
+        entries[name] = _mutual_entry(name, cache.contains(Jf, colon), cache.contains(colon, Jf))
+    return entries
 
 
 def analyze(
@@ -253,18 +338,22 @@ def analyze(
     phi, f = problem.phi, problem.f
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
+    ideals: dict[str, Ideal] = {}
+    counts: dict[str, _Count] = {}
+
+    def count(name: str, ideal: Ideal) -> Value:
+        ideals[name] = ideal
+        counts[name] = _count(ideal, budget)
+        return counts[name].value
 
     # Jacobian-route invariants (no tangent module involved).
     t0 = time.perf_counter()
     I_X = Ideal(ctx, [phi])
     Jf = Ideal(ctx, jacobian_ideal(f))
-    Jphi = Ideal(ctx, jacobian_ideal(phi))
-    tau_ideal = I_X + Jphi
-    lg_ideal = _legreuel_ideal(phi, f)
-    mu_f = colength(Jf, budget=budget)
-    mu_X = colength(Jphi, budget=budget)
-    tau_X = colength(tau_ideal, budget=budget)
-    lg_total = colength(lg_ideal, budget=budget)
+    mu_f = count("mu_f", Jf)
+    mu_X = count("mu_X", Ideal(ctx, jacobian_ideal(phi)))
+    tau_X = count("tau_X", I_X + ideals["mu_X"])
+    lg_total = count("legreuel", _legreuel_ideal(phi, f))
     mu_fiber = (
         lg_total - mu_X if (is_finite(lg_total) and is_finite(mu_X)) else NOT_FINITE
     )
@@ -278,39 +367,15 @@ def analyze(
 
     t0 = time.perf_counter()
     df_X = df_ideal(f, theta)
-    df_X_rel = df_X + I_X
     df_T = df_trivial_ideal(f, phi)
-    df_T_rel = df_T + I_X
-    mu_BR = colength(df_X, budget=budget)
-    mu_BR_rel = colength(df_X_rel, budget=budget)
-    c_df_T = colength(df_T, budget=budget)
-    c_df_T_rel = colength(df_T_rel, budget=budget)
+    mu_BR = count("br", df_X)
+    mu_BR_rel = count("br_rel", df_X + I_X)
+    c_df_T = count("trivial", df_T)
+    c_df_T_rel = count("trivial_rel", df_T + I_X)
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
-
-    ideals: dict[str, Ideal] = {
-        "mu_f": Jf,
-        "mu_X": Jphi,
-        "tau_X": tau_ideal,
-        "legreuel": lg_ideal,
-        "br": df_X,
-        "br_rel": df_X_rel,
-        "trivial": df_T,
-        "trivial_rel": df_T_rel,
-    }
-    colengths: dict[str, Value] = {
-        "mu_f": mu_f,
-        "mu_X": mu_X,
-        "tau_X": tau_X,
-        "legreuel": lg_total,
-        "br": mu_BR,
-        "br_rel": mu_BR_rel,
-        "trivial": c_df_T,
-        "trivial_rel": c_df_T_rel,
-    }
 
     # Identity ledger.
     t0 = time.perf_counter()
-    cache = _SBCache(budget)
     entries: list[LedgerEntry] = []
     ihs = is_finite(mu_X)
     not_ihs = "mu_X is not finite (the hypersurface is not an IHS)"
@@ -374,27 +439,13 @@ def analyze(
     gate_ideal = ihs and is_finite(mu_BR_rel)
     reason_ideal = not_ihs if not ihs else "mu_BR_rel is not finite"
     if gate_ideal:
-        # Mutual membership without ever completing the intersection's own
-        # generators: p lies in the intersection exactly when it lies in both
-        # factors, and the factors have well-behaved bases.
-        inter = ideal_intersection(df_X, I_X, budget=budget)
-        prod = ideal_product(Jf, I_X)
-        forward = cache.contains(prod, inter)
-        backward = all(
-            membership(h, cache.basis(df_X), budget=budget)
-            and membership(h, cache.basis(I_X), budget=budget)
-            for h in prod.gens
-        )
-        entries.append(
-            LedgerEntry(
-                "intersect-product",
-                "pass" if (forward and backward) else "fail",
-                lhs=forward,
-                rhs=backward,
-            )
-        )
+        ideal_entries = _ideal_entries(phi, Jf, df_X, df_T, counts, budget)
     else:
-        entries.append(LedgerEntry("intersect-product", "skip", reason=reason_ideal))
+        ideal_entries = {
+            name: LedgerEntry(name, "skip", reason=reason_ideal)
+            for name in ("intersect-product", "colon-full", "colon-trivial")
+        }
+    entries.append(ideal_entries["intersect-product"])
     gate_e4 = is_finite(mu_BR) and is_finite(mu_BR_rel) and is_finite(mu_f)
     entries.append(
         _numeric_entry(
@@ -405,30 +456,8 @@ def analyze(
             mu_f,
         )
     )
-    if gate_ideal:
-        entries.append(
-            _equality_entry(
-                "colon-full",
-                True,
-                "",
-                cache,
-                ideal_colon(df_X, I_X, budget=budget),
-                Jf,
-            )
-        )
-        entries.append(
-            _equality_entry(
-                "colon-trivial",
-                True,
-                "",
-                cache,
-                ideal_colon(df_T, I_X, budget=budget),
-                Jf,
-            )
-        )
-    else:
-        entries.append(LedgerEntry("colon-full", "skip", reason=reason_ideal))
-        entries.append(LedgerEntry("colon-trivial", "skip", reason=reason_ideal))
+    entries.append(ideal_entries["colon-full"])
+    entries.append(ideal_entries["colon-trivial"])
 
     if not tau_check:
         entries.append(
@@ -479,9 +508,9 @@ def analyze(
             [p.embed(ctx) for p in base_tau_ideal.gens]
             + [p.embed(ctx) for p in g_milnor_ideal.gens],
         )
-        lifted_colength = colength(lifted, budget=budget)
-        base_tau = colength(base_tau_ideal, budget=budget)
-        g_colength = colength(g_milnor_ideal, budget=budget)
+        lifted_colength = count("split_lifted", lifted)
+        base_tau = count("split_base_tau", base_tau_ideal)
+        g_colength = count("split_g_milnor", g_milnor_ideal)
         entries.append(
             _numeric_entry(
                 "split-colength-product",
@@ -501,24 +530,21 @@ def analyze(
                 _finite_product(mu_f_base, mu_g),
             )
         )
-        ideals["split_base_tau"] = base_tau_ideal
-        ideals["split_g_milnor"] = g_milnor_ideal
-        ideals["split_lifted"] = lifted
-        colengths["split_base_tau"] = base_tau
-        colengths["split_g_milnor"] = g_colength
-        colengths["split_lifted"] = lifted_colength
     timings["identities"] = (time.perf_counter() - t0) * 1000
 
     if oracle:
-        from .oracle import INCONCLUSIVE, oracle_colength
-
+        # Each colength is checked by the engine that did not produce it:
+        # jet values by a Mora standard basis, the rest by the jet oracle.
         t0 = time.perf_counter()
         for name in sorted(ideals):
             ideal = ideals[name]
             if ideal.ctx != ctx:
                 continue  # oracle entries stay in the problem's own ring
-            want = colengths[name]
-            got = oracle_colength(ideal, cap=max_jet)
+            want = counts[name]
+            if want.route == "jet":
+                got = colength(ideal, budget=budget)
+            else:
+                got = oracle_colength(ideal, cap=max_jet)
             if got is INCONCLUSIVE:
                 entries.append(
                     LedgerEntry(
@@ -531,9 +557,9 @@ def analyze(
                 entries.append(
                     LedgerEntry(
                         f"oracle-{name}",
-                        "pass" if _values_equal(got, want) else "fail",
+                        "pass" if _values_equal(got, want.value) else "fail",
                         lhs=_value_out(got),
-                        rhs=_value_out(want),
+                        rhs=_value_out(want.value),
                     )
                 )
         timings["oracle"] = (time.perf_counter() - t0) * 1000
@@ -551,7 +577,8 @@ def analyze(
         ledger=tuple(entries),
         timings_ms={k: round(v, 3) for k, v in timings.items()},
         ideals=ideals,
-        colengths=colengths,
+        colengths={name: c.value for name, c in counts.items()},
+        routes={name: c.route for name, c in counts.items()},
     )
 
 

@@ -376,6 +376,15 @@ class Polynomial:
             self.ctx, tuple((m.mul(mono), c * coeff) for m, c in self.terms)
         )
 
+    def jet(self, d: int) -> "Polynomial":
+        """The terms of total degree below d (a prefix under the local order)."""
+        k = 0
+        for mono, _ in self.terms:
+            if mono.degree >= d:
+                break
+            k += 1
+        return self if k == len(self.terms) else Polynomial._raw(self.ctx, self.terms[:k])
+
     def partial(self, i: int) -> "Polynomial":
         """Exact partial derivative with respect to variable i."""
         if not 0 <= i < self.ctx.n:

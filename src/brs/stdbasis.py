@@ -309,6 +309,7 @@ def _nf_mora(
     order: ModuleOrder,
     combo: Vec | None = None,
     budget: _Budget | None = None,
+    cap: int | None = None,
 ) -> tuple[Vec, Vec | None]:
     """Mora weak normal form of h against the reducer list.
 
@@ -318,10 +319,16 @@ def _nf_mora(
     intermediate remainders whenever the chosen reducer has strictly larger
     ecart.  The remainder is content-stripped after every step: reductions
     are performed cross-multiplied so coefficients stay integral and small.
+
+    With a `cap` (untracked runs only), the caller guarantees that the
+    monomials of degree cap belong to the basis under construction; terms
+    of degree >= cap are their multiples and are dropped as they appear.
     """
     pool = list(reducers)
     first = True
     while True:
+        if cap is not None:
+            h = tuple(p.jet(cap) for p in h)
         lead = _vec_lead(h, order)
         if lead is None:
             return h, combo
@@ -385,6 +392,7 @@ def _complete(
     use_criteria: bool = True,
     collect: list[Vec] | None = None,
     capped: bool = False,
+    cap: int | None = None,
 ) -> list[_Entry]:
     """Buchberger completion with Mora reduction.
 
@@ -406,8 +414,9 @@ def _complete(
     variable shows a pure leading power, a power of the maximal ideal
     provably lies in the ideal, and the computation restarts on an equal,
     degree-capped generating set (signalled via _RestartWithCap).  The
-    capped run cannot march: each monomial above the bound dies against an
-    ecart-zero monomial generator in a single step.
+    capped run, given the bound as `cap`, cannot march: every term of degree
+    at least the bound is dropped from each reduction.  `capped` only turns
+    the restart watch off.
     """
     entries: list[_Entry] = []
     alive: dict[tuple[int, int], Monomial] = {}
@@ -470,7 +479,7 @@ def _complete(
         row[idx] = Polynomial.constant(ctx, 1)
         return tuple(row)
 
-    watch_caps = not track and collect is None and not capped
+    watch_caps = not track and collect is None and not capped and cap is None
 
     def maybe_restart() -> None:
         if not watch_caps:
@@ -496,7 +505,12 @@ def _complete(
         if collect is not None:
             add(vec, combo)  # inputs enter verbatim so rows stay over them
             continue
-        reduced, combo = _nf_mora(vec, entries, order, combo, meter)
+        if cap is not None and _vec_lead(vec, order)[1].degree >= cap:
+            # A degree-cap monomial: every term a capped reduction drops is
+            # a multiple of one of these, so they must be basis elements.
+            add(vec, combo)
+            continue
+        reduced, combo = _nf_mora(vec, entries, order, combo, meter, cap)
         if _vec_is_zero(reduced):
             continue
         add(reduced, combo)
@@ -517,7 +531,7 @@ def _complete(
             if collect is not None and combo is not None:
                 collect.append(combo)
             continue
-        reduced, combo = _nf_mora(s, entries, order, combo, meter)
+        reduced, combo = _nf_mora(s, entries, order, combo, meter, cap)
         if _vec_is_zero(reduced):
             if collect is not None and combo is not None and not _vec_is_zero(combo):
                 collect.append(combo)
@@ -575,11 +589,15 @@ def standard_basis(
         # Tracked runs keep the raw list so combination rows line up with
         # `source`; duplicates simply reduce to zero against their twin.
     morder = order if order is not None else TOP
-    try:
-        entries = _complete(vecs, ctx, rank, morder, budget, track)
-    except _RestartWithCap as restart:
-        capped = _degree_capped_vecs(vecs, ctx, rank, restart.bound)
-        entries = _complete(capped, ctx, rank, morder, budget, track, capped=True)
+    entries = None
+    if rank == 1 and not track and vecs:
+        entries = _jet_capped(vecs, ctx, budget)
+    if entries is None:
+        try:
+            entries = _complete(vecs, ctx, rank, morder, budget, track)
+        except _RestartWithCap as restart:
+            capped = _degree_capped_vecs(vecs, ctx, rank, restart.bound)
+            entries = _complete(capped, ctx, rank, morder, budget, track, cap=restart.bound)
     return StandardBasis(
         ctx=ctx,
         rank=rank,
@@ -589,6 +607,31 @@ def standard_basis(
         source=source,
         combinations=tuple(e.combo for e in entries) if track else None,
     )
+
+
+def _jet_capped(vecs: list[Vec], ctx: VarContext, budget: int) -> list[_Entry] | None:
+    """A standard basis of a zero-dimensional ideal, completed below a jet level.
+
+    The jet walk proposes N with m^N inside I.  The run on I + m^(N+1) drops
+    every term above degree N, so it cannot climb in degree.  When its
+    standard monomials all have degree below N, m^N lies in I + m^(N+1),
+    hence in I by Nakayama's lemma: the two ideals are equal and the basis
+    is one of I, proven by the run itself.  Otherwise None, and the plain
+    run decides; the proposal costs time, never correctness.
+    """
+    from .oracle import axis_certificate, jet_model
+
+    ideal = Ideal(ctx, [v[0] for v in vecs])
+    model = None if axis_certificate(ideal) else jet_model(ideal)
+    if model is None:
+        return None
+    bound = model.level + 1
+    capped = _degree_capped_vecs(vecs, ctx, 1, bound)
+    entries = _complete(capped, ctx, 1, TOP, budget, track=False, cap=bound)
+    exps = _standard_exponents([e.mono for e in entries], ctx.n)
+    if exps is None or any(sum(e) >= model.level for e in exps):
+        return None
+    return entries
 
 
 def _entries_of(basis: StandardBasis) -> list[_Entry]:
@@ -670,33 +713,29 @@ def _axis_caps(leads: Sequence[Monomial], n: int) -> list[int] | None:
     return caps  # type: ignore[return-value]
 
 
-def _count_standard_monomials(leads: Sequence[Monomial], n: int) -> Value:
+def _standard_exponents(leads: Sequence[Monomial], n: int) -> list[tuple[int, ...]] | None:
+    """Exponents of the monomials outside the leading ideal; None if infinite."""
     caps = _axis_caps(leads, n)
     if caps is None:
-        return NOT_FINITE
-    count = 0
-    for exps in iter_product(*(range(c) for c in caps)):
-        mono_divisible = any(
-            all(le <= e for le, e in zip(m.exponents, exps)) for m in leads
-        )
-        if not mono_divisible:
-            count += 1
-    return count
+        return None
+    return [
+        exps
+        for exps in iter_product(*(range(c) for c in caps))
+        if not any(all(le <= e for le, e in zip(m.exponents, exps)) for m in leads)
+    ]
+
+
+def _count_standard_monomials(leads: Sequence[Monomial], n: int) -> Value:
+    exps = _standard_exponents(leads, n)
+    return NOT_FINITE if exps is None else len(exps)
 
 
 def standard_monomials(basis: StandardBasis) -> list[Monomial] | NotFiniteType:
     """Monomials outside the leading ideal; a basis of the quotient."""
     if basis.rank != 1:
         raise ContextError("standard monomials are defined for ideals here")
-    leads = basis.leading_monomials
-    caps = _axis_caps(leads, basis.ctx.n)
-    if caps is None:
-        return NOT_FINITE
-    out = []
-    for exps in iter_product(*(range(c) for c in caps)):
-        if not any(all(le <= e for le, e in zip(m.exponents, exps)) for m in leads):
-            out.append(Monomial(exps))
-    return out
+    exps = _standard_exponents(basis.leading_monomials, basis.ctx.n)
+    return NOT_FINITE if exps is None else [Monomial(e) for e in exps]
 
 
 def colength(
@@ -792,12 +831,14 @@ def _module_cap_bound(
 
 
 def _nilpotency_bound(I: Ideal, budget: int) -> int | None:
-    """Smallest proven N with (maximal ideal)^N inside I, or None.
+    """A proven N with (maximal ideal)^N inside I, or None.
 
     From the axis caps of a standard basis: every monomial of degree at
     least 1 + sum(cap_v - 1) is divisible by a pure leading power, and Mora
     reduction of such a monomial stays in the same degree range, so it must
-    reach zero.  None when I is not zero-dimensional.
+    reach zero.  The bound is sound but often not the smallest such N
+    (1 + the largest degree of a standard monomial is sound too, and often
+    lower).  None when I is not zero-dimensional.
     """
     basis = standard_basis(I, budget=budget)
     caps = _axis_caps(basis.leading_monomials, I.ctx.n)
@@ -818,9 +859,7 @@ def _degree_capped_vecs(vecs: Sequence[Vec], ctx: VarContext, rank: int, bound: 
     zero = Polynomial.zero(ctx)
     out: list[Vec] = []
     for v in vecs:
-        truncated = tuple(
-            Polynomial(ctx, [(m, c) for m, c in p.terms if m.degree < bound]) for p in v
-        )
+        truncated = tuple(p.jet(bound) for p in v)
         if not _vec_is_zero(truncated):
             out.append(truncated)
     degree_bound_monos = [
@@ -977,13 +1016,12 @@ def module_quotient_dim(
         return 0 if t == 0 else NOT_FINITE
     ctx = m_sup.ctx
 
-    def count(vecs: Sequence[Vec], capped: bool) -> Value:
-        basis_entries = None
+    def count(vecs: Sequence[Vec]) -> Value:
         try:
-            basis_entries = _complete(list(vecs), ctx, t, TOP, budget, track=False, capped=capped)
+            basis_entries = _complete(list(vecs), ctx, t, TOP, budget, track=False)
         except _RestartWithCap as restart:
             recapped = _degree_capped_vecs(vecs, ctx, t, restart.bound)
-            basis_entries = _complete(recapped, ctx, t, TOP, budget, track=False, capped=True)
+            basis_entries = _complete(recapped, ctx, t, TOP, budget, track=False, cap=restart.bound)
         total = 0
         for comp in range(t):
             leads = [e.mono for e in basis_entries if e.comp == comp]
@@ -1002,4 +1040,4 @@ def module_quotient_dim(
             if prev == qd:
                 return qd
             prev = qd
-    return count(presentation, capped=False)
+    return count(presentation)

@@ -1,3 +1,6 @@
+import pytest
+
+import brs.invariants as invariants_module
 from brs import (
     HypersurfaceProblem,
     NOT_FINITE,
@@ -9,10 +12,12 @@ from brs import (
     milnor,
     oracle_colength,
     parse_poly,
+    parse_problem,
     relative_bruce_roberts,
     tjurina,
     verify_identities,
 )
+from conftest import CORPUS_DIR
 from strategies import CTX2
 
 
@@ -20,6 +25,17 @@ def prob(phi_src: str, f_src: str, ctx=CTX2) -> HypersurfaceProblem:
     return HypersurfaceProblem(
         ctx=ctx, phi=parse_poly(phi_src, ctx), f=parse_poly(f_src, ctx)
     )
+
+
+def spy_on(monkeypatch, name: str, log: list) -> None:
+    """Log (name, first argument) of every call `analyze` makes to `name`."""
+    real = getattr(invariants_module, name)
+
+    def wrapped(first, *args, **kwargs):
+        log.append((name, first))
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(invariants_module, name, wrapped)
 
 
 class TestMilnor:
@@ -146,6 +162,66 @@ class TestLedger:
         oracle_entries = [e for e in report.ledger if e.name.startswith("oracle-")]
         assert len(oracle_entries) == 8
         assert all(e.status == "pass" for e in oracle_entries)
+
+    @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "susp_d4_z2.brs"])
+    def test_oracle_rows_use_the_other_engine(self, name, monkeypatch):
+        # Jet values must be checked by a Mora count, certificate and Mora
+        # values by the jet oracle; spy on both to see which one saw what.
+        log: list = []
+        spy_on(monkeypatch, "colength", log)
+        spy_on(monkeypatch, "oracle_colength", log)
+        parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        report = analyze(parsed.problem, oracle=True)
+        rows = {e.name: e for e in report.ledger if e.name.startswith("oracle-")}
+        assert rows and all(e.status == "pass" for e in rows.values())
+        mora = [ideal for fn, ideal in log if fn == "colength"]
+        oracle = [ideal for fn, ideal in log if fn == "oracle_colength"]
+        routes = set()
+        for row in rows:
+            key = row.removeprefix("oracle-")
+            ideal, route = report.ideals[key], report.routes[key]
+            routes.add(route)
+            if route == "jet":
+                assert ideal in mora and ideal not in oracle, key
+            else:
+                assert ideal in oracle, key
+        assert "jet" in routes
+        if name.startswith("susp_"):
+            assert "certificate" in routes
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("nwh_t334_generic.brs", (0, 9, 8, 4, 5, 5)),
+            ("nwh_t444_generic.brs", (0, 11, 10, 4, 5, 5)),
+        ],
+    )
+    def test_generic_linear_function(self, name, values):
+        # The paper's main case: a generic linear f on a non weighted
+        # homogeneous surface, where Mora bases alone stall.
+        parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        report = analyze(parsed.problem)
+        got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
+        assert got == values
+        assert report.gated and all(e.status == "pass" for e in report.gated)
+        by_name = {e.name: e for e in report.ledger}
+        for entry in ("intersect-product", "colon-full", "colon-trivial"):
+            assert by_name[entry].status == "pass"
+
+    def test_mora_fallback_without_milnor_model(self, P, monkeypatch):
+        # mu_f is infinite, so Jf has no jet model, but mu_BR_rel is finite
+        # and the colon and intersection gates are open: Mora decides them.
+        log: list = []
+        spy_on(monkeypatch, "ideal_colon", log)
+        spy_on(monkeypatch, "ideal_intersection", log)
+        report = analyze(prob("x^2 + y^3", "x^2"))
+        assert report.mu_f is NOT_FINITE
+        assert report.mu_BR_rel == 5
+        assert report.routes["mu_f"] == "certificate"
+        by_name = {e.name: e for e in report.ledger}
+        for entry in ("intersect-product", "colon-full", "colon-trivial"):
+            assert by_name[entry].status == "pass", by_name[entry]
+        assert sorted(fn for fn, _ in log) == ["ideal_colon", "ideal_colon", "ideal_intersection"]
 
 
 class TestSplitDetection:

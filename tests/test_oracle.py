@@ -6,9 +6,12 @@ from brs import (
     Ideal,
     JetTruncation,
     NOT_FINITE,
+    axis_certificate,
     colength,
     jacobian_ideal,
+    ideals_equal,
     jet_contains,
+    jet_model,
     jet_quotient_dim,
     oracle_colength,
     parse_poly,
@@ -29,6 +32,27 @@ class TestOracleColength:
 
     def test_principal_is_not_finite(self):
         assert oracle_colength(I2("x")) is NOT_FINITE
+
+    def test_axis_certificate(self):
+        # No generator has a pure power of y: the y-axis lies in the zero set.
+        assert axis_certificate(I2("x", "x*y^2"))
+        assert oracle_colength(I2("x", "x*y^2")) is NOT_FINITE
+        assert not axis_certificate(I2("x", "y^3 + x*y"))
+        assert not axis_certificate(I2("1 + x"))
+
+    def test_growth_alone_is_not_a_certificate(self):
+        # Finite ideals whose jet dimensions grow linearly for many steps:
+        # the oracle may run out of levels, but it must never say infinite.
+        assert colength(I2("x^9 + y^2", "x*y")) == 11
+        assert oracle_colength(I2("x^9 + y^2", "x*y")) == 11
+        assert colength(I2("x^40", "y")) == 40
+        assert oracle_colength(I2("x^40", "y")) is INCONCLUSIVE
+        assert oracle_colength(I2("x^40", "y"), cap=48) == 40
+
+    def test_infinite_without_certificate_is_inconclusive(self):
+        phi = "x^2 + y^3"
+        got = oracle_colength(I2(f"2*({phi})", f"x*({phi})"), cap=12)
+        assert got is INCONCLUSIVE
 
     def test_cap_validation(self):
         with pytest.raises(BrsError):
@@ -61,6 +85,38 @@ class TestOracleColength:
         dims = [jet_quotient_dim(I, d) for d in (4, 6, 8, 10)]
         assert dims == sorted(dims)
         assert dims[-1] == dims[-2] == colength(I)
+
+
+class TestJetModel:
+    def test_certificate_level_and_colength(self):
+        model = jet_model(I2("x^2", "y^3"))
+        assert model.colength == 6
+        # dim(d) = 1, 3, 5, 6, 6: stable from d = 4 on, so m^4 lies in I.
+        assert model.level == 4
+
+    def test_unit_ideal(self):
+        model = jet_model(I2("1 + x", "y"))
+        assert (model.level, model.colength) == (0, 0)
+        assert model.contains(parse_poly("y^7 - 3", CTX2))
+
+    def test_membership(self):
+        model = jet_model(I2("x^2 - y^3", "x*y"))
+        assert model.contains(parse_poly("y^4", CTX2))
+        assert model.contains(parse_poly("x^3 + y^9", CTX2))
+        assert not model.contains(parse_poly("y^3", CTX2))
+
+    def test_colon(self):
+        model = jet_model(I2("x^2", "y^3"))
+        colon = model.colon([parse_poly("x*y", CTX2)])
+        assert colon.colength == 2  # (x^2, y^3) : (xy) = (x, y^2)
+        assert colon.contains_all([parse_poly("x", CTX2), parse_poly("y^2", CTX2)])
+        assert not colon.contains(parse_poly("y", CTX2))
+        generated = Ideal(CTX2, colon.generators())
+        assert ideals_equal(generated, I2("x", "y^2"))
+
+    def test_infinite_ideal_is_left_to_mora(self):
+        assert jet_model(I2("x^2 + y^3")) is None
+        assert jet_model(I2("x^2 + y^3", "x^3 + x*y^3")) is None
 
 
 class TestJetHelpers:

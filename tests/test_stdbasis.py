@@ -19,6 +19,7 @@ from brs import (
     ideals_equal,
     jacobian_ideal,
     jet_contains,
+    jet_model,
     membership,
     module_quotient_dim,
     mora_normal_form,
@@ -142,6 +143,20 @@ class TestColength:
     def test_empty_ideal(self):
         assert colength(Ideal(CTX2, [])) is NOT_FINITE
 
+    def test_jet_level_is_proven_by_the_capped_run(self, P, monkeypatch):
+        # A zero-dimensional ideal is completed below the jet walk's level,
+        # and the run must prove that level itself: proposed too low, it
+        # falls back to the plain run and the colength stays right.
+        import brs.oracle as oracle_module
+
+        def too_low(ideal, cap=None):
+            return oracle_module._jet_model(ideal, 2)
+
+        I = Ideal(CTX2, [P("x^2"), P("y^3")])
+        assert colength(I) == 6
+        monkeypatch.setattr(oracle_module, "jet_model", too_low)
+        assert colength(I) == 6
+
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals(), seed=st.randoms())
     def test_colength_independent_of_generator_order(self, I, seed):
@@ -183,19 +198,38 @@ class TestIdealProduct:
         assert got.gens == (P("x^2"), P("x*y"), P("x*y"), P("y^2"))
 
 
+# Inputs of the intersection and colon tests, by name: (I, J) generators.
+# The jet engine is checked against the same inputs in TestJetAgreesWithMora.
+INTERSECTION_CASES = {
+    "transverse_principal": (["x"], ["y"]),
+    "self_intersection": (["x^2", "y - x^3"], ["x^2", "y - x^3"]),
+    "derived_example": (["x^2", "x*y"], ["y"]),
+}
+COLON_CASES = {
+    "by_variable": (["x^2", "x*y"], ["x"]),
+    "by_unit": (["x^2 - y^5", "x*y"], ["1"]),
+    "reaches_unit_ideal": (["x", "y"], ["x^2 + y^3"]),
+}
+
+
+def case_ideals(case: tuple[list[str], list[str]]) -> tuple[Ideal, Ideal]:
+    from brs import parse_poly
+
+    return tuple(Ideal(CTX2, [parse_poly(g, CTX2) for g in gens]) for gens in case)
+
+
 class TestIntersection:
     def test_transverse_principal(self, P):
-        got = ideal_intersection(Ideal(CTX2, [P("x")]), Ideal(CTX2, [P("y")]))
+        got = ideal_intersection(*case_ideals(INTERSECTION_CASES["transverse_principal"]))
         assert ideals_equal(got, Ideal(CTX2, [P("x*y")]))
 
     def test_self_intersection(self, P):
-        I = Ideal(CTX2, [P("x^2"), P("y - x^3")])
-        assert ideals_equal(ideal_intersection(I, I), I)
+        I, J = case_ideals(INTERSECTION_CASES["self_intersection"])
+        assert ideals_equal(ideal_intersection(I, J), I)
 
     def test_derived_example(self, P):
         # (x^2, x*y) cap (y) = (x*y); frozen after a jet-level check below.
-        I = Ideal(CTX2, [P("x^2"), P("x*y")])
-        J = Ideal(CTX2, [P("y")])
+        I, J = case_ideals(INTERSECTION_CASES["derived_example"])
         got = ideal_intersection(I, J)
         assert ideals_equal(got, Ideal(CTX2, [P("x*y")]))
         for g in got.gens:
@@ -211,17 +245,17 @@ class TestIntersection:
 
 class TestColon:
     def test_colon_by_variable(self, P):
-        got = ideal_colon(Ideal(CTX2, [P("x^2"), P("x*y")]), Ideal(CTX2, [P("x")]))
+        got = ideal_colon(*case_ideals(COLON_CASES["by_variable"]))
         assert ideals_equal(got, Ideal(CTX2, [P("x"), P("y")]))
 
     def test_colon_by_unit(self, P):
-        I = Ideal(CTX2, [P("x^2 - y^5"), P("x*y")])
-        got = ideal_colon(I, Ideal(CTX2, [P("1")]))
+        I, J = case_ideals(COLON_CASES["by_unit"])
+        got = ideal_colon(I, J)
         assert ideals_equal(got, I)
 
     def test_colon_reaches_unit_ideal(self, P):
         # phi lies in (x, y)^2, so h*phi is in (x, y) for every h.
-        got = ideal_colon(Ideal(CTX2, [P("x"), P("y")]), Ideal(CTX2, [P("x^2 + y^3")]))
+        got = ideal_colon(*case_ideals(COLON_CASES["reaches_unit_ideal"]))
         assert colength(got) == 0
 
     @settings(max_examples=25, deadline=None)
@@ -230,6 +264,45 @@ class TestColon:
         quot = ideal_colon(I, J)
         assert ideal_contains(quot, I)  # I is always inside I : J
         assert ideal_contains(I, ideal_product(quot, J))
+
+
+def jet_equal(a, b) -> bool:
+    return a.contains_all(b.generators()) and b.contains_all(a.generators())
+
+
+def assert_jet_agrees_with_mora(I: Ideal, J: Ideal, probes) -> None:
+    """Colength, colon I : J, membership and equality by jets and by Mora."""
+    model = jet_model(I)
+    if model is None:
+        # No model: the engine declines, and Mora proves the ideal infinite.
+        assert colength(I) is NOT_FINITE
+        return
+    assert model.colength == colength(I)
+    colon = model.colon(J.gens)
+    mora_colon = ideal_colon(I, J)
+    assert ideals_equal(Ideal(I.ctx, colon.generators()), mora_colon)
+    assert colon.colength == colength(mora_colon)
+    for p in [*probes, *J.gens, *mora_colon.gens, *ideal_product(mora_colon, J).gens]:
+        assert model.contains(p) == membership(p, I), p
+    assert jet_equal(model, colon) == ideals_equal(I, mora_colon)
+
+
+class TestJetAgreesWithMora:
+    @pytest.mark.parametrize(
+        "case",
+        [*INTERSECTION_CASES.values(), *COLON_CASES.values()],
+        ids=[*INTERSECTION_CASES, *COLON_CASES],
+    )
+    def test_shared_inputs(self, case, P):
+        I, J = case_ideals(case)
+        probes = [P("x*y"), P("y^2"), P("x^3 - y^4"), P("x + y^7")]
+        assert_jet_agrees_with_mora(I, J, probes + list(ideal_intersection(I, J).gens))
+
+    @settings(max_examples=25, deadline=None)
+    @given(I=zero_dim_ideals(), J=zero_dim_ideals(), p=polynomials(max_terms=3, max_exp=3))
+    def test_zero_dimensional_property(self, I, J, p):
+        assert jet_model(I) is not None
+        assert_jet_agrees_with_mora(I, J, [p])
 
 
 class TestSyzygies:
