@@ -30,7 +30,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Union
 
-from .oracle import INCONCLUSIVE, JetModel, axis_certificate, jet_model, oracle_colength
+from .oracle import (
+    INCONCLUSIVE,
+    JetModel,
+    axis_certificate,
+    extended_jet_model,
+    jet_model,
+    oracle_colength,
+)
 from .polycore import Polynomial, VarContext, jacobian_ideal, minors_2x2
 from .stdbasis import (
     DEFAULT_BUDGET,
@@ -111,11 +118,20 @@ class _Count:
         self.model = model
 
 
-def _count(I: Ideal, budget: int) -> _Count:
-    """Colength of I with the cheapest proof that settles it."""
-    if axis_certificate(I):
+def _count(I: Ideal, budget: int, base: JetModel | None = None, extra: Ideal | None = None) -> _Count:
+    """Colength of I with the cheapest proof that settles it.
+
+    `base`, when given, is the certified model of an ideal that together
+    with `extra` generates I; the model of I then extends it instead of
+    walking from d = 1.  An ideal with a model has no axis certificate, and
+    neither has any ideal containing it.
+    """
+    if base is not None:
+        model = extended_jet_model(I, base, extra.gens)
+    elif axis_certificate(I):
         return _Count(NOT_FINITE, "certificate")
-    model = jet_model(I)
+    else:
+        model = jet_model(I)
     if model is not None:
         return _Count(model.colength, "jet", model)
     return _Count(colength(I, budget=budget), "mora")
@@ -341,9 +357,11 @@ def analyze(
     ideals: dict[str, Ideal] = {}
     counts: dict[str, _Count] = {}
 
-    def count(name: str, ideal: Ideal) -> Value:
+    def count(name: str, ideal: Ideal, base: str | None = None) -> Value:
+        # With a `base`, `ideal` is I_X plus the ideal counted under that name.
         ideals[name] = ideal
-        counts[name] = _count(ideal, budget)
+        model = counts[base].model if base else None
+        counts[name] = _count(ideal, budget, model, I_X)
         return counts[name].value
 
     # Jacobian-route invariants (no tangent module involved).
@@ -352,7 +370,7 @@ def analyze(
     Jf = Ideal(ctx, jacobian_ideal(f))
     mu_f = count("mu_f", Jf)
     mu_X = count("mu_X", Ideal(ctx, jacobian_ideal(phi)))
-    tau_X = count("tau_X", I_X + ideals["mu_X"])
+    tau_X = count("tau_X", I_X + ideals["mu_X"], base="mu_X")
     lg_total = count("legreuel", _legreuel_ideal(phi, f))
     mu_fiber = (
         lg_total - mu_X if (is_finite(lg_total) and is_finite(mu_X)) else NOT_FINITE
@@ -362,16 +380,15 @@ def analyze(
     # Tangent-module route.
     t0 = time.perf_counter()
     theta = theta_full(phi, budget=budget)
-    theta_t = theta_trivial(phi)
     timings["tangent_module"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
     df_X = df_ideal(f, theta)
     df_T = df_trivial_ideal(f, phi)
     mu_BR = count("br", df_X)
-    mu_BR_rel = count("br_rel", df_X + I_X)
+    mu_BR_rel = count("br_rel", df_X + I_X, base="br")
     c_df_T = count("trivial", df_T)
-    c_df_T_rel = count("trivial_rel", df_T + I_X)
+    c_df_T_rel = count("trivial_rel", df_T + I_X, base="trivial")
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
 
     # Identity ledger.
@@ -467,7 +484,7 @@ def analyze(
         entries.append(LedgerEntry("tau-module", "skip", reason=not_ihs))
     else:
         dim = module_quotient_dim(
-            theta_t.as_submodule(),
+            theta_trivial(phi).as_submodule(),
             theta.as_submodule(),
             budget=budget,
             dim_hint=tau_X,
@@ -490,7 +507,8 @@ def analyze(
 
     split = detect_split(problem)
     if split is not None:
-        mu_g = milnor(split.g, budget=budget)
+        g_milnor_ideal = Ideal(split.ext_ctx, jacobian_ideal(split.g))
+        mu_g = count("split_g_milnor", g_milnor_ideal)
         mu_base_br = bruce_roberts(split.phi_base, split.f_base, budget=budget)
         entries.append(
             _numeric_entry(
@@ -502,7 +520,6 @@ def analyze(
             )
         )
         base_tau_ideal = Ideal(split.base_ctx, [split.phi_base] + jacobian_ideal(split.phi_base))
-        g_milnor_ideal = Ideal(split.ext_ctx, jacobian_ideal(split.g))
         lifted = Ideal(
             ctx,
             [p.embed(ctx) for p in base_tau_ideal.gens]
@@ -510,14 +527,13 @@ def analyze(
         )
         lifted_colength = count("split_lifted", lifted)
         base_tau = count("split_base_tau", base_tau_ideal)
-        g_colength = count("split_g_milnor", g_milnor_ideal)
         entries.append(
             _numeric_entry(
                 "split-colength-product",
                 True,
                 "",
                 lifted_colength,
-                _finite_product(base_tau, g_colength),
+                _finite_product(base_tau, mu_g),
             )
         )
         mu_f_base = milnor(split.f_base, budget=budget) if split.f_base else NOT_FINITE
@@ -542,7 +558,7 @@ def analyze(
                 continue  # oracle entries stay in the problem's own ring
             want = counts[name]
             if want.route == "jet":
-                got = colength(ideal, budget=budget)
+                got = colength(ideal, budget=budget, jet_level=want.model.level)
             else:
                 got = oracle_colength(ideal, cap=max_jet)
             if got is INCONCLUSIVE:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BrsError
-from .polycore import Monomial, Polynomial, VarContext
+from .polycore import Monomial, Polynomial, VarContext, exponents_of_degree
 from .stdbasis import Ideal, NOT_FINITE, Value
 
 
@@ -55,36 +55,29 @@ OracleValue = Value | InconclusiveType
 DEFAULT_CAP = 32
 
 
-def _monomials_below(n: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree < d, in graded lexicographic order."""
-
-    def fixed_degree(deg: int, slots: int) -> list[tuple[int, ...]]:
-        if slots == 1:
-            return [(deg,)]
-        out = []
-        for e in range(deg + 1):
-            out.extend((e,) + rest for rest in fixed_degree(deg - e, slots - 1))
-        return out
-
-    monos: list[tuple[int, ...]] = []
-    for deg in range(d):
-        chunk = fixed_degree(deg, n)
-        chunk.sort()
-        monos.extend(chunk)
-    return monos
-
-
 @dataclass(frozen=True)
 class JetTruncation:
-    """Finite-dimensional model of the local ring below a degree cap."""
+    """Finite-dimensional model of the local ring below a degree cap.
 
+    Rows are the monomials of degree below the cap, indexed in graded
+    lexicographic order, so the table of a lower cap is a prefix.
+    """
+
+    n: int
     degree_cap: int
     monomial_index: dict[tuple[int, ...], int] = field(compare=False)
 
     @classmethod
     def build(cls, n: int, degree_cap: int) -> "JetTruncation":
-        monos = _monomials_below(n, degree_cap)
-        return cls(degree_cap=degree_cap, monomial_index={m: i for i, m in enumerate(monos)})
+        monos = [e for d in range(degree_cap) for e in exponents_of_degree(n, d)]
+        return cls(n, degree_cap, {m: i for i, m in enumerate(monos)})
+
+    def grown(self) -> "JetTruncation":
+        """The truncation one degree higher: this table plus the monomials of degree cap."""
+        index = dict(self.monomial_index)
+        for exps in exponents_of_degree(self.n, self.degree_cap):
+            index[exps] = len(index)
+        return JetTruncation(self.n, self.degree_cap + 1, index)
 
     @property
     def size(self) -> int:
@@ -96,6 +89,7 @@ class JetTruncation:
 # fraction-free with content reduction.
 Column = dict[int, int]
 Terms = list[tuple[tuple[int, ...], int, int]]  # (exponents, degree, coefficient)
+Generators = list[tuple[int, Terms]]  # (tail degree, terms) of each generator
 
 
 def _integral(polys: Sequence[Polynomial]) -> list[Terms]:
@@ -108,6 +102,11 @@ def _integral(polys: Sequence[Polynomial]) -> list[Terms]:
         [(m.exponents, m.degree, c.numerator * (den // c.denominator)) for m, c in p.terms]
         for p in polys
     ]
+
+
+def _generators(polys: Sequence[Polynomial]) -> Generators:
+    """Each polynomial's tail degree and integral terms, for every level of a walk."""
+    return [(p.tail_degree(), terms) for p, terms in zip(polys, _integral(polys))]
 
 
 def _shifted(terms: Terms, shift: tuple[int, ...], jt: JetTruncation) -> Column:
@@ -132,8 +131,8 @@ class _Echelon:
     integer vectors with a positive pivot entry.
     """
 
-    def __init__(self):
-        self.pivots: dict[int, Column] = {}
+    def __init__(self, pivots: dict[int, Column] | None = None):
+        self.pivots: dict[int, Column] = {} if pivots is None else pivots
 
     def reduce(self, col: Column) -> Column:
         col = dict(col)
@@ -213,13 +212,28 @@ class JetModel:
             Polynomial(self.ctx, [(monos[k], v) for k, v in col.items()])
             for col in self.ech.pivots.values()
         ]
-        n, N = self.ctx.n, self.level
         gens += [
-            Polynomial.monomial(self.ctx, e)
-            for e in _monomials_below(n, N + 1)
-            if sum(e) == N
+            Polynomial.monomial(self.ctx, e) for e in exponents_of_degree(self.ctx.n, self.level)
         ]
         return gens
+
+    def truncated(self, level: int) -> "JetModel":
+        """The model at a lower level L whose certificate m^L in I is known.
+
+        Rows are graded and each column's pivot is its lowest row, so cutting
+        the columns below L keeps the ones with a pivot there, still in
+        echelon form, and empties the rest.
+        """
+        if level == self.level:
+            return self
+        jt = JetTruncation.build(self.ctx.n, level)
+        ech = _Echelon()
+        for r, col in self.ech.pivots.items():
+            if r < jt.size:
+                cut = {k: v for k, v in col.items() if k < jt.size}
+                g = gcd(*cut.values())
+                ech.pivots[r] = {k: v // g for k, v in cut.items()}
+        return JetModel(self.ctx, jt, ech)
 
     def colon(self, divisors: Sequence[Polynomial]) -> "JetModel":
         """The model of I : (g_1, ..., g_k) at the same level N.
@@ -243,24 +257,33 @@ class JetModel:
                 for row, v in _shifted(terms, exps, jt).items():
                     col[block * size + row] = v
             work.insert(col)
-        kernel = _Echelon()
-        for r, col in work.pivots.items():
-            if r >= offset:
-                kernel.pivots[r - offset] = {row - offset: v for row, v in col.items()}
-        return JetModel(self.ctx, jt, kernel)
+        kernel = {
+            r - offset: {row - offset: v for row, v in col.items()}
+            for r, col in work.pivots.items()
+            if r >= offset
+        }
+        return JetModel(self.ctx, jt, _Echelon(kernel))
+
+
+def _insert_shifts(ech: _Echelon, gens: Generators, jt: JetTruncation) -> None:
+    """Insert every monomial shift of the generators that has a term below the cap."""
+    for lead_deg, terms in gens:
+        for shift in jt.monomial_index:  # graded: the first shift too high ends the run
+            if sum(shift) + lead_deg >= jt.degree_cap:
+                break
+            ech.insert(_shifted(terms, shift, jt))
+
+
+def _span(ctx: VarContext, gens: Generators, jt: JetTruncation) -> JetModel:
+    """The model of (gens) + m^d, d the cap of `jt`."""
+    ech = _Echelon()
+    _insert_shifts(ech, gens, jt)
+    return JetModel(ctx, jt, ech)
 
 
 def _jet_model(I: Ideal, d: int) -> JetModel:
     """The model of I + m^d, from every monomial shift of the generators."""
-    jt = JetTruncation.build(I.ctx.n, d)
-    ech = _Echelon()
-    shifts = list(jt.monomial_index)
-    for g, terms in zip(I.gens, _integral(I.gens)):
-        lead_deg = g.tail_degree()
-        for shift in shifts:
-            if sum(shift) + lead_deg < d:
-                ech.insert(_shifted(terms, shift, jt))
-    return JetModel(I.ctx, jt, ech)
+    return _span(I.ctx, _generators(I.gens), JetTruncation.build(I.ctx.n, d))
 
 
 def axis_certificate(I: Ideal) -> bool:
@@ -282,28 +305,70 @@ def axis_certificate(I: Ideal) -> bool:
     return False
 
 
+def _walk(growth: Callable[[int], int], top: int, cap: int | None) -> int | None:
+    """The level at which a walk stops, from its growths dim(d) - dim(d-1).
+
+    The level is d - 1 for the first d = 1, 2, ... with zero growth.  None
+    when d passes `cap`, or, without a cap, by the cost rule: the growth has
+    not slowed once d passes `top`.
+    """
+    prev = None
+    d = 1
+    while cap is None or d <= cap:
+        g = growth(d)
+        if g == 0:
+            return d - 1
+        if cap is None and d > top and g >= prev:
+            return None
+        prev = g
+        d += 1
+    return None
+
+
+def _top(I: Ideal) -> int:
+    return max((g.degree() for g in I.gens), default=0) + 2
+
+
 def jet_model(I: Ideal, cap: int | None = None) -> JetModel | None:
     """The certified model of I: raise d until dim(d) == dim(d+1).
 
     None when the walk stops first.  With a cap, it stops after level `cap`.
     Without one, it leaves I to standard bases by the cost rule: the growth
     dim(d) - dim(d-1) has not slowed once d passes the largest generator
-    degree + 2.
+    degree + 2.  Each level grows the previous level's monomial table, and
+    the generators are cleared of denominators once for the whole walk.
     """
-    top = max((g.degree() for g in I.gens), default=0) + 2
-    prev = _jet_model(I, 0)
-    prev_growth = None
-    d = 1
-    while cap is None or d <= cap:
-        model = _jet_model(I, d)
-        growth = model.colength - prev.colength
-        if growth == 0:
-            return prev
-        if cap is None and d > top and growth >= prev_growth:
-            return None
-        prev, prev_growth = model, growth
-        d += 1
-    return None
+    gens = _generators(I.gens)
+    levels = [_span(I.ctx, gens, JetTruncation.build(I.ctx.n, 0))]
+
+    def growth(d: int) -> int:
+        del levels[:-1]
+        levels.append(_span(I.ctx, gens, levels[0].jt.grown()))
+        return levels[1].colength - levels[0].colength
+
+    level = _walk(growth, _top(I), cap)
+    return None if level is None else levels[0]
+
+
+def extended_jet_model(I: Ideal, base: JetModel, extra: Sequence[Polynomial]) -> JetModel | None:
+    """What `jet_model(I)` returns, for I generated by an ideal J and `extra`.
+
+    `base` is the certified model of J at level N.  Since m^N lies in J,
+    hence in I, the shifts of the extra generators inserted into a copy of
+    J's echelon give I/m^N with no walk.  dim(d) counts the rows without a
+    pivot below degree d, so the walk's verdict is read off them: the model
+    is cut down to the level a walk of I stops at, or None where that walk
+    gives up by the cost rule.
+    """
+    jt = base.jt
+    ech = _Echelon(dict(base.ech.pivots))
+    _insert_shifts(ech, _generators(extra), jt)
+    free = [0] * (jt.degree_cap + 1)  # rows without a pivot, by degree; none of degree N
+    for exps, row in jt.monomial_index.items():
+        if row not in ech.pivots:
+            free[sum(exps)] += 1
+    level = _walk(lambda d: free[d - 1], _top(I), None)
+    return None if level is None else JetModel(I.ctx, jt, ech).truncated(level)
 
 
 def jet_quotient_dim(I: Ideal, d: int) -> int:

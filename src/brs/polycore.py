@@ -146,6 +146,13 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
+def exponents_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of n variables with total degree d, in lexicographic order."""
+    if n == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d + 1) for rest in exponents_of_degree(n - 1, d - e)]
+
+
 @dataclass(frozen=True)
 class LocalOrder:
     """Local monomial ordering: 1 is strictly greater than every variable."""

@@ -34,6 +34,7 @@ from .polycore import (
     Polynomial,
     TOP,
     VarContext,
+    exponents_of_degree,
     require_same_ctx,
 )
 
@@ -282,7 +283,9 @@ class _Budget:
     Mora reduction terminates in theory, but adversarial inputs can march
     through astronomically many or astronomically large steps; counting
     individual reduction steps alongside treated pairs turns both flavors of
-    nontermination-in-practice into a structured BudgetError.
+    nontermination-in-practice into a structured BudgetError.  A capped run
+    charges the pairs it never forms (lcm at or above the cap) as they are
+    dropped, so a budget stops it no later than when it treated them all.
     """
 
     STEPS_PER_PAIR = 10
@@ -292,8 +295,8 @@ class _Budget:
         self.steps_left = pairs * self.STEPS_PER_PAIR
         self.limit = pairs
 
-    def charge_pair(self):
-        self.pairs_left -= 1
+    def charge_pair(self, count: int = 1):
+        self.pairs_left -= count
         if self.pairs_left < 0:
             raise BudgetError(self.limit)
 
@@ -415,8 +418,14 @@ def _complete(
     provably lies in the ideal, and the computation restarts on an equal,
     degree-capped generating set (signalled via _RestartWithCap).  The
     capped run, given the bound as `cap`, cannot march: every term of degree
-    at least the bound is dropped from each reduction.  `capped` only turns
-    the restart watch off.
+    at least the bound is dropped from each reduction.  It also forms no
+    pair whose lcm has degree at least the cap (the highest-corner bound):
+    every term of such an S-polynomial has degree at least the lcm's, since
+    leading terms have the lowest degree, so the capped normal form would
+    empty it at once.  Such pairs sort after all others, and no other pair's
+    chain criterion looks at them, so the basis and the order in which the
+    remaining pairs are treated do not change; a degree-cap monomial enters
+    with no pairs at all.  `capped` only turns the restart watch off.
     """
     entries: list[_Entry] = []
     alive: dict[tuple[int, int], Monomial] = {}
@@ -428,11 +437,17 @@ def _complete(
         vec, combo = _primitive(vec, combo, order)
         entry = _Entry(vec, order, combo)
         t = len(entries)
+        peers = [i for i, old in enumerate(entries) if old.comp == entry.comp]
+        entries.append(entry)
+        if cap is not None and entry.mono.degree >= cap:
+            meter.charge_pair(len(peers))  # every lcm reaches the cap
+            return
         new_lcms: dict[tuple, tuple[int, Monomial]] = {}
-        for i, old in enumerate(entries):
-            if old.comp != entry.comp:
+        for i in peers:
+            lcm = entries[i].mono.lcm(entry.mono)
+            if cap is not None and lcm.degree >= cap:
+                meter.charge_pair()
                 continue
-            lcm = old.mono.lcm(entry.mono)
             key = lcm.exponents
             if key not in new_lcms:  # keep lowest index per repeated lcm
                 new_lcms[key] = (i, lcm)
@@ -457,7 +472,6 @@ def _complete(
                     lcm_jt = entries[j].mono.lcm(entry.mono)
                     if lcm_it.exponents != lcm.exponents and lcm_jt.exponents != lcm.exponents:
                         del alive[(i, j)]
-        entries.append(entry)
         for i, lcm in new_lcms.values():
             alive[(i, t)] = lcm
             heapq.heappush(heap, (lcm.degree, i, t))
@@ -576,11 +590,13 @@ def standard_basis(
     order: ModuleOrder | None = None,
     budget: int = DEFAULT_BUDGET,
     track: bool = False,
+    jet_level: int | None = None,
 ) -> StandardBasis:
     """Mora standard basis of an ideal or submodule.
 
     Deterministic for a fixed input order.  Raises BudgetError when the pair
-    budget is exhausted.
+    budget is exhausted.  `jet_level`, for an ideal, is the level N of its
+    certified jet model when the caller holds one (see `_jet_capped`).
     """
     ctx, rank, vecs = _as_vecs(obj)
     source = tuple(vecs)
@@ -591,7 +607,7 @@ def standard_basis(
     morder = order if order is not None else TOP
     entries = None
     if rank == 1 and not track and vecs:
-        entries = _jet_capped(vecs, ctx, budget)
+        entries = _jet_capped(vecs, ctx, budget, jet_level)
     if entries is None:
         try:
             entries = _complete(vecs, ctx, rank, morder, budget, track)
@@ -609,27 +625,34 @@ def standard_basis(
     )
 
 
-def _jet_capped(vecs: list[Vec], ctx: VarContext, budget: int) -> list[_Entry] | None:
+def _jet_capped(
+    vecs: list[Vec], ctx: VarContext, budget: int, level: int | None = None
+) -> list[_Entry] | None:
     """A standard basis of a zero-dimensional ideal, completed below a jet level.
 
-    The jet walk proposes N with m^N inside I.  The run on I + m^(N+1) drops
-    every term above degree N, so it cannot climb in degree.  When its
+    A level N with m^N inside I is proposed: `level` when the caller already
+    holds the ideal's certified jet model (the `--oracle` cross-check passes
+    the model's level), else by a jet walk here.  The run on I + m^(N+1)
+    drops every term above degree N, so it cannot climb in degree.  When its
     standard monomials all have degree below N, m^N lies in I + m^(N+1),
     hence in I by Nakayama's lemma: the two ideals are equal and the basis
-    is one of I, proven by the run itself.  Otherwise None, and the plain
-    run decides; the proposal costs time, never correctness.
+    is one of I, proven by the run itself, so it takes no word of the jet
+    engine on trust.  Otherwise None, and the plain run decides; the
+    proposal costs time, never correctness.
     """
-    from .oracle import axis_certificate, jet_model
+    if level is None:
+        from .oracle import axis_certificate, jet_model
 
-    ideal = Ideal(ctx, [v[0] for v in vecs])
-    model = None if axis_certificate(ideal) else jet_model(ideal)
-    if model is None:
-        return None
-    bound = model.level + 1
+        ideal = Ideal(ctx, [v[0] for v in vecs])
+        model = None if axis_certificate(ideal) else jet_model(ideal)
+        if model is None:
+            return None
+        level = model.level
+    bound = level + 1
     capped = _degree_capped_vecs(vecs, ctx, 1, bound)
     entries = _complete(capped, ctx, 1, TOP, budget, track=False, cap=bound)
     exps = _standard_exponents([e.mono for e in entries], ctx.n)
-    if exps is None or any(sum(e) >= model.level for e in exps):
+    if exps is None or any(sum(e) >= level for e in exps):
         return None
     return entries
 
@@ -641,10 +664,11 @@ def _entries_of(basis: StandardBasis) -> list[_Entry]:
 def _coerce_basis(
     G: Union[StandardBasis, Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]],
     budget: int,
+    jet_level: int | None = None,
 ) -> StandardBasis:
     if isinstance(G, StandardBasis):
         return G
-    return standard_basis(G, budget=budget)
+    return standard_basis(G, budget=budget, jet_level=jet_level)
 
 
 def mora_normal_form(
@@ -742,14 +766,16 @@ def colength(
     I: Union[Ideal, StandardBasis],
     *,
     budget: int = DEFAULT_BUDGET,
+    jet_level: int | None = None,
 ) -> Value:
     """Dimension of the quotient of the local ring by the ideal.
 
     Computes a standard basis, checks zero-dimensionality (a pure power of
     every variable in the leading ideal) and counts standard monomials.
-    NOT_FINITE is a legitimate value, not a failure.
+    NOT_FINITE is a legitimate value, not a failure.  `jet_level` is passed
+    on to `standard_basis`.
     """
-    basis = _coerce_basis(I, budget)
+    basis = _coerce_basis(I, budget, jet_level)
     if basis.rank != 1:
         raise ContextError("colength is defined for ideals; use module_quotient_dim")
     return _count_standard_monomials(basis.leading_monomials, basis.ctx.n)
@@ -862,11 +888,7 @@ def _degree_capped_vecs(vecs: Sequence[Vec], ctx: VarContext, rank: int, bound: 
         truncated = tuple(p.jet(bound) for p in v)
         if not _vec_is_zero(truncated):
             out.append(truncated)
-    degree_bound_monos = [
-        exps
-        for exps in iter_product(*(range(bound + 1) for _ in range(ctx.n)))
-        if sum(exps) == bound
-    ]
+    degree_bound_monos = exponents_of_degree(ctx.n, bound)
     for comp in range(rank):
         for exps in degree_bound_monos:
             vec = [zero] * rank

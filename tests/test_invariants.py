@@ -1,6 +1,7 @@
 import pytest
 
 import brs.invariants as invariants_module
+import brs.oracle as oracle_module
 from brs import (
     HypersurfaceProblem,
     NOT_FINITE,
@@ -27,15 +28,18 @@ def prob(phi_src: str, f_src: str, ctx=CTX2) -> HypersurfaceProblem:
     )
 
 
-def spy_on(monkeypatch, name: str, log: list) -> None:
-    """Log (name, first argument) of every call `analyze` makes to `name`."""
-    real = getattr(invariants_module, name)
+def spy_on(monkeypatch, name: str, log: list, module=invariants_module) -> None:
+    """Log (name, first argument) of every call made to `name` through `module`.
+
+    By default that is every call `analyze` makes to it.
+    """
+    real = getattr(module, name)
 
     def wrapped(first, *args, **kwargs):
         log.append((name, first))
         return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(invariants_module, name, wrapped)
+    monkeypatch.setattr(module, name, wrapped)
 
 
 class TestMilnor:
@@ -188,6 +192,24 @@ class TestLedger:
         assert "jet" in routes
         if name.startswith("susp_"):
             assert "certificate" in routes
+
+    @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "susp_d4_z2.brs"])
+    def test_oracle_walks_no_ideal_twice(self, name, monkeypatch):
+        # The cross-check hands Mora the level of the model `analyze` holds,
+        # and I + (phi) extends the model of I, so no ideal is walked again.
+        log: list = []
+        spy_on(monkeypatch, "jet_model", log)  # from analyze
+        spy_on(monkeypatch, "jet_model", log, module=oracle_module)  # from stdbasis
+        parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        report = analyze(parsed.problem, oracle=True)
+        rows = [e for e in report.ledger if e.name.startswith("oracle-")]
+        assert rows and all(e.status == "pass" for e in rows)
+        walked = [ideal for _, ideal in log]
+        assert walked and len(walked) == len(set(walked))
+        extended = [n for n in ("tau_X", "br_rel", "trivial_rel") if report.routes[n] == "jet"]
+        assert extended
+        for key in extended:
+            assert report.ideals[key] not in walked, key
 
     @pytest.mark.parametrize(
         "name, values",

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brs import (
     BrsError,
@@ -16,7 +18,8 @@ from brs import (
     oracle_colength,
     parse_poly,
 )
-from strategies import CTX2
+from brs.oracle import extended_jet_model
+from strategies import CTX2, germs, polynomials, zero_dim_ideals
 
 
 def I2(*sources):
@@ -113,6 +116,33 @@ class TestJetModel:
         assert not colon.contains(parse_poly("y", CTX2))
         generated = Ideal(CTX2, colon.generators())
         assert ideals_equal(generated, I2("x", "y^2"))
+
+    def test_extended_model(self):
+        # (x^2, y^3) at level 4 plus x*y - y^2: standard monomials 1, x, y,
+        # y^2, so a walk of the sum stops at level 3, below the base's.
+        base = jet_model(I2("x^2", "y^3"))
+        extra = [parse_poly("x*y - y^2", CTX2)]
+        model = extended_jet_model(I2("x^2", "y^3", "x*y - y^2"), base, extra)
+        assert (model.level, model.colength) == (3, 4)
+        assert model.contains(parse_poly("x*y - y^2 + x*y^2", CTX2))
+        assert not model.contains(parse_poly("y^2", CTX2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        I=zero_dim_ideals(),
+        extra=st.lists(germs(), min_size=1, max_size=2),
+        probes=st.lists(polynomials(max_terms=3, max_exp=4), max_size=4),
+    )
+    def test_extended_model_is_the_walked_model(self, I, extra, probes):
+        total = I + Ideal(CTX2, extra)
+        walked = jet_model(total)
+        extended = extended_jet_model(total, jet_model(I), extra)
+        if walked is None:
+            assert extended is None
+            return
+        assert (extended.level, extended.colength) == (walked.level, walked.colength)
+        for p in [*probes, *extra, *(g * q for g in extra for q in probes)]:
+            assert extended.contains(p) == walked.contains(p), p
 
     def test_infinite_ideal_is_left_to_mora(self):
         assert jet_model(I2("x^2 + y^3")) is None

@@ -305,6 +305,62 @@ class TestJetAgreesWithMora:
         assert_jet_agrees_with_mora(I, J, [p])
 
 
+def assert_capped_path_matches_plain_run(I: Ideal) -> None:
+    """The capped path, which forms no pair at or above its cap, against a plain run."""
+    from brs.polycore import TOP
+    from brs.stdbasis import DEFAULT_BUDGET, _complete, _count_standard_monomials
+
+    plain = _complete(
+        [(g,) for g in I.gens], I.ctx, 1, TOP, DEFAULT_BUDGET, track=False, capped=True
+    )
+    sb = standard_basis(I)
+    assert sorted(m.exponents for m in sb.leading_monomials) == sorted(
+        e.mono.exponents for e in plain
+    )
+    assert colength(sb) == _count_standard_monomials([e.mono for e in plain], I.ctx.n)
+
+
+class TestCappedRun:
+    @pytest.mark.parametrize(
+        "case",
+        [*INTERSECTION_CASES.values(), *COLON_CASES.values()],
+        ids=[*INTERSECTION_CASES, *COLON_CASES],
+    )
+    def test_shared_inputs(self, case):
+        for ideal in case_ideals(case):
+            assert_capped_path_matches_plain_run(ideal)
+
+    @pytest.mark.parametrize("phi", ["x^5 + y^5 + x^2*y^2", "x^3 - x*y^2"])
+    def test_jacobian_and_tjurina_ideals(self, phi, P):
+        # The capped run must prove its level itself, with the pairs whose
+        # lcm has degree cap - 1 kept: without them it falls back here.
+        from brs.stdbasis import _jet_capped
+
+        g = P(phi)
+        for I in (Ideal(CTX2, jacobian_ideal(g)), Ideal(CTX2, [g, *jacobian_ideal(g)])):
+            assert _jet_capped([(h,) for h in I.gens], CTX2, 10_000) is not None
+            assert_capped_path_matches_plain_run(I)
+
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals())
+    def test_zero_dimensional_property(self, I):
+        from brs.stdbasis import _jet_capped
+
+        assert _jet_capped([(g,) for g in I.gens], I.ctx, 10_000) is not None
+        assert_capped_path_matches_plain_run(I)
+
+    def test_pairs_at_the_cap_are_charged(self, P):
+        # Degree-cap monomials form no pairs, but each one they would have
+        # formed still counts against the budget.
+        from brs import BudgetError
+        from brs.stdbasis import _jet_capped
+
+        vecs = [(P("x^2"),), (P("y^3"),)]
+        assert _jet_capped(vecs, CTX2, 10_000, level=4) is not None
+        with pytest.raises(BudgetError):
+            _jet_capped(vecs, CTX2, 5, level=4)
+
+
 class TestSyzygies:
     def test_koszul_relation(self, P):
         syz = syzygies(Ideal(CTX2, [P("x"), P("y")]))
