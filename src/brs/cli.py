@@ -13,6 +13,7 @@ import click
 
 from .errors import BrsError, BudgetError
 from .invariants import analyze
+from .oracle import DEFAULT_CAP
 from .parsing import parse_problem
 from .report import (
     corpus_row,
@@ -53,7 +54,7 @@ def _run_one(path: Path, oracle, max_jet, budget, tau):
         parsed.problem,
         path=str(path),
         oracle=_effective(oracle, parsed.oracle or None, False),
-        max_jet=_effective(max_jet, parsed.max_jet, 32),
+        max_jet=parsed.max_jet if max_jet is None else max_jet,
         tau_check=tau,
         budget=budget if budget is not None else DEFAULT_BUDGET,
     )
@@ -62,7 +63,7 @@ def _run_one(path: Path, oracle, max_jet, budget, tau):
 @main.command()
 @click.argument("file", type=str)
 @click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it.")
-@click.option("--max-jet", type=int, default=None, help="Oracle truncation cap (default 32).")
+@click.option("--max-jet", type=int, default=None, help=f"Oracle truncation cap (default {DEFAULT_CAP}).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None, help="Output format.")
 @click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases.")
 @click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number (slow).")
@@ -91,7 +92,7 @@ def check(file, oracle, max_jet, fmt, budget, tau):
 @main.command()
 @click.argument("directory", type=str)
 @click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it.")
-@click.option("--max-jet", type=int, default=None, help="Oracle truncation cap (default 32).")
+@click.option("--max-jet", type=int, default=None, help=f"Oracle truncation cap (default {DEFAULT_CAP}).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Output format.")
 @click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases.")
 @click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number (slow).")

@@ -19,18 +19,21 @@ singular locus) are reported as skipped with a reason, never as failures.
 
 Every colength takes the cheapest proof available (`_count`): the axis
 certificate of infinite colength, then a stabilized jet walk, and only when
-the walk hands the ideal back, a Mora standard basis.  A jet model also
-carries the colon, membership and equality checks of the ledger; the Mora
-operations run only for ideals without one.
+the walk hands the ideal back, a Mora standard basis.  The ledger is one
+table (`_LEDGER`) that one loop evaluates.  Its containment rows run on the
+jet models of the ideals involved, and an ideal without one is wrapped in
+`_MoraIdeal`, which answers the same questions from a Mora standard basis.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Union
+from types import SimpleNamespace
+from typing import Callable, Sequence, Union
 
 from .oracle import (
+    DEFAULT_CAP,
     INCONCLUSIVE,
     JetModel,
     axis_certificate,
@@ -47,8 +50,6 @@ from .stdbasis import (
     Value,
     colength,
     ideal_colon,
-    ideal_intersection,
-    ideal_product,
     is_finite,
     membership,
     module_quotient_dim,
@@ -254,90 +255,139 @@ def _value_out(v: Value) -> LedgerValue:
     return v if is_finite(v) else "infinite"
 
 
-class _SBCache:
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._cache: dict[Ideal, StandardBasis] = {}
+class _MoraIdeal:
+    """An ideal without a jet model, answering what a `JetModel` answers.
 
-    def basis(self, I: Ideal) -> StandardBasis:
-        basis = self._cache.get(I)
-        if basis is None:
-            basis = standard_basis(I, budget=self.budget)
-            self._cache[I] = basis
-        return basis
-
-    def contains(self, big: Ideal, small: Ideal) -> bool:
-        basis = self.basis(big)
-        return all(membership(g, basis) for g in small.gens)
-
-
-def _numeric_entry(name: str, gate_ok: bool, reason: str, lhs: Value, rhs: Value) -> LedgerEntry:
-    if not gate_ok:
-        return LedgerEntry(name=name, status="skip", reason=reason)
-    status = "pass" if _values_equal(lhs, rhs) else "fail"
-    return LedgerEntry(name=name, status=status, lhs=_value_out(lhs), rhs=_value_out(rhs))
-
-
-def _mutual_entry(name: str, forward: bool, backward: bool) -> LedgerEntry:
-    status = "pass" if (forward and backward) else "fail"
-    return LedgerEntry(name=name, status=status, lhs=forward, rhs=backward)
-
-
-def _ideal_entries(
-    phi: Polynomial,
-    Jf: Ideal,
-    df_X: Ideal,
-    df_T: Ideal,
-    counts: dict[str, _Count],
-    budget: int,
-) -> dict[str, LedgerEntry]:
-    """`intersect-product`, `colon-full` and `colon-trivial`, all gates open.
-
-    With jet models of Jf and of the dividend, each check is linear algebra
-    in R/m^N.  The intersection df_X cap (phi) is phi * (df_X : phi), and
-    phi*k lies in phi*Jf exactly when k lies in Jf (the local ring is a
-    domain), so it needs no intersection of its own.  Without models, Mora
-    standard bases decide.
+    Its Mora standard basis is completed on first use and kept.
     """
-    I_X = Ideal(phi.ctx, [phi])
-    prod = ideal_product(Jf, I_X)
-    m_f = counts["mu_f"].model
-    entries: dict[str, LedgerEntry] = {}
-    colons: dict[str, Ideal] = {}
-    for name, key, dividend in (("colon-full", "br", df_X), ("colon-trivial", "trivial", df_T)):
-        model = counts[key].model
-        if m_f is None or model is None:
-            colons[name] = dividend
-            continue
-        colon = model.colon([phi])
-        inside_jf = m_f.contains_all(colon.generators())
-        entries[name] = _mutual_entry(name, inside_jf, colon.contains_all(Jf.gens))
-        if key == "br":
-            # Each generator of Jf*(phi) is a multiple of phi by construction.
-            entries["intersect-product"] = _mutual_entry(
-                "intersect-product", inside_jf, model.contains_all(prod.gens)
-            )
-    if not colons:
-        return entries
-    cache = _SBCache(budget)
-    if "colon-full" in colons:
-        # Mutual membership without ever completing the intersection's own
-        # generators: p lies in the intersection exactly when it lies in both
-        # factors, and the factors have well-behaved bases.
-        inter = ideal_intersection(df_X, I_X, budget=budget)
-        entries["intersect-product"] = _mutual_entry(
-            "intersect-product",
-            cache.contains(prod, inter),
-            all(
-                membership(h, cache.basis(df_X), budget=budget)
-                and membership(h, cache.basis(I_X), budget=budget)
-                for h in prod.gens
-            ),
+
+    __slots__ = ("ideal", "budget", "_basis")
+
+    def __init__(self, ideal: Ideal, budget: int):
+        self.ideal = ideal
+        self.budget = budget
+        self._basis: StandardBasis | None = None
+
+    def contains_all(self, gens: Sequence[Polynomial]) -> bool:
+        if self._basis is None:
+            self._basis = standard_basis(self.ideal, budget=self.budget)
+        return all(membership(g, self._basis) for g in gens)
+
+    def colon(self, divisors: Sequence[Polynomial]) -> "_MoraIdeal":
+        quotient = ideal_colon(self.ideal, Ideal(self.ideal.ctx, divisors), budget=self.budget)
+        return _MoraIdeal(quotient, self.budget)
+
+    def generators(self) -> list[Polynomial]:
+        return list(self.ideal.gens)
+
+
+def _colon_vs_jf(v: SimpleNamespace, key: str) -> tuple[bool, bool]:
+    """Whether (I : phi) lies in Jf, and Jf in (I : phi), for I counted under `key`.
+
+    Computed once per run and ideal.  `v.models` holds Jf ("mu_f"), df_X
+    ("br") and df_T ("trivial"), each as its jet model or, without one, as
+    a `_MoraIdeal`, so the check takes one path on either engine.
+    """
+    if key not in v.colons:
+        colon = v.models[key].colon([v.phi])
+        v.colons[key] = (
+            v.models["mu_f"].contains_all(colon.generators()),
+            colon.contains_all(v.Jf.gens),
         )
-    for name, dividend in colons.items():
-        colon = ideal_colon(dividend, I_X, budget=budget)
-        entries[name] = _mutual_entry(name, cache.contains(Jf, colon), cache.contains(colon, Jf))
-    return entries
+    return v.colons[key]
+
+
+NOT_IHS = "mu_X is not finite (the hypersurface is not an IHS)"
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One ledger identity, read off the run's facts `v` (a namespace).
+
+    An "equal" row passes when `lhs(v)` equals `rhs(v)`; a "mutual" row
+    holds two containments and passes when both are true.  The row is
+    skipped with NOT_IHS when it needs an IHS and mu_X is not finite, else
+    with `reason` when a value named in `finite` is not finite.
+    """
+
+    name: str
+    kind: str  # "equal" | "mutual"
+    ihs: bool
+    finite: tuple[str, ...]
+    reason: str
+    lhs: Callable[[SimpleNamespace], LedgerValue]
+    rhs: Callable[[SimpleNamespace], LedgerValue]
+
+
+_LEDGER = (
+    _Row("relbr-sum", "equal", True, ("mu_BR_rel", "mu_fiber", "tau_X"),
+         "mu_BR_rel or mu_fiber is not finite",
+         lambda v: v.mu_BR_rel, lambda v: v.mu_fiber + v.mu_X - v.tau_X),
+    _Row("br-split", "equal", False, ("mu_BR", "mu_f", "mu_BR_rel"),
+         "mu_BR is not finite",
+         lambda v: v.mu_BR, lambda v: v.mu_f + v.mu_BR_rel),
+    _Row("br-sum", "equal", False, ("mu_BR", "mu_f", "mu_fiber", "mu_X", "tau_X"),
+         "mu_BR or a right-hand invariant is not finite",
+         lambda v: v.mu_BR, lambda v: v.mu_f + v.mu_fiber + v.mu_X - v.tau_X),
+    _Row("dim-rel-trivial", "equal", True, ("mu_BR_rel", "tau_X", "trivial_rel"),
+         "mu_BR_rel is not finite",
+         lambda v: v.trivial_rel - v.mu_BR_rel, lambda v: v.tau_X),
+    _Row("dim-trivial", "equal", True, ("mu_BR", "tau_X", "trivial"),
+         "mu_BR is not finite",
+         lambda v: v.trivial - v.mu_BR, lambda v: v.tau_X),
+    # df_X cap (phi) inside phi * Jf, and phi * Jf inside df_X cap (phi).  The
+    # local ring is a domain, so df_X cap (phi) is phi * (df_X : phi), and it
+    # lies in phi * Jf exactly when df_X : phi lies in Jf; every generator of
+    # phi * Jf is a multiple of phi, so it lies in the intersection when it
+    # lies in df_X.
+    _Row("intersect-product", "mutual", True, ("mu_BR_rel",),
+         "mu_BR_rel is not finite",
+         lambda v: _colon_vs_jf(v, "br")[0],
+         lambda v: v.models["br"].contains_all([g * v.phi for g in v.Jf.gens])),
+    _Row("quotient-milnor", "equal", False, ("mu_BR", "mu_BR_rel", "mu_f"),
+         "mu_BR is not finite",
+         lambda v: v.mu_BR - v.mu_BR_rel, lambda v: v.mu_f),
+    _Row("colon-full", "mutual", True, ("mu_BR_rel",),
+         "mu_BR_rel is not finite",
+         lambda v: _colon_vs_jf(v, "br")[0], lambda v: _colon_vs_jf(v, "br")[1]),
+    _Row("colon-trivial", "mutual", True, ("mu_BR_rel",),
+         "mu_BR_rel is not finite",
+         lambda v: _colon_vs_jf(v, "trivial")[0], lambda v: _colon_vs_jf(v, "trivial")[1]),
+    _Row("tau-module", "equal", True, ("tau_X",),
+         NOT_IHS,
+         lambda v: module_quotient_dim(
+             theta_trivial(v.phi).as_submodule(),
+             v.theta.as_submodule(),
+             budget=v.budget,
+             dim_hint=v.tau_X,
+         ),
+         lambda v: v.tau_X),
+    _Row("icis-finiteness", "equal", True, (),
+         "",
+         lambda v: is_finite(v.mu_BR_rel), lambda v: is_finite(v.legreuel)),
+)
+
+# Rows of a suspended problem (`detect_split`): always gated.
+_SPLIT_LEDGER = (
+    _Row("susp-br-product", "equal", False, (), "",
+         lambda v: v.mu_BR, lambda v: _finite_product(v.mu_g, v.base_br)),
+    _Row("split-colength-product", "equal", False, (), "",
+         lambda v: v.lifted, lambda v: _finite_product(v.base_tau, v.mu_g)),
+    _Row("split-milnor-product", "equal", False, (), "",
+         lambda v: v.mu_f, lambda v: _finite_product(v.mu_f_base, v.mu_g)),
+)
+
+
+def _evaluate(row: _Row, v: SimpleNamespace) -> LedgerEntry:
+    if row.ihs and not is_finite(v.mu_X):
+        return LedgerEntry(row.name, "skip", reason=NOT_IHS)
+    if not all(is_finite(getattr(v, name)) for name in row.finite):
+        return LedgerEntry(row.name, "skip", reason=row.reason)
+    lhs, rhs = row.lhs(v), row.rhs(v)
+    if row.kind == "mutual":
+        return LedgerEntry(row.name, "pass" if lhs and rhs else "fail", lhs, rhs)
+    status = "pass" if _values_equal(lhs, rhs) else "fail"
+    return LedgerEntry(row.name, status, _value_out(lhs), _value_out(rhs))
 
 
 def analyze(
@@ -345,7 +395,7 @@ def analyze(
     *,
     path: str | None = None,
     oracle: bool = False,
-    max_jet: int = 32,
+    max_jet: int = DEFAULT_CAP,
     tau_check: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> InvariantReport:
@@ -384,168 +434,43 @@ def analyze(
 
     t0 = time.perf_counter()
     df_X = df_ideal(f, theta)
-    df_T = df_trivial_ideal(f, phi)
     mu_BR = count("br", df_X)
     mu_BR_rel = count("br_rel", df_X + I_X, base="br")
-    c_df_T = count("trivial", df_T)
-    c_df_T_rel = count("trivial_rel", df_T + I_X, base="trivial")
+    count("trivial", df_trivial_ideal(f, phi))
+    count("trivial_rel", ideals["trivial"] + I_X, base="trivial")
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
 
     # Identity ledger.
     t0 = time.perf_counter()
-    entries: list[LedgerEntry] = []
-    ihs = is_finite(mu_X)
-    not_ihs = "mu_X is not finite (the hypersurface is not an IHS)"
-
-    gate_e3 = ihs and is_finite(mu_BR_rel) and is_finite(mu_fiber) and is_finite(tau_X)
-    entries.append(
-        _numeric_entry(
-            "relbr-sum",
-            gate_e3,
-            not_ihs if not ihs else "mu_BR_rel or mu_fiber is not finite",
-            mu_BR_rel,
-            (mu_fiber + mu_X - tau_X) if gate_e3 else NOT_FINITE,
-        )
+    models = {
+        key: counts[key].model or _MoraIdeal(ideals[key], budget)
+        for key in ("mu_f", "br", "trivial")
+    }
+    # What the rows read: each colength under its count name, the three
+    # invariants named otherwise, and the ideals of the containment rows.
+    facts = SimpleNamespace(
+        **{name: c.value for name, c in counts.items()},
+        mu_fiber=mu_fiber, mu_BR=mu_BR, mu_BR_rel=mu_BR_rel,
+        phi=phi, Jf=Jf, theta=theta, budget=budget, models=models, colons={},
     )
-    gate_e2 = is_finite(mu_BR) and is_finite(mu_f) and is_finite(mu_BR_rel)
-    entries.append(
-        _numeric_entry(
-            "br-split",
-            gate_e2,
-            "mu_BR is not finite",
-            mu_BR,
-            (mu_f + mu_BR_rel) if gate_e2 else NOT_FINITE,
-        )
-    )
-    gate_e1 = (
-        is_finite(mu_BR)
-        and is_finite(mu_f)
-        and is_finite(mu_fiber)
-        and is_finite(mu_X)
-        and is_finite(tau_X)
-    )
-    entries.append(
-        _numeric_entry(
-            "br-sum",
-            gate_e1,
-            "mu_BR or a right-hand invariant is not finite",
-            mu_BR,
-            (mu_f + mu_fiber + mu_X - tau_X) if gate_e1 else NOT_FINITE,
-        )
-    )
-    gate_t1 = ihs and is_finite(mu_BR_rel) and is_finite(tau_X) and is_finite(c_df_T_rel)
-    entries.append(
-        _numeric_entry(
-            "dim-rel-trivial",
-            gate_t1,
-            not_ihs if not ihs else "mu_BR_rel is not finite",
-            (c_df_T_rel - mu_BR_rel) if gate_t1 else NOT_FINITE,
-            tau_X,
-        )
-    )
-    gate_t2 = ihs and is_finite(mu_BR) and is_finite(tau_X) and is_finite(c_df_T)
-    entries.append(
-        _numeric_entry(
-            "dim-trivial",
-            gate_t2,
-            not_ihs if not ihs else "mu_BR is not finite",
-            (c_df_T - mu_BR) if gate_t2 else NOT_FINITE,
-            tau_X,
-        )
-    )
-    gate_ideal = ihs and is_finite(mu_BR_rel)
-    reason_ideal = not_ihs if not ihs else "mu_BR_rel is not finite"
-    if gate_ideal:
-        ideal_entries = _ideal_entries(phi, Jf, df_X, df_T, counts, budget)
-    else:
-        ideal_entries = {
-            name: LedgerEntry(name, "skip", reason=reason_ideal)
-            for name in ("intersect-product", "colon-full", "colon-trivial")
-        }
-    entries.append(ideal_entries["intersect-product"])
-    gate_e4 = is_finite(mu_BR) and is_finite(mu_BR_rel) and is_finite(mu_f)
-    entries.append(
-        _numeric_entry(
-            "quotient-milnor",
-            gate_e4,
-            "mu_BR is not finite",
-            (mu_BR - mu_BR_rel) if gate_e4 else NOT_FINITE,
-            mu_f,
-        )
-    )
-    entries.append(ideal_entries["colon-full"])
-    entries.append(ideal_entries["colon-trivial"])
-
-    if not tau_check:
-        entries.append(
-            LedgerEntry("tau-module", "skip", reason="disabled (pass --tau to enable)")
-        )
-    elif not (ihs and is_finite(tau_X)):
-        entries.append(LedgerEntry("tau-module", "skip", reason=not_ihs))
-    else:
-        dim = module_quotient_dim(
-            theta_trivial(phi).as_submodule(),
-            theta.as_submodule(),
-            budget=budget,
-            dim_hint=tau_X,
-        )
-        entries.append(
-            _numeric_entry("tau-module", True, "", dim, tau_X)
-        )
-
-    if ihs:
-        entries.append(
-            LedgerEntry(
-                "icis-finiteness",
-                "pass" if is_finite(mu_BR_rel) == is_finite(lg_total) else "fail",
-                lhs=is_finite(mu_BR_rel),
-                rhs=is_finite(lg_total),
-            )
-        )
-    else:
-        entries.append(LedgerEntry("icis-finiteness", "skip", reason=not_ihs))
+    entries = [
+        LedgerEntry(row.name, "skip", reason="disabled (pass --tau to enable)")
+        if row.name == "tau-module" and not tau_check
+        else _evaluate(row, facts)
+        for row in _LEDGER
+    ]
 
     split = detect_split(problem)
     if split is not None:
         g_milnor_ideal = Ideal(split.ext_ctx, jacobian_ideal(split.g))
-        mu_g = count("split_g_milnor", g_milnor_ideal)
-        mu_base_br = bruce_roberts(split.phi_base, split.f_base, budget=budget)
-        entries.append(
-            _numeric_entry(
-                "susp-br-product",
-                True,
-                "",
-                mu_BR,
-                _finite_product(mu_g, mu_base_br),
-            )
-        )
         base_tau_ideal = Ideal(split.base_ctx, [split.phi_base] + jacobian_ideal(split.phi_base))
-        lifted = Ideal(
-            ctx,
-            [p.embed(ctx) for p in base_tau_ideal.gens]
-            + [p.embed(ctx) for p in g_milnor_ideal.gens],
-        )
-        lifted_colength = count("split_lifted", lifted)
-        base_tau = count("split_base_tau", base_tau_ideal)
-        entries.append(
-            _numeric_entry(
-                "split-colength-product",
-                True,
-                "",
-                lifted_colength,
-                _finite_product(base_tau, mu_g),
-            )
-        )
-        mu_f_base = milnor(split.f_base, budget=budget) if split.f_base else NOT_FINITE
-        entries.append(
-            _numeric_entry(
-                "split-milnor-product",
-                True,
-                "",
-                mu_f,
-                _finite_product(mu_f_base, mu_g),
-            )
-        )
+        lifted = Ideal(ctx, [p.embed(ctx) for p in base_tau_ideal.gens + g_milnor_ideal.gens])
+        facts.mu_g = count("split_g_milnor", g_milnor_ideal)
+        facts.base_br = bruce_roberts(split.phi_base, split.f_base, budget=budget)
+        facts.lifted = count("split_lifted", lifted)
+        facts.base_tau = count("split_base_tau", base_tau_ideal)
+        facts.mu_f_base = milnor(split.f_base, budget=budget) if split.f_base else NOT_FINITE
+        entries += [_evaluate(row, facts) for row in _SPLIT_LEDGER]
     timings["identities"] = (time.perf_counter() - t0) * 1000
 
     if oracle:
@@ -561,23 +486,13 @@ def analyze(
                 got = colength(ideal, budget=budget, jet_level=want.model.level)
             else:
                 got = oracle_colength(ideal, cap=max_jet)
+            row = f"oracle-{name}"
             if got is INCONCLUSIVE:
-                entries.append(
-                    LedgerEntry(
-                        f"oracle-{name}",
-                        "skip",
-                        reason=f"oracle inconclusive at max_jet={max_jet}",
-                    )
-                )
+                reason = f"oracle inconclusive at max_jet={max_jet}"
+                entries.append(LedgerEntry(row, "skip", reason=reason))
             else:
-                entries.append(
-                    LedgerEntry(
-                        f"oracle-{name}",
-                        "pass" if _values_equal(got, want.value) else "fail",
-                        lhs=_value_out(got),
-                        rhs=_value_out(want.value),
-                    )
-                )
+                status = "pass" if _values_equal(got, want.value) else "fail"
+                entries.append(LedgerEntry(row, status, _value_out(got), _value_out(want.value)))
         timings["oracle"] = (time.perf_counter() - t0) * 1000
 
     timings["total"] = (time.perf_counter() - t_start) * 1000
@@ -596,8 +511,3 @@ def analyze(
         colengths={name: c.value for name, c in counts.items()},
         routes={name: c.route for name, c in counts.items()},
     )
-
-
-def verify_identities(problem: HypersurfaceProblem, **kwargs) -> tuple[LedgerEntry, ...]:
-    """The identity ledger of `analyze`, for callers that only want verdicts."""
-    return analyze(problem, **kwargs).ledger

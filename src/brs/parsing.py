@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GermError, ParseError
+from .oracle import DEFAULT_CAP
 from .polycore import Polynomial, VarContext
 from .tangent import HypersurfaceProblem
 
@@ -279,7 +280,7 @@ def parse_problem(src: str) -> ParsedProblem:
     oracle_raw = pf.options.get("oracle", "off")
     if oracle_raw not in ("on", "off"):
         raise ParseError(f"oracle must be on or off, got {oracle_raw!r}")
-    max_jet_raw = pf.options.get("max_jet", "32")
+    max_jet_raw = pf.options.get("max_jet", str(DEFAULT_CAP))
     try:
         max_jet = int(max_jet_raw)
     except ValueError:

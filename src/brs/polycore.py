@@ -153,57 +153,6 @@ def exponents_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
     return [(e,) + rest for e in range(d + 1) for rest in exponents_of_degree(n - 1, d - e)]
 
 
-@dataclass(frozen=True)
-class LocalOrder:
-    """Local monomial ordering: 1 is strictly greater than every variable."""
-
-    kind: str = "negdegrevlex"
-
-    def key(self, m: Monomial) -> tuple:
-        return m.sort_key()
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = a.sort_key(), b.sort_key()
-        if ka > kb:
-            return 1
-        if ka < kb:
-            return -1
-        return 0
-
-
-NEGDEGREVLEX = LocalOrder()
-
-
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Module ordering layered over the ring order.
-
-    position="top": term over position, ties broken by ascending component.
-    position="pot": position over term; lower components dominate outright,
-    which makes the first block of components an elimination block (that is
-    exactly what the syzygy extraction needs).
-    """
-
-    ring: LocalOrder = NEGDEGREVLEX
-    position: str = "top"
-
-    def key(self, component: int, m: Monomial) -> tuple:
-        if self.position == "pot":
-            return (-component,) + m.sort_key()
-        return m.sort_key() + (-component,)
-
-
-TOP = ModuleOrder(position="top")
-POT = ModuleOrder(position="pot")
-
-
-def compare(a: Monomial, b: Monomial, order: LocalOrder = NEGDEGREVLEX) -> int:
-    """Total order on monomials: -1 less, 0 equal, 1 greater."""
-    if len(a.exponents) != len(b.exponents):
-        raise ContextError("monomials come from contexts of different size")
-    return order.compare(a, b)
-
-
 Term = tuple[Monomial, Fraction]
 
 

@@ -28,15 +28,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .errors import BrsError, BudgetError, ContainmentError, ContextError, InternalError
-from .polycore import (
-    Monomial,
-    ModuleOrder,
-    Polynomial,
-    TOP,
-    VarContext,
-    exponents_of_degree,
-    require_same_ctx,
-)
+from .polycore import Monomial, Polynomial, VarContext, exponents_of_degree, require_same_ctx
 
 DEFAULT_BUDGET = 200_000
 
@@ -137,7 +129,6 @@ class StandardBasis:
 
     ctx: VarContext
     rank: int
-    order: ModuleOrder
     elements: tuple[Vec, ...]
     leading: tuple[tuple[int, Monomial], ...]
     source: tuple[Vec, ...]
@@ -185,14 +176,23 @@ def _vec_maxdeg(v: Vec) -> int:
     return max((p.degree() for p in v), default=-1)
 
 
-def _vec_lead(v: Vec, order: ModuleOrder) -> tuple[int, Monomial, Fraction] | None:
+def _key(comp: int, mono: Monomial) -> tuple:
+    """Sort key of the one module order, term over position.
+
+    The local order of the monomials decides; on a tie the lower component
+    is the greater.
+    """
+    return mono.sort_key() + (-comp,)
+
+
+def _vec_lead(v: Vec) -> tuple[int, Monomial, Fraction] | None:
     best = None
     best_key = None
     for comp, p in enumerate(v):
         lead = p.leading
         if lead is None:
             continue
-        key = order.key(comp, lead[0])
+        key = _key(comp, lead[0])
         if best_key is None or key > best_key:
             best_key = key
             best = (comp, lead[0], lead[1])
@@ -216,7 +216,7 @@ def _vec_content(v: Vec) -> Fraction:
     return Fraction(num_gcd, den_lcm)
 
 
-def _primitive(v: Vec, combo: Vec | None, order: ModuleOrder) -> tuple[Vec, Vec | None]:
+def _primitive(v: Vec, combo: Vec | None) -> tuple[Vec, Vec | None]:
     """Scale to integer coefficients with content 1 and positive leading sign.
 
     Scaling a weak normal form or a basis element by a nonzero rational is
@@ -227,7 +227,7 @@ def _primitive(v: Vec, combo: Vec | None, order: ModuleOrder) -> tuple[Vec, Vec 
     content = _vec_content(v)
     if content == 0:
         return v, combo
-    lead = _vec_lead(v, order)
+    lead = _vec_lead(v)
     assert lead is not None
     factor = Fraction(1) / content
     if lead[2] < 0:
@@ -260,8 +260,8 @@ def _as_vecs(obj: Union[Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]]) 
 class _Entry:
     __slots__ = ("vec", "comp", "mono", "coeff", "ecart", "combo")
 
-    def __init__(self, vec: Vec, order: ModuleOrder, combo: Vec | None = None):
-        lead = _vec_lead(vec, order)
+    def __init__(self, vec: Vec, combo: Vec | None = None):
+        lead = _vec_lead(vec)
         if lead is None:
             raise InternalError("zero vector cannot become a basis entry")
         self.vec = vec
@@ -309,7 +309,6 @@ class _Budget:
 def _nf_mora(
     h: Vec,
     reducers: Sequence[_Entry],
-    order: ModuleOrder,
     combo: Vec | None = None,
     budget: _Budget | None = None,
     cap: int | None = None,
@@ -332,7 +331,7 @@ def _nf_mora(
     while True:
         if cap is not None:
             h = tuple(p.jet(cap) for p in h)
-        lead = _vec_lead(h, order)
+        lead = _vec_lead(h)
         if lead is None:
             return h, combo
         comp, mono, coeff = lead
@@ -346,8 +345,8 @@ def _nf_mora(
         if budget is not None:
             budget.charge_step()
         if not first:
-            h, combo = _primitive(h, combo, order)
-            lead = _vec_lead(h, order)
+            h, combo = _primitive(h, combo)
+            lead = _vec_lead(h)
             assert lead is not None
             comp, mono, coeff = lead
         first = False
@@ -355,7 +354,7 @@ def _nf_mora(
         if best.ecart > h_ecart:
             # Remember the current partial remainder; a later step may divide
             # by it, which is what makes Mora reduction terminate locally.
-            pool.append(_Entry(h, order, combo))
+            pool.append(_Entry(h, combo))
         # Cross-multiplied step: lc(g)*h - lc(h)*q*g avoids denominators.
         q = mono.quotient(best.mono)
         h = _vec_sub(_vec_scale(h, best.coeff), _vec_mul_term(best.vec, q, coeff))
@@ -389,7 +388,6 @@ def _complete(
     inputs: list[Vec],
     ctx: VarContext,
     rank: int,
-    order: ModuleOrder,
     budget: int,
     track: bool,
     use_criteria: bool = True,
@@ -434,8 +432,8 @@ def _complete(
     collapsed = False
 
     def add(vec: Vec, combo: Vec | None) -> None:
-        vec, combo = _primitive(vec, combo, order)
-        entry = _Entry(vec, order, combo)
+        vec, combo = _primitive(vec, combo)
+        entry = _Entry(vec, combo)
         t = len(entries)
         peers = [i for i, old in enumerate(entries) if old.comp == entry.comp]
         entries.append(entry)
@@ -519,12 +517,12 @@ def _complete(
         if collect is not None:
             add(vec, combo)  # inputs enter verbatim so rows stay over them
             continue
-        if cap is not None and _vec_lead(vec, order)[1].degree >= cap:
+        if cap is not None and _vec_lead(vec)[1].degree >= cap:
             # A degree-cap monomial: every term a capped reduction drops is
             # a multiple of one of these, so they must be basis elements.
             add(vec, combo)
             continue
-        reduced, combo = _nf_mora(vec, entries, order, combo, meter, cap)
+        reduced, combo = _nf_mora(vec, entries, combo, meter, cap)
         if _vec_is_zero(reduced):
             continue
         add(reduced, combo)
@@ -545,7 +543,7 @@ def _complete(
             if collect is not None and combo is not None:
                 collect.append(combo)
             continue
-        reduced, combo = _nf_mora(s, entries, order, combo, meter, cap)
+        reduced, combo = _nf_mora(s, entries, combo, meter, cap)
         if _vec_is_zero(reduced):
             if collect is not None and combo is not None and not _vec_is_zero(combo):
                 collect.append(combo)
@@ -557,7 +555,7 @@ def _complete(
         maybe_restart()
 
     if collapsed:
-        return [_Entry((Polynomial.constant(ctx, 1),), order, None)]
+        return [_Entry((Polynomial.constant(ctx, 1),))]
 
     # Minimal inter-reduction: discard entries whose lead another lead divides.
     ordered = sorted(range(len(entries)), key=lambda k: (entries[k].mono.degree, k))
@@ -569,7 +567,7 @@ def _complete(
         ):
             kept.append(k)
     final = [entries[k] for k in kept]
-    final.sort(key=lambda e: order.key(e.comp, e.mono), reverse=True)
+    final.sort(key=lambda e: _key(e.comp, e.mono), reverse=True)
     return final
 
 
@@ -587,7 +585,6 @@ def _dedupe(vecs: list[Vec]) -> list[Vec]:
 def standard_basis(
     obj: Union[Ideal, Submodule, Sequence[Polynomial]],
     *,
-    order: ModuleOrder | None = None,
     budget: int = DEFAULT_BUDGET,
     track: bool = False,
     jet_level: int | None = None,
@@ -604,20 +601,18 @@ def standard_basis(
         vecs = _dedupe([v for v in vecs if not _vec_is_zero(v)])
         # Tracked runs keep the raw list so combination rows line up with
         # `source`; duplicates simply reduce to zero against their twin.
-    morder = order if order is not None else TOP
     entries = None
     if rank == 1 and not track and vecs:
         entries = _jet_capped(vecs, ctx, budget, jet_level)
     if entries is None:
         try:
-            entries = _complete(vecs, ctx, rank, morder, budget, track)
+            entries = _complete(vecs, ctx, rank, budget, track)
         except _RestartWithCap as restart:
             capped = _degree_capped_vecs(vecs, ctx, rank, restart.bound)
-            entries = _complete(capped, ctx, rank, morder, budget, track, cap=restart.bound)
+            entries = _complete(capped, ctx, rank, budget, track, cap=restart.bound)
     return StandardBasis(
         ctx=ctx,
         rank=rank,
-        order=morder,
         elements=tuple(e.vec for e in entries),
         leading=tuple((e.comp, e.mono) for e in entries),
         source=source,
@@ -650,7 +645,7 @@ def _jet_capped(
         level = model.level
     bound = level + 1
     capped = _degree_capped_vecs(vecs, ctx, 1, bound)
-    entries = _complete(capped, ctx, 1, TOP, budget, track=False, cap=bound)
+    entries = _complete(capped, ctx, 1, budget, track=False, cap=bound)
     exps = _standard_exponents([e.mono for e in entries], ctx.n)
     if exps is None or any(sum(e) >= level for e in exps):
         return None
@@ -658,7 +653,7 @@ def _jet_capped(
 
 
 def _entries_of(basis: StandardBasis) -> list[_Entry]:
-    return [_Entry(v, basis.order) for v in basis.elements]
+    return [_Entry(v) for v in basis.elements]
 
 
 def _coerce_basis(
@@ -681,12 +676,11 @@ def mora_normal_form(
     StandardBasis for membership-grade reductions.
     """
     if isinstance(G, StandardBasis):
-        ctx, rank, order = G.ctx, G.rank, G.order
+        ctx, rank = G.ctx, G.rank
         entries = _entries_of(G)
     else:
         ctx, rank, vecs = _as_vecs(G)
-        order = TOP
-        entries = [_Entry(v, order) for v in vecs if not _vec_is_zero(v)]
+        entries = [_Entry(v) for v in vecs if not _vec_is_zero(v)]
     if isinstance(p, Polynomial):
         if rank != 1:
             raise ContextError("polynomial reduced against a module basis")
@@ -696,7 +690,7 @@ def mora_normal_form(
         if len(vec) != rank:
             raise ContextError("vector rank does not match basis rank")
     require_same_ctx(vec[0].ctx, ctx)
-    reduced, _ = _nf_mora(vec, entries, order)
+    reduced, _ = _nf_mora(vec, entries)
     if isinstance(p, Polynomial):
         return reduced[0]
     return reduced
@@ -798,11 +792,12 @@ def syzygies(
 ) -> Submodule:
     """Generators of the relation module of the given generators.
 
-    Uses standard-basis lifting: complete the generators extended by unit
-    witness components under a position-dominant order; finished elements
-    whose value block vanished are exactly a generating set of syzygies.
-    The witness entries stay polynomial throughout, so no division by units
-    of the local ring is ever needed.
+    Schreyer's method: the generators enter a completion verbatim, each
+    element tracking its row of coefficients over them, and every pair
+    whose S-vector reduces to zero leaves its row behind.  Those rows
+    generate the relation module (see `_complete`).  The rows stay
+    polynomial throughout, so no division by units of the local ring is
+    ever needed.
     """
     ctx, rank, vecs = _as_vecs(obj)
     return _syzygies_of(vecs, ctx, rank, budget)
@@ -813,12 +808,12 @@ def _syzygies_of(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> Su
     if s == 0:
         raise ContextError("syzygies of an empty generator list")
     collected: list[Vec] = []
-    _complete(vecs, ctx, rank, TOP, budget, track=True, collect=collected)
+    _complete(vecs, ctx, rank, budget, track=True, collect=collected)
     out = []
     for row in collected:
         if _vec_is_zero(row):
             continue
-        row, _ = _primitive(row, None, TOP)
+        row, _ = _primitive(row, None)
         out.append(row)
     return Submodule(ctx, s, out)
 
@@ -844,7 +839,7 @@ def _module_cap_bound(
 
     Needs a pure leading power of every variable in every component; the
     bound is the worst component's 1 + sum(cap_v - 1).  Sound because module
-    tails never drop below their lead's degree under the orders used here,
+    tails never drop below their lead's degree under the local order,
     so reducing a high-degree monomial vector can only terminate at zero.
     """
     bounds = []
@@ -1040,10 +1035,10 @@ def module_quotient_dim(
 
     def count(vecs: Sequence[Vec]) -> Value:
         try:
-            basis_entries = _complete(list(vecs), ctx, t, TOP, budget, track=False)
+            basis_entries = _complete(list(vecs), ctx, t, budget, track=False)
         except _RestartWithCap as restart:
             recapped = _degree_capped_vecs(vecs, ctx, t, restart.bound)
-            basis_entries = _complete(recapped, ctx, t, TOP, budget, track=False, cap=restart.bound)
+            basis_entries = _complete(recapped, ctx, t, budget, track=False, cap=restart.bound)
         total = 0
         for comp in range(t):
             leads = [e.mono for e in basis_entries if e.comp == comp]

@@ -2,6 +2,7 @@ import pytest
 
 import brs.invariants as invariants_module
 import brs.oracle as oracle_module
+import brs.stdbasis as stdbasis_module
 from brs import (
     HypersurfaceProblem,
     NOT_FINITE,
@@ -16,7 +17,6 @@ from brs import (
     parse_problem,
     relative_bruce_roberts,
     tjurina,
-    verify_identities,
 )
 from conftest import CORPUS_DIR
 from strategies import CTX2
@@ -152,7 +152,7 @@ class TestLedger:
         assert not report.failed
 
     def test_verify_identities_wrapper(self, P):
-        ledger = verify_identities(prob("x*y", "x + y"))
+        ledger = analyze(prob("x*y", "x + y")).ledger
         assert any(e.name == "relbr-sum" and e.status == "pass" for e in ledger)
 
     def test_tau_module_check_enabled(self, P):
@@ -230,12 +230,38 @@ class TestLedger:
         for entry in ("intersect-product", "colon-full", "colon-trivial"):
             assert by_name[entry].status == "pass"
 
-    def test_mora_fallback_without_milnor_model(self, P, monkeypatch):
-        # mu_f is infinite, so Jf has no jet model, but mu_BR_rel is finite
-        # and the colon and intersection gates are open: Mora decides them.
+    @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "nwh_t45_f_x.brs"])
+    @pytest.mark.parametrize("mora", ["mu_f", "br", "trivial"])
+    def test_ideal_rows_agree_across_engines(self, name, mora, monkeypatch):
+        # One of Jf, df_X, df_T answers through its Mora standard basis, the
+        # other two through their jet models: every row stays the same.
+        parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
+        want = analyze(parsed.problem)
+        target = want.ideals[mora]
+        real = invariants_module._count
+
+        def count(I, budget, base=None, extra=None):
+            got = real(I, budget, base, extra)
+            if I == target:
+                got.model = None
+            return got
+
+        monkeypatch.setattr(invariants_module, "_count", count)
         log: list = []
         spy_on(monkeypatch, "ideal_colon", log)
-        spy_on(monkeypatch, "ideal_intersection", log)
+        got = analyze(parsed.problem)
+        assert got.ledger == want.ledger
+        rows = {e.name: e.status for e in got.ledger}
+        assert [rows[e] for e in ("intersect-product", "colon-full", "colon-trivial")] == ["pass"] * 3
+        assert len(log) == (0 if mora == "mu_f" else 1)
+
+    def test_mora_fallback_without_milnor_model(self, P, monkeypatch):
+        # mu_f is infinite, so Jf has no jet model, but mu_BR_rel is finite
+        # and the colon and intersection gates are open: Mora decides them,
+        # the intersection as phi * (df_X : phi) with no intersection run.
+        log: list = []
+        spy_on(monkeypatch, "ideal_colon", log)
+        spy_on(monkeypatch, "ideal_intersection", log, module=stdbasis_module)
         report = analyze(prob("x^2 + y^3", "x^2"))
         assert report.mu_f is NOT_FINITE
         assert report.mu_BR_rel == 5
@@ -243,7 +269,7 @@ class TestLedger:
         by_name = {e.name: e for e in report.ledger}
         for entry in ("intersect-product", "colon-full", "colon-trivial"):
             assert by_name[entry].status == "pass", by_name[entry]
-        assert sorted(fn for fn, _ in log) == ["ideal_colon", "ideal_colon", "ideal_intersection"]
+        assert sorted(fn for fn, _ in log) == ["ideal_colon", "ideal_colon"]
 
 
 class TestSplitDetection:

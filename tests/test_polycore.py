@@ -6,10 +6,8 @@ from brs import (
     ContextError,
     GermError,
     Monomial,
-    NEGDEGREVLEX,
     Polynomial,
     VarContext,
-    compare,
     jacobian_ideal,
     minors_2x2,
     parse_poly,
@@ -18,42 +16,45 @@ from strategies import CTX2, monomials, polynomials
 
 
 class TestCompare:
+    # The local order is the order of `Monomial.sort_key()`: greater key,
+    # greater monomial.
     def test_unit_beats_every_variable(self, ctx2):
-        one = Monomial((0, 0))
-        assert compare(one, Monomial((1, 0))) == 1
-        assert compare(one, Monomial((0, 1))) == 1
+        one = Monomial((0, 0)).sort_key()
+        assert one > Monomial((1, 0)).sort_key()
+        assert one > Monomial((0, 1)).sort_key()
 
     def test_reflexive(self):
-        m = Monomial((1, 0))
-        assert compare(m, m) == 0
+        assert Monomial((1, 0)).sort_key() == Monomial((1, 0)).sort_key()
 
     def test_same_degree_revlex_tiebreak(self):
         # degree-2 monomials in (x, y): enumerating the rule by hand gives
         # y^2 > x*y > x^2 (rightmost differing exponent decides).
-        xy = Monomial((1, 1))
-        x2 = Monomial((2, 0))
-        y2 = Monomial((0, 2))
-        assert compare(xy, x2) == 1
-        assert compare(y2, xy) == 1
-        assert compare(x2, y2) == -1
+        xy = Monomial((1, 1)).sort_key()
+        x2 = Monomial((2, 0)).sort_key()
+        y2 = Monomial((0, 2)).sort_key()
+        assert xy > x2
+        assert y2 > xy
+        assert x2 < y2
 
-    def test_context_mismatch(self):
+    def test_context_mismatch(self, ctx2):
+        # Monomials of different lengths never meet in one order: a
+        # polynomial rejects a monomial that does not fit its context.
         with pytest.raises(ContextError):
-            compare(Monomial((1, 0)), Monomial((1, 0, 0)))
+            Polynomial(ctx2, [(Monomial((1, 0, 0)), 1)])
 
     @given(a=monomials(2), b=monomials(2))
     def test_antisymmetric(self, a, b):
-        assert compare(a, b) == -compare(b, a)
+        assert (a.sort_key() == b.sort_key()) == (a == b)
 
     @given(a=monomials(2), b=monomials(2), c=monomials(2))
     def test_transitive(self, a, b, c):
-        if compare(a, b) >= 0 and compare(b, c) >= 0:
-            assert compare(a, c) >= 0
+        if a.sort_key() >= b.sort_key() and b.sort_key() >= c.sort_key():
+            assert a.sort_key() >= c.sort_key()
 
     @given(a=monomials(2), b=monomials(2), m=monomials(2))
     def test_multiplicative_compatibility(self, a, b, m):
-        if compare(a, b) == 1:
-            assert compare(a.mul(m), b.mul(m)) == 1
+        if a.sort_key() > b.sort_key():
+            assert a.mul(m).sort_key() > b.mul(m).sort_key()
 
 
 class TestArithmetic:
@@ -75,7 +76,7 @@ class TestArithmetic:
 
     def test_terms_sorted_descending_without_duplicates(self, P):
         p = P("y^3 + x^2 + x^2")
-        keys = [NEGDEGREVLEX.key(m) for m, _ in p.terms]
+        keys = [m.sort_key() for m, _ in p.terms]
         assert keys == sorted(keys, reverse=True)
         assert p == P("2*x^2 + y^3")
 

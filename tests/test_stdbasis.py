@@ -102,7 +102,6 @@ class TestStandardBasis:
         # The pair pruning must be a pure optimization: leading ideals agree
         # with the criterion disabled.
         from brs.stdbasis import _complete
-        from brs.polycore import TOP
 
         for gens in (
             [P("x^2 + y^3"), P("x*y - y^4"), P("y^2 - x^3")],
@@ -110,10 +109,10 @@ class TestStandardBasis:
         ):
             vecs = [(g,) for g in gens]
             with_crit = _complete(
-                list(vecs), CTX2, 1, TOP, 10_000, track=False, capped=True
+                list(vecs), CTX2, 1, 10_000, track=False, capped=True
             )
             without = _complete(
-                list(vecs), CTX2, 1, TOP, 10_000, track=False,
+                list(vecs), CTX2, 1, 10_000, track=False,
                 use_criteria=False, capped=True,
             )
             assert {e.mono.exponents for e in with_crit} == {
@@ -307,11 +306,10 @@ class TestJetAgreesWithMora:
 
 def assert_capped_path_matches_plain_run(I: Ideal) -> None:
     """The capped path, which forms no pair at or above its cap, against a plain run."""
-    from brs.polycore import TOP
     from brs.stdbasis import DEFAULT_BUDGET, _complete, _count_standard_monomials
 
     plain = _complete(
-        [(g,) for g in I.gens], I.ctx, 1, TOP, DEFAULT_BUDGET, track=False, capped=True
+        [(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET, track=False, capped=True
     )
     sb = standard_basis(I)
     assert sorted(m.exponents for m in sb.leading_monomials) == sorted(
