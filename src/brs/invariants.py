@@ -359,7 +359,6 @@ _LEDGER = (
              theta_trivial(v.phi).as_submodule(),
              v.theta.as_submodule(),
              budget=v.budget,
-             dim_hint=v.tau_X,
          ),
          lambda v: v.tau_X),
     _Row("icis-finiteness", "equal", True, (),

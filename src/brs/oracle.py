@@ -407,15 +407,6 @@ def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:
     return rank * size - ech.rank
 
 
-def jet_contains(I: Ideal, p: Polynomial, d: int) -> bool:
-    """Membership of p in I at jet level d, i.e. in I + maximal ideal^d.
-
-    Test helper: a true answer at a level beyond the largest standard
-    monomial degree of a zero-dimensional I certifies real membership.
-    """
-    return _jet_model(I, d).contains(p)
-
-
 def oracle_colength(I: Ideal, cap: int = DEFAULT_CAP) -> OracleValue:
     """Independent colength by stabilized jet dimensions, up to level `cap`.
 

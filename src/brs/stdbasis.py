@@ -270,13 +270,6 @@ class _Entry:
         self.combo = combo
 
 
-class _RestartWithCap(Exception):
-    """Internal: a provable degree bound appeared; redo the run capped."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-
-
 class _Budget:
     """Shared work meter for one completion run.
 
@@ -392,7 +385,6 @@ def _complete(
     track: bool,
     use_criteria: bool = True,
     collect: list[Vec] | None = None,
-    capped: bool = False,
     cap: int | None = None,
 ) -> list[_Entry]:
     """Buchberger completion with Mora reduction.
@@ -411,19 +403,15 @@ def _complete(
     full syzygy module of the inputs (pairs pruned by the chain criterion
     contribute rows that are monomial combinations of collected ones).
 
-    Plain rank-1 runs watch their own leading terms: as soon as every
-    variable shows a pure leading power, a power of the maximal ideal
-    provably lies in the ideal, and the computation restarts on an equal,
-    degree-capped generating set (signalled via _RestartWithCap).  The
-    capped run, given the bound as `cap`, cannot march: every term of degree
-    at least the bound is dropped from each reduction.  It also forms no
-    pair whose lcm has degree at least the cap (the highest-corner bound):
-    every term of such an S-polynomial has degree at least the lcm's, since
-    leading terms have the lowest degree, so the capped normal form would
-    empty it at once.  Such pairs sort after all others, and no other pair's
-    chain criterion looks at them, so the basis and the order in which the
-    remaining pairs are treated do not change; a degree-cap monomial enters
-    with no pairs at all.  `capped` only turns the restart watch off.
+    A run given a degree `cap` (see `_jet_capped`, the one source of caps)
+    cannot march: every term of degree at least the cap is dropped from each
+    reduction.  It also forms no pair whose lcm has degree at least the cap
+    (the highest-corner bound): every term of such an S-polynomial has
+    degree at least the lcm's, since leading terms have the lowest degree,
+    so the capped normal form would empty it at once.  Such pairs sort
+    after all others, and no other pair's chain criterion looks at them, so
+    the basis and the order in which the remaining pairs are treated do not
+    change; a degree-cap monomial enters with no pairs at all.
     """
     entries: list[_Entry] = []
     alive: dict[tuple[int, int], Monomial] = {}
@@ -491,23 +479,6 @@ def _complete(
         row[idx] = Polynomial.constant(ctx, 1)
         return tuple(row)
 
-    watch_caps = not track and collect is None and not capped and cap is None
-
-    def maybe_restart() -> None:
-        if not watch_caps:
-            return
-        bound = _module_cap_bound(
-            [(e.comp, e.mono) for e in entries], rank, ctx.n
-        )
-        if bound is None:
-            return
-        high = max(
-            max((_vec_maxdeg(v) for v in inputs), default=-1),
-            max((_vec_maxdeg(e.vec) for e in entries), default=-1),
-        )
-        if high >= bound:
-            raise _RestartWithCap(bound)
-
     for idx, vec in enumerate(inputs):
         combo = unit_row(idx) if track else None
         if _vec_is_zero(vec):
@@ -529,7 +500,6 @@ def _complete(
         if unit_collapse():
             collapsed = True
             break
-        maybe_restart()
 
     while heap and not collapsed:
         _, i, j = heapq.heappop(heap)
@@ -552,7 +522,6 @@ def _complete(
         if unit_collapse():
             collapsed = True
             break
-        maybe_restart()
 
     if collapsed:
         return [_Entry((Polynomial.constant(ctx, 1),))]
@@ -592,8 +561,9 @@ def standard_basis(
     """Mora standard basis of an ideal or submodule.
 
     Deterministic for a fixed input order.  Raises BudgetError when the pair
-    budget is exhausted.  `jet_level`, for an ideal, is the level N of its
-    certified jet model when the caller holds one (see `_jet_capped`).
+    budget is exhausted.  An untracked ideal is first tried under the degree
+    cap of `_jet_capped` (`jet_level`: the level N of its certified jet
+    model, when the caller holds one); otherwise one uncapped run decides.
     """
     ctx, rank, vecs = _as_vecs(obj)
     source = tuple(vecs)
@@ -605,11 +575,7 @@ def standard_basis(
     if rank == 1 and not track and vecs:
         entries = _jet_capped(vecs, ctx, budget, jet_level)
     if entries is None:
-        try:
-            entries = _complete(vecs, ctx, rank, budget, track)
-        except _RestartWithCap as restart:
-            capped = _degree_capped_vecs(vecs, ctx, rank, restart.bound)
-            entries = _complete(capped, ctx, rank, budget, track, cap=restart.bound)
+        entries = _complete(vecs, ctx, rank, budget, track)
     return StandardBasis(
         ctx=ctx,
         rank=rank,
@@ -635,17 +601,17 @@ def _jet_capped(
     engine on trust.  Otherwise None, and the plain run decides; the
     proposal costs time, never correctness.
     """
+    ideal = Ideal(ctx, [v[0] for v in vecs])
     if level is None:
         from .oracle import axis_certificate, jet_model
 
-        ideal = Ideal(ctx, [v[0] for v in vecs])
         model = None if axis_certificate(ideal) else jet_model(ideal)
         if model is None:
             return None
         level = model.level
     bound = level + 1
-    capped = _degree_capped_vecs(vecs, ctx, 1, bound)
-    entries = _complete(capped, ctx, 1, budget, track=False, cap=bound)
+    truncated = [(g,) for g in _degree_capped(ideal, bound).gens]
+    entries = _complete(truncated, ctx, 1, budget, track=False, cap=bound)
     exps = _standard_exponents([e.mono for e in entries], ctx.n)
     if exps is None or any(sum(e) >= level for e in exps):
         return None
@@ -832,25 +798,6 @@ def _canonical_gens(I: Ideal) -> tuple[Polynomial, ...]:
     return I.gens
 
 
-def _module_cap_bound(
-    leads: Sequence[tuple[int, Monomial]], rank: int, n: int
-) -> int | None:
-    """Degree bound N with m^N times every unit vector inside the module.
-
-    Needs a pure leading power of every variable in every component; the
-    bound is the worst component's 1 + sum(cap_v - 1).  Sound because module
-    tails never drop below their lead's degree under the local order,
-    so reducing a high-degree monomial vector can only terminate at zero.
-    """
-    bounds = []
-    for comp in range(rank):
-        caps = _axis_caps([m for c, m in leads if c == comp], n)
-        if caps is None:
-            return None
-        bounds.append(max(0, sum(v - 1 for v in caps)) + 1)
-    return max(bounds)
-
-
 def _nilpotency_bound(I: Ideal, budget: int) -> int | None:
     """A proven N with (maximal ideal)^N inside I, or None.
 
@@ -868,34 +815,18 @@ def _nilpotency_bound(I: Ideal, budget: int) -> int | None:
     return max(0, sum(c - 1 for c in caps)) + 1
 
 
-def _degree_capped_vecs(vecs: Sequence[Vec], ctx: VarContext, rank: int, bound: int) -> list[Vec]:
-    """An equal generating set with all degrees below the bound.
-
-    Valid only when the maximal ideal to the given power times every unit
-    vector lies inside the module: tails of degree >= bound are discarded
-    and the degree-bound monomial vectors are appended instead.  This keeps
-    every later reduction at bounded degree; without it, colon and
-    intersection folds drag enormous witness tails through Mora division.
-    """
-    zero = Polynomial.zero(ctx)
-    out: list[Vec] = []
-    for v in vecs:
-        truncated = tuple(p.jet(bound) for p in v)
-        if not _vec_is_zero(truncated):
-            out.append(truncated)
-    degree_bound_monos = exponents_of_degree(ctx.n, bound)
-    for comp in range(rank):
-        for exps in degree_bound_monos:
-            vec = [zero] * rank
-            vec[comp] = Polynomial.monomial(ctx, exps)
-            out.append(tuple(vec))
-    return out
-
-
 def _degree_capped(I: Ideal, bound: int) -> Ideal:
-    """Rank-1 convenience wrapper around `_degree_capped_vecs`."""
-    vecs = _degree_capped_vecs([(g,) for g in I.gens], I.ctx, 1, bound)
-    return Ideal(I.ctx, [v[0] for v in vecs])
+    """An equal ideal with all degrees below the bound.
+
+    Valid only when the maximal ideal to the given power lies inside I:
+    tails of degree >= bound are discarded and the monomials of degree
+    `bound` are appended instead.  This keeps every later reduction at
+    bounded degree; without it, colon and intersection folds drag enormous
+    witness tails through Mora division.
+    """
+    gens = [g.jet(bound) for g in I.gens]
+    gens += [Polynomial.monomial(I.ctx, e) for e in exponents_of_degree(I.ctx.n, bound)]
+    return Ideal(I.ctx, gens)
 
 
 def _intersection_witnesses(I: Ideal, J: Ideal, budget: int) -> list[Vec]:
@@ -997,25 +928,24 @@ def module_quotient_dim(
     m_sup: Submodule,
     *,
     budget: int = DEFAULT_BUDGET,
-    dim_hint: int | None = None,
 ) -> Value:
     """Dimension of m_sup / m_sub as a vector space.
 
-    Presents the quotient on the generators of m_sup: the preimage of m_sub
-    under the presentation map is spanned by the first-block components of
-    the syzygies of (gens(m_sup) | gens(m_sub)), which also absorb the
-    relations among the m_sup generators.  Standard monomials are then
-    counted componentwise.
+    Presents the quotient Q on the generators of m_sup: the preimage of
+    m_sub under the presentation map is spanned by the first-block
+    components of the syzygies of (gens(m_sup) | gens(m_sub)), which also
+    absorb the relations among the m_sup generators.
 
-    `dim_hint`, when given, is a conjectured upper bound for the answer and
-    enables a fast path: the dimension is evaluated at increasing jet levels
-    with exact linear algebra, and two consecutive equal values certify the
-    result (the quotient is generated in degree zero, so its Hilbert
-    function cannot revive once it vanishes).  If the quotient really has
-    dimension at most the hint, stabilization must occur within hint+3 by
-    the Nakayama filtration; otherwise the method falls back to the
-    standard-basis count, so a wrong hint costs time, not correctness.
+    Q is counted by the jet walk every ideal takes (`oracle._walk`):
+    dim(d) = dim Q/m^d Q for d = 1, 2, ... by exact linear algebra, and
+    dim(d) == dim(d+1) means m^d Q = m^(d+1) Q, so m^d Q = 0 by Nakayama's
+    lemma and dim(d) is the answer.  When the walk gives up by its cost
+    rule, the standard monomials of an uncapped Mora basis of the
+    presentation are counted componentwise; that count decides, and it is
+    the proof of NOT_FINITE.
     """
+    from .oracle import _walk, module_jet_quotient_dim
+
     require_same_ctx(m_sub.ctx, m_sup.ctx)
     if m_sub.rank != m_sup.rank:
         raise ContextError("module ranks differ")
@@ -1033,28 +963,19 @@ def module_quotient_dim(
         return 0 if t == 0 else NOT_FINITE
     ctx = m_sup.ctx
 
-    def count(vecs: Sequence[Vec]) -> Value:
-        try:
-            basis_entries = _complete(list(vecs), ctx, t, budget, track=False)
-        except _RestartWithCap as restart:
-            recapped = _degree_capped_vecs(vecs, ctx, t, restart.bound)
-            basis_entries = _complete(recapped, ctx, t, budget, track=False, cap=restart.bound)
-        total = 0
-        for comp in range(t):
-            leads = [e.mono for e in basis_entries if e.comp == comp]
-            cnt = _count_standard_monomials(leads, ctx.n)
-            if not is_finite(cnt):
-                return NOT_FINITE
-            total += cnt
-        return total
+    dims = [0]  # dim(0) = 0
 
-    if dim_hint is not None:
-        from .oracle import module_jet_quotient_dim
+    def growth(d: int) -> int:
+        dims.append(module_jet_quotient_dim(presentation, t, ctx.n, d))
+        return dims[d] - dims[d - 1]
 
-        prev = None
-        for d in range(4, dim_hint + 5, 2):
-            qd = module_jet_quotient_dim(presentation, t, ctx.n, d)
-            if prev == qd:
-                return qd
-            prev = qd
-    return count(presentation)
+    top = max(_vec_maxdeg(v) for v in presentation) + 2
+    level = _walk(growth, top, None)
+    if level is not None:
+        return dims[level]
+    entries = _complete(presentation, ctx, t, budget, track=False)
+    counts = [
+        _count_standard_monomials([e.mono for e in entries if e.comp == comp], ctx.n)
+        for comp in range(t)
+    ]
+    return sum(counts) if all(map(is_finite, counts)) else NOT_FINITE

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from brs import VarContext, parse_poly
+from brs import Ideal, Polynomial, VarContext, parse_poly
+from brs.oracle import _jet_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -39,6 +40,15 @@ def P(ctx2):
         return parse_poly(src, ctx or ctx2)
 
     return parse
+
+
+def jet_contains(I: Ideal, p: Polynomial, d: int) -> bool:
+    """Membership of p in I at jet level d, i.e. in I + maximal ideal^d.
+
+    A true answer at a level beyond the largest standard monomial degree of
+    a zero-dimensional I certifies real membership.
+    """
+    return _jet_model(I, d).contains(p)
 
 
 def corpus_paths(prefix: str | None = None) -> list[Path]:

@@ -24,7 +24,6 @@ from brs import (
     ideal_intersection,
     ideal_product,
     is_finite,
-    jet_contains,
     membership,
     milnor,
     mora_normal_form,
@@ -37,7 +36,7 @@ from brs import (
     tjurina,
 )
 from brs.errors import ParseError
-from conftest import corpus_paths
+from conftest import corpus_paths, jet_contains
 from strategies import CTX2, monomials, polynomials, zero_dim_ideals
 
 

@@ -12,13 +12,13 @@ from brs import (
     colength,
     jacobian_ideal,
     ideals_equal,
-    jet_contains,
     jet_model,
     jet_quotient_dim,
     oracle_colength,
     parse_poly,
 )
 from brs.oracle import extended_jet_model
+from conftest import jet_contains
 from strategies import CTX2, germs, polynomials, zero_dim_ideals
 
 

@@ -18,7 +18,6 @@ from brs import (
     ideal_product,
     ideals_equal,
     jacobian_ideal,
-    jet_contains,
     jet_model,
     membership,
     module_quotient_dim,
@@ -28,6 +27,7 @@ from brs import (
     syzygies,
     tjurina,
 )
+from conftest import jet_contains
 from strategies import CTX2, polynomials, zero_dim_ideals
 
 
@@ -108,12 +108,9 @@ class TestStandardBasis:
             [P("2*x - y^2"), P("3*y^2 + x^2*y")],
         ):
             vecs = [(g,) for g in gens]
-            with_crit = _complete(
-                list(vecs), CTX2, 1, 10_000, track=False, capped=True
-            )
+            with_crit = _complete(list(vecs), CTX2, 1, 10_000, track=False)
             without = _complete(
-                list(vecs), CTX2, 1, 10_000, track=False,
-                use_criteria=False, capped=True,
+                list(vecs), CTX2, 1, 10_000, track=False, use_criteria=False
             )
             assert {e.mono.exponents for e in with_crit} == {
                 e.mono.exponents for e in without
@@ -308,9 +305,7 @@ def assert_capped_path_matches_plain_run(I: Ideal) -> None:
     """The capped path, which forms no pair at or above its cap, against a plain run."""
     from brs.stdbasis import DEFAULT_BUDGET, _complete, _count_standard_monomials
 
-    plain = _complete(
-        [(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET, track=False, capped=True
-    )
+    plain = _complete([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET, track=False)
     sb = standard_basis(I)
     assert sorted(m.exponents for m in sb.leading_monomials) == sorted(
         e.mono.exponents for e in plain
@@ -422,13 +417,27 @@ class TestModuleQuotient:
         )
         assert dim == tjurina(phi)
 
-    def test_dimension_hint_fast_path_agrees(self, P):
+    @pytest.mark.parametrize(
+        "phi", ["x^7 + y^7 + x^3*y^3", "x^2 + y^2"], ids=["t77", "a1"]
+    )
+    def test_mora_count_agrees_with_the_jet_walk(self, phi, P, monkeypatch):
+        # The walk answers every finite quotient here; forced to give up, the
+        # Mora count must reach the same value (tau = 1 for the A1 curve).
+        import brs.oracle as oracle_module
         from brs import theta_full, theta_trivial
 
-        phi = P("x^7 + y^7 + x^3*y^3")
+        phi = P(phi)
         sub = theta_trivial(phi).as_submodule()
         sup = theta_full(phi).as_submodule()
-        want = tjurina(phi)
-        assert module_quotient_dim(sub, sup, dim_hint=want) == want
-        # A wrong hint must not change the answer, only the route taken.
-        assert module_quotient_dim(sub, sup, dim_hint=3) == want
+        walked = module_quotient_dim(sub, sup)
+        assert walked == tjurina(phi)
+        monkeypatch.setattr(oracle_module, "_walk", lambda growth, top, cap: None)
+        assert module_quotient_dim(sub, sup) == walked
+
+    def test_infinite_quotient_is_proven_by_mora(self, P):
+        # R/(x) over (x, y): the walk grows by one per level and gives up by
+        # its cost rule, and the Mora count proves the value infinite.
+        one = Polynomial.constant(CTX2, 1)
+        sup = Submodule(CTX2, 1, [(one,)])
+        sub = Submodule(CTX2, 1, [(P("x"),)])
+        assert module_quotient_dim(sub, sup) == NOT_FINITE
