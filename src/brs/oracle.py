@@ -30,7 +30,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .errors import BrsError
-from .polycore import Monomial, Polynomial, VarContext, exponents_of_degree
+from .polycore import Monomial, Polynomial, VarContext, exponents_of_degree, integral_terms
 from .stdbasis import Ideal, NOT_FINITE, Value
 
 
@@ -94,14 +94,8 @@ Generators = list[tuple[int, Terms]]  # (tail degree, terms) of each generator
 
 def _integral(polys: Sequence[Polynomial]) -> list[Terms]:
     """The terms of the polynomials, scaled to integers by one common factor."""
-    den = 1
-    for p in polys:
-        for _, c in p.terms:
-            den = den * c.denominator // gcd(den, c.denominator)
-    return [
-        [(m.exponents, m.degree, c.numerator * (den // c.denominator)) for m, c in p.terms]
-        for p in polys
-    ]
+    _, scaled = integral_terms(polys)
+    return [[(m.exponents, m.degree, c) for m, c in terms] for terms in scaled]
 
 
 def _generators(polys: Sequence[Polynomial]) -> Generators:

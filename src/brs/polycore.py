@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import ContextError, GermError
@@ -144,6 +145,21 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial{self.exponents}"
+
+
+def integral_terms(polys: Iterable["Polynomial"]) -> tuple[int, list[list[tuple[Monomial, int]]]]:
+    """The terms of the polynomials, scaled to integers by one common factor.
+
+    The factor is the least common multiple of every denominator, so it is
+    positive and shared: spans, leading terms and the ratios between the
+    polynomials are unchanged.  Returns the factor and the scaled terms.
+    """
+    polys = list(polys)
+    den = 1
+    for p in polys:
+        for _, c in p.terms:
+            den = lcm(den, c.denominator)
+    return den, [[(m, c.numerator * (den // c.denominator)) for m, c in p.terms] for p in polys]
 
 
 def exponents_of_degree(n: int, d: int) -> list[tuple[int, ...]]:

@@ -13,6 +13,17 @@ rank-1 case.  Submodules are needed twice over: syzygy computation (which
 powers the logarithmic derivation module, ideal intersections and colons) and
 module quotient dimensions.
 
+The kernel (completion, weak normal form, S-vectors) runs on integer terms:
+a polynomial is a tuple of (key, c) pairs, key the monomial's
+`Monomial.sort_key()` and c an integer, so each order decision compares the
+same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
+`polycore.integral_terms` (the jet engine's helper too), and results become
+`Polynomial`s once, on the way out; a tracked combination row carries one
+integer denominator.  A degree-capped run (`_jet_capped`) leaves the
+monomials of degree cap implicit: they are charged to the budget as the
+pairs they would form, never scanned as reducers, and join the basis at the
+end where no kept lead divides them.
+
 Colengths, memberships and quotient dimensions are exact; infinite dimensions
 are reported as the NOT_FINITE value rather than as errors, because several
 of the theorems under test use finiteness itself as a predicate.
@@ -24,11 +35,19 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import comb, gcd, lcm
+from operator import add, le, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import BrsError, BudgetError, ContainmentError, ContextError, InternalError
-from .polycore import Monomial, Polynomial, VarContext, exponents_of_degree, require_same_ctx
+from .polycore import (
+    Monomial,
+    Polynomial,
+    VarContext,
+    exponents_of_degree,
+    integral_terms,
+    require_same_ctx,
+)
 
 DEFAULT_BUDGET = 200_000
 
@@ -148,93 +167,118 @@ class StandardBasis:
 
 
 # ---------------------------------------------------------------------------
-# vector helpers
+# integer terms
+#
+# Inside the kernel a polynomial is a tuple of (key, c) terms with integer
+# c != 0, strictly descending in key, where key is `Monomial.sort_key()`,
+# i.e. (-degree, reversed exponents): every order decision compares the
+# same tuples as `Polynomial` does.  A vector is a tuple of these, one per
+# component.  Inputs are cleared of denominators once (`integral_terms`)
+# and results become `Polynomial`s once, on the way out.
+
+Key = tuple[int, tuple[int, ...]]
+IPoly = tuple[tuple[Key, int], ...]
+IVec = tuple[IPoly, ...]
 
 
-def _vec_zero(ctx: VarContext, rank: int) -> Vec:
-    z = Polynomial.zero(ctx)
-    return (z,) * rank
+def _to_ivecs(vecs: Sequence[Vec], cap: int | None = None) -> tuple[int, list[IVec]]:
+    """The vectors in integer terms, scaled by one common factor, and the factor.
+
+    With a cap, the terms of degree cap or more are dropped.
+    """
+    den, scaled = integral_terms(p for v in vecs for p in v)
+    polys = (
+        tuple((m.sort_key(), c) for m, c in terms if cap is None or m.degree < cap)
+        for terms in scaled
+    )
+    return den, [tuple(next(polys) for _ in v) for v in vecs]
 
 
-def _vec_is_zero(v: Vec) -> bool:
-    return all(p.is_zero() for p in v)
+def _vector(ctx: VarContext, v: IVec, den: int = 1) -> Vec:
+    """The vector v/den as polynomials."""
+    return tuple(
+        Polynomial._raw(ctx, tuple((Monomial(k[1][::-1]), Fraction(c, den)) for k, c in p))
+        for p in v
+    )
 
 
-def _vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_scale(v: Vec, c: Fraction) -> Vec:
-    return tuple(p.scale(c) for p in v)
-
-
-def _vec_mul_term(v: Vec, mono: Monomial, coeff: Fraction) -> Vec:
-    return tuple(p.mul_term(mono, coeff) for p in v)
-
-
-def _vec_maxdeg(v: Vec) -> int:
-    return max((p.degree() for p in v), default=-1)
-
-
-def _key(comp: int, mono: Monomial) -> tuple:
-    """Sort key of the one module order, term over position.
+def _lead(v: IVec) -> tuple[int, Key, int] | None:
+    """Component, key and coefficient of the leading term, term over position.
 
     The local order of the monomials decides; on a tie the lower component
     is the greater.
     """
-    return mono.sort_key() + (-comp,)
-
-
-def _vec_lead(v: Vec) -> tuple[int, Monomial, Fraction] | None:
     best = None
-    best_key = None
     for comp, p in enumerate(v):
-        lead = p.leading
-        if lead is None:
-            continue
-        key = _key(comp, lead[0])
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (comp, lead[0], lead[1])
+        if p and (best is None or p[0][0] > best[1]):
+            best = (comp, p[0][0], p[0][1])
     return best
 
 
-def _vec_content(v: Vec) -> Fraction:
-    """Positive rational c with v/c integral, coprime coefficients; 0 for 0.
-
-    The sign is chosen so that dividing by the content makes the leading
-    coefficient of the first nonzero component positive.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    for p in v:
-        for _, c in p.terms:
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    if num_gcd == 0:
-        return Fraction(0)
-    return Fraction(num_gcd, den_lcm)
+def _maxdeg(v: IVec) -> int:
+    # The last term of a polynomial has the lowest key: the largest degree.
+    return max((-p[-1][0][0] for p in v if p), default=-1)
 
 
-def _primitive(v: Vec, combo: Vec | None) -> tuple[Vec, Vec | None]:
-    """Scale to integer coefficients with content 1 and positive leading sign.
+def _shift(p: IPoly, q: Key | None, cap: int | None) -> IPoly | list:
+    """The terms of q*p (q a monomial key, None for 1) of degree below the cap."""
+    if q is None and cap is None:
+        return p
+    qd, qe = q if q is not None else (0, None)
+    out = []
+    for (d, e), c in p:
+        d += qd
+        if cap is not None and -d >= cap:
+            break  # degrees ascend along the terms
+        out.append(((d, e if qe is None else tuple(map(add, e, qe))), c))
+    return out
+
+
+def _combine(
+    x: int, qa: Key | None, a: IVec, y: int, qb: Key | None, b: IVec, cap: int | None = None
+) -> IVec:
+    """x*qa*a - y*qb*b componentwise, without the terms of degree cap or more."""
+    out = []
+    for pa, pb in zip(a, b):
+        if not pb:
+            out.append(tuple((k, x * c) for k, c in _shift(pa, qa, cap)))
+            continue
+        acc = {k: x * c for k, c in _shift(pa, qa, cap)}
+        for k, c in _shift(pb, qb, cap):
+            v = acc.get(k, 0) - y * c
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+        out.append(tuple(sorted(acc.items(), reverse=True)))
+    return tuple(out)
+
+
+def _primitive(v: IVec, row: IVec | None = None, den: int = 1) -> tuple[IVec, IVec | None, int]:
+    """Divide by the content, signed so that the leading coefficient is positive.
 
     Scaling a weak normal form or a basis element by a nonzero rational is
     harmless everywhere (membership, colengths, spans are scale invariant)
     and keeps the integers small: without it, chains of Mora reductions blow
-    coefficients up exponentially.
+    coefficients up exponentially.  A tracked row, which gives v as row/den
+    over the inputs, is divided too: it keeps integer terms and the content
+    moves into the denominator.
     """
-    content = _vec_content(v)
-    if content == 0:
-        return v, combo
-    lead = _vec_lead(v)
-    assert lead is not None
-    factor = Fraction(1) / content
-    if lead[2] < 0:
-        factor = -factor
-    if factor == 1:
-        return v, combo
-    return _vec_scale(v, factor), None if combo is None else _vec_scale(combo, factor)
+    g = gcd(*(c for p in v for _, c in p))
+    if g == 0:
+        return v, row, den
+    if _lead(v)[2] < 0:
+        g = -g
+    if g == 1:
+        return v, row, den
+    v = tuple(tuple((k, c // g) for k, c in p) for p in v)
+    if row is not None:
+        den *= abs(g)
+        r = gcd(den, *(c for p in row for _, c in p))
+        r = r if g > 0 else -r
+        row = tuple(tuple((k, c // r) for k, c in p) for p in row)
+        den //= abs(r)
+    return v, row, den
 
 
 def _as_vecs(obj: Union[Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]]) -> tuple[VarContext, int, list[Vec]]:
@@ -258,16 +302,32 @@ def _as_vecs(obj: Union[Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]]) 
 
 
 class _Entry:
-    __slots__ = ("vec", "comp", "mono", "coeff", "ecart", "combo")
+    """A vector in integer terms with its leading term and ecart.
 
-    def __init__(self, vec: Vec, combo: Vec | None = None):
-        lead = _vec_lead(vec)
+    `exps` are the reversed exponents of the leading monomial, as in its
+    key.  In a tracked run `row`/`den` gives the vector over the inputs.
+    """
+
+    __slots__ = ("vec", "comp", "key", "exps", "deg", "coeff", "ecart", "row", "den")
+
+    def __init__(self, vec: IVec, row: IVec | None = None, den: int = 1):
+        lead = _lead(vec)
         if lead is None:
             raise InternalError("zero vector cannot become a basis entry")
         self.vec = vec
-        self.comp, self.mono, self.coeff = lead
-        self.ecart = _vec_maxdeg(vec) - self.mono.degree
-        self.combo = combo
+        self.comp, self.key, self.coeff = lead
+        self.deg = -self.key[0]
+        self.exps = self.key[1]
+        self.ecart = _maxdeg(vec) - self.deg
+        self.row = row
+        self.den = den
+
+    @property
+    def mono(self) -> Monomial:
+        return Monomial(self.exps[::-1])
+
+    def divides(self, comp: int, deg: int, exps: tuple[int, ...]) -> bool:
+        return self.comp == comp and self.deg <= deg and all(map(le, self.exps, exps))
 
 
 class _Budget:
@@ -300,81 +360,64 @@ class _Budget:
 
 
 def _nf_mora(
-    h: Vec,
+    h: IVec,
     reducers: Sequence[_Entry],
-    combo: Vec | None = None,
+    row: IVec | None = None,
+    den: int = 1,
     budget: _Budget | None = None,
     cap: int | None = None,
-) -> tuple[Vec, Vec | None]:
+) -> tuple[IVec, IVec | None, int]:
     """Mora weak normal form of h against the reducer list.
 
-    Returns r with u*h = sum(a_i * g_i) + c*r for a unit u and a nonzero
-    scalar c; the leading term of r is divisible by no reducer's leading term
-    (or r = 0).  Termination relies on augmenting the reducer set with
-    intermediate remainders whenever the chosen reducer has strictly larger
-    ecart.  The remainder is content-stripped after every step: reductions
-    are performed cross-multiplied so coefficients stay integral and small.
+    Returns r, with its tracked row and denominator, where u*h =
+    sum(a_i * g_i) + c*r for a unit u and a nonzero scalar c; the leading
+    term of r is divisible by no reducer's leading term (or r = 0).
+    Termination relies on augmenting the reducer set with intermediate
+    remainders whenever the chosen reducer has strictly larger ecart.  The
+    remainder is content-stripped after every step: reductions are performed
+    cross-multiplied so coefficients stay integral and small.  A tracked
+    `row`/`den` (h over the run's inputs) follows every step.
 
-    With a `cap` (untracked runs only), the caller guarantees that the
-    monomials of degree cap belong to the basis under construction; terms
-    of degree >= cap are their multiples and are dropped as they appear.
+    With a `cap` (untracked runs only), h has no term of degree cap or more,
+    and the caller guarantees that the monomials of degree cap belong to the
+    basis under construction; terms of degree >= cap are their multiples and
+    are dropped as they appear.
     """
     pool = list(reducers)
     first = True
     while True:
-        if cap is not None:
-            h = tuple(p.jet(cap) for p in h)
-        lead = _vec_lead(h)
+        lead = _lead(h)
         if lead is None:
-            return h, combo
-        comp, mono, coeff = lead
+            return h, row, den
+        comp, key, coeff = lead
+        deg, exps = -key[0], key[1]
         best = None
         for e in pool:
-            if e.comp == comp and e.mono.divides(mono):
-                if best is None or e.ecart < best.ecart:
-                    best = e
+            if e.divides(comp, deg, exps) and (best is None or e.ecart < best.ecart):
+                best = e
         if best is None:
-            return h, combo
+            return h, row, den
         if budget is not None:
             budget.charge_step()
         if not first:
-            h, combo = _primitive(h, combo)
-            lead = _vec_lead(h)
-            assert lead is not None
-            comp, mono, coeff = lead
+            h, row, den = _primitive(h, row, den)
+            coeff = h[comp][0][1]
         first = False
-        h_ecart = _vec_maxdeg(h) - mono.degree
-        if best.ecart > h_ecart:
+        if best.ecart > _maxdeg(h) - deg:
             # Remember the current partial remainder; a later step may divide
             # by it, which is what makes Mora reduction terminate locally.
-            pool.append(_Entry(h, combo))
+            pool.append(_Entry(h, row, den))
         # Cross-multiplied step: lc(g)*h - lc(h)*q*g avoids denominators.
-        q = mono.quotient(best.mono)
-        h = _vec_sub(_vec_scale(h, best.coeff), _vec_mul_term(best.vec, q, coeff))
-        if combo is not None and best.combo is not None:
-            combo = _vec_sub(
-                _vec_scale(combo, best.coeff), _vec_mul_term(best.combo, q, coeff)
-            )
+        q = (key[0] - best.key[0], tuple(map(sub, exps, best.exps)))
+        h = _combine(best.coeff, None, h, coeff, q, best.vec, cap)
+        if row is not None and best.row is not None:
+            m = lcm(den, best.den)
+            row = _combine(best.coeff * (m // den), None, row, coeff * (m // best.den), q, best.row)
+            den = m
 
 
 # ---------------------------------------------------------------------------
 # completion
-
-
-def _spoly(a: _Entry, b: _Entry) -> tuple[Vec, Monomial]:
-    # Cross-multiplied to keep coefficients integral.
-    lcm = a.mono.lcm(b.mono)
-    va = _vec_mul_term(a.vec, lcm.quotient(a.mono), b.coeff)
-    vb = _vec_mul_term(b.vec, lcm.quotient(b.mono), a.coeff)
-    return _vec_sub(va, vb), lcm
-
-
-def _spoly_combo(a: _Entry, b: _Entry, lcm: Monomial) -> Vec | None:
-    if a.combo is None or b.combo is None:
-        return None
-    ca = _vec_mul_term(a.combo, lcm.quotient(a.mono), b.coeff)
-    cb = _vec_mul_term(b.combo, lcm.quotient(b.mono), a.coeff)
-    return _vec_sub(ca, cb)
 
 
 def _complete(
@@ -384,7 +427,7 @@ def _complete(
     budget: int,
     track: bool,
     use_criteria: bool = True,
-    collect: list[Vec] | None = None,
+    collect: list[IVec] | None = None,
     cap: int | None = None,
 ) -> list[_Entry]:
     """Buchberger completion with Mora reduction.
@@ -403,152 +446,143 @@ def _complete(
     full syzygy module of the inputs (pairs pruned by the chain criterion
     contribute rows that are monomial combinations of collected ones).
 
-    A run given a degree `cap` (see `_jet_capped`, the one source of caps)
-    cannot march: every term of degree at least the cap is dropped from each
-    reduction.  It also forms no pair whose lcm has degree at least the cap
-    (the highest-corner bound): every term of such an S-polynomial has
-    degree at least the lcm's, since leading terms have the lowest degree,
-    so the capped normal form would empty it at once.  Such pairs sort
-    after all others, and no other pair's chain criterion looks at them, so
-    the basis and the order in which the remaining pairs are treated do not
-    change; a degree-cap monomial enters with no pairs at all.
+    A run given a degree `cap` (see `_jet_capped`, the one source of caps;
+    rank 1, untracked) completes the inputs plus the monomials of degree cap
+    and cannot march: every term of degree at least the cap is dropped from
+    the inputs and from each reduction.  It also forms no pair whose lcm has
+    degree at least the cap (the highest-corner bound): every term of such
+    an S-polynomial has degree at least the lcm's, since leading terms have
+    the lowest degree, so the capped normal form would empty it.  Such pairs
+    sort after all others, and no other pair's chain criterion looks at
+    them, so the basis and the order in which the remaining pairs are
+    treated do not change.  The monomials of degree cap are therefore left
+    implicit: they would enter after the inputs with no pairs, and no
+    reduction could use them, since every lead it meets lies below the cap.
+    Each pair they would have formed is still charged (per monomial, one per
+    entry or monomial before it, and one per later entry), and those that no
+    kept lead divides join the basis at the end.
     """
+    den_in, vecs = _to_ivecs(inputs, cap)
+    n = ctx.n
+    one = (0, (0,) * n)  # the key of the monomial 1
     entries: list[_Entry] = []
-    alive: dict[tuple[int, int], Monomial] = {}
+    alive: dict[tuple[int, int], tuple[int, ...]] = {}
     heap: list[tuple[int, int, int]] = []
     meter = _Budget(budget)
-    collapsed = False
+    implicit = comb(cap + n - 1, n - 1) if cap is not None else 0
+    cap_peers = 0  # implicit monomials entered so far
+    collapse = rank == 1 and not track
 
-    def add(vec: Vec, combo: Vec | None) -> None:
-        vec, combo = _primitive(vec, combo)
-        entry = _Entry(vec, combo)
+    def add(vec: IVec, row: IVec | None, den: int) -> bool:
+        """Enter a vector with its pairs; True when its lead is a unit."""
+        vec, row, den = _primitive(vec, row, den)
+        entry = _Entry(vec, row, den)
         t = len(entries)
         peers = [i for i, old in enumerate(entries) if old.comp == entry.comp]
         entries.append(entry)
-        if cap is not None and entry.mono.degree >= cap:
-            meter.charge_pair(len(peers))  # every lcm reaches the cap
-            return
-        new_lcms: dict[tuple, tuple[int, Monomial]] = {}
+        meter.charge_pair(cap_peers)  # every lcm with a cap monomial reaches the cap
+        new_lcms: dict[tuple[int, ...], tuple[int, int]] = {}
         for i in peers:
-            lcm = entries[i].mono.lcm(entry.mono)
-            if cap is not None and lcm.degree >= cap:
+            lcm_exps = tuple(map(max, entries[i].exps, entry.exps))
+            lcm_deg = sum(lcm_exps)
+            if cap is not None and lcm_deg >= cap:
                 meter.charge_pair()
                 continue
-            key = lcm.exponents
-            if key not in new_lcms:  # keep lowest index per repeated lcm
-                new_lcms[key] = (i, lcm)
+            if lcm_exps not in new_lcms:  # keep lowest index per repeated lcm
+                new_lcms[lcm_exps] = (i, lcm_deg)
         if use_criteria:
             # Drop a new pair when another new pair's lcm strictly divides its
             # lcm (chain criterion; the third pair's lcm always divides too).
-            kept: dict[tuple, tuple[int, Monomial]] = {}
-            for key, (i, lcm) in new_lcms.items():
-                dominated = any(
-                    other.divides(lcm) and other.exponents != key
-                    for _, other in new_lcms.values()
-                )
-                if not dominated:
-                    kept[key] = (i, lcm)
-            new_lcms = kept
+            new_lcms = {
+                exps: pair
+                for exps, pair in new_lcms.items()
+                if not any(other != exps and all(map(le, other, exps)) for other in new_lcms)
+            }
             # Cancel old pairs whose lcm is a proper multiple of the new lead.
-            for (i, j), lcm in list(alive.items()):
+            for (i, j), lcm_exps in list(alive.items()):
                 if entries[i].comp != entry.comp:
                     continue
-                if entry.mono.divides(lcm):
-                    lcm_it = entries[i].mono.lcm(entry.mono)
-                    lcm_jt = entries[j].mono.lcm(entry.mono)
-                    if lcm_it.exponents != lcm.exponents and lcm_jt.exponents != lcm.exponents:
+                if all(map(le, entry.exps, lcm_exps)):
+                    lcm_it = tuple(map(max, entries[i].exps, entry.exps))
+                    lcm_jt = tuple(map(max, entries[j].exps, entry.exps))
+                    if lcm_it != lcm_exps and lcm_jt != lcm_exps:
                         del alive[(i, j)]
-        for i, lcm in new_lcms.values():
-            alive[(i, t)] = lcm
-            heapq.heappush(heap, (lcm.degree, i, t))
-
-    def unit_collapse() -> bool:
+        for lcm_exps, (i, lcm_deg) in new_lcms.items():
+            alive[(i, t)] = lcm_exps
+            heapq.heappush(heap, (lcm_deg, i, t))
         # A unit leading term in a rank-1 basis means the ideal is the whole
         # ring; {1} is then a finished standard basis and reductions against
         # it are single steps instead of power-series inversion marches.
         # Skipped under tracking: 1 need not be a polynomial combination of
         # the inputs even when a unit is.
-        return (
-            rank == 1
-            and not track
-            and any(e.mono.is_unit() for e in entries)
-        )
+        return collapse and entry.deg == 0
 
-    def unit_row(idx: int) -> Vec:
-        row = list(_vec_zero(ctx, len(inputs)))
-        row[idx] = Polynomial.constant(ctx, 1)
-        return tuple(row)
-
-    for idx, vec in enumerate(inputs):
-        combo = unit_row(idx) if track else None
-        if _vec_is_zero(vec):
+    collapsed = False
+    for idx, vec in enumerate(vecs):
+        row = None
+        if track:
+            row = tuple(((one, den_in),) if k == idx else () for k in range(len(vecs)))
+        if not any(vec):
             if collect is not None:
-                collect.append(combo)
+                collect.append(row)
             continue
         if collect is not None:
-            add(vec, combo)  # inputs enter verbatim so rows stay over them
+            add(vec, row, 1)  # inputs enter verbatim so rows stay over them
             continue
-        if cap is not None and _vec_lead(vec)[1].degree >= cap:
-            # A degree-cap monomial: every term a capped reduction drops is
-            # a multiple of one of these, so they must be basis elements.
-            add(vec, combo)
-            continue
-        reduced, combo = _nf_mora(vec, entries, combo, meter, cap)
-        if _vec_is_zero(reduced):
-            continue
-        add(reduced, combo)
-        if unit_collapse():
+        reduced, row, den = _nf_mora(vec, entries, row, 1, meter, cap)
+        if any(reduced) and add(reduced, row, den):
             collapsed = True
             break
+
+    if implicit and not collapsed:
+        # The monomials of degree cap enter here, after the inputs.
+        meter.charge_pair(implicit * len(entries) + implicit * (implicit - 1) // 2)
+        cap_peers = implicit
 
     while heap and not collapsed:
         _, i, j = heapq.heappop(heap)
-        lcm = alive.pop((i, j), None)
-        if lcm is None:
+        lcm_exps = alive.pop((i, j), None)
+        if lcm_exps is None:
             continue
         meter.charge_pair()
-        s, lcm_mono = _spoly(entries[i], entries[j])
-        combo = _spoly_combo(entries[i], entries[j], lcm_mono) if track else None
-        if _vec_is_zero(s):
-            if collect is not None and combo is not None:
-                collect.append(combo)
+        a, b = entries[i], entries[j]
+        lcm_deg = sum(lcm_exps)
+        qa = (a.deg - lcm_deg, tuple(map(sub, lcm_exps, a.exps)))
+        qb = (b.deg - lcm_deg, tuple(map(sub, lcm_exps, b.exps)))
+        # Cross-multiplied to keep coefficients integral.
+        s = _combine(b.coeff, qa, a.vec, a.coeff, qb, b.vec, cap)
+        row, den = None, 1
+        if track:
+            den = lcm(a.den, b.den)
+            row = _combine(b.coeff * (den // a.den), qa, a.row, a.coeff * (den // b.den), qb, b.row)
+        if not any(s):
+            if collect is not None and row is not None:
+                collect.append(row)
             continue
-        reduced, combo = _nf_mora(s, entries, combo, meter, cap)
-        if _vec_is_zero(reduced):
-            if collect is not None and combo is not None and not _vec_is_zero(combo):
-                collect.append(combo)
+        reduced, row, den = _nf_mora(s, entries, row, den, meter, cap)
+        if not any(reduced):
+            if collect is not None and row is not None and any(row):
+                collect.append(row)
             continue
-        add(reduced, combo)
-        if unit_collapse():
+        if add(reduced, row, den):
             collapsed = True
-            break
 
     if collapsed:
-        return [_Entry((Polynomial.constant(ctx, 1),))]
+        return [_Entry((((one, 1),),))]
 
     # Minimal inter-reduction: discard entries whose lead another lead divides.
-    ordered = sorted(range(len(entries)), key=lambda k: (entries[k].mono.degree, k))
-    kept: list[int] = []
-    for k in ordered:
-        e = entries[k]
-        if not any(
-            entries[m].comp == e.comp and entries[m].mono.divides(e.mono) for m in kept
-        ):
-            kept.append(k)
-    final = [entries[k] for k in kept]
-    final.sort(key=lambda e: _key(e.comp, e.mono), reverse=True)
+    kept: list[_Entry] = []
+    for e in sorted(entries, key=lambda e: e.deg):  # stable: ties keep entry order
+        if not any(m.divides(e.comp, e.deg, e.exps) for m in kept):
+            kept.append(e)
+    final = list(kept)
+    for exps in exponents_of_degree(n, cap) if implicit else ():
+        # Two monomials of degree cap never divide each other.
+        rexps = exps[::-1]
+        if not any(m.divides(0, cap, rexps) for m in kept):
+            final.append(_Entry(((((-cap, rexps), 1),),)))
+    final.sort(key=lambda e: (e.key, -e.comp), reverse=True)
     return final
-
-
-def _dedupe(vecs: list[Vec]) -> list[Vec]:
-    seen = set()
-    out = []
-    for v in vecs:
-        key = tuple(tuple((m.exponents, c) for m, c in p.terms) for p in v)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
 
 
 def standard_basis(
@@ -568,7 +602,7 @@ def standard_basis(
     ctx, rank, vecs = _as_vecs(obj)
     source = tuple(vecs)
     if not track:
-        vecs = _dedupe([v for v in vecs if not _vec_is_zero(v)])
+        vecs = list(dict.fromkeys(v for v in vecs if any(v)))
         # Tracked runs keep the raw list so combination rows line up with
         # `source`; duplicates simply reduce to zero against their twin.
     entries = None
@@ -579,10 +613,10 @@ def standard_basis(
     return StandardBasis(
         ctx=ctx,
         rank=rank,
-        elements=tuple(e.vec for e in entries),
+        elements=tuple(_vector(ctx, e.vec) for e in entries),
         leading=tuple((e.comp, e.mono) for e in entries),
         source=source,
-        combinations=tuple(e.combo for e in entries) if track else None,
+        combinations=tuple(_vector(ctx, e.row, e.den) for e in entries) if track else None,
     )
 
 
@@ -609,17 +643,11 @@ def _jet_capped(
         if model is None:
             return None
         level = model.level
-    bound = level + 1
-    truncated = [(g,) for g in _degree_capped(ideal, bound).gens]
-    entries = _complete(truncated, ctx, 1, budget, track=False, cap=bound)
+    entries = _complete([(g,) for g in ideal.gens], ctx, 1, budget, track=False, cap=level + 1)
     exps = _standard_exponents([e.mono for e in entries], ctx.n)
     if exps is None or any(sum(e) >= level for e in exps):
         return None
     return entries
-
-
-def _entries_of(basis: StandardBasis) -> list[_Entry]:
-    return [_Entry(v) for v in basis.elements]
 
 
 def _coerce_basis(
@@ -639,14 +667,13 @@ def mora_normal_form(
     """Weak normal form of p against the generator list G (taken as given).
 
     G is used as a plain reducer list, not completed first; pass a finished
-    StandardBasis for membership-grade reductions.
+    StandardBasis for membership-grade reductions.  The remainder is
+    determined up to a nonzero rational factor.
     """
     if isinstance(G, StandardBasis):
-        ctx, rank = G.ctx, G.rank
-        entries = _entries_of(G)
+        ctx, rank, vecs = G.ctx, G.rank, list(G.elements)
     else:
         ctx, rank, vecs = _as_vecs(G)
-        entries = [_Entry(v) for v in vecs if not _vec_is_zero(v)]
     if isinstance(p, Polynomial):
         if rank != 1:
             raise ContextError("polynomial reduced against a module basis")
@@ -656,10 +683,11 @@ def mora_normal_form(
         if len(vec) != rank:
             raise ContextError("vector rank does not match basis rank")
     require_same_ctx(vec[0].ctx, ctx)
-    reduced, _ = _nf_mora(vec, entries)
-    if isinstance(p, Polynomial):
-        return reduced[0]
-    return reduced
+    _, gens = _to_ivecs(vecs)
+    _, (h,) = _to_ivecs([vec])
+    reduced, _, _ = _nf_mora(h, [_Entry(v) for v in gens if any(v)])
+    out = _vector(ctx, reduced)
+    return out[0] if isinstance(p, Polynomial) else out
 
 
 def membership(
@@ -673,7 +701,7 @@ def membership(
     r = mora_normal_form(p, basis)
     if isinstance(r, Polynomial):
         return r.is_zero()
-    return _vec_is_zero(r)
+    return not any(r)
 
 
 # ---------------------------------------------------------------------------
@@ -773,15 +801,9 @@ def _syzygies_of(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> Su
     s = len(vecs)
     if s == 0:
         raise ContextError("syzygies of an empty generator list")
-    collected: list[Vec] = []
+    collected: list[IVec] = []
     _complete(vecs, ctx, rank, budget, track=True, collect=collected)
-    out = []
-    for row in collected:
-        if _vec_is_zero(row):
-            continue
-        row, _ = _primitive(row, None)
-        out.append(row)
-    return Submodule(ctx, s, out)
+    return Submodule(ctx, s, [_vector(ctx, _primitive(row)[0]) for row in collected if any(row)])
 
 
 def _canonical_gens(I: Ideal) -> tuple[Polynomial, ...]:
@@ -957,7 +979,7 @@ def module_quotient_dim(
     combined = list(m_sup.gens) + list(m_sub.gens)
     syz = _syzygies_of(combined, m_sup.ctx, m_sup.rank, budget)
     presentation = [v[:t] for v in syz.gens]
-    presentation = [v for v in presentation if not _vec_is_zero(v)]
+    presentation = [v for v in presentation if any(v)]
     if not presentation:
         # m_sub = 0 and m_sup free on its generators: infinite unless trivial.
         return 0 if t == 0 else NOT_FINITE
@@ -969,7 +991,7 @@ def module_quotient_dim(
         dims.append(module_jet_quotient_dim(presentation, t, ctx.n, d))
         return dims[d] - dims[d - 1]
 
-    top = max(_vec_maxdeg(v) for v in presentation) + 2
+    top = max(p.degree() for v in presentation for p in v) + 2
     level = _walk(growth, top, None)
     if level is not None:
         return dims[level]

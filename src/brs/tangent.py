@@ -68,11 +68,15 @@ class DerivationModule:
 def df_pair(f: Polynomial, xi: VectorField) -> Polynomial:
     """The pairing df(xi) = sum_i xi_i * (df/dx_i)."""
     require_same_ctx(f.ctx, xi.ctx)
-    total = Polynomial.zero(f.ctx)
-    for i, component in enumerate(xi.components):
-        if component.is_zero():
-            continue
-        total = total + component * f.partial(i)
+    return _paired([f.partial(i) for i in range(f.ctx.n)], xi)
+
+
+def _paired(partials: Sequence[Polynomial], xi: VectorField) -> Polynomial:
+    """sum_i xi_i * partials[i], for partials computed once per caller."""
+    total = Polynomial.zero(xi.ctx)
+    for component, partial in zip(xi.components, partials):
+        if not component.is_zero():
+            total = total + component * partial
     return total
 
 
@@ -114,12 +118,12 @@ def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationMo
         raise GermError("phi must be a nonzero germ vanishing at 0")
     ctx = phi.ctx
     n = ctx.n
-    row = [(phi.partial(i),) for i in range(n)] + [(phi,)]
-    syz = _syzygies_of(row, ctx, 1, budget)
+    partials = [phi.partial(i) for i in range(n)]
+    syz = _syzygies_of([(p,) for p in partials] + [(phi,)], ctx, 1, budget)
     gens = []
     for vec in syz.gens:
         xi = VectorField(tuple(vec[:n]))
-        check = df_pair(phi, xi) + vec[n] * phi
+        check = _paired(partials, xi) + vec[n] * phi
         if not check.is_zero():
             raise InternalError("syzygy output is not tangent to the hypersurface")
         if not xi.is_zero():
@@ -129,8 +133,8 @@ def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationMo
 
 def df_ideal(f: Polynomial, theta: DerivationModule) -> Ideal:
     """The ideal generated by df(xi) over the module generators, in order."""
-    ctx = f.ctx
-    return Ideal(ctx, [df_pair(f, xi) for xi in theta.gens])
+    partials = [f.partial(i) for i in range(f.ctx.n)]
+    return Ideal(f.ctx, [_paired(partials, xi) for xi in theta.gens])
 
 
 def df_trivial_ideal(f: Polynomial, phi: Polynomial) -> Ideal:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -342,6 +343,14 @@ class TestCappedRun:
         assert _jet_capped([(g,) for g in I.gens], I.ctx, 10_000) is not None
         assert_capped_path_matches_plain_run(I)
 
+    def test_cap_monomials_complete_the_basis(self, P):
+        # The monomials of degree cap are implicit inputs; those no kept lead
+        # divides are elements of the basis of (x^2) + m^3.
+        from brs.stdbasis import _complete
+
+        entries = _complete([(P("x^2"),)], CTX2, 1, 10_000, track=False, cap=3)
+        assert [e.mono.exponents for e in entries] == [(2, 0), (0, 3), (1, 2)]
+
     def test_pairs_at_the_cap_are_charged(self, P):
         # Degree-cap monomials form no pairs, but each one they would have
         # formed still counts against the budget.
@@ -352,6 +361,43 @@ class TestCappedRun:
         assert _jet_capped(vecs, CTX2, 10_000, level=4) is not None
         with pytest.raises(BudgetError):
             _jet_capped(vecs, CTX2, 5, level=4)
+
+
+class TestBudgetAccounting:
+    """The smallest budget each run succeeds with, pinned one below it.
+
+    A capped run charges a pair for every pair it never forms at the cap,
+    so these figures move if the cap's accounting does.
+    """
+
+    @pytest.mark.parametrize(
+        "ideal, level, smallest",
+        [
+            (lambda phi: [phi, *jacobian_ideal(phi)], 5, 65),
+            (lambda phi: case_ideals(COLON_CASES["by_unit"])[0].gens, 6, 55),
+        ],
+        ids=["t255_tjurina", "colon_by_unit"],
+    )
+    def test_capped_run(self, ideal, level, smallest, P):
+        from brs import BudgetError
+        from brs.stdbasis import _jet_capped
+
+        vecs = [(g,) for g in ideal(P("x^5 + y^5 + x^2*y^2"))]
+        assert jet_model(Ideal(CTX2, [v[0] for v in vecs])).level == level
+        assert _jet_capped(vecs, CTX2, smallest, level=level) is not None
+        with pytest.raises(BudgetError):
+            _jet_capped(vecs, CTX2, smallest - 1, level=level)
+
+    @pytest.mark.parametrize(
+        "phi, smallest", [("x^5 + y^5 + x^2*y^2", 4), ("x^3 + y^3 + z^4 + x*y*z", 9)]
+    )
+    def test_tracked_theta_full(self, phi, smallest, ctx3):
+        from brs import BudgetError, parse_poly, theta_full
+
+        g = parse_poly(phi, ctx3)
+        theta_full(g, budget=smallest)
+        with pytest.raises(BudgetError):
+            theta_full(g, budget=smallest - 1)
 
 
 class TestSyzygies:
@@ -374,6 +420,27 @@ class TestSyzygies:
             combined = combined + c * g
         assert combined.is_zero()
         assert membership(euler, syz)
+
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals())
+    def test_tracked_rows_keep_rational_inputs_exact(self, I):
+        # Inputs carry denominators up to 7; every kept element is primitive
+        # with a positive lead, and its row still recombines it exactly.
+        sb = standard_basis(I, track=True)
+        for element, combo in zip(sb.elements, sb.combinations):
+            coeffs = [c for _, c in element[0].terms]
+            assert all(c.denominator == 1 for c in coeffs)
+            assert gcd(*(c.numerator for c in coeffs)) == 1
+            assert element[0].leading[1] > 0
+            recombined = Polynomial.zero(I.ctx)
+            for c, g in zip(combo, sb.source):
+                recombined = recombined + c * g[0]
+            assert recombined == element[0]
+        for v in syzygies(I).gens:
+            total = Polynomial.zero(I.ctx)
+            for c, g in zip(v, I.gens):
+                total = total + c * g
+            assert total.is_zero()
 
     @settings(max_examples=25, deadline=None)
     @given(I=zero_dim_ideals())
