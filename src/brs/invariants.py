@@ -119,20 +119,27 @@ class _Count:
         self.model = model
 
 
-def _count(I: Ideal, budget: int, base: JetModel | None = None, extra: Ideal | None = None) -> _Count:
+def _count(
+    I: Ideal,
+    budget: int,
+    base: JetModel | None = None,
+    extra: Ideal | None = None,
+    floor: int = 0,
+) -> _Count:
     """Colength of I with the cheapest proof that settles it.
 
     `base`, when given, is the certified model of an ideal that together
     with `extra` generates I; the model of I then extends it instead of
     walking from d = 1.  An ideal with a model has no axis certificate, and
-    neither has any ideal containing it.
+    neither has any ideal containing it.  `floor` is passed on to the walk:
+    the level of an ideal known to contain I.
     """
     if base is not None:
         model = extended_jet_model(I, base, extra.gens)
     elif axis_certificate(I):
         return _Count(NOT_FINITE, "certificate")
     else:
-        model = jet_model(I)
+        model = jet_model(I, floor=floor)
     if model is not None:
         return _Count(model.colength, "jet", model)
     return _Count(colength(I, budget=budget), "mora")
@@ -286,14 +293,17 @@ def _colon_vs_jf(v: SimpleNamespace, key: str) -> tuple[bool, bool]:
 
     Computed once per run and ideal.  `v.models` holds Jf ("mu_f"), df_X
     ("br") and df_T ("trivial"), each as its jet model or, without one, as
-    a `_MoraIdeal`, so the check takes one path on either engine.
+    a `_MoraIdeal`, so the check takes one path on either engine; when both
+    sides are jet models, the colon's columns are reduced in Jf's echelon
+    directly.
     """
     if key not in v.colons:
-        colon = v.models[key].colon([v.phi])
-        v.colons[key] = (
-            v.models["mu_f"].contains_all(colon.generators()),
-            colon.contains_all(v.Jf.gens),
-        )
+        jf, colon = v.models["mu_f"], v.models[key].colon([v.phi])
+        if isinstance(jf, JetModel) and isinstance(colon, JetModel):
+            inside = jf.contains_ideal(colon)
+        else:
+            inside = jf.contains_all(colon.generators())
+        v.colons[key] = (inside, colon.contains_all(v.Jf.gens))
     return v.colons[key]
 
 
@@ -406,11 +416,14 @@ def analyze(
     ideals: dict[str, Ideal] = {}
     counts: dict[str, _Count] = {}
 
-    def count(name: str, ideal: Ideal, base: str | None = None) -> Value:
+    def count(name: str, ideal: Ideal, base: str | None = None, within: str | None = None) -> Value:
         # With a `base`, `ideal` is I_X plus the ideal counted under that name.
+        # `within` names a counted ideal that contains `ideal`: the level of
+        # its model is the floor of the walk.
         ideals[name] = ideal
         model = counts[base].model if base else None
-        counts[name] = _count(ideal, budget, model, I_X)
+        outer = counts[within].model if within else None
+        counts[name] = _count(ideal, budget, model, I_X, outer.level if outer else 0)
         return counts[name].value
 
     # Jacobian-route invariants (no tangent module involved).
@@ -420,7 +433,8 @@ def analyze(
     mu_f = count("mu_f", Jf)
     mu_X = count("mu_X", Ideal(ctx, jacobian_ideal(phi)))
     tau_X = count("tau_X", I_X + ideals["mu_X"], base="mu_X")
-    lg_total = count("legreuel", _legreuel_ideal(phi, f))
+    # Every minor lies in J_phi, so the Le-Greuel ideal lies in (phi) + J_phi.
+    lg_total = count("legreuel", _legreuel_ideal(phi, f), within="tau_X")
     mu_fiber = (
         lg_total - mu_X if (is_finite(lg_total) and is_finite(mu_X)) else NOT_FINITE
     )
@@ -435,7 +449,8 @@ def analyze(
     df_X = df_ideal(f, theta)
     mu_BR = count("br", df_X)
     mu_BR_rel = count("br_rel", df_X + I_X, base="br")
-    count("trivial", df_trivial_ideal(f, phi))
+    # df_T is the minors plus phi * Jf: it lies in the Le-Greuel ideal.
+    count("trivial", df_trivial_ideal(f, phi), within="legreuel")
     count("trivial_rel", ideals["trivial"] + I_X, base="trivial")
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
 

@@ -12,21 +12,33 @@ about I is linear algebra in the finite-dimensional space R/m^N (`JetModel`):
   the subspace I/m^N;
 * the colon I : (g_1, ..., g_k) is the kernel of h -> (h*g_1, ..., h*g_k)
   from R/m^N to copies of R/I, and again contains m^N;
-* containment and equality: membership of generators.
+* containment and equality: membership of generators; between two models,
+  the columns of one reduced in the echelon of the other.
+
+Rows are the monomials of one graded lexicographic table per variable count
+(`_Table`), shared by every model and grown by degree on demand.  A monomial
+is one packed integer, so a shift x^a * x^b is an integer add and one table
+lookup; a row number names the same monomial in every model, so the rows of
+a degree cap are a prefix and a column of one model is a column of another.
 
 `jet_model` walks d = 1, 2, ... and gives up (None) by a cost rule, never by
 a verdict: when the growth of dim(d) has not slowed once d passes the
-largest generator degree + 2, the ideal is left to standard bases.  A free
-certificate of infinite colength, `axis_certificate`, is checked before any
-walk.  `oracle_colength` is the same walk under a fixed cap: it reports
-NotFinite only with a certificate and Inconclusive at the cap, never a
-guess.
+largest generator degree + 2, the ideal is left to standard bases.  One
+echelon at cap c determines dim(d) for every d <= c, as the rows without a
+pivot below degree d, so a walk builds an echelon only once d passes the cap
+of its last.  A `floor`, the level of an ideal known to contain I, lets the
+walk build its first echelon at floor + 1; each dim(d) is still exact, so a
+wrong floor costs time, never a value.  A free certificate of infinite
+colength, `axis_certificate`, is checked before any walk.  `oracle_colength`
+is the same walk under a fixed cap: it reports NotFinite only with a
+certificate and Inconclusive at the cap, never a guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from threading import Lock
 from typing import Callable, Sequence
 
 from .errors import BrsError
@@ -55,47 +67,102 @@ OracleValue = Value | InconclusiveType
 DEFAULT_CAP = 32
 
 
+# A monomial is packed into one integer, one field of _FIELD bits per
+# exponent, so multiplying two monomials is adding their integers.  The sum
+# cannot carry from one field into the next while its degree fits a field,
+# and no table row has a larger degree: a cap or an exponent beyond
+# _MAX_DEGREE raises BrsError instead of naming a wrong row.
+_FIELD = 16
+_MAX_DEGREE = (1 << _FIELD) - 1
+
+
+def _pack(exps: Sequence[int]) -> int:
+    packed = 0
+    for i, e in enumerate(exps):
+        if e > _MAX_DEGREE:
+            raise BrsError(f"exponent {e} exceeds the jet engine's limit {_MAX_DEGREE}")
+        packed |= e << (_FIELD * i)
+    return packed
+
+
+class _Table:
+    """The monomials of n variables in graded lexicographic order, grown by degree.
+
+    Row r is the r-th monomial: its exponents, packed form and degree, and
+    `row` maps the packed form back to r.  `starts[d]` is the number of
+    monomials of degree below d, so the rows of a degree cap are a prefix,
+    and a row number means the same monomial in every model of n variables.
+    The table only ever grows, so what it holds never changes.
+    """
+
+    __slots__ = ("n", "exps", "packed", "degree", "row", "starts", "_lock")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.exps: list[tuple[int, ...]] = []
+        self.packed: list[int] = []
+        self.degree: list[int] = []
+        self.row: dict[int, int] = {}
+        self.starts = [0]
+        self._lock = Lock()
+
+    def size(self, cap: int) -> int:
+        """The number of monomials of degree below `cap`, growing the table to hold them."""
+        if cap >= len(self.starts):
+            if cap > _MAX_DEGREE + 1:
+                raise BrsError(f"jet level {cap} exceeds the jet engine's limit {_MAX_DEGREE + 1}")
+            with self._lock:
+                while cap >= len(self.starts):
+                    d = len(self.starts) - 1
+                    for exps in exponents_of_degree(self.n, d):
+                        packed = _pack(exps)
+                        self.row[packed] = len(self.exps)
+                        self.exps.append(exps)
+                        self.packed.append(packed)
+                        self.degree.append(d)
+                    self.starts.append(len(self.exps))
+        return self.starts[cap]
+
+
+_TABLES: dict[int, _Table] = {}
+
+
 @dataclass(frozen=True)
 class JetTruncation:
     """Finite-dimensional model of the local ring below a degree cap.
 
-    Rows are the monomials of degree below the cap, indexed in graded
-    lexicographic order, so the table of a lower cap is a prefix.
+    Rows are the monomials of degree below the cap: the first `size` rows of
+    the one table of n variables, so a column of one truncation is a column
+    of any truncation with a higher cap.
     """
 
     n: int
     degree_cap: int
-    monomial_index: dict[tuple[int, ...], int] = field(compare=False)
+    table: _Table = field(compare=False, repr=False)
+    size: int = field(compare=False)
 
     @classmethod
     def build(cls, n: int, degree_cap: int) -> "JetTruncation":
-        monos = [e for d in range(degree_cap) for e in exponents_of_degree(n, d)]
-        return cls(n, degree_cap, {m: i for i, m in enumerate(monos)})
-
-    def grown(self) -> "JetTruncation":
-        """The truncation one degree higher: this table plus the monomials of degree cap."""
-        index = dict(self.monomial_index)
-        for exps in exponents_of_degree(self.n, self.degree_cap):
-            index[exps] = len(index)
-        return JetTruncation(self.n, self.degree_cap + 1, index)
+        table = _TABLES.get(n) or _TABLES.setdefault(n, _Table(n))
+        return cls(n, degree_cap, table, table.size(degree_cap))
 
     @property
-    def size(self) -> int:
-        return len(self.monomial_index)
+    def monomial_index(self) -> dict[tuple[int, ...], int]:
+        return {exps: row for row, exps in enumerate(self.table.exps[: self.size])}
 
 
 # Columns are sparse integer vectors: scaling a column changes no span, so
 # each polynomial is cleared of denominators once, and elimination is
 # fraction-free with content reduction.
 Column = dict[int, int]
-Terms = list[tuple[tuple[int, ...], int, int]]  # (exponents, degree, coefficient)
+Terms = list[tuple[int, int, int]]  # (packed monomial, degree, coefficient)
 Generators = list[tuple[int, Terms]]  # (tail degree, terms) of each generator
 
 
 def _integral(polys: Sequence[Polynomial]) -> list[Terms]:
     """The terms of the polynomials, scaled to integers by one common factor."""
     _, scaled = integral_terms(polys)
-    return [[(m.exponents, m.degree, c) for m, c in terms] for terms in scaled]
+    return [[(_pack(m.exponents), m.degree, c) for m, c in terms] for terms in scaled]
 
 
 def _generators(polys: Sequence[Polynomial]) -> Generators:
@@ -103,15 +170,17 @@ def _generators(polys: Sequence[Polynomial]) -> Generators:
     return [(p.tail_degree(), terms) for p, terms in zip(polys, _integral(polys))]
 
 
-def _shifted(terms: Terms, shift: tuple[int, ...], jt: JetTruncation) -> Column:
-    """The column of x^shift * p truncated below the cap (terms ascend in degree)."""
-    cap = jt.degree_cap - sum(shift)
-    index = jt.monomial_index
+def _shifted(terms: Terms, shift: int, below: int, row: dict[int, int]) -> Column:
+    """The column of x^shift * p, keeping the terms of p of degree below `below`.
+
+    `below` is the cap less the degree of the shift, and terms ascend in
+    degree, so each kept term is one table lookup.
+    """
     col: Column = {}
-    for exps, deg, c in terms:
-        if deg >= cap:
+    for mono, deg, c in terms:
+        if deg >= below:
             break
-        col[index[tuple(a + b for a, b in zip(exps, shift))]] = c
+        col[row[mono + shift]] = c
     return col
 
 
@@ -129,7 +198,7 @@ class _Echelon:
         self.pivots: dict[int, Column] = {} if pivots is None else pivots
 
     def reduce(self, col: Column) -> Column:
-        col = dict(col)
+        """The residual of `col` against the stored columns; `col` itself is consumed."""
         while col:
             r = min(col)
             piv = self.pivots.get(r)
@@ -194,22 +263,51 @@ class JetModel:
     def contains(self, p: Polynomial) -> bool:
         """Exact membership of p in I: reduce its jet below N."""
         (terms,) = _integral([p])
-        return not self.ech.reduce(_shifted(terms, (0,) * self.ctx.n, self.jt))
+        return not self.ech.reduce(_shifted(terms, 0, self.level, self.jt.table.row))
 
     def contains_all(self, gens: Sequence[Polynomial]) -> bool:
         return all(self.contains(g) for g in gens)
 
+    def contains_ideal(self, other: "JetModel") -> bool:
+        """Whether the ideal K that `other` models lies in I.
+
+        K is generated by its echelon columns and m^L, L its level.  Rows
+        are positions of one shared table, so a column of K is a column
+        here once cut below N, which keeps its class modulo m^N, inside I.
+        m^L lies in I when L >= N; below N, exactly when every row of
+        degree L to N - 1 is a pivot, since the columns with those pivots
+        then span m^L/m^N.
+        """
+        size, pivots = self.jt.size, self.ech.pivots
+        if any(r not in pivots for r in range(other.jt.size, size)):
+            return False
+        cuts = ({k: v for k, v in col.items() if k < size} for col in other.ech.pivots.values())
+        return not any(self.ech.reduce(cut) for cut in cuts if cut)
+
     def generators(self) -> list[Polynomial]:
         """Generators of I: the echelon columns and the monomials of degree N."""
-        monos = [Monomial(e) for e in self.jt.monomial_index]
+        exps = self.jt.table.exps
         gens = [
-            Polynomial(self.ctx, [(monos[k], v) for k, v in col.items()])
+            Polynomial(self.ctx, [(Monomial(exps[k]), v) for k, v in col.items()])
             for col in self.ech.pivots.values()
         ]
         gens += [
             Polynomial.monomial(self.ctx, e) for e in exponents_of_degree(self.ctx.n, self.level)
         ]
         return gens
+
+    def free_rows(self) -> list[int]:
+        """The rows without a pivot, counted by degree.
+
+        Rows are graded and each column's pivot is its lowest row, so the
+        columns with a pivot below degree d, cut below d, span
+        (I + m^d)/m^d: entry d - 1 is dim(d) - dim(d-1) for every d up to N.
+        """
+        starts, degree = self.jt.table.starts, self.jt.table.degree
+        free = [starts[d + 1] - starts[d] for d in range(self.level)]
+        for r in self.ech.pivots:
+            free[degree[r]] -= 1
+        return free
 
     def truncated(self, level: int) -> "JetModel":
         """The model at a lower level L whose certificate m^L in I is known.
@@ -237,7 +335,8 @@ class JetModel:
         columns whose pivot falls in the e block span exactly the h with
         every h*g_i in I.
         """
-        jt, size = self.jt, self.jt.size
+        jt, size, level = self.jt, self.jt.size, self.level
+        table = jt.table
         k = len(divisors)
         work = _Echelon()
         for block in range(k):
@@ -245,10 +344,11 @@ class JetModel:
                 work.pivots[block * size + r] = {row + block * size: v for row, v in col.items()}
         offset = k * size
         integral = _integral(divisors)
-        for exps, i in jt.monomial_index.items():
+        for i in range(size):
+            shift, below = table.packed[i], level - table.degree[i]
             col: Column = {offset + i: 1}
             for block, terms in enumerate(integral):
-                for row, v in _shifted(terms, exps, jt).items():
+                for row, v in _shifted(terms, shift, below, table.row).items():
                     col[block * size + row] = v
             work.insert(col)
         kernel = {
@@ -260,12 +360,16 @@ class JetModel:
 
 
 def _insert_shifts(ech: _Echelon, gens: Generators, jt: JetTruncation) -> None:
-    """Insert every monomial shift of the generators that has a term below the cap."""
+    """Insert every monomial shift of the generators that has a term below the cap.
+
+    The shifts of degree below cap - (tail degree) are a prefix of the table.
+    """
+    table, cap = jt.table, jt.degree_cap
     for lead_deg, terms in gens:
-        for shift in jt.monomial_index:  # graded: the first shift too high ends the run
-            if sum(shift) + lead_deg >= jt.degree_cap:
-                break
-            ech.insert(_shifted(terms, shift, jt))
+        if not terms or lead_deg >= cap:
+            continue
+        for i in range(table.starts[cap - lead_deg]):
+            ech.insert(_shifted(terms, table.packed[i], cap - table.degree[i], table.row))
 
 
 def _span(ctx: VarContext, gens: Generators, jt: JetTruncation) -> JetModel:
@@ -323,25 +427,37 @@ def _top(I: Ideal) -> int:
     return max((g.degree() for g in I.gens), default=0) + 2
 
 
-def jet_model(I: Ideal, cap: int | None = None) -> JetModel | None:
+def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | None:
     """The certified model of I: raise d until dim(d) == dim(d+1).
 
     None when the walk stops first.  With a cap, it stops after level `cap`.
     Without one, it leaves I to standard bases by the cost rule: the growth
     dim(d) - dim(d-1) has not slowed once d passes the largest generator
-    degree + 2.  Each level grows the previous level's monomial table, and
-    the generators are cleared of denominators once for the whole walk.
+    degree + 2.
+
+    One echelon at cap c gives every growth up to d = c (`free_rows`), so a
+    new echelon is built only once d passes the cap of the last, and the
+    model at level N is the cap-(N+1) echelon cut down.  `floor` is the
+    level of an ideal known to contain I, below which the walk cannot stop:
+    the first echelon is built at cap floor + 1 (never above `cap`).  Every
+    growth is exact whatever the floor, so a wrong one costs time, never a
+    value.  The generators are cleared of denominators once for the walk.
     """
     gens = _generators(I.gens)
-    levels = [_span(I.ctx, gens, JetTruncation.build(I.ctx.n, 0))]
+    span: JetModel | None = None
+    free: list[int] = []
 
     def growth(d: int) -> int:
-        del levels[:-1]
-        levels.append(_span(I.ctx, gens, levels[0].jt.grown()))
-        return levels[1].colength - levels[0].colength
+        nonlocal span, free
+        if span is None or d > span.level:
+            c = d if span is not None else max(d, floor + 1)
+            c = c if cap is None else min(c, cap)
+            span = _span(I.ctx, gens, JetTruncation.build(I.ctx.n, c))
+            free = span.free_rows()
+        return free[d - 1]
 
     level = _walk(growth, _top(I), cap)
-    return None if level is None else levels[0]
+    return None if level is None else span.truncated(level)
 
 
 def extended_jet_model(I: Ideal, base: JetModel, extra: Sequence[Polynomial]) -> JetModel | None:
@@ -357,12 +473,10 @@ def extended_jet_model(I: Ideal, base: JetModel, extra: Sequence[Polynomial]) ->
     jt = base.jt
     ech = _Echelon(dict(base.ech.pivots))
     _insert_shifts(ech, _generators(extra), jt)
-    free = [0] * (jt.degree_cap + 1)  # rows without a pivot, by degree; none of degree N
-    for exps, row in jt.monomial_index.items():
-        if row not in ech.pivots:
-            free[sum(exps)] += 1
+    model = JetModel(I.ctx, jt, ech)
+    free = model.free_rows() + [0]  # every row of degree N lies in I
     level = _walk(lambda d: free[d - 1], _top(I), None)
-    return None if level is None else JetModel(I.ctx, jt, ech).truncated(level)
+    return None if level is None else model.truncated(level)
 
 
 def jet_quotient_dim(I: Ideal, d: int) -> int:
@@ -380,8 +494,7 @@ def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:
     as for ideals.
     """
     jt = JetTruncation.build(n, d)
-    size = jt.size
-    shifts = list(jt.monomial_index)
+    table, size = jt.table, jt.size
     ech = _Echelon()
     for vec in gens:
         lead_deg = min(
@@ -389,12 +502,11 @@ def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:
             default=d,
         )
         integral = _integral(vec)
-        for shift in shifts:
-            if sum(shift) + lead_deg >= d:
-                continue
+        for i in range(table.starts[max(d - lead_deg, 0)]):
+            shift, below = table.packed[i], d - table.degree[i]
             col: Column = {}
             for comp, terms in enumerate(integral):
-                for row, value in _shifted(terms, shift, jt).items():
+                for row, value in _shifted(terms, shift, below, table.row).items():
                     col[comp * size + row] = value
             if col:
                 ech.insert(col)

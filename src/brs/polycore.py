@@ -178,10 +178,11 @@ class Polynomial:
     The zero polynomial has an empty term tuple.  Arithmetic is exact and
     always returns normalized results (no zero coefficients, no duplicate
     monomials).  Instances are immutable by convention; nothing mutates
-    `terms` after construction.
+    `terms` after construction.  The partial derivatives are computed on
+    first use and kept (`partial`).
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_partials")
 
     def __init__(self, ctx: VarContext, terms: Iterable[tuple[Monomial, CoeffLike]] = ()):
         collected: dict[tuple, tuple[Monomial, Fraction]] = {}
@@ -197,6 +198,7 @@ class Polynomial:
         cleaned.sort(key=lambda t: t[0].sort_key(), reverse=True)
         self.ctx = ctx
         self.terms = tuple(cleaned)
+        self._partials = None
 
     @staticmethod
     def _raw(ctx: VarContext, terms: tuple[Term, ...]) -> "Polynomial":
@@ -204,6 +206,7 @@ class Polynomial:
         p = object.__new__(Polynomial)
         p.ctx = ctx
         p.terms = terms
+        p._partials = None
         return p
 
     # ------------------------------------------------------------------
@@ -358,9 +361,17 @@ class Polynomial:
         return self if k == len(self.terms) else Polynomial._raw(self.ctx, self.terms[:k])
 
     def partial(self, i: int) -> "Polynomial":
-        """Exact partial derivative with respect to variable i."""
+        """Exact partial derivative with respect to variable i, computed once."""
         if not 0 <= i < self.ctx.n:
             raise ContextError(f"variable index {i} out of range")
+        if self._partials is None:
+            self._partials = [None] * self.ctx.n
+        cached = self._partials[i]
+        if cached is None:
+            cached = self._partials[i] = self._derivative(i)
+        return cached
+
+    def _derivative(self, i: int) -> "Polynomial":
         out: list[Term] = []
         for m, c in self.terms:
             e = m.exponents[i]

@@ -32,7 +32,7 @@ of the theorems under test use finiteness itself as a predicate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, gcd, lcm
@@ -144,6 +144,8 @@ class StandardBasis:
     terminate over a local order.  `source` keeps the input generators.
     When built with track=True, `combinations[k]` gives polynomial
     coefficients expressing elements[k] exactly in terms of `source`.
+    `standard` holds the exponents of the standard monomials when the run
+    that built the basis already enumerated them (a capped run's proof).
     """
 
     ctx: VarContext
@@ -152,6 +154,7 @@ class StandardBasis:
     leading: tuple[tuple[int, Monomial], ...]
     source: tuple[Vec, ...]
     combinations: tuple[Vec, ...] | None = None
+    standard: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def polynomials(self) -> tuple[Polynomial, ...]:
@@ -605,11 +608,10 @@ def standard_basis(
         vecs = list(dict.fromkeys(v for v in vecs if any(v)))
         # Tracked runs keep the raw list so combination rows line up with
         # `source`; duplicates simply reduce to zero against their twin.
-    entries = None
+    capped = None
     if rank == 1 and not track and vecs:
-        entries = _jet_capped(vecs, ctx, budget, jet_level)
-    if entries is None:
-        entries = _complete(vecs, ctx, rank, budget, track)
+        capped = _jet_capped(vecs, ctx, budget, jet_level)
+    entries, standard = capped or (_complete(vecs, ctx, rank, budget, track), None)
     return StandardBasis(
         ctx=ctx,
         rank=rank,
@@ -617,12 +619,13 @@ def standard_basis(
         leading=tuple((e.comp, e.mono) for e in entries),
         source=source,
         combinations=tuple(_vector(ctx, e.row, e.den) for e in entries) if track else None,
+        standard=standard,
     )
 
 
 def _jet_capped(
     vecs: list[Vec], ctx: VarContext, budget: int, level: int | None = None
-) -> list[_Entry] | None:
+) -> tuple[list[_Entry], tuple[tuple[int, ...], ...]] | None:
     """A standard basis of a zero-dimensional ideal, completed below a jet level.
 
     A level N with m^N inside I is proposed: `level` when the caller already
@@ -633,7 +636,8 @@ def _jet_capped(
     hence in I by Nakayama's lemma: the two ideals are equal and the basis
     is one of I, proven by the run itself, so it takes no word of the jet
     engine on trust.  Otherwise None, and the plain run decides; the
-    proposal costs time, never correctness.
+    proposal costs time, never correctness.  Returns the basis with the
+    exponents of its standard monomials, which the proof enumerated.
     """
     ideal = Ideal(ctx, [v[0] for v in vecs])
     if level is None:
@@ -647,7 +651,7 @@ def _jet_capped(
     exps = _standard_exponents([e.mono for e in entries], ctx.n)
     if exps is None or any(sum(e) >= level for e in exps):
         return None
-    return entries
+    return entries, tuple(exps)
 
 
 def _coerce_basis(
@@ -742,11 +746,18 @@ def _count_standard_monomials(leads: Sequence[Monomial], n: int) -> Value:
     return NOT_FINITE if exps is None else len(exps)
 
 
+def _basis_standard_exponents(basis: StandardBasis) -> Sequence[tuple[int, ...]] | None:
+    """The standard exponents of an ideal's basis, enumerated unless already known."""
+    if basis.standard is not None:
+        return basis.standard
+    return _standard_exponents(basis.leading_monomials, basis.ctx.n)
+
+
 def standard_monomials(basis: StandardBasis) -> list[Monomial] | NotFiniteType:
     """Monomials outside the leading ideal; a basis of the quotient."""
     if basis.rank != 1:
         raise ContextError("standard monomials are defined for ideals here")
-    exps = _standard_exponents(basis.leading_monomials, basis.ctx.n)
+    exps = _basis_standard_exponents(basis)
     return NOT_FINITE if exps is None else [Monomial(e) for e in exps]
 
 
@@ -766,7 +777,8 @@ def colength(
     basis = _coerce_basis(I, budget, jet_level)
     if basis.rank != 1:
         raise ContextError("colength is defined for ideals; use module_quotient_dim")
-    return _count_standard_monomials(basis.leading_monomials, basis.ctx.n)
+    exps = _basis_standard_exponents(basis)
+    return NOT_FINITE if exps is None else len(exps)
 
 
 # ---------------------------------------------------------------------------

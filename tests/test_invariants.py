@@ -230,6 +230,34 @@ class TestLedger:
         for entry in ("intersect-product", "colon-full", "colon-trivial"):
             assert by_name[entry].status == "pass"
 
+    def test_walks_build_only_the_echelons_they_need(self, monkeypatch):
+        # One echelon gives every dim up to its cap, and the walks of the
+        # Le-Greuel ideal and of df_T start at the levels of the ideals that
+        # contain them: 15 echelons in all, where walking level by level
+        # built 30, and df_T stops at its floor with a single one.
+        walking: list = []
+        built: list = []
+        real_walk, real_span = invariants_module.jet_model, oracle_module._span
+
+        def walk(I, *args, **kwargs):
+            walking.append(I)
+            try:
+                return real_walk(I, *args, **kwargs)
+            finally:
+                walking.pop()
+
+        def span(*args):
+            built.append(walking[-1] if walking else None)
+            return real_span(*args)
+
+        monkeypatch.setattr(invariants_module, "jet_model", walk)
+        monkeypatch.setattr(oracle_module, "_span", span)
+        parsed = parse_problem((CORPUS_DIR / "nwh_t444_generic.brs").read_text(encoding="utf-8"))
+        report = analyze(parsed.problem)
+        assert len(built) == 15
+        assert sum(I is report.ideals["trivial"] for I in built) == 1
+        assert report.routes["trivial"] == "jet"
+
     @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "nwh_t45_f_x.brs"])
     @pytest.mark.parametrize("mora", ["mu_f", "br", "trivial"])
     def test_ideal_rows_agree_across_engines(self, name, mora, monkeypatch):
@@ -240,8 +268,8 @@ class TestLedger:
         target = want.ideals[mora]
         real = invariants_module._count
 
-        def count(I, budget, base=None, extra=None):
-            got = real(I, budget, base, extra)
+        def count(I, budget, base=None, extra=None, floor=0):
+            got = real(I, budget, base, extra, floor)
             if I == target:
                 got.model = None
             return got

@@ -1,13 +1,17 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brs.oracle as oracle_module
 from brs import (
     BrsError,
     INCONCLUSIVE,
     Ideal,
     JetTruncation,
     NOT_FINITE,
+    Polynomial,
     axis_certificate,
     colength,
     jacobian_ideal,
@@ -163,3 +167,110 @@ class TestJetHelpers:
         ordered = sorted(jt.monomial_index, key=jt.monomial_index.get)  # type: ignore[arg-type]
         assert ordered == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert jt.size == 6
+
+
+class TestFloors:
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals(), probes=st.lists(polynomials(max_terms=3, max_exp=4), max_size=4))
+    def test_a_floor_changes_no_answer(self, I, probes):
+        # A floor only chooses where the first echelon is built: every floor
+        # up to two above the true level gives the same model.
+        want = jet_model(I)
+        top = 3 if want is None else want.level + 2
+        for floor in range(top + 1):
+            got = jet_model(I, floor=floor)
+            if want is None:
+                assert got is None
+                continue
+            assert (got.level, got.colength) == (want.level, want.colength), floor
+            for p in [*probes, *I.gens]:
+                assert got.contains(p) == want.contains(p), (floor, p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(I=zero_dim_ideals())
+    def test_a_floor_never_passes_the_cap(self, I):
+        want = jet_model(I)
+        if want is None:
+            return
+        real = oracle_module._span
+        for cap in (want.level, want.level + 1):
+            for floor in range(want.level + 3):
+                caps: list[int] = []
+
+                def span(ctx, gens, jt):
+                    caps.append(jt.degree_cap)
+                    return real(ctx, gens, jt)
+
+                with mock.patch.object(oracle_module, "_span", span):
+                    got = jet_model(I, cap=cap, floor=floor)
+                assert all(c <= cap for c in caps), (cap, floor, caps)
+                # A walk needs cap N + 1 to see dim(N) == dim(N + 1).
+                assert (got is None) == (cap == want.level)
+                if got is not None:
+                    assert (got.level, got.colength) == (want.level, want.colength)
+
+
+class TestModelContainment:
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals(), J=zero_dim_ideals(), g=germs())
+    def test_equals_membership_of_generators(self, I, J, g):
+        x, y = CTX2.variables()
+        walked = [
+            jet_model(I),
+            jet_model(J),
+            jet_model(I + J),  # a level at or below both
+            jet_model(Ideal(CTX2, [h * v for h in I.gens for v in (x, y)])),  # at or above I's
+        ]
+        models = [m for m in walked if m is not None]
+        # A colon keeps its ideal's level, which may lie above its own.
+        models += [m.colon([g]) for m in models[:2]]
+        for this in models:
+            for other in models:
+                want = this.contains_all(other.generators())
+                assert this.contains_ideal(other) == want, (this.level, other.level)
+
+    @pytest.mark.parametrize(
+        "this, other, want",
+        [
+            # other's level above: 3 here, 4 there.
+            (("x^2", "x*y", "y^3"), ("x^2", "y^3"), True),
+            (("x^2", "x*y", "y^3"), ("x^3", "y^2"), False),
+            # equal levels: (x^2, y^3) : x = (x, y^3), held at level 4.
+            ((("x^2", "y^3"), "x"), ("x^2", "y^3"), True),
+            (("x^2", "y^3"), (("x^2", "y^3"), "x"), False),
+            # other's level below: its monomials of degree 3 must lie in (x, y^3).
+            ((("x^2", "y^3"), "x"), ("x", "y^3"), True),
+            ((("x^2", "y^3"), "x"), ("x", "y^2"), False),
+        ],
+    )
+    def test_levels_above_equal_and_below(self, this, other, want):
+        def model(spec):
+            if isinstance(spec[0], tuple):  # (generators, divisor): a colon
+                gens, divisor = spec
+                return jet_model(I2(*gens)).colon([parse_poly(divisor, CTX2)])
+            return jet_model(I2(*spec))
+
+        this, other = model(this), model(other)
+        assert this.contains_ideal(other) == want
+        assert this.contains_all(other.generators()) == want
+
+
+class TestPackedMonomials:
+    def test_overflow_raises_instead_of_naming_a_wrong_row(self):
+        limit = oracle_module._MAX_DEGREE + 1
+        with pytest.raises(BrsError):
+            JetTruncation.build(2, limit + 1)
+        # Packed without the guard, x^limit would carry into y's field and
+        # name the row of y, which lies in the ideal.
+        model = jet_model(I2("x^2", "y"))
+        big = Polynomial.monomial(CTX2, (limit, 0))
+        with pytest.raises(BrsError):
+            model.contains(big)
+        with pytest.raises(BrsError):
+            jet_model(Ideal(CTX2, [parse_poly("x", CTX2) + big, parse_poly("y", CTX2)]))
+
+    def test_rows_are_shared_by_every_truncation(self):
+        low, high = JetTruncation.build(3, 2), JetTruncation.build(3, 5)
+        assert low.table is high.table
+        index = high.monomial_index
+        assert all(index[e] == r for e, r in low.monomial_index.items())

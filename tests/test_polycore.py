@@ -68,6 +68,12 @@ class TestArithmetic:
         f = parse_poly("x*y - z^4", ctx3)
         assert f.partial(2) == parse_poly("-4*z^3", ctx3)
 
+    def test_partials_are_computed_once(self, ctx3):
+        f = parse_poly("x*y - z^4", ctx3)
+        first = [f.partial(i) for i in range(3)]
+        assert all(f.partial(i) is first[i] for i in range(3))
+        assert (f * f).partial(0) == 2 * f * first[0]
+
     def test_float_coefficients_rejected(self, ctx2):
         with pytest.raises(TypeError):
             Polynomial.constant(ctx2, 0.5)  # type: ignore[arg-type]

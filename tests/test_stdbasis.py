@@ -154,6 +154,23 @@ class TestColength:
         monkeypatch.setattr(oracle_module, "jet_model", too_low)
         assert colength(I) == 6
 
+    def test_capped_colength_enumerates_standard_monomials_once(self, P, monkeypatch):
+        # The capped run's proof lists the standard monomials; the count
+        # reuses that list.
+        import brs.stdbasis as stdbasis_module
+
+        calls: list = []
+        real = stdbasis_module._standard_exponents
+
+        def counted(leads, n):
+            calls.append(n)
+            return real(leads, n)
+
+        monkeypatch.setattr(stdbasis_module, "_standard_exponents", counted)
+        I = Ideal(CTX2, [P("x^2"), P("y^3")])
+        assert colength(I, jet_level=4) == 6
+        assert len(calls) == 1
+
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals(), seed=st.randoms())
     def test_colength_independent_of_generator_order(self, I, seed):
