@@ -146,10 +146,6 @@ class JetTruncation:
         table = _TABLES.get(n) or _TABLES.setdefault(n, _Table(n))
         return cls(n, degree_cap, table, table.size(degree_cap))
 
-    @property
-    def monomial_index(self) -> dict[tuple[int, ...], int]:
-        return {exps: row for row, exps in enumerate(self.table.exps[: self.size])}
-
 
 # Columns are sparse integer vectors: scaling a column changes no span, so
 # each polynomial is cleared of denominators once, and elimination is
@@ -379,11 +375,6 @@ def _span(ctx: VarContext, gens: Generators, jt: JetTruncation) -> JetModel:
     return JetModel(ctx, jt, ech)
 
 
-def _jet_model(I: Ideal, d: int) -> JetModel:
-    """The model of I + m^d, from every monomial shift of the generators."""
-    return _span(I.ctx, _generators(I.gens), JetTruncation.build(I.ctx.n, d))
-
-
 def axis_certificate(I: Ideal) -> bool:
     """True when a coordinate axis lies in the zero set of I.
 
@@ -477,11 +468,6 @@ def extended_jet_model(I: Ideal, base: JetModel, extra: Sequence[Polynomial]) ->
     free = model.free_rows() + [0]  # every row of degree N lies in I
     level = _walk(lambda d: free[d - 1], _top(I), None)
     return None if level is None else model.truncated(level)
-
-
-def jet_quotient_dim(I: Ideal, d: int) -> int:
-    """Exact dimension of the quotient by (I + maximal ideal^d)."""
-    return _jet_model(I, d).colength
 
 
 def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:

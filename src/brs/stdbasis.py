@@ -10,8 +10,10 @@ deliberately absent.
 
 Everything here works uniformly on vectors of polynomials; an ideal is the
 rank-1 case.  Submodules are needed twice over: syzygy computation (which
-powers the logarithmic derivation module, ideal intersections and colons) and
-module quotient dimensions.
+powers the logarithmic derivation module and module quotient dimensions) and
+the one ideal quotient behind colons and intersections, {c : c*v in
+I_1*e_1 + ... + I_k*e_k}, read off one syzygy run and degree-capped when
+every I_i is zero-dimensional (`_syzygy_quotient`).
 
 The kernel (completion, weak normal form, S-vectors) runs on integer terms:
 a polynomial is a tuple of (key, c) pairs, key the monomial's
@@ -753,14 +755,6 @@ def _basis_standard_exponents(basis: StandardBasis) -> Sequence[tuple[int, ...]]
     return _standard_exponents(basis.leading_monomials, basis.ctx.n)
 
 
-def standard_monomials(basis: StandardBasis) -> list[Monomial] | NotFiniteType:
-    """Monomials outside the leading ideal; a basis of the quotient."""
-    if basis.rank != 1:
-        raise ContextError("standard monomials are defined for ideals here")
-    exps = _basis_standard_exponents(basis)
-    return NOT_FINITE if exps is None else [Monomial(e) for e in exps]
-
-
 def colength(
     I: Union[Ideal, StandardBasis],
     *,
@@ -818,124 +812,78 @@ def _syzygies_of(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> Su
     return Submodule(ctx, s, [_vector(ctx, _primitive(row)[0]) for row in collected if any(row)])
 
 
-def _canonical_gens(I: Ideal) -> tuple[Polynomial, ...]:
-    """Generators of I with the unit-ideal case normalized to (1).
-
-    A generator with a nonzero constant term is a unit of the local ring, so
-    the ideal is the whole ring; using the literal generator instead would
-    send Mora reduction through a power-series inversion march.  Only the
-    ideal matters to intersection and colon, so swapping generating sets is
-    sound there.
-    """
-    if any(g.constant_term() != 0 for g in I.gens):
-        return (Polynomial.constant(I.ctx, 1),)
-    return I.gens
-
-
-def _nilpotency_bound(I: Ideal, budget: int) -> int | None:
-    """A proven N with (maximal ideal)^N inside I, or None.
-
-    From the axis caps of a standard basis: every monomial of degree at
-    least 1 + sum(cap_v - 1) is divisible by a pure leading power, and Mora
-    reduction of such a monomial stays in the same degree range, so it must
-    reach zero.  The bound is sound but often not the smallest such N
-    (1 + the largest degree of a standard monomial is sound too, and often
-    lower).  None when I is not zero-dimensional.
-    """
-    basis = standard_basis(I, budget=budget)
-    caps = _axis_caps(basis.leading_monomials, I.ctx.n)
-    if caps is None:
-        return None
-    return max(0, sum(c - 1 for c in caps)) + 1
-
-
 def _degree_capped(I: Ideal, bound: int) -> Ideal:
     """An equal ideal with all degrees below the bound.
 
     Valid only when the maximal ideal to the given power lies inside I:
     tails of degree >= bound are discarded and the monomials of degree
-    `bound` are appended instead.  This keeps every later reduction at
-    bounded degree; without it, colon and intersection folds drag enormous
-    witness tails through Mora division.
+    `bound` are appended instead.
     """
     gens = [g.jet(bound) for g in I.gens]
     gens += [Polynomial.monomial(I.ctx, e) for e in exponents_of_degree(I.ctx.n, bound)]
     return Ideal(I.ctx, gens)
 
 
-def _intersection_witnesses(I: Ideal, J: Ideal, budget: int) -> list[Vec]:
-    """Syzygies of [(1,1)] + [(f_i,0)] + [(0,g_j)] over the rank-2 free module.
+def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: int) -> Ideal:
+    """The ideal {c : c*v in I_1*e_1 + ... + I_k*e_k}, from one syzygy run.
 
-    Each syzygy (c, a, b) satisfies c = -sum(a_i f_i) = -sum(b_j g_j), so the
-    c components generate the intersection and, for a principal J = (g), the
-    b component is the exact quotient c / (-g) needed by the colon.
+    A row (c, a) of the syzygies of [v] + [f*e_i for f in I_i] says that
+    c*v = -sum(a_j * f_j*e_i) lies in the submodule, and every such c has a
+    row, so the first components generate the quotient.  Each row is
+    checked to be a relation.
+
+    When every I_i is zero-dimensional, let N be the largest of 1 + the top
+    degree of a standard monomial of I_i.  Then m^N lies in every I_i, and
+    in the quotient (c in m^N puts each c*v_i in I_i), so the I_i, v and the
+    quotient are cut at degree N (`_degree_capped`, with v_i cut to
+    v_i.jet(N)) without changing any of them as ideals or the quotient:
+    every dropped term times anything lies in the submodule.  This keeps the
+    Schreyer run at bounded degree; uncapped, it can drag tails of unbounded
+    degree through Mora division.
     """
-    require_same_ctx(I.ctx, J.ctx)
-    ctx = I.ctx
-    one = Polynomial.constant(ctx, 1)
+    ctx, k = ideals[0].ctx, len(ideals)
     zero = Polynomial.zero(ctx)
-    vecs: list[Vec] = [(one, one)]
-    vecs += [(f, zero) for f in I.gens]
-    vecs += [(zero, g) for g in J.gens]
-    syz = _syzygies_of(vecs, ctx, 2, budget)
-    return list(syz.gens)
+    standard = [
+        _basis_standard_exponents(standard_basis(I, budget=budget)) for I in dict.fromkeys(ideals)
+    ]
+    bound = None
+    if all(exps is not None for exps in standard):
+        bound = 1 + max((sum(e) for exps in standard for e in exps), default=-1)
+        ideals = [_degree_capped(I, bound) for I in ideals]
+        v = [g.jet(bound) for g in v]
+    vecs: list[Vec] = [tuple(v)]
+    for i, I in enumerate(ideals):
+        vecs += [tuple(f if j == i else zero for j in range(k)) for f in I.gens]
+    rows = _syzygies_of(vecs, ctx, k, budget).gens
+    for row in rows:
+        for comp in range(k):
+            total = zero
+            for a, w in zip(row, vecs):
+                if not w[comp].is_zero():
+                    total = total + a * w[comp]
+            if not total.is_zero():
+                raise InternalError("syzygy output is not a relation")
+    quotient = Ideal(ctx, [row[0] for row in rows])
+    return quotient if bound is None else _degree_capped(quotient, bound)
 
 
 def ideal_intersection(I: Ideal, J: Ideal, *, budget: int = DEFAULT_BUDGET) -> Ideal:
-    """Intersection of two ideals via the syzygy method.
+    """Intersection of two ideals: the c with c*(1, 1) in I*e_1 + J*e_2.
 
     No auxiliary elimination variable is introduced, so the local order is
-    preserved throughout.  Zero-dimensional inputs are degree-capped first,
-    which bounds the whole computation.
+    preserved throughout.
     """
-    if not I.gens or not J.gens:
-        return Ideal(I.ctx, [])
-    a = Ideal(I.ctx, _canonical_gens(I))
-    b = Ideal(J.ctx, _canonical_gens(J))
-    bound_a = _nilpotency_bound(a, budget)
-    bound_b = _nilpotency_bound(b, budget)
-    if bound_a is not None and bound_b is not None:
-        bound = max(bound_a, bound_b)
-        a = _degree_capped(a, bound)
-        b = _degree_capped(b, bound)
-    witnesses = _intersection_witnesses(a, b, budget)
-    return Ideal(I.ctx, [w[0] for w in witnesses if not w[0].is_zero()])
+    require_same_ctx(I.ctx, J.ctx)
+    one = Polynomial.constant(I.ctx, 1)
+    return _syzygy_quotient([I, J], [one, one], budget)
 
 
 def ideal_colon(I: Ideal, J: Ideal, *, budget: int = DEFAULT_BUDGET) -> Ideal:
-    """Ideal quotient I : J, as the intersection of the single-divisor colons.
-
-    Each I : (g) is (I intersect (g)) divided by g; the division is exact by
-    construction and performed through the syzygy witness, whose product with
-    g is checked against the intersection generator.
-    """
+    """Ideal quotient I : J: the c with c*(g_1, ..., g_k) in I^k, for J = (g_1, ..., g_k)."""
     require_same_ctx(I.ctx, J.ctx)
     if not J.gens:
         raise BrsError("colon by the zero ideal is undefined")
-    result: Ideal | None = None
-    I = Ideal(I.ctx, _canonical_gens(I))
-    # Every single-divisor colon contains I, so one degree cap serves the
-    # whole fold.
-    bound = _nilpotency_bound(I, budget) if I.gens else None
-    work = _degree_capped(I, bound) if bound is not None else I
-    p = len(work.gens)
-    for g in _canonical_gens(J):
-        witnesses = _intersection_witnesses(work, Ideal(I.ctx, [g]), budget)
-        gens = []
-        for w in witnesses:
-            c, b = w[0], w[1 + p]
-            if c.is_zero() and b.is_zero():
-                continue
-            if not (c + b * g).is_zero():
-                raise InternalError("colon witness failed exact division")
-            if not b.is_zero():
-                gens.append(b)
-        colon_g = Ideal(I.ctx, gens)
-        if bound is not None:
-            colon_g = _degree_capped(colon_g, bound)
-        result = colon_g if result is None else ideal_intersection(result, colon_g, budget=budget)
-    assert result is not None
-    return result
+    return _syzygy_quotient([I] * len(J.gens), J.gens, budget)
 
 
 def ideals_equal(I: Ideal, J: Ideal, *, budget: int = DEFAULT_BUDGET) -> bool:

@@ -4,8 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from brs import Ideal, Polynomial, VarContext, parse_poly
-from brs.oracle import _jet_model
+from brs import (
+    NOT_FINITE,
+    Ideal,
+    JetTruncation,
+    Monomial,
+    NotFiniteType,
+    Polynomial,
+    StandardBasis,
+    VarContext,
+    parse_poly,
+)
+from brs.oracle import _generators, _span
+from brs.stdbasis import _basis_standard_exponents
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -42,13 +53,34 @@ def P(ctx2):
     return parse
 
 
+def jet_model_at(I: Ideal, d: int):
+    """The jet model of I + maximal ideal^d, from every monomial shift of the generators."""
+    return _span(I.ctx, _generators(I.gens), JetTruncation.build(I.ctx.n, d))
+
+
 def jet_contains(I: Ideal, p: Polynomial, d: int) -> bool:
     """Membership of p in I at jet level d, i.e. in I + maximal ideal^d.
 
     A true answer at a level beyond the largest standard monomial degree of
     a zero-dimensional I certifies real membership.
     """
-    return _jet_model(I, d).contains(p)
+    return jet_model_at(I, d).contains(p)
+
+
+def jet_quotient_dim(I: Ideal, d: int) -> int:
+    """Exact dimension of the quotient by (I + maximal ideal^d)."""
+    return jet_model_at(I, d).colength
+
+
+def standard_monomials(basis: StandardBasis) -> list[Monomial] | NotFiniteType:
+    """Monomials outside the leading ideal of an ideal's basis; a basis of the quotient."""
+    exps = _basis_standard_exponents(basis)
+    return NOT_FINITE if exps is None else [Monomial(e) for e in exps]
+
+
+def monomial_index(jt: JetTruncation) -> dict[tuple[int, ...], int]:
+    """The row of each monomial of a truncation, by exponents."""
+    return {exps: row for row, exps in enumerate(jt.table.exps[: jt.size])}
 
 
 def corpus_paths(prefix: str | None = None) -> list[Path]:

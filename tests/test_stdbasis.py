@@ -24,11 +24,10 @@ from brs import (
     module_quotient_dim,
     mora_normal_form,
     standard_basis,
-    standard_monomials,
     syzygies,
     tjurina,
 )
-from conftest import jet_contains
+from conftest import jet_contains, jet_model_at, standard_monomials
 from strategies import CTX2, polynomials, zero_dim_ideals
 
 
@@ -147,7 +146,7 @@ class TestColength:
         import brs.oracle as oracle_module
 
         def too_low(ideal, cap=None):
-            return oracle_module._jet_model(ideal, 2)
+            return jet_model_at(ideal, 2)
 
         I = Ideal(CTX2, [P("x^2"), P("y^3")])
         assert colength(I) == 6
@@ -278,6 +277,40 @@ class TestColon:
         quot = ideal_colon(I, J)
         assert ideal_contains(quot, I)  # I is always inside I : J
         assert ideal_contains(I, ideal_product(quot, J))
+
+    def test_degree_cap_keeps_the_syzygy_run_small(self, P):
+        # I = (x, y) up to units, so m^1 lies in I and the colon; cut at
+        # degree 1 the run is tiny, while uncapped it exhausts this budget.
+        I = Ideal(
+            CTX2,
+            [P("-9*x^3 + 19/5*x*y^3 - 30/7*x^3*y^2"), P("25/7*y - 41/5*x*y^2"), P("2*x + 5*x*y^2")],
+        )
+        J = Ideal(
+            CTX2,
+            [P("-22/5*x^2"), P("-6*y^2 - 21/5*x^2*y^2 + 41/5*x^3*y^2"), P("-7*y - 33/4*x^2")],
+        )
+        got = ideal_colon(I, J, budget=50)
+        assert colength(got) == 0
+        assert ideals_equal(Ideal(CTX2, jet_model(I).colon(J.gens).generators()), got)
+
+    @pytest.mark.parametrize("divisors", [["x"], ["x", "y^2"], ["x", "y^2", "x*y"]])
+    def test_one_syzygy_run_per_colon(self, divisors, P, monkeypatch):
+        # However many divisors, the colon is one syzygy computation and
+        # no intersection of single-divisor colons.
+        import brs.stdbasis as stdbasis_module
+
+        calls: list = []
+        for name in ("_syzygies_of", "ideal_intersection"):
+            real = getattr(stdbasis_module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(stdbasis_module, name, counted)
+        I = Ideal(CTX2, [P("x^2 - y^5"), P("x*y")])
+        ideal_colon(I, Ideal(CTX2, [P(g) for g in divisors]))
+        assert calls == ["_syzygies_of"]
 
 
 def jet_equal(a, b) -> bool:
