@@ -856,13 +856,12 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
         vecs += [tuple(f if j == i else zero for j in range(k)) for f in I.gens]
     rows = _syzygies_of(vecs, ctx, k, budget).gens
     for row in rows:
-        for comp in range(k):
-            total = zero
-            for a, w in zip(row, vecs):
-                if not w[comp].is_zero():
-                    total = total + a * w[comp]
-            if not total.is_zero():
-                raise InternalError("syzygy output is not a relation")
+        totals = [zero] * k
+        for a, w in zip(row, vecs):
+            if not a.is_zero():
+                totals = [t if p.is_zero() else t + a * p for t, p in zip(totals, w)]
+        if any(not t.is_zero() for t in totals):
+            raise InternalError("syzygy output is not a relation")
     quotient = Ideal(ctx, [row[0] for row in rows])
     return quotient if bound is None else _degree_capped(quotient, bound)
 

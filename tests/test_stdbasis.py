@@ -312,6 +312,21 @@ class TestColon:
         ideal_colon(I, Ideal(CTX2, [P(g) for g in divisors]))
         assert calls == ["_syzygies_of"]
 
+    def test_a_row_that_is_no_relation_is_caught(self, P, monkeypatch):
+        import brs.stdbasis as stdbasis_module
+        from brs import InternalError
+
+        real = stdbasis_module._syzygies_of
+
+        def corrupted(vecs, ctx, rank, budget):
+            syz = real(vecs, ctx, rank, budget)
+            first = (syz.gens[0][0] + P("x"),) + syz.gens[0][1:]
+            return Submodule(ctx, syz.rank, [first, *syz.gens[1:]])
+
+        monkeypatch.setattr(stdbasis_module, "_syzygies_of", corrupted)
+        with pytest.raises(InternalError):
+            ideal_colon(*case_ideals(COLON_CASES["by_variable"]))
+
 
 def jet_equal(a, b) -> bool:
     return a.contains_all(b.generators()) and b.contains_all(a.generators())
