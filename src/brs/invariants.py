@@ -416,15 +416,18 @@ def analyze(
     ideals: dict[str, Ideal] = {}
     counts: dict[str, _Count] = {}
 
-    def count(name: str, ideal: Ideal, base: str | None = None, within: str | None = None) -> Value:
-        # With a `base`, `ideal` is I_X plus the ideal counted under that name.
-        # `within` names a counted ideal that contains `ideal`: the level of
-        # its model is the floor of the walk.
+    def count(name: str, ideal: Ideal, base: str | None = None, floor: int = 0) -> Value:
+        # With a `base`, `ideal` is I_X plus the ideal counted under that name;
+        # without a model of the base, `ideal` is walked from `floor`.
         ideals[name] = ideal
         model = counts[base].model if base else None
-        outer = counts[within].model if within else None
-        counts[name] = _count(ideal, budget, model, I_X, outer.level if outer else 0)
+        counts[name] = _count(ideal, budget, model, I_X, floor)
         return counts[name].value
+
+    def level(name: str) -> int:
+        # The level of a counted ideal's model: a floor for any ideal inside it.
+        model = counts[name].model
+        return model.level if model else 0
 
     # Jacobian-route invariants (no tangent module involved).
     t0 = time.perf_counter()
@@ -433,8 +436,10 @@ def analyze(
     mu_f = count("mu_f", Jf)
     mu_X = count("mu_X", Ideal(ctx, jacobian_ideal(phi)))
     tau_X = count("tau_X", I_X + ideals["mu_X"], base="mu_X")
-    # Every minor lies in J_phi, so the Le-Greuel ideal lies in (phi) + J_phi.
-    lg_total = count("legreuel", _legreuel_ideal(phi, f), within="tau_X")
+    # df_T is the minors plus phi * Jf, and every minor lies in J_phi, so
+    # df_T lies in (phi) + J_phi; the Le-Greuel ideal is df_T + (phi).
+    count("trivial", df_trivial_ideal(f, phi), floor=level("tau_X"))
+    lg_total = count("legreuel", _legreuel_ideal(phi, f), base="trivial", floor=level("tau_X"))
     mu_fiber = (
         lg_total - mu_X if (is_finite(lg_total) and is_finite(mu_X)) else NOT_FINITE
     )
@@ -449,8 +454,6 @@ def analyze(
     df_X = df_ideal(f, theta)
     mu_BR = count("br", df_X)
     mu_BR_rel = count("br_rel", df_X + I_X, base="br")
-    # df_T is the minors plus phi * Jf: it lies in the Le-Greuel ideal.
-    count("trivial", df_trivial_ideal(f, phi), within="legreuel")
     count("trivial_rel", ideals["trivial"] + I_X, base="trivial")
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
 
@@ -481,8 +484,13 @@ def analyze(
         lifted = Ideal(ctx, [p.embed(ctx) for p in base_tau_ideal.gens + g_milnor_ideal.gens])
         facts.mu_g = count("split_g_milnor", g_milnor_ideal)
         facts.base_br = bruce_roberts(split.phi_base, split.f_base, budget=budget)
-        facts.lifted = count("split_lifted", lifted)
         facts.base_tau = count("split_base_tau", base_tau_ideal)
+        # `lifted` is the sum of these two ideals, in disjoint variables.
+        # With levels a, b >= 1 its level is a + b - 1: a monomial of that
+        # degree has degree at least a in the base variables or at least b
+        # in the fresh ones.  A unit summand (level 0) makes the sum a unit.
+        a, b = level("split_base_tau"), level("split_g_milnor")
+        facts.lifted = count("split_lifted", lifted, floor=a + b - 1 if a and b else 0)
         facts.mu_f_base = milnor(split.f_base, budget=budget) if split.f_base else NOT_FINITE
         entries += [_evaluate(row, facts) for row in _SPLIT_LEDGER]
     timings["identities"] = (time.perf_counter() - t0) * 1000

@@ -32,6 +32,18 @@ wrong floor costs time, never a value.  A free certificate of infinite
 colength, `axis_certificate`, is checked before any walk.  `oracle_colength`
 is the same walk under a fixed cap: it reports NotFinite only with a
 certificate and Inconclusive at the cap, never a guess.
+
+An echelon is built from the shifts x^t * g_j of the generators, but not
+from all of them: a shift whose row t is already a pivot when g_j comes in
+is skipped (Faugere's F5 criterion; `_insert_shifts`).  That pivot is the
+lowest row of a stored column h, the truncation of some H in the ideal of
+the earlier generators (and, in `extended_jet_model`, of the ideal whose
+model it extends), so trunc(H * g_j) is already spanned, and
+a * trunc(x^t * g_j) = trunc(h * g_j) - sum_(s>t) h_s * trunc(x^s * g_j)
+with a the pivot entry.  By descending induction on t every skipped shift
+lies in the span of the inserted ones, so the span, every dim, level,
+membership, colon and containment are those of all the shifts; only which
+column is stored at a pivot may change.
 """
 
 from __future__ import annotations
@@ -356,16 +368,32 @@ class JetModel:
 
 
 def _insert_shifts(ech: _Echelon, gens: Generators, jt: JetTruncation) -> None:
-    """Insert every monomial shift of the generators that has a term below the cap.
+    """Insert the monomial shifts of the generators that can widen the span.
 
-    The shifts of degree below cap - (tail degree) are a prefix of the table.
+    A shift x^t * g_j has a term below the cap when its degree lies below
+    cap - (tail degree of g_j): a prefix of the table.  Of those, the shifts
+    whose row t is already a pivot when g_j comes in are skipped, since they
+    would reduce to zero (Faugere's F5 criterion).  Proof: the column h with
+    pivot t is the truncation of some H in (g_1, ..., g_(j-1)), or in the
+    ideal whose echelon `ech` held on entry, whose span is that ideal's
+    image in R/m^cap.  So trunc(H * g_j) = trunc(h * g_j) is already in the
+    span, and with h = a*x^t + sum_(s>t) h_s*x^s (a != 0),
+
+        a * trunc(x^t * g_j) = trunc(h * g_j) - sum_(s>t) h_s * trunc(x^s * g_j).
+
+    By descending induction on t every skipped shift is in the span of the
+    inserted ones: the span, hence every pivot row, every dim and every
+    answer, is that of all the shifts; only the column stored at a pivot
+    may differ.
     """
     table, cap = jt.table, jt.degree_cap
     for lead_deg, terms in gens:
         if not terms or lead_deg >= cap:
             continue
+        spanned = set(ech.pivots)
         for i in range(table.starts[cap - lead_deg]):
-            ech.insert(_shifted(terms, table.packed[i], cap - table.degree[i], table.row))
+            if i not in spanned:
+                ech.insert(_shifted(terms, table.packed[i], cap - table.degree[i], table.row))
 
 
 def _span(ctx: VarContext, gens: Generators, jt: JetTruncation) -> JetModel:

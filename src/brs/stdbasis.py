@@ -803,13 +803,36 @@ def syzygies(
     return _syzygies_of(vecs, ctx, rank, budget)
 
 
-def _syzygies_of(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> Submodule:
-    s = len(vecs)
-    if s == 0:
+def _schreyer_rows(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> list[IVec]:
+    """The generators of the relation module of `vecs`, primitive, in integer terms."""
+    if not vecs:
         raise ContextError("syzygies of an empty generator list")
     collected: list[IVec] = []
     _complete(vecs, ctx, rank, budget, track=True, collect=collected)
-    return Submodule(ctx, s, [_vector(ctx, _primitive(row)[0]) for row in collected if any(row)])
+    return [_primitive(row)[0] for row in collected if any(row)]
+
+
+def _syzygies_of(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> Submodule:
+    rows = _schreyer_rows(vecs, ctx, rank, budget)
+    return Submodule(ctx, len(vecs), [_vector(ctx, row) for row in rows])
+
+
+def _is_relation(row: IVec, vecs: Sequence[IVec]) -> bool:
+    """Whether sum_k row[k] * vecs[k] is zero, all in integer terms.
+
+    `vecs` may be the inputs of the syzygy run scaled by any one common
+    factor (`_to_ivecs`): a relation stays a relation.
+    """
+    for comp in range(len(vecs[0])):
+        total: dict[Key, int] = {}
+        for a, v in zip(row, vecs):
+            for (da, ea), ca in a:
+                for (dv, ev), cv in v[comp]:
+                    k = (da + dv, tuple(map(add, ea, ev)))
+                    total[k] = total.get(k, 0) + ca * cv
+        if any(total.values()):
+            return False
+    return True
 
 
 def _degree_capped(I: Ideal, bound: int) -> Ideal:
@@ -830,7 +853,7 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
     A row (c, a) of the syzygies of [v] + [f*e_i for f in I_i] says that
     c*v = -sum(a_j * f_j*e_i) lies in the submodule, and every such c has a
     row, so the first components generate the quotient.  Each row is
-    checked to be a relation.
+    checked to be a relation, in integer terms (`_is_relation`).
 
     When every I_i is zero-dimensional, let N be the largest of 1 + the top
     degree of a standard monomial of I_i.  Then m^N lies in every I_i, and
@@ -855,13 +878,9 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
     for i, I in enumerate(ideals):
         vecs += [tuple(f if j == i else zero for j in range(k)) for f in I.gens]
     rows = _syzygies_of(vecs, ctx, k, budget).gens
-    for row in rows:
-        totals = [zero] * k
-        for a, w in zip(row, vecs):
-            if not a.is_zero():
-                totals = [t if p.is_zero() else t + a * p for t, p in zip(totals, w)]
-        if any(not t.is_zero() for t in totals):
-            raise InternalError("syzygy output is not a relation")
+    _, scaled = _to_ivecs(vecs)
+    if not all(_is_relation(row, scaled) for row in _to_ivecs(rows)[1]):
+        raise InternalError("syzygy output is not a relation")
     quotient = Ideal(ctx, [row[0] for row in rows])
     return quotient if bound is None else _degree_capped(quotient, bound)
 

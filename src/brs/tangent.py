@@ -24,7 +24,10 @@ from .stdbasis import (
     DEFAULT_BUDGET,
     Ideal,
     Submodule,
-    _syzygies_of,
+    _is_relation,
+    _schreyer_rows,
+    _to_ivecs,
+    _vector,
     membership,
     standard_basis,
 )
@@ -113,21 +116,21 @@ def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationMo
     that is when (xi_1, ..., xi_n, a) is a syzygy of the partials of phi
     followed by phi itself.  Generators are not minimized: only the ideal
     df(theta) matters downstream and minimization changes no invariant.
+    Each syzygy is checked to be a relation in the kernel's integer terms,
+    before it becomes a vector field.
     """
     if phi.is_zero() or phi.constant_term() != 0:
         raise GermError("phi must be a nonzero germ vanishing at 0")
     ctx = phi.ctx
     n = ctx.n
-    partials = [phi.partial(i) for i in range(n)]
-    syz = _syzygies_of([(p,) for p in partials] + [(phi,)], ctx, 1, budget)
+    inputs = [(phi.partial(i),) for i in range(n)] + [(phi,)]
+    _, scaled = _to_ivecs(inputs)
     gens = []
-    for vec in syz.gens:
-        xi = VectorField(tuple(vec[:n]))
-        check = _paired(partials, xi) + vec[n] * phi
-        if not check.is_zero():
+    for row in _schreyer_rows(inputs, ctx, 1, budget):
+        if not _is_relation(row, scaled):
             raise InternalError("syzygy output is not tangent to the hypersurface")
-        if not xi.is_zero():
-            gens.append(xi)
+        if any(row[:n]):
+            gens.append(VectorField(_vector(ctx, row[:n])))
     return DerivationModule(gens=tuple(gens), flavor="full")
 
 

@@ -15,7 +15,7 @@ from brs import (
     VarContext,
     parse_poly,
 )
-from brs.oracle import _generators, _span
+from brs.oracle import JetModel, _Echelon, _generators, _shifted, _span
 from brs.stdbasis import _basis_standard_exponents
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +56,22 @@ def P(ctx2):
 def jet_model_at(I: Ideal, d: int):
     """The jet model of I + maximal ideal^d, from every monomial shift of the generators."""
     return _span(I.ctx, _generators(I.gens), JetTruncation.build(I.ctx.n, d))
+
+
+def every_shift_model(I: Ideal, d: int) -> JetModel:
+    """The jet model of I + maximal ideal^d from every monomial shift of the generators.
+
+    None is skipped: this is the plain insertion loop, the reference for the
+    engine's `_span`, which skips the shifts that would reduce to zero.
+    """
+    jt = JetTruncation.build(I.ctx.n, d)
+    table, ech = jt.table, _Echelon()
+    for lead_deg, terms in _generators(I.gens):
+        if not terms or lead_deg >= d:
+            continue
+        for i in range(table.starts[d - lead_deg]):
+            ech.insert(_shifted(terms, table.packed[i], d - table.degree[i], table.row))
+    return JetModel(I.ctx, jt, ech)
 
 
 def jet_contains(I: Ideal, p: Polynomial, d: int) -> bool:

@@ -6,6 +6,7 @@ import brs.stdbasis as stdbasis_module
 from brs import (
     HypersurfaceProblem,
     NOT_FINITE,
+    VarContext,
     analyze,
     bruce_roberts,
     detect_split,
@@ -230,11 +231,22 @@ class TestLedger:
         for entry in ("intersect-product", "colon-full", "colon-trivial"):
             assert by_name[entry].status == "pass"
 
+    def test_generic_linear_function_in_four_variables(self):
+        # The paper's main case one dimension up, where the jet engine's
+        # eliminations dominate: every colength is proven by a jet walk.
+        ctx = VarContext(("x", "y", "z", "w"))
+        report = analyze(prob("x^4 + y^4 + z^4 + w^4 + x*y*z*w", "x + 2*y - z + 3*w", ctx))
+        got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
+        assert got == (0, 81, 81, 27, 27, 27)
+        assert report.gated and all(e.status == "pass" for e in report.gated)
+        assert set(report.routes.values()) == {"jet"}
+
     def test_walks_build_only_the_echelons_they_need(self, monkeypatch):
-        # One echelon gives every dim up to its cap, and the walks of the
-        # Le-Greuel ideal and of df_T start at the levels of the ideals that
-        # contain them: 15 echelons in all, where walking level by level
-        # built 30, and df_T stops at its floor with a single one.
+        # One echelon gives every dim up to its cap, and the walk of df_T
+        # starts at the level of (phi) + J_phi, which contains it: 14
+        # echelons in all, where walking level by level built 30.  The
+        # Le-Greuel ideal is df_T + (phi), so it extends df_T's model and
+        # builds none.
         walking: list = []
         built: list = []
         real_walk, real_span = invariants_module.jet_model, oracle_module._span
@@ -254,9 +266,13 @@ class TestLedger:
         monkeypatch.setattr(oracle_module, "_span", span)
         parsed = parse_problem((CORPUS_DIR / "nwh_t444_generic.brs").read_text(encoding="utf-8"))
         report = analyze(parsed.problem)
-        assert len(built) == 15
-        assert sum(I is report.ideals["trivial"] for I in built) == 1
-        assert report.routes["trivial"] == "jet"
+        per_ideal = {
+            name: sum(I is report.ideals[name] for I in built)
+            for name in ("mu_f", "mu_X", "br", "trivial", "legreuel")
+        }
+        assert per_ideal == {"mu_f": 1, "mu_X": 6, "br": 4, "trivial": 3, "legreuel": 0}
+        assert len(built) == 14
+        assert report.routes["trivial"] == report.routes["legreuel"] == "jet"
 
     @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "nwh_t45_f_x.brs"])
     @pytest.mark.parametrize("mora", ["mu_f", "br", "trivial"])

@@ -20,9 +20,9 @@ from brs import (
     oracle_colength,
     parse_poly,
 )
-from brs.oracle import extended_jet_model
-from conftest import jet_contains, jet_quotient_dim, monomial_index
-from strategies import CTX2, germs, polynomials, zero_dim_ideals
+from brs.oracle import _generators, _insert_shifts, _span, extended_jet_model
+from conftest import every_shift_model, jet_contains, jet_quotient_dim, monomial_index
+from strategies import CTX2, CTX3, germs, polynomials, zero_dim_ideals
 
 
 def I2(*sources):
@@ -208,6 +208,46 @@ class TestFloors:
                 assert (got is None) == (cap == want.level)
                 if got is not None:
                     assert (got.level, got.colength) == (want.level, want.colength)
+
+
+def same_span(got, want) -> bool:
+    # The inserted shifts are some of all the shifts, so the spans are equal
+    # exactly when the ranks are; equal pivot rows say more.
+    return set(got.ech.pivots) == set(want.ech.pivots) and got.free_rows() == want.free_rows()
+
+
+class TestSkippedShifts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        ctx=st.sampled_from([CTX2, CTX3]),
+    )
+    def test_skipping_keeps_the_span(self, data, ctx):
+        # At every cap, the echelon that skips the shifts whose row is
+        # already a pivot has the pivots of the one that inserts them all,
+        # both from scratch and on top of the echelon of another ideal.
+        I = data.draw(zero_dim_ideals(ctx))
+        extra = data.draw(st.lists(germs(ctx), min_size=1, max_size=2))
+        total = I + Ideal(ctx, extra)
+        for cap in range(1, 7):
+            jt = JetTruncation.build(ctx.n, cap)
+            assert same_span(_span(ctx, _generators(total.gens), jt), every_shift_model(total, cap))
+            extended = _span(ctx, _generators(I.gens), jt)
+            _insert_shifts(extended.ech, _generators(extra), jt)
+            assert same_span(extended, every_shift_model(total, cap)), cap
+
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals(), extra=st.lists(germs(), min_size=1, max_size=2))
+    def test_an_extended_model_keeps_the_span(self, I, extra):
+        base = jet_model(I)
+        if base is None:
+            return
+        total = I + Ideal(CTX2, extra)
+        got = extended_jet_model(total, base, extra)
+        if got is None:
+            assert jet_model(total) is None
+            return
+        assert same_span(got, every_shift_model(total, base.level).truncated(got.level))
 
 
 class TestModelContainment:

@@ -1,11 +1,13 @@
 import pytest
 
+import brs.tangent as tangent_module
 from brs import (
     ContextError,
     DerivationModule,
     GermError,
     HypersurfaceProblem,
     Ideal,
+    InternalError,
     VarContext,
     VectorField,
     colength,
@@ -83,6 +85,21 @@ class TestThetaFull:
         sb = standard_basis(Ideal(CTX2, [phi]))
         for xi in theta_full(phi).gens:
             assert mora_normal_form(df_pair(phi, xi), sb).is_zero()
+
+    def test_a_row_that_is_not_tangent_is_caught(self, P, monkeypatch):
+        # Double the first component of one syzygy row: it is then no
+        # relation, and theta_full must refuse it before building a field.
+        real = tangent_module._schreyer_rows
+
+        def corrupted(vecs, ctx, rank, budget):
+            rows = real(vecs, ctx, rank, budget)
+            k = next(i for i, row in enumerate(rows) if row[0])
+            doubled = (tuple((key, 2 * c) for key, c in rows[k][0]),) + rows[k][1:]
+            return rows[:k] + [doubled] + rows[k + 1 :]
+
+        monkeypatch.setattr(tangent_module, "_schreyer_rows", corrupted)
+        with pytest.raises(InternalError):
+            theta_full(P("x^2 + y^3"))
 
 
 class TestDfIdeals:
