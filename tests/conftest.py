@@ -61,8 +61,8 @@ def jet_model_at(I: Ideal, d: int):
 def every_shift_model(I: Ideal, d: int) -> JetModel:
     """The jet model of I + maximal ideal^d from every monomial shift of the generators.
 
-    None is skipped: this is the plain insertion loop, the reference for the
-    engine's `_span`, which skips the shifts that would reduce to zero.
+    No shift is skipped: this is the plain insertion loop, the reference for
+    the engine's `_span`, which skips the shifts that would reduce to zero.
     """
     jt = JetTruncation.build(I.ctx.n, d)
     table, ech = jt.table, _Echelon()

@@ -225,7 +225,7 @@ class TestSkippedShifts:
     def test_skipping_keeps_the_span(self, data, ctx):
         # At every cap, the echelon that skips the shifts whose row is
         # already a pivot has the pivots of the one that inserts them all,
-        # both from scratch and on top of the echelon of another ideal.
+        # both from an empty echelon and on top of another ideal's echelon.
         I = data.draw(zero_dim_ideals(ctx))
         extra = data.draw(st.lists(germs(ctx), min_size=1, max_size=2))
         total = I + Ideal(ctx, extra)
