@@ -417,8 +417,9 @@ def analyze(
     counts: dict[str, _Count] = {}
 
     def count(name: str, ideal: Ideal, base: str | None = None, floor: int = 0) -> Value:
-        # With a `base`, `ideal` is I_X plus the ideal counted under that name;
-        # without a model of the base, `ideal` is walked from `floor`.
+        # With a `base`, `ideal` is I_X plus the ideal counted under that name,
+        # and extends its model.  Otherwise `ideal` is walked from `floor`, the
+        # level of an ideal known to contain it.
         ideals[name] = ideal
         model = counts[base].model if base else None
         counts[name] = _count(ideal, budget, model, I_X, floor)
