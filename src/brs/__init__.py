@@ -15,66 +15,20 @@ from .errors import (
     InternalError,
     ParseError,
 )
-from .polycore import (
-    Monomial,
-    Polynomial,
-    VarContext,
-    VectorField,
-    jacobian_ideal,
-    minors_2x2,
-)
-from .stdbasis import (
-    DEFAULT_BUDGET,
-    Ideal,
-    NOT_FINITE,
-    NotFiniteType,
-    StandardBasis,
-    Submodule,
-    colength,
-    ideal_colon,
-    ideal_contains,
-    ideal_intersection,
-    ideal_product,
-    ideals_equal,
-    is_finite,
-    membership,
-    module_quotient_dim,
-    mora_normal_form,
-    standard_basis,
-    syzygies,
-)
-from .oracle import (
-    INCONCLUSIVE,
-    InconclusiveType,
-    JetModel,
-    JetTruncation,
-    axis_certificate,
-    jet_model,
-    oracle_colength,
-)
-from .tangent import (
-    DerivationModule,
-    HypersurfaceProblem,
-    df_ideal,
-    df_pair,
-    df_trivial_ideal,
-    suspend,
-    theta_contains,
-    theta_full,
-    theta_trivial,
-)
+from .polycore import Polynomial, VarContext
+from .stdbasis import NOT_FINITE, is_finite
+from .tangent import HypersurfaceProblem
 from .invariants import (
     InvariantReport,
     LedgerEntry,
     analyze,
     bruce_roberts,
-    detect_split,
     fiber_milnor,
     milnor,
     relative_bruce_roberts,
     tjurina,
 )
-from .parsing import ParsedProblem, ProblemFile, parse_poly, parse_problem
+from .parsing import parse_poly, parse_problem
 
 __version__ = "0.1.0"
 
@@ -86,57 +40,19 @@ __all__ = [
     "GermError",
     "InternalError",
     "ParseError",
-    "Monomial",
     "Polynomial",
     "VarContext",
-    "VectorField",
-    "jacobian_ideal",
-    "minors_2x2",
-    "DEFAULT_BUDGET",
-    "Ideal",
     "NOT_FINITE",
-    "NotFiniteType",
-    "StandardBasis",
-    "Submodule",
-    "colength",
-    "ideal_colon",
-    "ideal_contains",
-    "ideal_intersection",
-    "ideal_product",
-    "ideals_equal",
     "is_finite",
-    "membership",
-    "module_quotient_dim",
-    "mora_normal_form",
-    "standard_basis",
-    "syzygies",
-    "INCONCLUSIVE",
-    "InconclusiveType",
-    "JetModel",
-    "JetTruncation",
-    "axis_certificate",
-    "jet_model",
-    "oracle_colength",
-    "DerivationModule",
     "HypersurfaceProblem",
-    "df_ideal",
-    "df_pair",
-    "df_trivial_ideal",
-    "suspend",
-    "theta_contains",
-    "theta_full",
-    "theta_trivial",
     "InvariantReport",
     "LedgerEntry",
     "analyze",
-    "bruce_roberts",
-    "detect_split",
-    "fiber_milnor",
     "milnor",
-    "relative_bruce_roberts",
     "tjurina",
-    "ParsedProblem",
-    "ProblemFile",
+    "fiber_milnor",
+    "bruce_roberts",
+    "relative_bruce_roberts",
     "parse_poly",
     "parse_problem",
 ]

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import click
 
-from .errors import BrsError, BudgetError
+from .errors import BrsError, BudgetError, ParseError
 from .invariants import analyze
 from .oracle import DEFAULT_CAP
-from .parsing import parse_problem
+from .parsing import _check_max_jet, parse_problem
 from .report import (
     corpus_row,
     render_corpus_json,
@@ -39,34 +39,45 @@ def main():
     """
 
 
-def _effective(cli_value, file_value, default):
-    if cli_value is not None:
-        return cli_value
-    if file_value is not None:
-        return file_value
-    return default
-
-
 def _run_one(path: Path, oracle, max_jet, budget, tau):
     text = path.read_text(encoding="utf-8")
     parsed = parse_problem(text)
     return parsed, analyze(
         parsed.problem,
         path=str(path),
-        oracle=_effective(oracle, parsed.oracle or None, False),
+        oracle=bool(oracle or parsed.oracle),
         max_jet=parsed.max_jet if max_jet is None else max_jet,
         tau_check=tau,
         budget=budget if budget is not None else DEFAULT_BUDGET,
     )
 
 
+def _max_jet(ctx, param, value):
+    # Checked by the problem file's own rule, before any problem is read.
+    try:
+        return value if value is None else _check_max_jet(value)
+    except ParseError as exc:
+        click.echo(f"error: --max-jet: {exc.message}", err=True)
+        sys.exit(EXIT_INPUT_ERROR)
+
+
+def _run_options(command):
+    """The options `check` and `corpus` share."""
+    options = (
+        click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it."),
+        click.option("--max-jet", type=int, default=None, callback=_max_jet, help=f"Oracle truncation cap (default {DEFAULT_CAP})."),
+        click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases."),
+        click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number (slow)."),
+    )
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
 @main.command()
 @click.argument("file", type=str)
-@click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it.")
-@click.option("--max-jet", type=int, default=None, help=f"Oracle truncation cap (default {DEFAULT_CAP}).")
+@_run_options
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None, help="Output format.")
-@click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases.")
-@click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number (slow).")
 def check(file, oracle, max_jet, fmt, budget, tau):
     """Analyze one problem file and print its invariant report."""
     path = Path(file)
@@ -81,8 +92,7 @@ def check(file, oracle, max_jet, fmt, budget, tau):
     except BrsError as exc:
         click.echo(f"error: {path}: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
-    out_fmt = _effective(fmt, parsed.fmt, "text")
-    if out_fmt == "json":
+    if (fmt or parsed.fmt) == "json":
         click.echo(render_json(report), nl=False)
     else:
         click.echo(render_text(report), nl=False)
@@ -91,11 +101,8 @@ def check(file, oracle, max_jet, fmt, budget, tau):
 
 @main.command()
 @click.argument("directory", type=str)
-@click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it.")
-@click.option("--max-jet", type=int, default=None, help=f"Oracle truncation cap (default {DEFAULT_CAP}).")
+@_run_options
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Output format.")
-@click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases.")
-@click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number (slow).")
 def corpus(directory, oracle, max_jet, fmt, budget, tau):
     """Analyze every .brs problem file in a directory."""
     root = Path(directory)

@@ -441,6 +441,9 @@ def analyze(
     # df_T lies in (phi) + J_phi; the Le-Greuel ideal is df_T + (phi).
     count("trivial", df_trivial_ideal(f, phi), floor=level("tau_X"))
     lg_total = count("legreuel", _legreuel_ideal(phi, f), base="trivial", floor=level("tau_X"))
+    # trivial_rel, df_T + (phi), is that ideal; the oracle reads its own generators.
+    ideals["trivial_rel"] = ideals["trivial"] + I_X
+    counts["trivial_rel"] = counts["legreuel"]
     mu_fiber = (
         lg_total - mu_X if (is_finite(lg_total) and is_finite(mu_X)) else NOT_FINITE
     )
@@ -455,7 +458,6 @@ def analyze(
     df_X = df_ideal(f, theta)
     mu_BR = count("br", df_X)
     mu_BR_rel = count("br_rel", df_X + I_X, base="br")
-    count("trivial_rel", ideals["trivial"] + I_X, base="trivial")
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
 
     # Identity ledger.

@@ -48,7 +48,6 @@ column is stored at a pivot may change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from threading import Lock
 from typing import Callable, Sequence
@@ -139,24 +138,9 @@ class _Table:
 _TABLES: dict[int, _Table] = {}
 
 
-@dataclass(frozen=True)
-class JetTruncation:
-    """Finite-dimensional model of the local ring below a degree cap.
-
-    Rows are the monomials of degree below the cap: the first `size` rows of
-    the one table of n variables, so a column of one truncation is a column
-    of any truncation with a higher cap.
-    """
-
-    n: int
-    degree_cap: int
-    table: _Table = field(compare=False, repr=False)
-    size: int = field(compare=False)
-
-    @classmethod
-    def build(cls, n: int, degree_cap: int) -> "JetTruncation":
-        table = _TABLES.get(n) or _TABLES.setdefault(n, _Table(n))
-        return cls(n, degree_cap, table, table.size(degree_cap))
+def _table(n: int) -> _Table:
+    """The one monomial table of n variables."""
+    return _TABLES.get(n) or _TABLES.setdefault(n, _Table(n))
 
 
 # Columns are sparse integer vectors: scaling a column changes no span, so
@@ -174,8 +158,17 @@ def _integral(polys: Sequence[Polynomial]) -> list[Terms]:
 
 
 def _generators(polys: Sequence[Polynomial]) -> Generators:
-    """Each polynomial's tail degree and integral terms, for every level of a walk."""
-    return [(p.tail_degree(), terms) for p, terms in zip(polys, _integral(polys))]
+    """Each polynomial's tail degree and integral terms, for every level of a walk.
+
+    A nonzero multiple of an earlier polynomial is left out: its shifts are
+    multiples of the earlier one's, already in the span, so they reduce to zero.
+    """
+    first: dict[tuple, tuple[int, Terms]] = {}  # by primitive terms, first sign positive
+    for p, terms in zip(polys, _integral(polys)):
+        g = gcd(*(c for _, _, c in terms))
+        g = -g if terms and terms[0][2] < 0 else g
+        first.setdefault(tuple((m, c // g) for m, _, c in terms), (p.tail_degree(), terms))
+    return list(first.values())
 
 
 def _shifted(terms: Terms, shift: int, below: int, row: dict[int, int]) -> Column:
@@ -256,22 +249,23 @@ class JetModel:
     element of I.
     """
 
-    __slots__ = ("ctx", "level", "jt", "ech")
+    __slots__ = ("ctx", "table", "level", "size", "ech")
 
-    def __init__(self, ctx: VarContext, jt: JetTruncation, ech: _Echelon):
+    def __init__(self, ctx: VarContext, table: _Table, level: int, ech: _Echelon):
         self.ctx = ctx
-        self.level = jt.degree_cap
-        self.jt = jt
+        self.table = table
+        self.level = level
+        self.size = table.size(level)  # the rows: the monomials of degree below N
         self.ech = ech
 
     @property
     def colength(self) -> int:
-        return self.jt.size - self.ech.rank
+        return self.size - self.ech.rank
 
     def contains(self, p: Polynomial) -> bool:
         """Exact membership of p in I: reduce its jet below N."""
         (terms,) = _integral([p])
-        return not self.ech.reduce(_shifted(terms, 0, self.level, self.jt.table.row))
+        return not self.ech.reduce(_shifted(terms, 0, self.level, self.table.row))
 
     def contains_all(self, gens: Sequence[Polynomial]) -> bool:
         return all(self.contains(g) for g in gens)
@@ -286,15 +280,15 @@ class JetModel:
         degree L to N - 1 is a pivot, since the columns with those pivots
         then span m^L/m^N.
         """
-        size, pivots = self.jt.size, self.ech.pivots
-        if any(r not in pivots for r in range(other.jt.size, size)):
+        size, pivots = self.size, self.ech.pivots
+        if any(r not in pivots for r in range(other.size, size)):
             return False
         cuts = ({k: v for k, v in col.items() if k < size} for col in other.ech.pivots.values())
         return not any(self.ech.reduce(cut) for cut in cuts if cut)
 
     def generators(self) -> list[Polynomial]:
         """Generators of I: the echelon columns and the monomials of degree N."""
-        exps = self.jt.table.exps
+        exps = self.table.exps
         gens = [
             Polynomial(self.ctx, [(Monomial(exps[k]), v) for k, v in col.items()])
             for col in self.ech.pivots.values()
@@ -311,7 +305,7 @@ class JetModel:
         columns with a pivot below degree d, cut below d, span
         (I + m^d)/m^d: entry d - 1 is dim(d) - dim(d-1) for every d up to N.
         """
-        starts, degree = self.jt.table.starts, self.jt.table.degree
+        starts, degree = self.table.starts, self.table.degree
         free = [starts[d + 1] - starts[d] for d in range(self.level)]
         for r in self.ech.pivots:
             free[degree[r]] -= 1
@@ -326,14 +320,14 @@ class JetModel:
         """
         if level == self.level:
             return self
-        jt = JetTruncation.build(self.ctx.n, level)
+        size = self.table.size(level)
         ech = _Echelon()
         for r, col in self.ech.pivots.items():
-            if r < jt.size:
-                cut = {k: v for k, v in col.items() if k < jt.size}
+            if r < size:
+                cut = {k: v for k, v in col.items() if k < size}
                 g = gcd(*cut.values())
                 ech.pivots[r] = {k: v // g for k, v in cut.items()}
-        return JetModel(self.ctx, jt, ech)
+        return JetModel(self.ctx, self.table, level, ech)
 
     def colon(self, divisors: Sequence[Polynomial]) -> "JetModel":
         """The model of I : (g_1, ..., g_k) at the same level N.
@@ -343,8 +337,7 @@ class JetModel:
         columns whose pivot falls in the e block span exactly the h with
         every h*g_i in I.
         """
-        jt, size, level = self.jt, self.jt.size, self.level
-        table = jt.table
+        table, size, level = self.table, self.size, self.level
         k = len(divisors)
         work = _Echelon()
         for block in range(k):
@@ -364,10 +357,10 @@ class JetModel:
             for r, col in work.pivots.items()
             if r >= offset
         }
-        return JetModel(self.ctx, jt, _Echelon(kernel))
+        return JetModel(self.ctx, table, level, _Echelon(kernel))
 
 
-def _insert_shifts(ech: _Echelon, gens: Generators, jt: JetTruncation) -> None:
+def _insert_shifts(ech: _Echelon, gens: Generators, table: _Table, cap: int) -> None:
     """Insert the monomial shifts of the generators that can widen the span.
 
     A shift x^t * g_j has a term below the cap when its degree lies below
@@ -386,7 +379,6 @@ def _insert_shifts(ech: _Echelon, gens: Generators, jt: JetTruncation) -> None:
     answer, is that of all the shifts; only the column stored at a pivot
     may differ.
     """
-    table, cap = jt.table, jt.degree_cap
     for lead_deg, terms in gens:
         if not terms or lead_deg >= cap:
             continue
@@ -396,11 +388,11 @@ def _insert_shifts(ech: _Echelon, gens: Generators, jt: JetTruncation) -> None:
                 ech.insert(_shifted(terms, table.packed[i], cap - table.degree[i], table.row))
 
 
-def _span(ctx: VarContext, gens: Generators, jt: JetTruncation) -> JetModel:
-    """The model of (gens) + m^d, d the cap of `jt`."""
-    ech = _Echelon()
-    _insert_shifts(ech, gens, jt)
-    return JetModel(ctx, jt, ech)
+def _span(ctx: VarContext, gens: Generators, cap: int) -> JetModel:
+    """The model of (gens) + m^cap."""
+    model = JetModel(ctx, _table(ctx.n), cap, _Echelon())
+    _insert_shifts(model.ech, gens, model.table, cap)
+    return model
 
 
 def axis_certificate(I: Ideal) -> bool:
@@ -471,7 +463,7 @@ def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | No
         if span is None or d > span.level:
             c = d if span is not None else max(d, floor + 1)
             c = c if cap is None else min(c, cap)
-            span = _span(I.ctx, gens, JetTruncation.build(I.ctx.n, c))
+            span = _span(I.ctx, gens, c)
             free = span.free_rows()
         return free[d - 1]
 
@@ -489,10 +481,9 @@ def extended_jet_model(I: Ideal, base: JetModel, extra: Sequence[Polynomial]) ->
     is cut down to the level a walk of I stops at, or None where that walk
     gives up by the cost rule.
     """
-    jt = base.jt
     ech = _Echelon(dict(base.ech.pivots))
-    _insert_shifts(ech, _generators(extra), jt)
-    model = JetModel(I.ctx, jt, ech)
+    _insert_shifts(ech, _generators(extra), base.table, base.level)
+    model = JetModel(I.ctx, base.table, base.level, ech)
     free = model.free_rows() + [0]  # every row of degree N lies in I
     level = _walk(lambda d: free[d - 1], _top(I), None)
     return None if level is None else model.truncated(level)
@@ -507,8 +498,8 @@ def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:
     consecutive equal steps certify the exact dimension, the same argument
     as for ideals.
     """
-    jt = JetTruncation.build(n, d)
-    table, size = jt.table, jt.size
+    table = _table(n)
+    size = table.size(d)
     ech = _Echelon()
     for vec in gens:
         lead_deg = min(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GermError, ParseError
+from .errors import ParseError
 from .oracle import DEFAULT_CAP
 from .polycore import Polynomial, VarContext
 from .tangent import HypersurfaceProblem
@@ -39,9 +39,9 @@ class Token:
     column: int
 
 
-def _tokenize(src: str) -> list[Token]:
+def _tokenize(src: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of `src`, whose first character sits at (`line`, `col`)."""
     tokens: list[Token] = []
-    line, col = 1, 1
     i = 0
     while i < len(src):
         ch = src[i]
@@ -204,6 +204,8 @@ class ProblemFile:
     phi: str
     f: str
     options: dict[str, str] = field(default_factory=dict)
+    # The line of each key and the column of its value, for error positions.
+    positions: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -217,24 +219,26 @@ class ParsedProblem:
     source: ProblemFile
 
 
-def _split_line(raw: str, lineno: int) -> tuple[str, str] | None:
-    body = raw.split("#", 1)[0].strip()
-    if not body:
+def _split_line(raw: str, lineno: int) -> tuple[str, str, int] | None:
+    """The key, the value and the value's column of one line; None when blank."""
+    body = raw.split("#", 1)[0]
+    if not body.strip():
         return None
     if "=" not in body:
         raise ParseError("expected key = value", lineno, 1)
     key, value = body.split("=", 1)
-    return key.strip(), value.strip()
+    return key.strip(), value.strip(), len(body) - len(value.lstrip()) + 1
 
 
 def read_problem_file(src: str) -> ProblemFile:
     """Line-level pass: keys, raw values, duplicate and unknown-key checks."""
     seen: dict[str, str] = {}
+    positions: dict[str, tuple[int, int]] = {}
     for lineno, raw in enumerate(src.splitlines(), start=1):
         kv = _split_line(raw, lineno)
         if kv is None:
             continue
-        key, value = kv
+        key, value, column = kv
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", lineno, 1)
         if key in seen:
@@ -242,54 +246,58 @@ def read_problem_file(src: str) -> ProblemFile:
         if not value:
             raise ParseError(f"empty value for {key!r}", lineno, 1)
         seen[key] = value
+        positions[key] = (lineno, column)
     for required in ("vars", "phi", "f"):
         if required not in seen:
             raise ParseError(f"missing field {required!r}")
     names = tuple(part.strip() for part in seen["vars"].split(","))
     if any(not name for name in names):
-        raise ParseError("empty variable name in vars")
+        raise ParseError("empty variable name in vars", *positions["vars"])
     for name in names:
         head_ok = (name[0].isascii() and name[0].isalpha()) or name[0] == "_"
         body_ok = all((c.isascii() and c.isalnum()) or c == "_" for c in name)
         if not (head_ok and body_ok):
-            raise ParseError(f"invalid variable name {name!r}")
+            raise ParseError(f"invalid variable name {name!r}", *positions["vars"])
     options = {k: v for k, v in seen.items() if k not in ("vars", "phi", "f")}
-    return ProblemFile(vars=names, phi=seen["phi"], f=seen["f"], options=options)
+    return ProblemFile(names, seen["phi"], seen["f"], options, positions)
+
+
+def _check_max_jet(max_jet: int, line: int = 1, column: int = 1) -> int:
+    """An oracle cap, from a file's max_jet key or the CLI: at least 4."""
+    if max_jet < 4:
+        raise ParseError("max_jet must be at least 4", line, column)
+    return max_jet
 
 
 def parse_problem(src: str) -> ParsedProblem:
     """Parse and validate a full problem file.
 
-    Germ conditions are enforced here: phi and f must vanish at the origin
-    and phi must be nonzero.
+    An error names the line of its key; in an expression, also the column.
+    `HypersurfaceProblem` enforces the germ conditions: phi and f must
+    vanish at the origin and phi must be nonzero.
     """
     pf = read_problem_file(src)
+    at = pf.positions
     if len(set(pf.vars)) != len(pf.vars):
-        raise ParseError(f"duplicate variable names in vars: {', '.join(pf.vars)}")
+        raise ParseError(f"duplicate variable names in vars: {', '.join(pf.vars)}", *at["vars"])
     ctx = VarContext(pf.vars)
-    phi = parse_poly(pf.phi, ctx)
-    f = parse_poly(pf.f, ctx)
-    if phi.is_zero():
-        raise GermError("phi must be nonzero")
-    if phi.constant_term() != 0:
-        raise GermError("invalid germ: phi(0) != 0")
-    if f.constant_term() != 0:
-        raise GermError("invalid germ: f(0) != 0")
+    phi = _Parser(_tokenize(pf.phi, *at["phi"]), ctx).parse()
+    f = _Parser(_tokenize(pf.f, *at["f"]), ctx).parse()
     problem = HypersurfaceProblem(ctx=ctx, phi=phi, f=f)
 
     oracle_raw = pf.options.get("oracle", "off")
     if oracle_raw not in ("on", "off"):
-        raise ParseError(f"oracle must be on or off, got {oracle_raw!r}")
+        raise ParseError(f"oracle must be on or off, got {oracle_raw!r}", *at["oracle"])
     max_jet_raw = pf.options.get("max_jet", str(DEFAULT_CAP))
     try:
         max_jet = int(max_jet_raw)
     except ValueError:
-        raise ParseError(f"max_jet must be an integer, got {max_jet_raw!r}") from None
-    if max_jet < 4:
-        raise ParseError("max_jet must be at least 4")
+        message = f"max_jet must be an integer, got {max_jet_raw!r}"
+        raise ParseError(message, *at["max_jet"]) from None
+    _check_max_jet(max_jet, *at.get("max_jet", ()))
     fmt = pf.options.get("format", "text")
     if fmt not in ("text", "json"):
-        raise ParseError(f"format must be text or json, got {fmt!r}")
+        raise ParseError(f"format must be text or json, got {fmt!r}", *at["format"])
     return ParsedProblem(
         problem=problem, oracle=oracle_raw == "on", max_jet=max_jet, fmt=fmt, source=pf
     )

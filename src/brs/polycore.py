@@ -115,13 +115,6 @@ class Monomial:
             a <= b for a, b in zip(self.exponents, other.exponents, strict=True)
         )
 
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """self / other; caller must ensure other divides self."""
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents, strict=True))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents, strict=True))
-
     def pure_power_axis(self) -> int | None:
         """Index of the single variable this is a power of, or None.
 

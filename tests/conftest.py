@@ -4,19 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from brs import (
-    NOT_FINITE,
-    Ideal,
-    JetTruncation,
-    Monomial,
-    NotFiniteType,
-    Polynomial,
-    StandardBasis,
-    VarContext,
-    parse_poly,
-)
-from brs.oracle import JetModel, _Echelon, _generators, _shifted, _span
-from brs.stdbasis import _basis_standard_exponents
+from brs import NOT_FINITE, Polynomial, VarContext, parse_poly
+from brs.oracle import JetModel, _Echelon, _generators, _shifted, _span, _Table, _table
+from brs.polycore import Monomial
+from brs.stdbasis import Ideal, NotFiniteType, StandardBasis, _basis_standard_exponents
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -55,7 +46,7 @@ def P(ctx2):
 
 def jet_model_at(I: Ideal, d: int):
     """The jet model of I + maximal ideal^d, from every monomial shift of the generators."""
-    return _span(I.ctx, _generators(I.gens), JetTruncation.build(I.ctx.n, d))
+    return _span(I.ctx, _generators(I.gens), d)
 
 
 def every_shift_model(I: Ideal, d: int) -> JetModel:
@@ -64,14 +55,14 @@ def every_shift_model(I: Ideal, d: int) -> JetModel:
     No shift is skipped: this is the plain insertion loop, the reference for
     the engine's `_span`, which skips the shifts that would reduce to zero.
     """
-    jt = JetTruncation.build(I.ctx.n, d)
-    table, ech = jt.table, _Echelon()
+    model = JetModel(I.ctx, _table(I.ctx.n), d, _Echelon())
+    table, ech = model.table, model.ech
     for lead_deg, terms in _generators(I.gens):
         if not terms or lead_deg >= d:
             continue
         for i in range(table.starts[d - lead_deg]):
             ech.insert(_shifted(terms, table.packed[i], d - table.degree[i], table.row))
-    return JetModel(I.ctx, jt, ech)
+    return model
 
 
 def jet_contains(I: Ideal, p: Polynomial, d: int) -> bool:
@@ -94,9 +85,9 @@ def standard_monomials(basis: StandardBasis) -> list[Monomial] | NotFiniteType:
     return NOT_FINITE if exps is None else [Monomial(e) for e in exps]
 
 
-def monomial_index(jt: JetTruncation) -> dict[tuple[int, ...], int]:
-    """The row of each monomial of a truncation, by exponents."""
-    return {exps: row for row, exps in enumerate(jt.table.exps[: jt.size])}
+def monomial_index(table: _Table, cap: int) -> dict[tuple[int, ...], int]:
+    """The row of each monomial of degree below `cap`, by exponents."""
+    return {exps: row for row, exps in enumerate(table.exps[: table.size(cap)])}
 
 
 def corpus_paths(prefix: str | None = None) -> list[Path]:

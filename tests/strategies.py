@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from brs import Ideal, Monomial, Polynomial, VarContext
+from brs import Polynomial, VarContext
+from brs.polycore import Monomial
+from brs.stdbasis import Ideal
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("x", "y", "z"))

@@ -127,6 +127,15 @@ class TestCheck:
         oracle_entries = [e for e in doc["ledger"] if e["name"].startswith("oracle-")]
         assert oracle_entries and all(e["status"] == "pass" for e in oracle_entries)
 
+    @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "degen_a2_self.brs"])
+    def test_small_max_jet_is_rejected_before_any_work(self, name, monkeypatch):
+        # The bound and message of the problem file's max_jet key, exit code 1.
+        monkeypatch.setattr(cli_module, "parse_problem", None)  # never reached
+        res = invoke("check", str(CORPUS_DIR / name), "--max-jet", "2", "--oracle")
+        assert res.exit_code == 1
+        assert "max_jet must be at least 4" in res.output
+        assert invoke("check", "/nonexistent/path.brs", "--max-jet", "3").exit_code == 1
+
     def test_module_entry_point(self, cusp_file):
         res = subprocess.run(
             [sys.executable, "-m", "brs", "check", str(cusp_file)],
@@ -159,6 +168,16 @@ class TestCorpus:
     def test_missing_directory_exits_one(self):
         res = invoke("corpus", "/nonexistent/dir")
         assert res.exit_code == 1
+
+    def test_small_max_jet_is_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "parse_problem", None)  # never reached
+        res = invoke("corpus", str(CORPUS_DIR), "--max-jet", "2", "--oracle")
+        assert res.exit_code == 1
+        assert res.output.strip() == "error: --max-jet: max_jet must be at least 4"
+
+    def test_smallest_max_jet_is_accepted(self, cusp_file):
+        res = invoke("check", str(cusp_file), "--max-jet", "4", "--oracle")
+        assert res.exit_code == 0, res.output
 
     def test_json_summary(self, tmp_path):
         (tmp_path / "one.brs").write_text(CUSP, encoding="utf-8")

@@ -22,17 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from brs import (
-    Ideal,
-    Monomial,
-    Polynomial,
-    Submodule,
-    VarContext,
-    parse_problem,
-    standard_basis,
-    syzygies,
-    theta_full,
-)
+from brs import Polynomial, VarContext, parse_problem
+from brs.polycore import Monomial
+from brs.stdbasis import Ideal, Submodule, standard_basis, syzygies
+from brs.tangent import theta_full
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden_bases.json"

@@ -9,16 +9,16 @@ from brs import (
     VarContext,
     analyze,
     bruce_roberts,
-    detect_split,
     fiber_milnor,
     is_finite,
     milnor,
-    oracle_colength,
     parse_poly,
     parse_problem,
     relative_bruce_roberts,
     tjurina,
 )
+from brs.invariants import detect_split
+from brs.oracle import oracle_colength
 from conftest import CORPUS_DIR
 from strategies import CTX2
 

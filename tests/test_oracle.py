@@ -5,23 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brs.oracle as oracle_module
-from brs import (
-    BrsError,
+from brs import BrsError, NOT_FINITE, Polynomial, parse_poly
+from brs.polycore import jacobian_ideal
+from brs.stdbasis import Ideal, colength, ideals_equal
+from brs.oracle import (
     INCONCLUSIVE,
-    Ideal,
-    JetTruncation,
-    NOT_FINITE,
-    Polynomial,
+    _generators,
+    _insert_shifts,
+    _span,
+    _table,
     axis_certificate,
-    colength,
-    jacobian_ideal,
-    ideals_equal,
+    extended_jet_model,
     jet_model,
     oracle_colength,
-    parse_poly,
 )
-from brs.oracle import _generators, _insert_shifts, _span, extended_jet_model
-from conftest import every_shift_model, jet_contains, jet_quotient_dim, monomial_index
+from conftest import every_shift_model, jet_contains, jet_model_at, jet_quotient_dim, monomial_index
 from strategies import CTX2, CTX3, germs, polynomials, zero_dim_ideals
 
 
@@ -154,7 +152,7 @@ class TestJetModel:
 
 class TestJetHelpers:
     def test_jet_membership_matches_exact_membership(self):
-        from brs import membership
+        from brs.stdbasis import membership
 
         I = I2("x^2", "x*y")
         assert jet_contains(I, parse_poly("x^2 + x*y", CTX2), 6)
@@ -162,11 +160,10 @@ class TestJetHelpers:
         assert membership(parse_poly("x^2 + x*y", CTX2), I)
 
     def test_truncation_index_is_graded_lexicographic(self):
-        jt = JetTruncation.build(2, 3)
-        index = monomial_index(jt)
+        index = monomial_index(_table(2), 3)
         ordered = sorted(index, key=index.get)  # type: ignore[arg-type]
         assert ordered == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-        assert jt.size == 6
+        assert _table(2).size(3) == 6
 
 
 class TestFloors:
@@ -197,9 +194,9 @@ class TestFloors:
             for floor in range(want.level + 3):
                 caps: list[int] = []
 
-                def span(ctx, gens, jt):
-                    caps.append(jt.degree_cap)
-                    return real(ctx, gens, jt)
+                def span(ctx, gens, c):
+                    caps.append(c)
+                    return real(ctx, gens, c)
 
                 with mock.patch.object(oracle_module, "_span", span):
                     got = jet_model(I, cap=cap, floor=floor)
@@ -230,10 +227,9 @@ class TestSkippedShifts:
         extra = data.draw(st.lists(germs(ctx), min_size=1, max_size=2))
         total = I + Ideal(ctx, extra)
         for cap in range(1, 7):
-            jt = JetTruncation.build(ctx.n, cap)
-            assert same_span(_span(ctx, _generators(total.gens), jt), every_shift_model(total, cap))
-            extended = _span(ctx, _generators(I.gens), jt)
-            _insert_shifts(extended.ech, _generators(extra), jt)
+            assert same_span(_span(ctx, _generators(total.gens), cap), every_shift_model(total, cap))
+            extended = _span(ctx, _generators(I.gens), cap)
+            _insert_shifts(extended.ech, _generators(extra), extended.table, cap)
             assert same_span(extended, every_shift_model(total, cap)), cap
 
     @settings(max_examples=40, deadline=None)
@@ -248,6 +244,25 @@ class TestSkippedShifts:
             assert jet_model(total) is None
             return
         assert same_span(got, every_shift_model(total, base.level).truncated(got.level))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), ctx=st.sampled_from([CTX2, CTX3]))
+    def test_a_repeated_generator_changes_no_column(self, data, ctx):
+        # A generator that repeats an earlier one up to a nonzero scalar is
+        # left out, so at every cap the echelon is the one without the copies:
+        # the same pivots, the same stored columns.
+        I = data.draw(zero_dim_ideals(ctx))
+        scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+        gens = list(I.gens)
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(gens) - 1))
+            gens.insert(data.draw(st.integers(i + 1, len(gens))), gens[i].scale(data.draw(scalars)))
+        assert len(_generators(gens)) == len(_generators(I.gens))
+        for cap in range(1, 7):
+            want = _span(ctx, _generators(I.gens), cap)
+            got = _span(ctx, _generators(gens), cap)
+            assert got.ech.pivots == want.ech.pivots, cap
+            assert got.free_rows() == want.free_rows()
 
 
 class TestModelContainment:
@@ -299,7 +314,7 @@ class TestPackedMonomials:
     def test_overflow_raises_instead_of_naming_a_wrong_row(self):
         limit = oracle_module._MAX_DEGREE + 1
         with pytest.raises(BrsError):
-            JetTruncation.build(2, limit + 1)
+            _table(2).size(limit + 1)
         # Packed without the guard, x^limit would carry into y's field and
         # name the row of y, which lies in the ideal.
         model = jet_model(I2("x^2", "y"))
@@ -310,7 +325,8 @@ class TestPackedMonomials:
             jet_model(Ideal(CTX2, [parse_poly("x", CTX2) + big, parse_poly("y", CTX2)]))
 
     def test_rows_are_shared_by_every_truncation(self):
-        low, high = JetTruncation.build(3, 2), JetTruncation.build(3, 5)
+        I = Ideal(CTX3, [parse_poly("x^2 + y*z", CTX3)])
+        low, high = jet_model_at(I, 2), jet_model_at(I, 5)
         assert low.table is high.table
-        index = monomial_index(high)
-        assert all(index[e] == r for e, r in monomial_index(low).items())
+        index = monomial_index(high.table, 5)
+        assert all(index[e] == r for e, r in monomial_index(low.table, 2).items())

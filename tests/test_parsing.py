@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,35 @@ class TestParseProblem:
     def test_zero_phi_rejected(self):
         with pytest.raises(GermError):
             parse_problem("vars=x,y\nphi=x - x\nf=y\n")
+
+    def test_errors_name_the_line_of_their_key(self):
+        # An expression error also gives the column within that line.
+        cases = [
+            ("vars = x, y\nphi = x^2 + y^3\nf = y +\n", 3, 8),
+            ("vars = x, y\nphi = x^2 + y^3\n\n  f=y*?\n", 4, 7),
+            ("# a cusp\nvars = x, y\nphi = x^2 + y^3 +) # comment\nf = y\n", 3, 18),
+            ("vars = x, y\nphi = x^2\nf = y\noracle = on\n\nformat = yaml\n", 6, 10),
+            ("vars = x, y\nphi = x^2\nf = y\n  max_jet = 2\n", 4, 13),
+            ("vars = x, y\nphi = x^2\nf = y\nmax_jet = two\n", 4, 11),
+            ("vars = x, y\nphi = x^2\nf = y\noracle = yes\n", 4, 10),
+            ("phi = x^2\nf = y\nvars = x, x\n", 3, 8),
+            ("phi = x^2\nf = y\nvars = x, 2y\n", 3, 8),
+            ("phi = x^2\nf = y\nvars = x,,y\n", 3, 8),
+        ]
+        for src, line, column in cases:
+            with pytest.raises(ParseError) as err:
+                parse_problem(src)
+            assert (err.value.line, err.value.column) == (line, column), src
+
+    def test_germ_conditions_in_file_order(self):
+        # HypersurfaceProblem checks zero phi, then phi(0), then f(0).
+        for src, message in [
+            ("vars=x,y\nphi=x - x\nf=1\n", "phi must be nonzero"),
+            ("vars=x,y\nphi=x + 1\nf=1\n", "invalid germ: phi(0) != 0"),
+            ("vars=x,y\nphi=x\nf=y + 1\n", "invalid germ: f(0) != 0"),
+        ]:
+            with pytest.raises(GermError, match=re.escape(message)):
+                parse_problem(src)
 
     def test_bad_option_values(self):
         with pytest.raises(ParseError):

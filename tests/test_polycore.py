@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brs import (
-    ContextError,
-    GermError,
-    Monomial,
-    Polynomial,
-    VarContext,
-    jacobian_ideal,
-    minors_2x2,
-    parse_poly,
-)
+from brs import ContextError, GermError, Polynomial, VarContext, parse_poly
+from brs.polycore import Monomial, jacobian_ideal, minors_2x2
 from strategies import CTX2, monomials, polynomials
 
 
@@ -166,7 +158,7 @@ class TestContexts:
 
 class TestVectorField:
     def test_length_enforced(self, ctx2, P):
-        from brs import VectorField
+        from brs.polycore import VectorField
 
         with pytest.raises(ContextError):
             VectorField((P("x"),))

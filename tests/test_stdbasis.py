@@ -5,28 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brs import (
-    ContainmentError,
+from brs import ContainmentError, NOT_FINITE, Polynomial, VarContext, tjurina
+from brs.polycore import jacobian_ideal
+from brs.stdbasis import (
     Ideal,
-    NOT_FINITE,
-    Polynomial,
     Submodule,
-    VarContext,
     colength,
     ideal_colon,
     ideal_contains,
     ideal_intersection,
     ideal_product,
     ideals_equal,
-    jacobian_ideal,
-    jet_model,
     membership,
     module_quotient_dim,
     mora_normal_form,
     standard_basis,
     syzygies,
-    tjurina,
 )
+from brs.oracle import jet_model
 from conftest import jet_contains, jet_model_at, standard_monomials
 from strategies import CTX2, polynomials, zero_dim_ideals
 
@@ -457,7 +453,8 @@ class TestBudgetAccounting:
         "phi, smallest", [("x^5 + y^5 + x^2*y^2", 4), ("x^3 + y^3 + z^4 + x*y*z", 9)]
     )
     def test_tracked_theta_full(self, phi, smallest, ctx3):
-        from brs import BudgetError, parse_poly, theta_full
+        from brs import BudgetError, parse_poly
+        from brs.tangent import theta_full
 
         g = parse_poly(phi, ctx3)
         theta_full(g, budget=smallest)
@@ -541,7 +538,7 @@ class TestModuleQuotient:
             module_quotient_dim(sub, sup)
 
     def test_tjurina_as_module_quotient(self, P):
-        from brs import theta_full, theta_trivial
+        from brs.tangent import theta_full, theta_trivial
 
         phi = P("x^5 + y^5 + x^2*y^2")
         dim = module_quotient_dim(
@@ -556,7 +553,7 @@ class TestModuleQuotient:
         # The walk answers every finite quotient here; forced to give up, the
         # Mora count must reach the same value (tau = 1 for the A1 curve).
         import brs.oracle as oracle_module
-        from brs import theta_full, theta_trivial
+        from brs.tangent import theta_full, theta_trivial
 
         phi = P(phi)
         sub = theta_trivial(phi).as_submodule()

@@ -3,24 +3,20 @@ import pytest
 import brs.tangent as tangent_module
 from brs import (
     ContextError,
-    DerivationModule,
     GermError,
     HypersurfaceProblem,
-    Ideal,
     InternalError,
     VarContext,
-    VectorField,
-    colength,
+    milnor,
+    parse_poly,
+)
+from brs.polycore import VectorField, jacobian_ideal
+from brs.stdbasis import Ideal, colength, ideals_equal, membership, mora_normal_form, standard_basis
+from brs.tangent import (
+    DerivationModule,
     df_ideal,
     df_pair,
     df_trivial_ideal,
-    ideals_equal,
-    jacobian_ideal,
-    membership,
-    milnor,
-    mora_normal_form,
-    parse_poly,
-    standard_basis,
     suspend,
     theta_contains,
     theta_full,
