@@ -21,12 +21,13 @@ from brs.report import report_to_dict
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden_ledger.json"
-MODES = {"plain": False, "oracle": True}
+MODES = {"plain": {}, "oracle": {"oracle": True}, "tau": {"tau_check": True}}
 
 
-def _snapshot(path: Path, oracle: bool) -> dict:
+def _snapshot(path: Path, flags: dict) -> dict:
     parsed = parse_problem(path.read_text(encoding="utf-8"))
-    report = analyze(parsed.problem, oracle=oracle or parsed.oracle, max_jet=parsed.max_jet)
+    flags = {"oracle": parsed.oracle, **flags}
+    report = analyze(parsed.problem, max_jet=parsed.max_jet, **flags)
     doc = report_to_dict(report)
     return {"invariants": doc["invariants"], "ledger": doc["ledger"]}
 
@@ -48,7 +49,7 @@ def test_golden_covers_the_corpus():
 
 if __name__ == "__main__":
     table = {
-        mode: {p.name: _snapshot(p, oracle) for p in sorted(CORPUS_DIR.glob("*.brs"))}
-        for mode, oracle in MODES.items()
+        mode: {p.name: _snapshot(p, flags) for p in sorted(CORPUS_DIR.glob("*.brs"))}
+        for mode, flags in MODES.items()
     }
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
