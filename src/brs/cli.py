@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 when every gated ledger entry passes, 2 on any identity
-failure, 1 on input or budget errors.
+failure, 1 on input or budget errors, click's usage errors included.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
+from . import __version__
 from .errors import BrsError, BudgetError, ParseError
 from .invariants import analyze
 from .oracle import DEFAULT_CAP
@@ -29,8 +31,30 @@ EXIT_INPUT_ERROR = 1
 EXIT_IDENTITY_FAILURE = 2
 
 
-@click.group()
-@click.version_option(package_name="brs", prog_name="brs")
+@contextmanager
+def _usage_is_input_error():
+    # click exits 2 on a usage error, the code of an identity failure here.
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INPUT_ERROR
+        raise
+
+
+class _Group(click.Group):
+    """A click group whose usage errors, its own or a command's, exit 1."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_is_input_error():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_is_input_error():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
+@click.version_option(__version__, prog_name="brs")
 def main():
     """Invariants of function germs on hypersurface singularities.
 
@@ -67,7 +91,7 @@ def _run_options(command):
         click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it."),
         click.option("--max-jet", type=int, default=None, callback=_max_jet, help=f"Oracle truncation cap (default {DEFAULT_CAP})."),
         click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases."),
-        click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number (slow)."),
+        click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number."),
     )
     for option in reversed(options):
         command = option(command)

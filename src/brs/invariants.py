@@ -60,7 +60,6 @@ from .tangent import (
     df_ideal,
     df_trivial_ideal,
     theta_full,
-    theta_trivial,
 )
 
 Status = str  # "pass" | "fail" | "skip"
@@ -130,12 +129,12 @@ def _count(
 
     `base`, when given, is the certified model of an ideal that together
     with `extra` generates I; the model of I then extends it instead of
-    walking from d = 1.  An ideal with a model has no axis certificate, and
-    neither has any ideal containing it.  `floor` is passed on to the walk:
-    the level of an ideal known to contain I.
+    walking from d = 1, and always exists.  An ideal with a model has no
+    axis certificate, and neither has any ideal containing it.  `floor` is
+    passed on to the walk: the level of an ideal known to contain I.
     """
     if base is not None:
-        model = extended_jet_model(I, base, extra.gens)
+        model = extended_jet_model(base, extra.gens)
     elif axis_certificate(I):
         return _Count(NOT_FINITE, "certificate")
     else:
@@ -363,12 +362,16 @@ _LEDGER = (
     _Row("colon-trivial", "mutual", True, ("mu_BR_rel",),
          "mu_BR_rel is not finite",
          lambda v: _colon_vs_jf(v, "trivial")[0], lambda v: _colon_vs_jf(v, "trivial")[1]),
+    # dim Theta_X / Theta_X^T, counted on ideals.  For an IHS, J_phi is
+    # generated by a regular sequence, so the kernel of xi -> dphi(xi) is
+    # the Koszul syzygies, the Hamiltonian fields, which lie in Theta_X^T.
+    # dphi therefore induces Theta_X / Theta_X^T = dphi(Theta_X) / dphi(Theta_X^T),
+    # and dphi(Theta_X^T) = phi * J_phi: df_trivial_ideal(phi, phi), whose
+    # minors vanish.
     _Row("tau-module", "equal", True, ("tau_X",),
          NOT_IHS,
          lambda v: module_quotient_dim(
-             theta_trivial(v.phi).as_submodule(),
-             v.theta.as_submodule(),
-             budget=v.budget,
+             df_trivial_ideal(v.phi, v.phi), df_ideal(v.phi, v.theta), budget=v.budget
          ),
          lambda v: v.tau_X),
     _Row("icis-finiteness", "equal", True, (),

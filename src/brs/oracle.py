@@ -434,10 +434,6 @@ def _walk(growth: Callable[[int], int], top: int, cap: int | None) -> int | None
     return None
 
 
-def _top(I: Ideal) -> int:
-    return max((g.degree() for g in I.gens), default=0) + 2
-
-
 def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | None:
     """The certified model of I: raise d until dim(d) == dim(d+1).
 
@@ -467,26 +463,25 @@ def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | No
             free = span.free_rows()
         return free[d - 1]
 
-    level = _walk(growth, _top(I), cap)
+    top = max((g.degree() for g in I.gens), default=0) + 2
+    level = _walk(growth, top, cap)
     return None if level is None else span.truncated(level)
 
 
-def extended_jet_model(I: Ideal, base: JetModel, extra: Sequence[Polynomial]) -> JetModel | None:
-    """What `jet_model(I)` returns, for I generated by an ideal J and `extra`.
+def extended_jet_model(base: JetModel, extra: Sequence[Polynomial]) -> JetModel:
+    """The certified model of the ideal I generated by an ideal J and `extra`.
 
     `base` is the certified model of J at level N.  Since m^N lies in J,
     hence in I, the shifts of the extra generators inserted into a copy of
     J's echelon give I/m^N with no walk.  dim(d) counts the rows without a
-    pivot below degree d, so the walk's verdict is read off them: the model
-    is cut down to the level a walk of I stops at, or None where that walk
-    gives up by the cost rule.
+    pivot below degree d, and every row of degree N is in I, so a zero
+    growth always exists: the model is cut down to the level of the first,
+    the level a walk of I stops at without its cost rule.
     """
     ech = _Echelon(dict(base.ech.pivots))
     _insert_shifts(ech, _generators(extra), base.table, base.level)
-    model = JetModel(I.ctx, base.table, base.level, ech)
-    free = model.free_rows() + [0]  # every row of degree N lies in I
-    level = _walk(lambda d: free[d - 1], _top(I), None)
-    return None if level is None else model.truncated(level)
+    model = JetModel(base.ctx, base.table, base.level, ech)
+    return model.truncated((model.free_rows() + [0]).index(0))
 
 
 def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:

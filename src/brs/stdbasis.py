@@ -779,12 +779,6 @@ def colength(
 # ideal operations
 
 
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    """Pairwise products of generators."""
-    require_same_ctx(I.ctx, J.ctx)
-    return Ideal(I.ctx, [a * b for a in I.gens for b in J.gens])
-
-
 def syzygies(
     obj: Union[Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]],
     *,
@@ -904,32 +898,17 @@ def ideal_colon(I: Ideal, J: Ideal, *, budget: int = DEFAULT_BUDGET) -> Ideal:
     return _syzygy_quotient([I] * len(J.gens), J.gens, budget)
 
 
-def ideals_equal(I: Ideal, J: Ideal, *, budget: int = DEFAULT_BUDGET) -> bool:
-    """Equality as ideals by mutual membership against standard bases."""
-    sb_i = standard_basis(I, budget=budget)
-    sb_j = standard_basis(J, budget=budget)
-    return all(membership(g, sb_j) for g in I.gens) and all(
-        membership(g, sb_i) for g in J.gens
-    )
-
-
-def ideal_contains(I: Ideal, J: Ideal, *, budget: int = DEFAULT_BUDGET) -> bool:
-    """True when every generator of J lies in I."""
-    sb_i = standard_basis(I, budget=budget)
-    return all(membership(g, sb_i) for g in J.gens)
-
-
 # ---------------------------------------------------------------------------
 # module quotients
 
 
 def module_quotient_dim(
-    m_sub: Submodule,
-    m_sup: Submodule,
+    m_sub: Union[Ideal, Submodule],
+    m_sup: Union[Ideal, Submodule],
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> Value:
-    """Dimension of m_sup / m_sub as a vector space.
+    """Dimension of m_sup / m_sub as a vector space; an ideal is a rank-1 module.
 
     Presents the quotient Q on the generators of m_sup: the preimage of
     m_sub under the presentation map is spanned by the first-block
@@ -946,22 +925,22 @@ def module_quotient_dim(
     """
     from .oracle import _walk, module_jet_quotient_dim
 
-    require_same_ctx(m_sub.ctx, m_sup.ctx)
-    if m_sub.rank != m_sup.rank:
+    ctx, rank, sub_gens = _as_vecs(m_sub)
+    sup_ctx, sup_rank, sup_gens = _as_vecs(m_sup)
+    require_same_ctx(ctx, sup_ctx)
+    if rank != sup_rank:
         raise ContextError("module ranks differ")
     sup_basis = standard_basis(m_sup, budget=budget)
-    for g in m_sub.gens:
+    for g in sub_gens:
         if not membership(g, sup_basis):
             raise ContainmentError("submodule generator not contained in the larger module")
-    t = len(m_sup.gens)
-    combined = list(m_sup.gens) + list(m_sub.gens)
-    syz = _syzygies_of(combined, m_sup.ctx, m_sup.rank, budget)
+    t = len(sup_gens)
+    syz = _syzygies_of(sup_gens + sub_gens, ctx, rank, budget)
     presentation = [v[:t] for v in syz.gens]
     presentation = [v for v in presentation if any(v)]
     if not presentation:
         # m_sub = 0 and m_sup free on its generators: infinite unless trivial.
         return 0 if t == 0 else NOT_FINITE
-    ctx = m_sup.ctx
 
     dims = [0]  # dim(0) = 0
 

@@ -27,17 +27,15 @@ from brs.stdbasis import (
     Ideal,
     colength,
     ideal_colon,
-    ideal_contains,
     ideal_intersection,
-    ideal_product,
     membership,
     mora_normal_form,
     standard_basis,
     syzygies,
 )
-from brs.tangent import df_ideal, suspend
+from brs.tangent import df_ideal
 from brs.errors import ParseError
-from conftest import corpus_paths, jet_contains
+from conftest import corpus_paths, ideal_contains, ideal_product, jet_contains, suspend
 from strategies import CTX2, monomials, polynomials, zero_dim_ideals
 
 

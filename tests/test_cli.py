@@ -146,6 +146,44 @@ class TestCheck:
         assert res.stdout.rstrip().endswith("PASS")
 
 
+class TestUsageErrors:
+    # A value click cannot convert, an unknown choice or a missing argument
+    # is an input error (exit 1); exit 2 means an identity failed.
+    @pytest.mark.parametrize("command, target", [("check", "wh_e6_f_x.brs"), ("corpus", "")])
+    @pytest.mark.parametrize(
+        "args",
+        [["--budget", "x"], ["--max-jet", "x"], ["--format", "xml"], None],
+        ids=["budget", "max-jet", "format", "missing-argument"],
+    )
+    def test_usage_error_exits_one(self, command, target, args, monkeypatch):
+        monkeypatch.setattr(cli_module, "parse_problem", None)  # never reached
+        argv = [command] + ([] if args is None else [str(CORPUS_DIR / target), *args])
+        res = invoke(*argv)
+        assert res.exit_code == 1, res.output
+        assert "Usage:" in res.output
+
+    @pytest.mark.parametrize("command, target", [("check", "wh_e6_f_x.brs"), ("corpus", "")])
+    def test_unconvertible_budget_variable_exits_one(self, command, target):
+        runner = CliRunner(env={"BRS_BUDGET": "x"})
+        res = runner.invoke(main, [command, str(CORPUS_DIR / target)])
+        assert res.exit_code == 1
+        assert "--budget" in res.output
+
+    def test_unknown_command_exits_one(self):
+        assert invoke("bogus").exit_code == 1
+
+    @pytest.mark.parametrize("args", [["--help"], ["check", "--help"], ["corpus", "--help"]])
+    def test_help_exits_zero(self, args):
+        res = invoke(*args)
+        assert res.exit_code == 0
+        assert res.output.startswith("Usage:")
+
+    def test_version_exits_zero(self):
+        res = invoke("--version")
+        assert res.exit_code == 0
+        assert res.output == "brs, version 0.1.0\n"
+
+
 class TestCorpus:
     def test_shipped_corpus_all_pass(self):
         res = invoke("corpus", str(CORPUS_DIR))

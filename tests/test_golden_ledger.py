@@ -1,8 +1,8 @@
 """Golden ledger: the six invariants and every ledger row of the corpus.
 
-Pins, for each `corpus/*.brs` analyzed without a flag and with `--oracle`,
-the invariants and each row's name, status, lhs, rhs and skip reason, in
-ledger order.  A refactor of `analyze` must reproduce it exactly.
+Pins, for each `corpus/*.brs` analyzed without a flag, with `--oracle` and
+with `--tau`, the invariants and each row's name, status, lhs, rhs and skip
+reason, in ledger order.  A refactor of `analyze` must reproduce it exactly.
 
 Regenerate (only when a change of results is intended) with
 

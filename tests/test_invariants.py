@@ -4,6 +4,7 @@ import brs.invariants as invariants_module
 import brs.oracle as oracle_module
 import brs.stdbasis as stdbasis_module
 from brs import (
+    ContainmentError,
     HypersurfaceProblem,
     NOT_FINITE,
     VarContext,
@@ -19,7 +20,10 @@ from brs import (
 )
 from brs.invariants import detect_split
 from brs.oracle import oracle_colength
-from conftest import CORPUS_DIR
+from brs.polycore import VectorField
+from brs.stdbasis import Ideal, module_quotient_dim
+from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
+from conftest import CORPUS_DIR, as_submodule, theta_trivial
 from strategies import CTX2
 
 
@@ -241,6 +245,29 @@ class TestLedger:
         assert report.gated and all(e.status == "pass" for e in report.gated)
         assert set(report.routes.values()) == {"jet"}
 
+    @pytest.mark.parametrize(
+        "phi, f, values",
+        [
+            ("x^5 + y^5 + z^5 + x*y*z", "x^2 + y^3 + z^2 + x*y", (1, 14, 13, 16, 18, 17)),
+            (
+                "x^5 + y^3 + z^5 + 2*x^3*z + 3*x^2*y*z",
+                "2*y^2*z - y*z^2 + 3*x",
+                (0, 22, 21, 8, 9, 9),
+            ),
+        ],
+        ids=["r1", "s18"],
+    )
+    def test_an_extended_model_is_never_handed_to_mora(self, phi, f, values, ctx3):
+        # The Le-Greuel ideal extends df_T's model, whose level N puts m^N
+        # inside it, so the extension is certified.  A plain walk of that
+        # ideal gives up by its cost rule on both problems, and the uncapped
+        # Mora count behind it stalled.
+        report = analyze(prob(phi, f, ctx3))
+        got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
+        assert got == values
+        assert set(report.routes.values()) == {"jet"}
+        assert not report.failed
+
     def test_walks_build_only_the_echelons_they_need(self, monkeypatch):
         # One echelon gives every dim up to its cap, and the walk of df_T
         # starts at the level of (phi) + J_phi, which contains it: 14
@@ -314,6 +341,68 @@ class TestLedger:
         for entry in ("intersect-product", "colon-full", "colon-trivial"):
             assert by_name[entry].status == "pass", by_name[entry]
         assert sorted(fn for fn, _ in log) == ["ideal_colon", "ideal_colon"]
+
+
+def corpus_problem(name: str) -> HypersurfaceProblem:
+    return parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8")).problem
+
+
+class TestTauModuleRow:
+    """The row counts dim Theta_X / Theta_X^T as dphi(Theta_X) / phi * J_phi."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["wh_e6_f_x.brs", "nwh_t45_f_x.brs", "nwh_t77_f_y.brs", "wh_a1_3d_f_z.brs", "wh_d4_f_y.brs"],
+    )
+    def test_ideal_quotient_is_the_module_quotient(self, name):
+        # The witness: the rank-n quotient of the tangent modules, the
+        # rank-1 quotient the row counts, and the Tjurina number agree.
+        phi = corpus_problem(name).phi
+        theta = theta_full(phi)
+        modules = module_quotient_dim(as_submodule(theta_trivial(phi)), as_submodule(theta))
+        ideals = module_quotient_dim(df_trivial_ideal(phi, phi), df_ideal(phi, theta))
+        assert modules == ideals == tjurina(phi)
+
+    def test_a_smaller_tangent_module_fails_the_row(self, monkeypatch):
+        # E6 is weighted homogeneous: Theta_X is the Euler field and one
+        # Hamiltonian, which lies in Theta_X^T.  With the Euler field
+        # replaced by x and y times it, the row counts m / J_phi, mu - 1 = 5.
+        problem = corpus_problem("wh_e6_f_x.brs")
+        phi = problem.phi
+        euler, hamiltonian = theta_full(phi).gens
+        shrunk = [VectorField(tuple(v * c for c in euler.components)) for v in phi.ctx.variables()]
+        monkeypatch.setattr(
+            invariants_module,
+            "theta_full",
+            lambda _, budget: DerivationModule((*shrunk, hamiltonian), "full"),
+        )
+        row = {e.name: e for e in analyze(problem, tau_check=True).ledger}["tau-module"]
+        assert (row.status, row.lhs, row.rhs) == ("fail", 5, 6)
+
+    def test_without_the_euler_field_the_row_has_no_value(self):
+        # The first generator of Theta_X for E6 is the Euler field; without
+        # it dphi(Theta_X) is zero and cannot contain phi * J_phi.
+        phi = corpus_problem("wh_e6_f_x.brs").phi
+        theta = theta_full(phi)
+        dropped = DerivationModule(theta.gens[1:], "full")
+        assert df_ideal(phi, dropped).gens == ()
+        with pytest.raises(ContainmentError):
+            module_quotient_dim(df_trivial_ideal(phi, phi), df_ideal(phi, dropped))
+
+    def test_the_row_counts_rank_one_quotients(self, monkeypatch):
+        calls: list = []
+        real = invariants_module.module_quotient_dim
+
+        def spy(sub, sup, **kwargs):
+            calls.append((sub, sup))
+            return real(sub, sup, **kwargs)
+
+        monkeypatch.setattr(invariants_module, "module_quotient_dim", spy)
+        report = analyze(corpus_problem("nwh_t444_generic.brs"), tau_check=True)
+        row = {e.name: e for e in report.ledger}["tau-module"]
+        assert (row.status, row.lhs) == ("pass", 10)
+        assert len(calls) == 1
+        assert all(isinstance(arg, Ideal) for arg in calls[0])
 
 
 class TestSplitDetection:

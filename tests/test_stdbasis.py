@@ -12,10 +12,7 @@ from brs.stdbasis import (
     Submodule,
     colength,
     ideal_colon,
-    ideal_contains,
     ideal_intersection,
-    ideal_product,
-    ideals_equal,
     membership,
     module_quotient_dim,
     mora_normal_form,
@@ -23,7 +20,16 @@ from brs.stdbasis import (
     syzygies,
 )
 from brs.oracle import jet_model
-from conftest import jet_contains, jet_model_at, standard_monomials
+from conftest import (
+    as_submodule,
+    ideal_contains,
+    ideal_product,
+    ideals_equal,
+    jet_contains,
+    jet_model_at,
+    standard_monomials,
+    theta_trivial,
+)
 from strategies import CTX2, polynomials, zero_dim_ideals
 
 
@@ -538,12 +544,10 @@ class TestModuleQuotient:
             module_quotient_dim(sub, sup)
 
     def test_tjurina_as_module_quotient(self, P):
-        from brs.tangent import theta_full, theta_trivial
+        from brs.tangent import theta_full
 
         phi = P("x^5 + y^5 + x^2*y^2")
-        dim = module_quotient_dim(
-            theta_trivial(phi).as_submodule(), theta_full(phi).as_submodule()
-        )
+        dim = module_quotient_dim(as_submodule(theta_trivial(phi)), as_submodule(theta_full(phi)))
         assert dim == tjurina(phi)
 
     @pytest.mark.parametrize(
@@ -553,11 +557,11 @@ class TestModuleQuotient:
         # The walk answers every finite quotient here; forced to give up, the
         # Mora count must reach the same value (tau = 1 for the A1 curve).
         import brs.oracle as oracle_module
-        from brs.tangent import theta_full, theta_trivial
+        from brs.tangent import theta_full
 
         phi = P(phi)
-        sub = theta_trivial(phi).as_submodule()
-        sup = theta_full(phi).as_submodule()
+        sub = as_submodule(theta_trivial(phi))
+        sup = as_submodule(theta_full(phi))
         walked = module_quotient_dim(sub, sup)
         assert walked == tjurina(phi)
         monkeypatch.setattr(oracle_module, "_walk", lambda growth, top, cap: None)

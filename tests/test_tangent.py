@@ -11,17 +11,9 @@ from brs import (
     parse_poly,
 )
 from brs.polycore import VectorField, jacobian_ideal
-from brs.stdbasis import Ideal, colength, ideals_equal, membership, mora_normal_form, standard_basis
-from brs.tangent import (
-    DerivationModule,
-    df_ideal,
-    df_pair,
-    df_trivial_ideal,
-    suspend,
-    theta_contains,
-    theta_full,
-    theta_trivial,
-)
+from brs.stdbasis import Ideal, colength, membership, mora_normal_form, standard_basis
+from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
+from conftest import df_pair, ideals_equal, suspend, theta_contains, theta_trivial
 from strategies import CTX2
 
 
