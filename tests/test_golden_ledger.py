@@ -1,8 +1,9 @@
 """Golden ledger: the six invariants and every ledger row of the corpus.
 
-Pins, for each `corpus/*.brs` analyzed without a flag, with `--oracle` and
-with `--tau`, the invariants and each row's name, status, lhs, rhs and skip
-reason, in ledger order.  A refactor of `analyze` must reproduce it exactly.
+Pins, for each `corpus/*.brs` analyzed without a flag, with `--oracle`, with
+`--tau` and with both, the invariants and each row's name, status, lhs, rhs
+and skip reason, in ledger order.  A refactor of `analyze` must reproduce it
+exactly.
 
 Regenerate (only when a change of results is intended) with
 
@@ -21,7 +22,12 @@ from brs.report import report_to_dict
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden_ledger.json"
-MODES = {"plain": {}, "oracle": {"oracle": True}, "tau": {"tau_check": True}}
+MODES = {
+    "plain": {},
+    "oracle": {"oracle": True},
+    "tau": {"tau_check": True},
+    "oracle_tau": {"oracle": True, "tau_check": True},
+}
 
 
 def _snapshot(path: Path, flags: dict) -> dict:
