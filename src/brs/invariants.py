@@ -52,7 +52,6 @@ from .stdbasis import (
     ideal_colon,
     is_finite,
     membership,
-    module_quotient_dim,
     standard_basis,
 )
 from .tangent import (
@@ -365,14 +364,14 @@ _LEDGER = (
     # dim Theta_X / Theta_X^T, counted on ideals.  For an IHS, J_phi is
     # generated by a regular sequence, so the kernel of xi -> dphi(xi) is
     # the Koszul syzygies, the Hamiltonian fields, which lie in Theta_X^T.
-    # dphi therefore induces Theta_X / Theta_X^T = dphi(Theta_X) / dphi(Theta_X^T),
-    # and dphi(Theta_X^T) = phi * J_phi: df_trivial_ideal(phi, phi), whose
-    # minors vanish.
+    # dphi therefore induces Theta_X / Theta_X^T = phi * A / phi * J_phi,
+    # with A the ideal of theta_full's cofactors (dphi(xi_k) = a_k * phi).
+    # The ring is a domain, so that is A / J_phi, of dimension
+    # mu_X - colength(J_phi + A), counted by extending mu_X's model like
+    # tau_X.  J_phi + A is not in the report's ideals: the oracle adds no row.
     _Row("tau-module", "equal", True, ("tau_X",),
          NOT_IHS,
-         lambda v: module_quotient_dim(
-             df_trivial_ideal(v.phi, v.phi), df_ideal(v.phi, v.theta), budget=v.budget
-         ),
+         lambda v: v.mu_X - _count(v.J_phi + v.A, v.budget, v.J_phi_model, v.A).value,
          lambda v: v.tau_X),
     _Row("icis-finiteness", "equal", True, (),
          "",
@@ -474,7 +473,8 @@ def analyze(
     facts = SimpleNamespace(
         **{name: c.value for name, c in counts.items()},
         mu_fiber=mu_fiber, mu_BR=mu_BR, mu_BR_rel=mu_BR_rel,
-        phi=phi, Jf=Jf, theta=theta, budget=budget, models=models, colons={},
+        phi=phi, Jf=Jf, budget=budget, models=models, colons={},
+        J_phi=ideals["mu_X"], J_phi_model=counts["mu_X"].model, A=Ideal(ctx, theta.cofactors),
     )
     entries = [
         LedgerEntry(row.name, "skip", reason="disabled (pass --tau to enable)")

@@ -48,7 +48,7 @@ class DerivationModule:
     """Generators of a module of vector fields tangent to the hypersurface."""
 
     gens: tuple[VectorField, ...]
-    flavor: str  # "trivial" or "full"
+    cofactors: tuple[Polynomial, ...]  # dphi(gens[k]) = cofactors[k] * phi
 
 
 def _paired(partials: Sequence[Polynomial], xi: VectorField) -> Polynomial:
@@ -63,12 +63,12 @@ def _paired(partials: Sequence[Polynomial], xi: VectorField) -> Polynomial:
 def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationModule:
     """Full module of tangent fields via syzygies.
 
-    A vector field xi is tangent exactly when dphi(xi) = -a*phi for some a,
-    that is when (xi_1, ..., xi_n, a) is a syzygy of the partials of phi
-    followed by phi itself.  Generators are not minimized: only the ideal
-    df(theta) matters downstream and minimization changes no invariant.
-    Each syzygy is checked to be a relation in the kernel's integer terms,
-    before it becomes a vector field.
+    A vector field xi is tangent exactly when dphi(xi) = a*phi for some a,
+    that is when (xi_1, ..., xi_n, -a) is a syzygy of the partials of phi
+    followed by phi itself.  Generators are not minimized: only the ideals
+    df(theta) and (a) matter downstream and minimization changes no
+    invariant.  Each syzygy is checked to be a relation in the kernel's
+    integer terms, before it becomes a vector field and its cofactor a.
     """
     if phi.is_zero() or phi.constant_term() != 0:
         raise GermError("phi must be a nonzero germ vanishing at 0")
@@ -76,13 +76,14 @@ def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationMo
     n = ctx.n
     inputs = [(phi.partial(i),) for i in range(n)] + [(phi,)]
     _, scaled = _to_ivecs(inputs)
-    gens = []
+    gens, cofactors = [], []
     for row in _schreyer_rows(inputs, ctx, 1, budget):
         if not _is_relation(row, scaled):
             raise InternalError("syzygy output is not tangent to the hypersurface")
         if any(row[:n]):
             gens.append(VectorField(_vector(ctx, row[:n])))
-    return DerivationModule(gens=tuple(gens), flavor="full")
+            cofactors.append(-_vector(ctx, row[n:])[0])
+    return DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
 
 
 def df_ideal(f: Polynomial, theta: DerivationModule) -> Ideal:

@@ -156,7 +156,8 @@ def theta_trivial(phi: Polynomial) -> DerivationModule:
             comps[j] = partials[k]
             comps[k] = -partials[j]
             gens.append(VectorField(tuple(comps)))
-    return DerivationModule(gens=tuple(gens), flavor="trivial")
+    cofactors = partials + [zero] * (len(gens) - n)
+    return DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
 
 
 def as_submodule(theta: DerivationModule) -> Submodule:
@@ -214,8 +215,9 @@ def suspend(
         comps = [zero] * big.n
         comps[old.n + j] = one
         gens.append(VectorField(tuple(comps)))
+    cofactors = [a.embed(big) for a in base.cofactors] + [zero] * fresh.n
     new_problem = HypersurfaceProblem(ctx=big, phi=phi_big, f=f_big)
-    return new_problem, DerivationModule(gens=tuple(gens), flavor="full")
+    return new_problem, DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
 
 
 def corpus_paths(prefix: str | None = None) -> list[Path]:

@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from click.testing import CliRunner
 
 import brs.invariants as invariants_module
 import brs.oracle as oracle_module
@@ -18,10 +21,11 @@ from brs import (
     relative_bruce_roberts,
     tjurina,
 )
+from brs.cli import main as cli_main
 from brs.invariants import detect_split
 from brs.oracle import oracle_colength
-from brs.polycore import VectorField
-from brs.stdbasis import Ideal, module_quotient_dim
+from brs.polycore import VectorField, jacobian_ideal
+from brs.stdbasis import Ideal, colength, module_quotient_dim
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
 from conftest import CORPUS_DIR, as_submodule, theta_trivial
 from strategies import CTX2
@@ -267,6 +271,10 @@ class TestLedger:
         assert got == values
         assert set(report.routes.values()) == {"jet"}
         assert not report.failed
+        # The tau-module row extends mu_X's model too; on S18 its Mora
+        # route stalled in a standard basis of dphi(Theta_X).
+        row = {e.name: e for e in analyze(prob(phi, f, ctx3), tau_check=True).ledger}["tau-module"]
+        assert (row.status, row.lhs, row.rhs) == ("pass", report.tau_X, report.tau_X)
 
     def test_walks_build_only_the_echelons_they_need(self, monkeypatch):
         # One echelon gives every dim up to its cap, and the walk of df_T
@@ -348,7 +356,10 @@ def corpus_problem(name: str) -> HypersurfaceProblem:
 
 
 class TestTauModuleRow:
-    """The row counts dim Theta_X / Theta_X^T as dphi(Theta_X) / phi * J_phi."""
+    """The row counts dim Theta_X / Theta_X^T as mu_X - colength(J_phi + A).
+
+    A is the ideal of the cofactors a_k of theta_full, dphi(xi_k) = a_k * phi.
+    """
 
     @pytest.mark.parametrize(
         "name",
@@ -356,53 +367,85 @@ class TestTauModuleRow:
     )
     def test_ideal_quotient_is_the_module_quotient(self, name):
         # The witness: the rank-n quotient of the tangent modules, the
-        # rank-1 quotient the row counts, and the Tjurina number agree.
+        # rank-1 quotient dphi(Theta_X) / phi * J_phi, the count the row
+        # makes (here on Mora) and the Tjurina number agree.
         phi = corpus_problem(name).phi
         theta = theta_full(phi)
         modules = module_quotient_dim(as_submodule(theta_trivial(phi)), as_submodule(theta))
         ideals = module_quotient_dim(df_trivial_ideal(phi, phi), df_ideal(phi, theta))
-        assert modules == ideals == tjurina(phi)
+        J_phi = Ideal(phi.ctx, jacobian_ideal(phi))
+        row = milnor(phi) - colength(J_phi + Ideal(phi.ctx, theta.cofactors))
+        assert modules == ideals == row == tjurina(phi)
 
     def test_a_smaller_tangent_module_fails_the_row(self, monkeypatch):
         # E6 is weighted homogeneous: Theta_X is the Euler field and one
         # Hamiltonian, which lies in Theta_X^T.  With the Euler field
-        # replaced by x and y times it, the row counts m / J_phi, mu - 1 = 5.
+        # replaced by x and y times it, A is the maximal ideal and the row
+        # counts m / J_phi, mu - 1 = 5.
         problem = corpus_problem("wh_e6_f_x.brs")
-        phi = problem.phi
-        euler, hamiltonian = theta_full(phi).gens
-        shrunk = [VectorField(tuple(v * c for c in euler.components)) for v in phi.ctx.variables()]
-        monkeypatch.setattr(
-            invariants_module,
-            "theta_full",
-            lambda _, budget: DerivationModule((*shrunk, hamiltonian), "full"),
+        theta = theta_full(problem.phi)
+        (euler, hamiltonian), (a, zero) = theta.gens, theta.cofactors
+        variables = problem.phi.ctx.variables()
+        shrunk = DerivationModule(
+            (*(VectorField(tuple(v * c for c in euler.components)) for v in variables), hamiltonian),
+            (*(v * a for v in variables), zero),
         )
+        monkeypatch.setattr(invariants_module, "theta_full", lambda _, budget: shrunk)
         row = {e.name: e for e in analyze(problem, tau_check=True).ledger}["tau-module"]
         assert (row.status, row.lhs, row.rhs) == ("fail", 5, 6)
+
+    def test_without_the_euler_field_the_row_fails(self, monkeypatch):
+        # A is zero, so the row counts J_phi / J_phi: a failed row, not an
+        # error, and `brs check` exits 2 (identity failure).
+        problem = corpus_problem("wh_e6_f_x.brs")
+        theta = theta_full(problem.phi)
+        dropped = DerivationModule(theta.gens[1:], theta.cofactors[1:])
+        monkeypatch.setattr(invariants_module, "theta_full", lambda _, budget: dropped)
+        row = {e.name: e for e in analyze(problem, tau_check=True).ledger}["tau-module"]
+        assert (row.status, row.lhs, row.rhs) == ("fail", 0, 6)
+        res = CliRunner().invoke(cli_main, ["check", str(CORPUS_DIR / "wh_e6_f_x.brs"), "--tau"])
+        assert res.exit_code == 2, res.output
+        assert ["tau-module", "fail", "0", "=", "6"] in [line.split() for line in res.output.splitlines()]
 
     def test_without_the_euler_field_the_row_has_no_value(self):
         # The first generator of Theta_X for E6 is the Euler field; without
         # it dphi(Theta_X) is zero and cannot contain phi * J_phi.
         phi = corpus_problem("wh_e6_f_x.brs").phi
         theta = theta_full(phi)
-        dropped = DerivationModule(theta.gens[1:], "full")
+        dropped = DerivationModule(theta.gens[1:], theta.cofactors[1:])
         assert df_ideal(phi, dropped).gens == ()
         with pytest.raises(ContainmentError):
             module_quotient_dim(df_trivial_ideal(phi, phi), df_ideal(phi, dropped))
 
-    def test_the_row_counts_rank_one_quotients(self, monkeypatch):
-        calls: list = []
-        real = invariants_module.module_quotient_dim
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
+    def test_the_row_runs_no_standard_basis(self, name, monkeypatch):
+        # The row's one count extends mu_X's model: with --tau, the run
+        # completes no more standard bases than without, and that count
+        # is a jet count wherever mu_X's is.
+        completions: list = []
+        routes: list = []
+        spy_on(monkeypatch, "_complete", completions, module=stdbasis_module)
+        real = invariants_module._count
 
-        def spy(sub, sup, **kwargs):
-            calls.append((sub, sup))
-            return real(sub, sup, **kwargs)
+        def count(*args, **kwargs):
+            got = real(*args, **kwargs)
+            routes.append(got.route)
+            return got
 
-        monkeypatch.setattr(invariants_module, "module_quotient_dim", spy)
-        report = analyze(corpus_problem("nwh_t444_generic.brs"), tau_check=True)
-        row = {e.name: e for e in report.ledger}["tau-module"]
-        assert (row.status, row.lhs) == ("pass", 10)
-        assert len(calls) == 1
-        assert all(isinstance(arg, Ideal) for arg in calls[0])
+        monkeypatch.setattr(invariants_module, "_count", count)
+        problem = corpus_problem(name)
+        report = analyze(problem)
+        plain = (len(completions), Counter(routes))
+        completions.clear()
+        routes.clear()
+        analyze(problem, tau_check=True)
+        assert len(completions) == plain[0]
+        added = Counter(routes)
+        added.subtract(plain[1])
+        gated = is_finite(report.mu_X)
+        assert sum(added.values()) == gated
+        if gated and report.routes["mu_X"] == "jet":
+            assert +added == Counter(["jet"])
 
 
 class TestSplitDetection:

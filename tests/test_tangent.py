@@ -40,8 +40,10 @@ class TestThetaTrivial:
     def test_every_generator_is_tangent(self, P):
         phi = P("x^3 - x*y^2")
         sb = standard_basis(Ideal(CTX2, [phi]))
-        for xi in theta_trivial(phi).gens:
+        theta = theta_trivial(phi)
+        for xi, a in zip(theta.gens, theta.cofactors, strict=True):
             assert mora_normal_form(df_pair(phi, xi), sb).is_zero()
+            assert df_pair(phi, xi) == a * phi
 
 
 class TestThetaFull:
@@ -58,7 +60,7 @@ class TestThetaFull:
                 VectorField((P("x"), P("0"))),
                 VectorField((P("0"), P("1"))),
             ),
-            flavor="full",
+            cofactors=(P("1"), P("0")),
         )
         assert theta_contains(theta, expected.gens)
         assert theta_contains(expected, theta.gens)
@@ -71,8 +73,10 @@ class TestThetaFull:
     def test_all_generators_tangent(self, P):
         phi = P("x^4 + y^5 + x^2*y^2")
         sb = standard_basis(Ideal(CTX2, [phi]))
-        for xi in theta_full(phi).gens:
+        theta = theta_full(phi)
+        for xi, a in zip(theta.gens, theta.cofactors, strict=True):
             assert mora_normal_form(df_pair(phi, xi), sb).is_zero()
+            assert df_pair(phi, xi) == a * phi
 
     def test_a_row_that_is_not_tangent_is_caught(self, P, monkeypatch):
         # Double the first component of one syzygy row: it is then no
@@ -103,7 +107,7 @@ class TestDfIdeals:
                 VectorField((P("1"), P("0"))),
                 VectorField((P("0"), P("1"))),
             ),
-            flavor="full",
+            cofactors=(),
         )
         assert ideals_equal(df_ideal(f, free), Ideal(CTX2, jacobian_ideal(f)))
 
@@ -191,7 +195,7 @@ class TestSuspend:
         prob = HypersurfaceProblem(ctx=CTX2, phi=P("x^2 + y^3"), f=P("y"))
         same, theta = suspend(prob, None)
         assert same is prob
-        assert theta.flavor == "full"
+        assert theta == theta_full(prob.phi)
 
     def test_name_clash_rejected(self, P):
         prob = HypersurfaceProblem(ctx=CTX2, phi=P("x^2 + y^3"), f=P("y"))
