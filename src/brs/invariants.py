@@ -19,10 +19,12 @@ singular locus) are reported as skipped with a reason, never as failures.
 
 Every colength takes the cheapest proof available (`_count`): the axis
 certificate of infinite colength, then a stabilized jet walk, and only when
-the walk hands the ideal back, a Mora standard basis.  The ledger is one
-table (`_LEDGER`) that one loop evaluates.  Its containment rows run on the
-jet models of the ideals involved, and an ideal without one is wrapped in
-`_MoraIdeal`, which answers the same questions from a Mora standard basis.
+the walk hands the ideal back, a Mora standard basis, which proves a finite
+colength together with a level for its jet model.  So every finite count
+carries a model.  The ledger is one table (`_LEDGER`) that one loop
+evaluates.  Its containment rows run on the jet models of the ideals
+involved, and an ideal of infinite colength is wrapped in `_MoraIdeal`,
+which answers the same questions from a Mora standard basis.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Sequence, Union
 
+from .errors import InternalError
 from .oracle import (
     DEFAULT_CAP,
     INCONCLUSIVE,
@@ -48,6 +51,7 @@ from .stdbasis import (
     NOT_FINITE,
     StandardBasis,
     Value,
+    _basis_standard_exponents,
     colength,
     ideal_colon,
     is_finite,
@@ -107,7 +111,10 @@ class InvariantReport:
 
 
 class _Count:
-    """A colength and its proof: route "certificate", "jet" (with its model) or "mora"."""
+    """A colength and its proof: route "certificate", "jet" or "mora".
+
+    Every finite count carries its certified jet model.
+    """
 
     __slots__ = ("value", "route", "model")
 
@@ -131,6 +138,11 @@ def _count(
     walking from d = 1, and always exists.  An ideal with a model has no
     axis certificate, and neither has any ideal containing it.  `floor` is
     passed on to the walk: the level of an ideal known to contain I.
+
+    When the walk gives up, a Mora standard basis decides.  A finite one
+    also proves a level: with N = 1 + the top degree of a standard monomial,
+    m^N lies in I (the highest-corner bound), so a walk capped at N + 1
+    stops by N, and the model it gives must count what Mora counted.
     """
     if base is not None:
         model = extended_jet_model(base, extra.gens)
@@ -140,7 +152,14 @@ def _count(
         model = jet_model(I, floor=floor)
     if model is not None:
         return _Count(model.colength, "jet", model)
-    return _Count(colength(I, budget=budget), "mora")
+    exps = _basis_standard_exponents(standard_basis(I, budget=budget))
+    if exps is None:
+        return _Count(NOT_FINITE, "mora")
+    level = 1 + max((sum(e) for e in exps), default=-1)
+    model = jet_model(I, cap=level + 1, floor=level)
+    if model is None or model.colength != len(exps):
+        raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
+    return _Count(len(exps), "mora", model)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +177,6 @@ def tjurina(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     return _count(Ideal(phi.ctx, gens), budget).value
 
 
-def _legreuel_ideal(phi: Polynomial, f: Polynomial) -> Ideal:
-    return Ideal(phi.ctx, [phi] + minors_2x2(f, phi))
-
-
 def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Milnor number of the fibre, via the Le-Greuel relation.
 
@@ -169,7 +184,7 @@ def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET
     subtracted off.  Not finite when the pair (phi, f) fails to cut out an
     isolated complete intersection.
     """
-    total = _count(_legreuel_ideal(phi, f), budget).value
+    total = _count(Ideal(phi.ctx, [phi] + minors_2x2(f, phi)), budget).value
     mu_x = milnor(phi, budget=budget)
     if not (is_finite(total) and is_finite(mu_x)):
         return NOT_FINITE
@@ -263,7 +278,9 @@ def _value_out(v: Value) -> LedgerValue:
 class _MoraIdeal:
     """An ideal without a jet model, answering what a `JetModel` answers.
 
-    Its Mora standard basis is completed on first use and kept.
+    In `analyze` that is an ideal of infinite colength, since every finite
+    count carries a model.  Its Mora standard basis is completed on first
+    use and kept.
     """
 
     __slots__ = ("ideal", "budget", "_basis")
@@ -290,10 +307,10 @@ def _colon_vs_jf(v: SimpleNamespace, key: str) -> tuple[bool, bool]:
     """Whether (I : phi) lies in Jf, and Jf in (I : phi), for I counted under `key`.
 
     Computed once per run and ideal.  `v.models` holds Jf ("mu_f"), df_X
-    ("br") and df_T ("trivial"), each as its jet model or, without one, as
-    a `_MoraIdeal`, so the check takes one path on either engine; when both
-    sides are jet models, the colon's columns are reduced in Jf's echelon
-    directly.
+    ("br") and df_T ("trivial"), each as its jet model or, of infinite
+    colength, as a `_MoraIdeal`, so the check takes one path on either
+    engine; when both sides are jet models, the colon's columns are reduced
+    in Jf's echelon directly.
     """
     if key not in v.colons:
         jf, colon = v.models["mu_f"], v.models[key].colon([v.phi])
@@ -440,9 +457,13 @@ def analyze(
     mu_X = count("mu_X", Ideal(ctx, jacobian_ideal(phi)))
     tau_X = count("tau_X", I_X + ideals["mu_X"], base="mu_X")
     # df_T is the minors plus phi * Jf, and every minor lies in J_phi, so
-    # df_T lies in (phi) + J_phi; the Le-Greuel ideal is df_T + (phi).
-    count("trivial", df_trivial_ideal(f, phi), floor=level("tau_X"))
-    lg_total = count("legreuel", _legreuel_ideal(phi, f), base="trivial", floor=level("tau_X"))
+    # df_T lies in (phi) + J_phi; the Le-Greuel ideal is df_T + (phi),
+    # generated by phi and the minors: df_T's generators before its last
+    # len(Jf.gens), which are phi * g for the generators g of Jf.
+    trivial = df_trivial_ideal(f, phi)
+    minors = trivial.gens[: len(trivial.gens) - len(Jf.gens)]
+    count("trivial", trivial, floor=level("tau_X"))
+    lg_total = count("legreuel", Ideal(ctx, [phi, *minors]), base="trivial", floor=level("tau_X"))
     # trivial_rel, df_T + (phi), is that ideal; the oracle reads its own generators.
     ideals["trivial_rel"] = ideals["trivial"] + I_X
     counts["trivial_rel"] = counts["legreuel"]

@@ -76,6 +76,7 @@ INCONCLUSIVE = InconclusiveType()
 OracleValue = Value | InconclusiveType
 
 DEFAULT_CAP = 32
+MIN_CAP = 4  # the smallest cap the oracle takes
 
 
 # A monomial is packed into one integer, one field of _FIELD bits per
@@ -521,8 +522,8 @@ def oracle_colength(I: Ideal, cap: int = DEFAULT_CAP) -> OracleValue:
     principal ideal theorem its zero set is a hypersurface).  Otherwise the
     stabilized dimension, or Inconclusive when the walk reaches the cap.
     """
-    if cap < 4:
-        raise BrsError("oracle cap must be at least 4")
+    if cap < MIN_CAP:
+        raise BrsError(f"oracle cap must be at least {MIN_CAP}")
     if axis_certificate(I) or (
         I.ctx.n >= 2 and len(I.gens) == 1 and I.gens[0].constant_term() == 0
     ):

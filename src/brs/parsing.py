@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
-from .oracle import DEFAULT_CAP
+from .oracle import DEFAULT_CAP, MIN_CAP
 from .polycore import Polynomial, VarContext
 from .tangent import HypersurfaceProblem
 
@@ -263,9 +263,9 @@ def read_problem_file(src: str) -> ProblemFile:
 
 
 def _check_max_jet(max_jet: int, line: int = 1, column: int = 1) -> int:
-    """An oracle cap, from a file's max_jet key or the CLI: at least 4."""
-    if max_jet < 4:
-        raise ParseError("max_jet must be at least 4", line, column)
+    """An oracle cap, from a file's max_jet key or the CLI: at least MIN_CAP."""
+    if max_jet < MIN_CAP:
+        raise ParseError(f"max_jet must be at least {MIN_CAP}", line, column)
     return max_jet
 
 

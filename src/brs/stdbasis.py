@@ -20,8 +20,8 @@ a polynomial is a tuple of (key, c) pairs, key the monomial's
 `Monomial.sort_key()` and c an integer, so each order decision compares the
 same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
 `polycore.integral_terms` (the jet engine's helper too), and results become
-`Polynomial`s once, on the way out; a tracked combination row carries one
-integer denominator.  A degree-capped run (`_jet_capped`) leaves the
+`Polynomial`s once, on the way out; a row tracked by a syzygy run carries
+one integer denominator.  A degree-capped run (`_jet_capped`) leaves the
 monomials of degree cap implicit: they are charged to the budget as the
 pairs they would form, never scanned as reducers, and join the basis at the
 end where no kept lead divides them.
@@ -143,26 +143,16 @@ class StandardBasis:
     `elements` are primitive (integer coefficients, content 1, positive
     leading sign) and inter-reduced in the minimal sense: no leading term
     divides another.  Tails are not reduced, because tail reduction need not
-    terminate over a local order.  `source` keeps the input generators.
-    When built with track=True, `combinations[k]` gives polynomial
-    coefficients expressing elements[k] exactly in terms of `source`.
-    `standard` holds the exponents of the standard monomials when the run
-    that built the basis already enumerated them (a capped run's proof).
+    terminate over a local order.  `standard` holds the exponents of the
+    standard monomials when the run that built the basis already enumerated
+    them (a capped run's proof).
     """
 
     ctx: VarContext
     rank: int
     elements: tuple[Vec, ...]
     leading: tuple[tuple[int, Monomial], ...]
-    source: tuple[Vec, ...]
-    combinations: tuple[Vec, ...] | None = None
     standard: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def polynomials(self) -> tuple[Polynomial, ...]:
-        if self.rank != 1:
-            raise ContextError("polynomials view requires a rank-1 basis")
-        return tuple(v[0] for v in self.elements)
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -199,10 +189,10 @@ def _to_ivecs(vecs: Sequence[Vec], cap: int | None = None) -> tuple[int, list[IV
     return den, [tuple(next(polys) for _ in v) for v in vecs]
 
 
-def _vector(ctx: VarContext, v: IVec, den: int = 1) -> Vec:
-    """The vector v/den as polynomials."""
+def _vector(ctx: VarContext, v: IVec) -> Vec:
+    """The vector v as polynomials."""
     return tuple(
-        Polynomial._raw(ctx, tuple((Monomial(k[1][::-1]), Fraction(c, den)) for k, c in p))
+        Polynomial._raw(ctx, tuple((Monomial(k[1][::-1]), Fraction(c)) for k, c in p))
         for p in v
     )
 
@@ -286,20 +276,10 @@ def _primitive(v: IVec, row: IVec | None = None, den: int = 1) -> tuple[IVec, IV
     return v, row, den
 
 
-def _as_vecs(obj: Union[Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]]) -> tuple[VarContext, int, list[Vec]]:
+def _as_vecs(obj: Union[Ideal, Submodule]) -> tuple[VarContext, int, list[Vec]]:
     if isinstance(obj, Ideal):
         return obj.ctx, 1, [(g,) for g in obj.gens]
-    if isinstance(obj, Submodule):
-        return obj.ctx, obj.rank, list(obj.gens)
-    seq = list(obj)
-    if not seq:
-        raise ContextError("cannot infer context from an empty generator list")
-    first = seq[0]
-    if isinstance(first, Polynomial):
-        ctx = first.ctx
-        return ctx, 1, [(g,) for g in seq]
-    ctx = first[0].ctx
-    return ctx, len(first), [tuple(v) for v in seq]
+    return obj.ctx, obj.rank, list(obj.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +410,6 @@ def _complete(
     ctx: VarContext,
     rank: int,
     budget: int,
-    track: bool,
     use_criteria: bool = True,
     collect: list[IVec] | None = None,
     cap: int | None = None,
@@ -443,16 +422,17 @@ def _complete(
     lcm minimalization among new pairs); no coprimality shortcut, which would
     be unsound here.
 
-    With track=True every element carries a passenger row expressing it as an
-    exact polynomial combination of the inputs; the rows take no part in lead
-    or ecart decisions.  When `collect` is given, inputs enter the basis
-    verbatim and the row of every vector that reduces to zero is appended to
-    it: those rows are exactly the Schreyer relations, and they generate the
-    full syzygy module of the inputs (pairs pruned by the chain criterion
-    contribute rows that are monomial combinations of collected ones).
+    When `collect` is given, the run is tracked: every element carries a
+    passenger row/den expressing it as an exact polynomial combination of
+    the inputs (the rows take no part in lead or ecart decisions), inputs
+    enter the basis verbatim, and the row of every vector that reduces to
+    zero is appended to `collect`: those rows are exactly the Schreyer
+    relations, and they generate the full syzygy module of the inputs (pairs
+    pruned by the chain criterion contribute rows that are monomial
+    combinations of collected ones).
 
     A run given a degree `cap` (see `_jet_capped`, the one source of caps;
-    rank 1, untracked) completes the inputs plus the monomials of degree cap
+    rank 1, no `collect`) completes the inputs plus the monomials of degree cap
     and cannot march: every term of degree at least the cap is dropped from
     the inputs and from each reduction.  It also forms no pair whose lcm has
     degree at least the cap (the highest-corner bound): every term of such
@@ -476,6 +456,7 @@ def _complete(
     meter = _Budget(budget)
     implicit = comb(cap + n - 1, n - 1) if cap is not None else 0
     cap_peers = 0  # implicit monomials entered so far
+    track = collect is not None
     collapse = rank == 1 and not track
 
     def add(vec: IVec, row: IVec | None, den: int) -> bool:
@@ -524,17 +505,14 @@ def _complete(
 
     collapsed = False
     for idx, vec in enumerate(vecs):
-        row = None
         if track:
             row = tuple(((one, den_in),) if k == idx else () for k in range(len(vecs)))
-        if not any(vec):
-            if collect is not None:
+            if any(vec):
+                add(vec, row, 1)  # inputs enter verbatim so rows stay over them
+            else:
                 collect.append(row)
             continue
-        if collect is not None:
-            add(vec, row, 1)  # inputs enter verbatim so rows stay over them
-            continue
-        reduced, row, den = _nf_mora(vec, entries, row, 1, meter, cap)
+        reduced, row, den = _nf_mora(vec, entries, budget=meter, cap=cap)
         if any(reduced) and add(reduced, row, den):
             collapsed = True
             break
@@ -561,12 +539,12 @@ def _complete(
             den = lcm(a.den, b.den)
             row = _combine(b.coeff * (den // a.den), qa, a.row, a.coeff * (den // b.den), qb, b.row)
         if not any(s):
-            if collect is not None and row is not None:
+            if track:
                 collect.append(row)
             continue
         reduced, row, den = _nf_mora(s, entries, row, den, meter, cap)
         if not any(reduced):
-            if collect is not None and row is not None and any(row):
+            if track and any(row):
                 collect.append(row)
             continue
         if add(reduced, row, den):
@@ -591,36 +569,32 @@ def _complete(
 
 
 def standard_basis(
-    obj: Union[Ideal, Submodule, Sequence[Polynomial]],
+    obj: Union[Ideal, Submodule],
     *,
     budget: int = DEFAULT_BUDGET,
-    track: bool = False,
     jet_level: int | None = None,
 ) -> StandardBasis:
     """Mora standard basis of an ideal or submodule.
 
     Deterministic for a fixed input order.  Raises BudgetError when the pair
-    budget is exhausted.  An untracked ideal is first tried under the degree
-    cap of `_jet_capped` (`jet_level`: the level N of its certified jet
-    model, when the caller holds one); otherwise one uncapped run decides.
+    budget is exhausted.  An ideal is first tried under the degree cap of
+    `_jet_capped` (`jet_level`: the level N of its certified jet model, when
+    the caller holds one); when that run proves nothing or exhausts the
+    budget (it charges every pair it skips at the cap, so a high level
+    exhausts it at once), one uncapped run decides on a fresh budget.
     """
     ctx, rank, vecs = _as_vecs(obj)
-    source = tuple(vecs)
-    if not track:
-        vecs = list(dict.fromkeys(v for v in vecs if any(v)))
-        # Tracked runs keep the raw list so combination rows line up with
-        # `source`; duplicates simply reduce to zero against their twin.
-    capped = None
-    if rank == 1 and not track and vecs:
-        capped = _jet_capped(vecs, ctx, budget, jet_level)
-    entries, standard = capped or (_complete(vecs, ctx, rank, budget, track), None)
+    vecs = list(dict.fromkeys(v for v in vecs if any(v)))
+    try:
+        capped = _jet_capped(vecs, ctx, budget, jet_level) if rank == 1 and vecs else None
+    except BudgetError:
+        capped = None
+    entries, standard = capped or (_complete(vecs, ctx, rank, budget), None)
     return StandardBasis(
         ctx=ctx,
         rank=rank,
         elements=tuple(_vector(ctx, e.vec) for e in entries),
         leading=tuple((e.comp, e.mono) for e in entries),
-        source=source,
-        combinations=tuple(_vector(ctx, e.row, e.den) for e in entries) if track else None,
         standard=standard,
     )
 
@@ -649,7 +623,7 @@ def _jet_capped(
         if model is None:
             return None
         level = model.level
-    entries = _complete([(g,) for g in ideal.gens], ctx, 1, budget, track=False, cap=level + 1)
+    entries = _complete([(g,) for g in ideal.gens], ctx, 1, budget, cap=level + 1)
     exps = _standard_exponents([e.mono for e in entries], ctx.n)
     if exps is None or any(sum(e) >= level for e in exps):
         return None
@@ -657,7 +631,7 @@ def _jet_capped(
 
 
 def _coerce_basis(
-    G: Union[StandardBasis, Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]],
+    G: Union[StandardBasis, Ideal, Submodule],
     budget: int,
     jet_level: int | None = None,
 ) -> StandardBasis:
@@ -668,9 +642,9 @@ def _coerce_basis(
 
 def mora_normal_form(
     p: Union[Polynomial, Sequence[Polynomial]],
-    G: Union[StandardBasis, Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]],
+    G: Union[StandardBasis, Ideal, Submodule],
 ) -> Union[Polynomial, Vec]:
-    """Weak normal form of p against the generator list G (taken as given).
+    """Weak normal form of p against the generators of G (taken as given).
 
     G is used as a plain reducer list, not completed first; pass a finished
     StandardBasis for membership-grade reductions.  The remainder is
@@ -780,7 +754,7 @@ def colength(
 
 
 def syzygies(
-    obj: Union[Ideal, Submodule, Sequence[Polynomial], Sequence[Vec]],
+    obj: Union[Ideal, Submodule],
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> Submodule:
@@ -802,7 +776,7 @@ def _schreyer_rows(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> 
     if not vecs:
         raise ContextError("syzygies of an empty generator list")
     collected: list[IVec] = []
-    _complete(vecs, ctx, rank, budget, track=True, collect=collected)
+    _complete(vecs, ctx, rank, budget, collect=collected)
     return [_primitive(row)[0] for row in collected if any(row)]
 
 
@@ -952,7 +926,7 @@ def module_quotient_dim(
     level = _walk(growth, top, None)
     if level is not None:
         return dims[level]
-    entries = _complete(presentation, ctx, t, budget, track=False)
+    entries = _complete(presentation, ctx, t, budget)
     counts = [
         _count_standard_monomials([e.mono for e in entries if e.comp == comp], ctx.n)
         for comp in range(t)

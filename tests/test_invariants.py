@@ -6,9 +6,11 @@ from click.testing import CliRunner
 import brs.invariants as invariants_module
 import brs.oracle as oracle_module
 import brs.stdbasis as stdbasis_module
+import brs.tangent as tangent_module
 from brs import (
     ContainmentError,
     HypersurfaceProblem,
+    InternalError,
     NOT_FINITE,
     VarContext,
     analyze,
@@ -353,6 +355,81 @@ class TestLedger:
 
 def corpus_problem(name: str) -> HypersurfaceProblem:
     return parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8")).problem
+
+
+def test_one_minors_computation_per_analyze(monkeypatch):
+    # df_T and the Le-Greuel ideal are built from one list of minors.
+    log: list = []
+    spy_on(monkeypatch, "minors_2x2", log)
+    spy_on(monkeypatch, "minors_2x2", log, module=tangent_module)
+    analyze(corpus_problem("nwh_t444_generic.brs"))
+    assert len(log) == 1
+
+
+# Brieskorn-Pham germs phi = sum x_i^(a_i) with f a coordinate: mu_f = 0,
+# mu_X = tau_X = prod(a_i - 1), and mu_fiber = mu_BR = mu_BR_rel is the same
+# product over the variables other than f's.  The walk of J_phi gives up by
+# its cost rule on each, so mu_X is a Mora count.
+BRIESKORN_PHAM = [
+    ("x,y,z", "x^10 + y^10 + z^10", "x", (0, 729, 729, 81, 81, 81)),
+    ("x,y,z", "x^8 + y^9 + z^10", "z", (0, 504, 504, 56, 56, 56)),
+    ("x,y,z,w", "x^7 + y^7 + z^7 + w^7", "x", (0, 1296, 1296, 216, 216, 216)),
+]
+
+
+def brieskorn_pham(names: str, phi: str, f: str) -> HypersurfaceProblem:
+    return prob(phi, f, VarContext(tuple(names.split(","))))
+
+
+class TestMoraCountCarriesItsModel:
+    """A finite Mora count proves a level and hands its jet model on."""
+
+    @pytest.mark.parametrize(
+        "names, phi, f, values", BRIESKORN_PHAM, ids=["fermat10_x", "b8910_z", "fermat7_4d_x"]
+    )
+    def test_brieskorn_pham(self, names, phi, f, values, monkeypatch):
+        counts: list = []
+        real = invariants_module._count
+
+        def count(I, *args, **kwargs):
+            got = real(I, *args, **kwargs)
+            counts.append((I, got))
+            return got
+
+        monkeypatch.setattr(invariants_module, "_count", count)
+        log: list = []
+        spy_on(monkeypatch, "ideal_colon", log)
+        spy_on(monkeypatch, "ideal_colon", log, module=stdbasis_module)
+        report = analyze(brieskorn_pham(names, phi, f))
+        got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
+        assert got == values
+        assert all(e.status == "pass" for e in report.gated)
+        assert report.routes["mu_X"] == "mora"
+        (mu_X,) = [c for I, c in counts if I is report.ideals["mu_X"]]
+        assert mu_X.model is not None and mu_X.model.colength == values[1]
+        assert report.routes["tau_X"] == "jet"
+        assert log == []
+
+    def test_every_oracle_and_tau_row_passes(self):
+        names, phi, f, _ = BRIESKORN_PHAM[0]
+        report = analyze(brieskorn_pham(names, phi, f), oracle=True, tau_check=True)
+        assert [e.name for e in report.ledger if e.status != "pass"] == []
+
+    @pytest.mark.parametrize("drop", [0, -1], ids=["first", "last"])
+    def test_a_wrong_mora_count_is_caught(self, drop, monkeypatch):
+        # One standard monomial missing: the model disagrees with the count
+        # (first), or the level is too low for the capped walk (last).
+        real = invariants_module._basis_standard_exponents
+
+        def dropped(basis):
+            exps = list(real(basis))
+            del exps[drop]
+            return exps
+
+        monkeypatch.setattr(invariants_module, "_basis_standard_exponents", dropped)
+        names, phi, f, _ = BRIESKORN_PHAM[0]
+        with pytest.raises(InternalError):
+            analyze(brieskorn_pham(names, phi, f))
 
 
 class TestTauModuleRow:

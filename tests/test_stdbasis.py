@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from brs import ContainmentError, NOT_FINITE, Polynomial, VarContext, tjurina
 from brs.polycore import jacobian_ideal
 from brs.stdbasis import (
+    DEFAULT_BUDGET,
     Ideal,
     Submodule,
+    _complete,
+    _vector,
     colength,
     ideal_colon,
     ideal_intersection,
@@ -33,22 +36,36 @@ from conftest import (
 from strategies import CTX2, polynomials, zero_dim_ideals
 
 
+def tracked_entries(gens):
+    """The basis entries of a syzygy run on `gens`, each with its row and den."""
+    return _complete([(g,) for g in gens], gens[0].ctx, 1, DEFAULT_BUDGET, collect=[])
+
+
+def recombined(entry, gens):
+    """The entry's row over `gens`, divided by its den."""
+    ctx = gens[0].ctx
+    total = Polynomial.zero(ctx)
+    for c, g in zip(_vector(ctx, entry.row), gens):
+        total = total + c * g
+    return total.scale(Fraction(1, entry.den))
+
+
 class TestMoraNormalForm:
     def test_unit_multiple_reduces_to_zero(self, P):
         # (x - x^2) generates (x) locally because 1 - x is a unit; plain
         # division would loop, Mora's partial-remainder trick terminates.
-        assert mora_normal_form(P("x^3"), [P("x - x^2")]) == P("0")
+        assert mora_normal_form(P("x^3"), Ideal(CTX2, [P("x - x^2")])) == P("0")
 
     def test_self_reduction(self, P):
         p = P("x^2 + y^3")
-        assert mora_normal_form(p, [p]).is_zero()
+        assert mora_normal_form(p, Ideal(CTX2, [p])).is_zero()
 
     def test_irreducible_stays(self, P):
-        assert mora_normal_form(P("y"), [P("x")]) == P("y")
+        assert mora_normal_form(P("y"), Ideal(CTX2, [P("x")])) == P("y")
 
     def test_leading_term_of_remainder_not_divisible(self, P):
         G = [P("x^2 - y^3"), P("x*y")]
-        r = mora_normal_form(P("x^3 + y"), G)
+        r = mora_normal_form(P("x^3 + y"), Ideal(CTX2, G))
         if not r.is_zero():
             lead = r.leading[0]
             assert all(not g.leading[0].divides(lead) for g in G)
@@ -64,7 +81,7 @@ class TestStandardBasis:
         I = Ideal(CTX2, [P("0"), P("x")])
         assert I.gens == (P("x"),)
         sb = standard_basis(I)
-        assert sb.polynomials == (P("x"),)
+        assert sb.elements == ((P("x"),),)
 
     def test_already_standard(self, P):
         sb = standard_basis(Ideal(CTX2, [P("2*x"), P("3*y^2")]))
@@ -73,15 +90,13 @@ class TestStandardBasis:
 
     def test_inputs_reduce_to_zero_and_combinations_witness(self, P):
         gens = [P("x^2 + y^3"), P("x*y - y^4"), P("y^2 - x^3")]
-        sb = standard_basis(Ideal(CTX2, gens), track=True)
+        sb = standard_basis(Ideal(CTX2, gens))
         for g in gens:
             assert mora_normal_form(g, sb).is_zero()
-        assert sb.combinations is not None
-        for element, combo in zip(sb.elements, sb.combinations):
-            recombined = Polynomial.zero(CTX2)
-            for c, g in zip(combo, gens):
-                recombined = recombined + c * g
-            assert recombined == element[0]
+        entries = tracked_entries(gens)
+        assert entries
+        for e in entries:
+            assert recombined(e, gens) == _vector(CTX2, e.vec)[0]
 
     def test_budget_error(self, P):
         from brs import BudgetError
@@ -92,28 +107,21 @@ class TestStandardBasis:
 
     def test_duplicate_inputs_with_tracking(self, P):
         gens = [P("x^2 - y^3"), P("x^2 - y^3"), P("x*y")]
-        sb = standard_basis(Ideal(CTX2, gens), track=True)
-        assert sb.combinations is not None
-        for element, combo in zip(sb.elements, sb.combinations):
-            recombined = Polynomial.zero(CTX2)
-            for c, g in zip(combo, sb.source):
-                recombined = recombined + c * g[0]
-            assert recombined == element[0]
+        entries = tracked_entries(gens)
+        assert entries
+        for e in entries:
+            assert recombined(e, gens) == _vector(CTX2, e.vec)[0]
 
     def test_chain_criterion_changes_nothing(self, P):
         # The pair pruning must be a pure optimization: leading ideals agree
         # with the criterion disabled.
-        from brs.stdbasis import _complete
-
         for gens in (
             [P("x^2 + y^3"), P("x*y - y^4"), P("y^2 - x^3")],
             [P("2*x - y^2"), P("3*y^2 + x^2*y")],
         ):
             vecs = [(g,) for g in gens]
-            with_crit = _complete(list(vecs), CTX2, 1, 10_000, track=False)
-            without = _complete(
-                list(vecs), CTX2, 1, 10_000, track=False, use_criteria=False
-            )
+            with_crit = _complete(list(vecs), CTX2, 1, 10_000)
+            without = _complete(list(vecs), CTX2, 1, 10_000, use_criteria=False)
             assert {e.mono.exponents for e in with_crit} == {
                 e.mono.exponents for e in without
             }
@@ -371,9 +379,9 @@ class TestJetAgreesWithMora:
 
 def assert_capped_path_matches_plain_run(I: Ideal) -> None:
     """The capped path, which forms no pair at or above its cap, against a plain run."""
-    from brs.stdbasis import DEFAULT_BUDGET, _complete, _count_standard_monomials
+    from brs.stdbasis import _count_standard_monomials
 
-    plain = _complete([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET, track=False)
+    plain = _complete([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET)
     sb = standard_basis(I)
     assert sorted(m.exponents for m in sb.leading_monomials) == sorted(
         e.mono.exponents for e in plain
@@ -413,10 +421,13 @@ class TestCappedRun:
     def test_cap_monomials_complete_the_basis(self, P):
         # The monomials of degree cap are implicit inputs; those no kept lead
         # divides are elements of the basis of (x^2) + m^3.
-        from brs.stdbasis import _complete
-
-        entries = _complete([(P("x^2"),)], CTX2, 1, 10_000, track=False, cap=3)
+        entries = _complete([(P("x^2"),)], CTX2, 1, 10_000, cap=3)
         assert [e.mono.exponents for e in entries] == [(2, 0), (0, 3), (1, 2)]
+
+    def test_a_capped_run_out_of_budget_leaves_the_plain_run_to_decide(self, P):
+        # At level 4 the pairs the capped run charges at its cap exceed this
+        # budget; the plain run of (x^2, y^3) fits in it.
+        assert colength(Ideal(CTX2, [P("x^2"), P("y^3")]), budget=5, jet_level=4) == 6
 
     def test_pairs_at_the_cap_are_charged(self, P):
         # Degree-cap monomials form no pairs, but each one they would have
@@ -481,7 +492,7 @@ class TestSyzygies:
 
     def test_euler_relation_is_found(self, P):
         phi = P("x^2 + y^3")
-        syz = syzygies([phi.partial(0), phi.partial(1), -phi])
+        syz = syzygies(Ideal(CTX2, [phi.partial(0), phi.partial(1), -phi]))
         euler = (P("3*x"), P("2*y"), P("6"))
         combined = Polynomial.zero(CTX2)
         for c, g in zip(euler, [phi.partial(0), phi.partial(1), -phi]):
@@ -494,16 +505,13 @@ class TestSyzygies:
     def test_tracked_rows_keep_rational_inputs_exact(self, I):
         # Inputs carry denominators up to 7; every kept element is primitive
         # with a positive lead, and its row still recombines it exactly.
-        sb = standard_basis(I, track=True)
-        for element, combo in zip(sb.elements, sb.combinations):
-            coeffs = [c for _, c in element[0].terms]
+        for e in tracked_entries(I.gens):
+            element = _vector(I.ctx, e.vec)[0]
+            coeffs = [c for _, c in element.terms]
             assert all(c.denominator == 1 for c in coeffs)
             assert gcd(*(c.numerator for c in coeffs)) == 1
-            assert element[0].leading[1] > 0
-            recombined = Polynomial.zero(I.ctx)
-            for c, g in zip(combo, sb.source):
-                recombined = recombined + c * g[0]
-            assert recombined == element[0]
+            assert element.leading[1] > 0
+            assert recombined(e, I.gens) == element
         for v in syzygies(I).gens:
             total = Polynomial.zero(I.ctx)
             for c, g in zip(v, I.gens):
