@@ -62,6 +62,7 @@ from .tangent import (
     HypersurfaceProblem,
     df_ideal,
     df_trivial_ideal,
+    suspended_theta,
     theta_full,
 )
 
@@ -259,6 +260,16 @@ def detect_split(problem: HypersurfaceProblem) -> SplitParts | None:
 # ledger construction
 
 
+def _sum_level(a: int, b: int) -> int:
+    """The level of a sum of two ideals in disjoint variables, from theirs.
+
+    With levels a, b >= 1 it is a + b - 1: a monomial of that degree has
+    degree at least a in the first variables or at least b in the others.
+    A unit summand (level 0) makes the sum a unit; 0 is a floor in any case.
+    """
+    return a + b - 1 if a and b else 0
+
+
 def _finite_product(a: Value, b: Value) -> Value:
     if is_finite(a) and is_finite(b):
         return a * b
@@ -398,11 +409,11 @@ _LEDGER = (
 # Rows of a suspended problem (`detect_split`): always gated.
 _SPLIT_LEDGER = (
     _Row("susp-br-product", "equal", False, (), "",
-         lambda v: v.mu_BR, lambda v: _finite_product(v.mu_g, v.base_br)),
+         lambda v: v.mu_BR, lambda v: _finite_product(v.split_g_milnor, v.split_base_br)),
     _Row("split-colength-product", "equal", False, (), "",
-         lambda v: v.lifted, lambda v: _finite_product(v.base_tau, v.mu_g)),
+         lambda v: v.lifted, lambda v: _finite_product(v.base_tau, v.split_g_milnor)),
     _Row("split-milnor-product", "equal", False, (), "",
-         lambda v: v.mu_f, lambda v: _finite_product(v.mu_f_base, v.mu_g)),
+         lambda v: v.mu_f, lambda v: _finite_product(v.mu_f_base, v.split_g_milnor)),
 )
 
 
@@ -472,14 +483,26 @@ def analyze(
     )
     timings["jacobian_route"] = (time.perf_counter() - t0) * 1000
 
-    # Tangent-module route.
+    # Tangent-module route.  A suspended X has the module of its base, with
+    # the unit fields of the fresh variables (`suspended_theta`).
     t0 = time.perf_counter()
-    theta = theta_full(phi, budget=budget)
+    split = detect_split(problem)
+    if split is None:
+        theta = theta_full(phi, budget=budget)
+    else:
+        base_theta = theta_full(split.phi_base, budget=budget)
+        theta = suspended_theta(base_theta, ctx)
     timings["tangent_module"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
     df_X = df_ideal(f, theta)
-    mu_BR = count("br", df_X)
+    br_floor = 0
+    if split is not None:
+        # df_X is J_g plus the base df_X embedded, in disjoint variables.
+        count("split_g_milnor", Ideal(split.ext_ctx, jacobian_ideal(split.g)))
+        count("split_base_br", df_ideal(split.f_base, base_theta))
+        br_floor = _sum_level(level("split_base_br"), level("split_g_milnor"))
+    mu_BR = count("br", df_X, floor=br_floor)
     mu_BR_rel = count("br_rel", df_X + I_X, base="br")
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
 
@@ -504,20 +527,14 @@ def analyze(
         for row in _LEDGER
     ]
 
-    split = detect_split(problem)
     if split is not None:
-        g_milnor_ideal = Ideal(split.ext_ctx, jacobian_ideal(split.g))
         base_tau_ideal = Ideal(split.base_ctx, [split.phi_base] + jacobian_ideal(split.phi_base))
-        lifted = Ideal(ctx, [p.embed(ctx) for p in base_tau_ideal.gens + g_milnor_ideal.gens])
-        facts.mu_g = count("split_g_milnor", g_milnor_ideal)
-        facts.base_br = bruce_roberts(split.phi_base, split.f_base, budget=budget)
+        g_gens = ideals["split_g_milnor"].gens
+        lifted = Ideal(ctx, [p.embed(ctx) for p in base_tau_ideal.gens + g_gens])
         facts.base_tau = count("split_base_tau", base_tau_ideal)
         # `lifted` is the sum of these two ideals, in disjoint variables.
-        # With levels a, b >= 1 its level is a + b - 1: a monomial of that
-        # degree has degree at least a in the base variables or at least b
-        # in the fresh ones.  A unit summand (level 0) makes the sum a unit.
-        a, b = level("split_base_tau"), level("split_g_milnor")
-        facts.lifted = count("split_lifted", lifted, floor=a + b - 1 if a and b else 0)
+        floor = _sum_level(level("split_base_tau"), level("split_g_milnor"))
+        facts.lifted = count("split_lifted", lifted, floor=floor)
         facts.mu_f_base = milnor(split.f_base, budget=budget) if split.f_base else NOT_FINITE
         entries += [_evaluate(row, facts) for row in _SPLIT_LEDGER]
     timings["identities"] = (time.perf_counter() - t0) * 1000

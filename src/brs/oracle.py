@@ -402,17 +402,11 @@ def axis_certificate(I: Ideal) -> bool:
     That holds when, for some variable, no generator has a term that is a
     pure power of it (the constant 1 counts as the zeroth power, so a unit
     generator rules the certificate out).  The ideal then has infinite
-    colength, with no computation at all.
+    colength, with no computation at all.  Each term is read once, for the
+    variable it is a pure power of (-1 for the unit, which covers them all).
     """
-    n = I.ctx.n
-    for v in range(n):
-        if not any(
-            all(e == 0 for i, e in enumerate(m.exponents) if i != v)
-            for g in I.gens
-            for m, _ in g.terms
-        ):
-            return True
-    return False
+    axes = {m.pure_power_axis() for g in I.gens for m, _ in g.terms}
+    return -1 not in axes and not axes.issuperset(range(I.ctx.n))
 
 
 def _walk(growth: Callable[[int], int], top: int, cap: int | None) -> int | None:

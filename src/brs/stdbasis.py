@@ -24,7 +24,8 @@ same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
 one integer denominator.  A degree-capped run (`_jet_capped`) leaves the
 monomials of degree cap implicit: they are charged to the budget as the
 pairs they would form, never scanned as reducers, and join the basis at the
-end where no kept lead divides them.
+end where no kept lead divides them; a count (`colength` at a jet level)
+never builds them, nor the basis.
 
 Colengths, memberships and quotient dimensions are exact; infinite dimensions
 are reported as the NOT_FINITE value rather than as errors, because several
@@ -36,7 +37,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from math import comb, gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Sequence, Union
@@ -405,7 +405,28 @@ def _nf_mora(
 # completion
 
 
-def _complete(
+def _complete(inputs: list[Vec], ctx: VarContext, rank: int, budget: int, **run) -> list[_Entry]:
+    """The standard basis of a run of `_kept_entries` (`run`: its keywords)."""
+    return _finished(_kept_entries(inputs, ctx, rank, budget, **run), ctx.n, run.get("cap"))
+
+
+def _finished(kept: list[_Entry], n: int, cap: int | None) -> list[_Entry]:
+    """The basis of a run from its kept entries, in descending lead order.
+
+    Under a degree `cap` the monomials of degree cap that no kept lead
+    divides complete it: they are the implicit inputs of the capped run.
+    """
+    final = list(kept)
+    for exps in exponents_of_degree(n, cap) if cap is not None else ():
+        # Two monomials of degree cap never divide each other.
+        rexps = exps[::-1]
+        if not any(m.divides(0, cap, rexps) for m in kept):
+            final.append(_Entry(((((-cap, rexps), 1),),)))
+    final.sort(key=lambda e: (e.key, -e.comp), reverse=True)
+    return final
+
+
+def _kept_entries(
     inputs: list[Vec],
     ctx: VarContext,
     rank: int,
@@ -414,7 +435,7 @@ def _complete(
     collect: list[IVec] | None = None,
     cap: int | None = None,
 ) -> list[_Entry]:
-    """Buchberger completion with Mora reduction.
+    """Buchberger completion with Mora reduction; the minimal entries it keeps.
 
     Pair selection is the normal strategy: lowest lcm degree first, ties by
     the (i, j) indices, so runs are reproducible.  Pair pruning uses the
@@ -431,8 +452,8 @@ def _complete(
     pruned by the chain criterion contribute rows that are monomial
     combinations of collected ones).
 
-    A run given a degree `cap` (see `_jet_capped`, the one source of caps;
-    rank 1, no `collect`) completes the inputs plus the monomials of degree cap
+    A run given a degree `cap` (see `_jet_capped`, whose run `colength` also
+    counts; rank 1, no `collect`) completes the inputs plus the monomials of degree cap
     and cannot march: every term of degree at least the cap is dropped from
     the inputs and from each reduction.  It also forms no pair whose lcm has
     degree at least the cap (the highest-corner bound): every term of such
@@ -444,8 +465,8 @@ def _complete(
     implicit: they would enter after the inputs with no pairs, and no
     reduction could use them, since every lead it meets lies below the cap.
     Each pair they would have formed is still charged (per monomial, one per
-    entry or monomial before it, and one per later entry), and those that no
-    kept lead divides join the basis at the end.
+    entry or monomial before it, and one per later entry); they are not
+    among the entries returned (`_complete` adds those no kept lead divides).
     """
     den_in, vecs = _to_ivecs(inputs, cap)
     n = ctx.n
@@ -558,14 +579,7 @@ def _complete(
     for e in sorted(entries, key=lambda e: e.deg):  # stable: ties keep entry order
         if not any(m.divides(e.comp, e.deg, e.exps) for m in kept):
             kept.append(e)
-    final = list(kept)
-    for exps in exponents_of_degree(n, cap) if implicit else ():
-        # Two monomials of degree cap never divide each other.
-        rexps = exps[::-1]
-        if not any(m.divides(0, cap, rexps) for m in kept):
-            final.append(_Entry(((((-cap, rexps), 1),),)))
-    final.sort(key=lambda e: (e.key, -e.comp), reverse=True)
-    return final
+    return kept
 
 
 def standard_basis(
@@ -605,8 +619,8 @@ def _jet_capped(
     """A standard basis of a zero-dimensional ideal, completed below a jet level.
 
     A level N with m^N inside I is proposed: `level` when the caller already
-    holds the ideal's certified jet model (the `--oracle` cross-check passes
-    the model's level), else by a jet walk here.  The run on I + m^(N+1)
+    holds the ideal's certified jet model, else by a jet walk here (`colength`
+    counts the same run at a given level, without the basis).  The run on I + m^(N+1)
     drops every term above degree N, so it cannot climb in degree.  When its
     standard monomials all have degree below N, m^N lies in I + m^(N+1),
     hence in I by Nakayama's lemma: the two ideals are equal and the basis
@@ -615,29 +629,27 @@ def _jet_capped(
     proposal costs time, never correctness.  Returns the basis with the
     exponents of its standard monomials, which the proof enumerated.
     """
-    ideal = Ideal(ctx, [v[0] for v in vecs])
     if level is None:
         from .oracle import axis_certificate, jet_model
 
+        ideal = Ideal(ctx, [v[0] for v in vecs])
         model = None if axis_certificate(ideal) else jet_model(ideal)
         if model is None:
             return None
         level = model.level
-    entries = _complete([(g,) for g in ideal.gens], ctx, 1, budget, cap=level + 1)
-    exps = _standard_exponents([e.mono for e in entries], ctx.n)
-    if exps is None or any(sum(e) >= level for e in exps):
+    # The monomials of degree N + 1 are implicit: the standard ones are the
+    # monomials of degree at most N that no kept lead divides.
+    kept = _kept_entries(vecs, ctx, 1, budget, cap=level + 1)
+    exps = _standard_below([e.exps for e in kept], ctx.n, level)
+    if exps is None:
         return None
-    return entries, tuple(exps)
+    return _finished(kept, ctx.n, level + 1), tuple(sorted(e[::-1] for e in exps))
 
 
-def _coerce_basis(
-    G: Union[StandardBasis, Ideal, Submodule],
-    budget: int,
-    jet_level: int | None = None,
-) -> StandardBasis:
+def _coerce_basis(G: Union[StandardBasis, Ideal, Submodule], budget: int) -> StandardBasis:
     if isinstance(G, StandardBasis):
         return G
-    return standard_basis(G, budget=budget, jet_level=jet_level)
+    return standard_basis(G, budget=budget)
 
 
 def mora_normal_form(
@@ -706,15 +718,33 @@ def _axis_caps(leads: Sequence[Monomial], n: int) -> list[int] | None:
 
 
 def _standard_exponents(leads: Sequence[Monomial], n: int) -> list[tuple[int, ...]] | None:
-    """Exponents of the monomials outside the leading ideal; None if infinite."""
+    """Exponents of the monomials outside the leading ideal, sorted; None if infinite."""
     caps = _axis_caps(leads, n)
     if caps is None:
         return None
-    return [
-        exps
-        for exps in iter_product(*(range(c) for c in caps))
-        if not any(all(le <= e for le, e in zip(m.exponents, exps)) for m in leads)
-    ]
+    # Each standard exponent lies below its cap, so its degree below sum(caps) - n + 1.
+    return sorted(_standard_below([m.exponents for m in leads], n, max(sum(caps) - n + 1, 0)))
+
+
+def _standard_below(
+    leads: Sequence[tuple[int, ...]], n: int, level: int
+) -> list[tuple[int, ...]] | None:
+    """Exponents of the monomials no lead divides, when all have degree below `level`.
+
+    None when one of degree `level` exists.  Leads and results are exponent
+    tuples of one orientation.  Standard monomials are closed under
+    division, so those of degree d + 1 are the x_i * s, s standard of degree
+    d; each is formed once, from the s whose last nonzero exponent is at or
+    before i.
+    """
+    found: list[tuple[int, ...]] = []
+    layer = [((0,) * n, 0)]  # (exponents, position of the last nonzero one)
+    for _ in range(level + 1):
+        layer = [(e, j) for e, j in layer if not any(all(map(le, m, e)) for m in leads)]
+        found += [e for e, _ in layer]
+        layer = [(e[:i] + (e[i] + 1,) + e[i + 1 :], i) for e, j in layer for i in range(j, n)]
+    # Candidates of degree level + 1 remain exactly when one of degree level is standard.
+    return None if layer else found
 
 
 def _count_standard_monomials(leads: Sequence[Monomial], n: int) -> Value:
@@ -739,10 +769,27 @@ def colength(
 
     Computes a standard basis, checks zero-dimensionality (a pure power of
     every variable in the leading ideal) and counts standard monomials.
-    NOT_FINITE is a legitimate value, not a failure.  `jet_level` is passed
-    on to `standard_basis`.
+    NOT_FINITE is a legitimate value, not a failure.
+
+    With `jet_level` N, the level of the ideal's certified jet model, the
+    run on I + m^(N+1) of `_jet_capped` is counted from its kept leads, with
+    no basis built, once its standard monomials are proven to lie below
+    degree N.  Else, or when that run exhausts the budget, the plain run
+    decides.
     """
-    basis = _coerce_basis(I, budget, jet_level)
+    if jet_level is not None and isinstance(I, Ideal):
+        ctx, vecs = I.ctx, list(dict.fromkeys((g,) for g in I.gens))
+        try:
+            kept = _kept_entries(vecs, ctx, 1, budget, cap=jet_level + 1)
+        except BudgetError:
+            kept = None
+        if kept is not None:
+            exps = _standard_below([e.exps for e in kept], ctx.n, jet_level)
+            if exps is not None:
+                return len(exps)
+        leads = [e.mono for e in _kept_entries(vecs, ctx, 1, budget)]
+        return _count_standard_monomials(leads, ctx.n)
+    basis = _coerce_basis(I, budget)
     if basis.rank != 1:
         raise ContextError("colength is defined for ideals; use module_quotient_dim")
     exps = _basis_standard_exponents(basis)

@@ -204,6 +204,19 @@ class TestLedger:
         if name.startswith("susp_"):
             assert "certificate" in routes
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
+    def test_the_oracle_builds_no_standard_basis(self, name, monkeypatch):
+        # A jet value is checked by counting a capped Mora run, with no basis
+        # built; the other values by the jet oracle.
+        calls: list = []
+        for module in (stdbasis_module, invariants_module):
+            spy_on(monkeypatch, "standard_basis", calls, module=module)
+        problem = corpus_problem(name)
+        analyze(problem)
+        plain = len(calls)
+        analyze(problem, oracle=True)
+        assert len(calls) == 2 * plain
+
     @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "susp_d4_z2.brs"])
     def test_oracle_walks_no_ideal_twice(self, name, monkeypatch):
         # The cross-check hands Mora the level of the model `analyze` holds,
@@ -555,3 +568,63 @@ class TestSplitDetection:
         assert by_name["susp-br-product"].lhs == 2  # mu(z^3) * mu_BR(y, cusp)
         assert by_name["split-milnor-product"].status == "pass"
         assert by_name["split-colength-product"].status == "pass"
+
+
+# The `verify` benchmark's suspensions: (phi, f_base), each suspended by z^2 and z^3.
+VERIFY_BASES = (
+    ("x^2 + y^3", "y"),
+    ("x^2 + y^4", "y"),
+    ("x^3 - x*y^2", "y"),
+    ("x^3 + y^4", "x"),
+    ("x^3 + y^5", "y"),
+    ("x^5 + y^5 + x^2*y^2", "y"),
+    ("x^4 + y^5 + x^2*y^2", "x"),
+)
+SUSPENSIONS = [path.name for path in CORPUS_DIR.glob("susp_*.brs")] + [
+    f"{phi} | {f} + z^{k}" for phi, f in VERIFY_BASES for k in (2, 3)
+]
+
+
+def suspension(case: str) -> HypersurfaceProblem:
+    if case.endswith(".brs"):
+        return corpus_problem(case)
+    phi, f = case.split(" | ")
+    return prob(phi, f, VarContext(("x", "y", "z")))
+
+
+class TestSuspendedModule:
+    """A suspended X takes its tangent module from one Schreyer run, its base's."""
+
+    @pytest.mark.parametrize("case", sorted(SUSPENSIONS))
+    def test_one_schreyer_run_gives_the_module_of_x(self, case, monkeypatch):
+        problem = suspension(case)
+        want = theta_full(problem.phi)
+        runs: list = []
+        for module in (stdbasis_module, tangent_module):
+            spy_on(monkeypatch, "_schreyer_rows", runs, module=module)
+        modules = []
+        real = invariants_module.df_ideal
+
+        def df(f, theta):
+            if f == problem.f:
+                modules.append(theta)
+            return real(f, theta)
+
+        monkeypatch.setattr(invariants_module, "df_ideal", df)
+        report = analyze(problem, oracle=True, tau_check=True)
+        assert len(runs) == 1
+        (theta,) = modules
+        assert theta.gens == want.gens and theta.cofactors == want.cofactors
+        assert not report.failed
+
+    def test_without_the_unit_field_the_product_fails(self, ctx3, monkeypatch):
+        real = invariants_module.suspended_theta
+
+        def dropped(theta, ctx):
+            full = real(theta, ctx)
+            return DerivationModule(full.gens[1:], full.cofactors[1:])
+
+        monkeypatch.setattr(invariants_module, "suspended_theta", dropped)
+        report = analyze(prob("x^2 + y^3", "y + z^2", ctx3))
+        by_name = {e.name: e for e in report.ledger}
+        assert by_name["susp-br-product"].status == "fail"

@@ -51,6 +51,22 @@ class TestOracleColength:
         assert not axis_certificate(I2("x", "y^3 + x*y"))
         assert not axis_certificate(I2("1 + x"))
 
+    @settings(max_examples=150, deadline=None)
+    @given(gens=st.lists(polynomials(CTX3, max_terms=4, max_exp=2), max_size=4))
+    def test_axis_certificate_scans_each_variable(self, gens):
+        # The definition, one scan of every term per variable: a variable
+        # is covered by a term that is a pure power of it, or by the unit.
+        I = Ideal(CTX3, gens)
+
+        def covered(v):
+            return any(
+                all(e == 0 for i, e in enumerate(m.exponents) if i != v)
+                for g in I.gens
+                for m, _ in g.terms
+            )
+
+        assert axis_certificate(I) == (not all(covered(v) for v in range(CTX3.n)))
+
     def test_growth_alone_is_not_a_certificate(self):
         # Finite ideals whose jet dimensions grow linearly for many steps:
         # the oracle may run out of levels, but it must never say infinite.

@@ -165,20 +165,37 @@ class TestColength:
 
     def test_capped_colength_enumerates_standard_monomials_once(self, P, monkeypatch):
         # The capped run's proof lists the standard monomials; the count
-        # reuses that list.
+        # reuses that list, and no other enumeration runs.
         import brs.stdbasis as stdbasis_module
 
         calls: list = []
-        real = stdbasis_module._standard_exponents
+        for name in ("_standard_below", "_standard_exponents"):
+            real = getattr(stdbasis_module, name)
 
-        def counted(leads, n):
-            calls.append(n)
-            return real(leads, n)
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(stdbasis_module, "_standard_exponents", counted)
+            monkeypatch.setattr(stdbasis_module, name, counted)
         I = Ideal(CTX2, [P("x^2"), P("y^3")])
         assert colength(I, jet_level=4) == 6
-        assert len(calls) == 1
+        assert calls == ["_standard_below"]
+
+    @pytest.mark.parametrize("level", [2, 4, 7])
+    def test_a_wrong_jet_level_costs_time_never_a_value(self, level, P):
+        # 4 is the ideal's level; at 2 the capped run proves nothing and the
+        # plain run decides, and 7 is proven like 4.
+        assert colength(Ideal(CTX2, [P("x^2"), P("y^3")]), jet_level=level) == 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals(), shift=st.integers(-2, 2))
+    def test_a_count_at_any_jet_level_is_the_plain_count(self, I, shift):
+        from brs.stdbasis import _count_standard_monomials
+
+        plain = _complete([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET)
+        level = max(jet_model(I).level + shift, 0)
+        want = _count_standard_monomials([e.mono for e in plain], I.ctx.n)
+        assert colength(I, jet_level=level) == want
 
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals(), seed=st.randoms())
