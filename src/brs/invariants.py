@@ -19,10 +19,10 @@ singular locus) are reported as skipped with a reason, never as failures.
 
 Every colength takes the cheapest proof available (`_count`): the axis
 certificate of infinite colength, then a stabilized jet walk, and only when
-the walk hands the ideal back, a Mora standard basis, which proves a finite
-colength together with a level for its jet model.  So every finite count
-carries a model.  The ledger is one table (`_LEDGER`) that one loop
-evaluates.  Its containment rows run on the jet models of the ideals
+the walk hands the ideal back, the standard monomials of a Mora run, which
+prove a finite colength together with a level for its jet model.  So every
+finite count carries a model.  The ledger is one table (`_LEDGER`) that one
+loop evaluates.  Its containment rows run on the jet models of the ideals
 involved, and an ideal of infinite colength is wrapped in `_MoraIdeal`,
 which answers the same questions from a Mora standard basis.
 """
@@ -51,7 +51,7 @@ from .stdbasis import (
     NOT_FINITE,
     StandardBasis,
     Value,
-    _basis_standard_exponents,
+    _standard_exponents_of,
     colength,
     ideal_colon,
     is_finite,
@@ -140,10 +140,11 @@ def _count(
     axis certificate, and neither has any ideal containing it.  `floor` is
     passed on to the walk: the level of an ideal known to contain I.
 
-    When the walk gives up, a Mora standard basis decides.  A finite one
-    also proves a level: with N = 1 + the top degree of a standard monomial,
-    m^N lies in I (the highest-corner bound), so a walk capped at N + 1
-    stops by N, and the model it gives must count what Mora counted.
+    When the walk gives up, the standard monomials of a Mora run decide
+    (`_standard_exponents_of`, which builds no basis).  A finite count also
+    proves a level: with N = 1 + the top degree of a standard monomial, m^N
+    lies in I (the highest-corner bound), so a walk capped at N + 1 stops
+    by N, and the model it gives must count what Mora counted.
     """
     if base is not None:
         model = extended_jet_model(base, extra.gens)
@@ -153,7 +154,7 @@ def _count(
         model = jet_model(I, floor=floor)
     if model is not None:
         return _Count(model.colength, "jet", model)
-    exps = _basis_standard_exponents(standard_basis(I, budget=budget))
+    exps = _standard_exponents_of(I, budget)
     if exps is None:
         return _Count(NOT_FINITE, "mora")
     level = 1 + max((sum(e) for e in exps), default=-1)

@@ -21,11 +21,11 @@ a polynomial is a tuple of (key, c) pairs, key the monomial's
 same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
 `polycore.integral_terms` (the jet engine's helper too), and results become
 `Polynomial`s once, on the way out; a row tracked by a syzygy run carries
-one integer denominator.  A degree-capped run (`_jet_capped`) leaves the
+one integer denominator.  A degree-capped run (`_capped_run`) leaves the
 monomials of degree cap implicit: they are charged to the budget as the
 pairs they would form, never scanned as reducers, and join the basis at the
-end where no kept lead divides them; a count (`colength` at a jet level)
-never builds them, nor the basis.
+end where no kept lead divides them; a count (`colength`) never builds
+them, nor the basis: the run's proof lists the standard monomials.
 
 Colengths, memberships and quotient dimensions are exact; infinite dimensions
 are reported as the NOT_FINITE value rather than as errors, because several
@@ -35,7 +35,7 @@ of the theorems under test use finiteness itself as a predicate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, le, sub
@@ -143,16 +143,13 @@ class StandardBasis:
     `elements` are primitive (integer coefficients, content 1, positive
     leading sign) and inter-reduced in the minimal sense: no leading term
     divides another.  Tails are not reduced, because tail reduction need not
-    terminate over a local order.  `standard` holds the exponents of the
-    standard monomials when the run that built the basis already enumerated
-    them (a capped run's proof).
+    terminate over a local order.
     """
 
     ctx: VarContext
     rank: int
     elements: tuple[Vec, ...]
     leading: tuple[tuple[int, Monomial], ...]
-    standard: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -450,12 +447,13 @@ def _kept_entries(
     zero is appended to `collect`: those rows are exactly the Schreyer
     relations, and they generate the full syzygy module of the inputs (pairs
     pruned by the chain criterion contribute rows that are monomial
-    combinations of collected ones).
+    combinations of collected ones).  An untracked run reads each input
+    once: a repeat would reduce to zero.
 
-    A run given a degree `cap` (see `_jet_capped`, whose run `colength` also
-    counts; rank 1, no `collect`) completes the inputs plus the monomials of degree cap
-    and cannot march: every term of degree at least the cap is dropped from
-    the inputs and from each reduction.  It also forms no pair whose lcm has
+    A run given a degree `cap` (`_capped_run`; rank 1, no `collect`)
+    completes the inputs plus the monomials of degree cap and cannot march:
+    every term of degree at least the cap is dropped from the inputs and
+    from each reduction.  It also forms no pair whose lcm has
     degree at least the cap (the highest-corner bound): every term of such
     an S-polynomial has degree at least the lcm's, since leading terms have
     the lowest degree, so the capped normal form would empty it.  Such pairs
@@ -468,7 +466,8 @@ def _kept_entries(
     entry or monomial before it, and one per later entry); they are not
     among the entries returned (`_complete` adds those no kept lead divides).
     """
-    den_in, vecs = _to_ivecs(inputs, cap)
+    track = collect is not None
+    den_in, vecs = _to_ivecs(inputs if track else list(dict.fromkeys(inputs)), cap)
     n = ctx.n
     one = (0, (0,) * n)  # the key of the monomial 1
     entries: list[_Entry] = []
@@ -477,7 +476,6 @@ def _kept_entries(
     meter = _Budget(budget)
     implicit = comb(cap + n - 1, n - 1) if cap is not None else 0
     cap_peers = 0  # implicit monomials entered so far
-    track = collect is not None
     collapse = rank == 1 and not track
 
     def add(vec: IVec, row: IVec | None, den: int) -> bool:
@@ -582,68 +580,71 @@ def _kept_entries(
     return kept
 
 
-def standard_basis(
-    obj: Union[Ideal, Submodule],
-    *,
-    budget: int = DEFAULT_BUDGET,
-    jet_level: int | None = None,
-) -> StandardBasis:
+def standard_basis(obj: Union[Ideal, Submodule], *, budget: int = DEFAULT_BUDGET) -> StandardBasis:
     """Mora standard basis of an ideal or submodule.
 
     Deterministic for a fixed input order.  Raises BudgetError when the pair
-    budget is exhausted.  An ideal is first tried under the degree cap of
-    `_jet_capped` (`jet_level`: the level N of its certified jet model, when
-    the caller holds one); when that run proves nothing or exhausts the
-    budget (it charges every pair it skips at the cap, so a high level
-    exhausts it at once), one uncapped run decides on a fresh budget.
+    budget is exhausted.  An ideal is first completed under the degree cap
+    its jet proposal gives (`_proposed_level`, `_capped_run`); when that run
+    proves nothing or exhausts the budget, one uncapped run decides on a
+    fresh budget.
     """
     ctx, rank, vecs = _as_vecs(obj)
-    vecs = list(dict.fromkeys(v for v in vecs if any(v)))
-    try:
-        capped = _jet_capped(vecs, ctx, budget, jet_level) if rank == 1 and vecs else None
-    except BudgetError:
-        capped = None
-    entries, standard = capped or (_complete(vecs, ctx, rank, budget), None)
+    level = _proposed_level(ctx, vecs) if rank == 1 else None
+    capped = _capped_run(vecs, ctx, budget, level)
+    if capped is not None:
+        entries = _finished(capped[0], ctx.n, level + 1)
+    else:
+        entries = _complete(vecs, ctx, rank, budget)
     return StandardBasis(
         ctx=ctx,
         rank=rank,
         elements=tuple(_vector(ctx, e.vec) for e in entries),
         leading=tuple((e.comp, e.mono) for e in entries),
-        standard=standard,
     )
 
 
-def _jet_capped(
-    vecs: list[Vec], ctx: VarContext, budget: int, level: int | None = None
-) -> tuple[list[_Entry], tuple[tuple[int, ...], ...]] | None:
-    """A standard basis of a zero-dimensional ideal, completed below a jet level.
+def _proposed_level(ctx: VarContext, vecs: list[Vec]) -> int | None:
+    """A level N with m^N inside the ideal of `vecs`: its jet model's.
 
-    A level N with m^N inside I is proposed: `level` when the caller already
-    holds the ideal's certified jet model, else by a jet walk here (`colength`
-    counts the same run at a given level, without the basis).  The run on I + m^(N+1)
-    drops every term above degree N, so it cannot climb in degree.  When its
-    standard monomials all have degree below N, m^N lies in I + m^(N+1),
-    hence in I by Nakayama's lemma: the two ideals are equal and the basis
-    is one of I, proven by the run itself, so it takes no word of the jet
-    engine on trust.  Otherwise None, and the plain run decides; the
-    proposal costs time, never correctness.  Returns the basis with the
-    exponents of its standard monomials, which the proof enumerated.
+    None when the axis certificate proves the colength infinite, or when
+    the jet walk gives up.
+    """
+    from .oracle import axis_certificate, jet_model
+
+    ideal = Ideal(ctx, [v[0] for v in vecs])
+    model = None if axis_certificate(ideal) else jet_model(ideal)
+    return None if model is None else model.level
+
+
+def _capped_run(
+    vecs: list[Vec], ctx: VarContext, budget: int, level: int | None
+) -> tuple[list[_Entry], list[tuple[int, ...]]] | None:
+    """The run of a zero-dimensional ideal I below a jet level, with its proof.
+
+    The run on I + m^(N+1), N = `level`, drops every term above degree N, so
+    it cannot climb in degree.  When its standard monomials all have degree
+    below N, m^N lies in I + m^(N+1), hence in I by Nakayama's lemma: the
+    two ideals are equal, and the kept entries, completed by the monomials
+    of degree N + 1 that no kept lead divides (`_finished`), are a standard
+    basis of I, proven by the run itself, so it takes no word of the jet
+    engine that proposed N on trust.  Returns the kept entries with the
+    exponents of the standard monomials, which the proof listed.  None
+    when no level is given, the run exhausts the budget (it charges every
+    pair it skips at the cap, so a high level exhausts it at once) or the
+    proof fails: the plain run then decides, so a proposal costs time,
+    never correctness.
     """
     if level is None:
-        from .oracle import axis_certificate, jet_model
-
-        ideal = Ideal(ctx, [v[0] for v in vecs])
-        model = None if axis_certificate(ideal) else jet_model(ideal)
-        if model is None:
-            return None
-        level = model.level
+        return None
+    try:
+        kept = _kept_entries(vecs, ctx, 1, budget, cap=level + 1)
+    except BudgetError:
+        return None
     # The monomials of degree N + 1 are implicit: the standard ones are the
     # monomials of degree at most N that no kept lead divides.
-    kept = _kept_entries(vecs, ctx, 1, budget, cap=level + 1)
-    exps = _standard_below([e.exps for e in kept], ctx.n, level)
-    if exps is None:
-        return None
-    return _finished(kept, ctx.n, level + 1), tuple(sorted(e[::-1] for e in exps))
+    exps = _standard_below([e.exps[::-1] for e in kept], ctx.n, level)
+    return None if exps is None else (kept, exps)
 
 
 def _coerce_basis(G: Union[StandardBasis, Ideal, Submodule], budget: int) -> StandardBasis:
@@ -752,47 +753,32 @@ def _count_standard_monomials(leads: Sequence[Monomial], n: int) -> Value:
     return NOT_FINITE if exps is None else len(exps)
 
 
-def _basis_standard_exponents(basis: StandardBasis) -> Sequence[tuple[int, ...]] | None:
-    """The standard exponents of an ideal's basis, enumerated unless already known."""
-    if basis.standard is not None:
-        return basis.standard
-    return _standard_exponents(basis.leading_monomials, basis.ctx.n)
+def _standard_exponents_of(
+    I: Ideal, budget: int, level: int | None = None
+) -> list[tuple[int, ...]] | None:
+    """Exponents of the standard monomials of I, with no basis built; None if infinite.
+
+    The capped run at `level` (the level of I's certified jet model, when
+    the caller holds one; else proposed here) lists them when it proves its
+    level.  Else one uncapped run decides: the standard monomials of its
+    kept leads, infinitely many when no lead is a pure power of some
+    variable.
+    """
+    ctx, vecs = I.ctx, [(g,) for g in I.gens]
+    capped = _capped_run(vecs, ctx, budget, _proposed_level(ctx, vecs) if level is None else level)
+    if capped is not None:
+        return capped[1]
+    return _standard_exponents([e.mono for e in _kept_entries(vecs, ctx, 1, budget)], ctx.n)
 
 
-def colength(
-    I: Union[Ideal, StandardBasis],
-    *,
-    budget: int = DEFAULT_BUDGET,
-    jet_level: int | None = None,
-) -> Value:
+def colength(I: Ideal, *, budget: int = DEFAULT_BUDGET, jet_level: int | None = None) -> Value:
     """Dimension of the quotient of the local ring by the ideal.
 
-    Computes a standard basis, checks zero-dimensionality (a pure power of
-    every variable in the leading ideal) and counts standard monomials.
-    NOT_FINITE is a legitimate value, not a failure.
-
-    With `jet_level` N, the level of the ideal's certified jet model, the
-    run on I + m^(N+1) of `_jet_capped` is counted from its kept leads, with
-    no basis built, once its standard monomials are proven to lie below
-    degree N.  Else, or when that run exhausts the budget, the plain run
-    decides.
+    Counts the standard monomials of a Mora run (`_standard_exponents_of`;
+    `jet_level`: the level N of the ideal's certified jet model, when the
+    caller holds one).  NOT_FINITE is a legitimate value, not a failure.
     """
-    if jet_level is not None and isinstance(I, Ideal):
-        ctx, vecs = I.ctx, list(dict.fromkeys((g,) for g in I.gens))
-        try:
-            kept = _kept_entries(vecs, ctx, 1, budget, cap=jet_level + 1)
-        except BudgetError:
-            kept = None
-        if kept is not None:
-            exps = _standard_below([e.exps for e in kept], ctx.n, jet_level)
-            if exps is not None:
-                return len(exps)
-        leads = [e.mono for e in _kept_entries(vecs, ctx, 1, budget)]
-        return _count_standard_monomials(leads, ctx.n)
-    basis = _coerce_basis(I, budget)
-    if basis.rank != 1:
-        raise ContextError("colength is defined for ideals; use module_quotient_dim")
-    exps = _basis_standard_exponents(basis)
+    exps = _standard_exponents_of(I, budget, jet_level)
     return NOT_FINITE if exps is None else len(exps)
 
 
@@ -800,31 +786,25 @@ def colength(
 # ideal operations
 
 
-def syzygies(
-    obj: Union[Ideal, Submodule],
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Submodule:
-    """Generators of the relation module of the given generators.
+def _schreyer_rows(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> list[IVec]:
+    """The generators of the relation module of `vecs`, primitive, in integer terms.
 
     Schreyer's method: the generators enter a completion verbatim, each
     element tracking its row of coefficients over them, and every pair
     whose S-vector reduces to zero leaves its row behind.  Those rows
-    generate the relation module (see `_complete`).  The rows stay
+    generate the relation module (see `_kept_entries`).  The rows stay
     polynomial throughout, so no division by units of the local ring is
-    ever needed.
+    ever needed.  Each row is checked to be a relation (`_is_relation`).
     """
-    ctx, rank, vecs = _as_vecs(obj)
-    return _syzygies_of(vecs, ctx, rank, budget)
-
-
-def _schreyer_rows(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> list[IVec]:
-    """The generators of the relation module of `vecs`, primitive, in integer terms."""
     if not vecs:
         raise ContextError("syzygies of an empty generator list")
     collected: list[IVec] = []
     _complete(vecs, ctx, rank, budget, collect=collected)
-    return [_primitive(row)[0] for row in collected if any(row)]
+    rows = [_primitive(row)[0] for row in collected if any(row)]
+    _, scaled = _to_ivecs(vecs)
+    if not all(_is_relation(row, scaled) for row in rows):
+        raise InternalError("syzygy output is not a relation")
+    return rows
 
 
 def _syzygies_of(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> Submodule:
@@ -867,23 +847,20 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
 
     A row (c, a) of the syzygies of [v] + [f*e_i for f in I_i] says that
     c*v = -sum(a_j * f_j*e_i) lies in the submodule, and every such c has a
-    row, so the first components generate the quotient.  Each row is
-    checked to be a relation, in integer terms (`_is_relation`).
+    row, so the first components generate the quotient.
 
     When every I_i is zero-dimensional, let N be the largest of 1 + the top
-    degree of a standard monomial of I_i.  Then m^N lies in every I_i, and
-    in the quotient (c in m^N puts each c*v_i in I_i), so the I_i, v and the
-    quotient are cut at degree N (`_degree_capped`, with v_i cut to
-    v_i.jet(N)) without changing any of them as ideals or the quotient:
-    every dropped term times anything lies in the submodule.  This keeps the
-    Schreyer run at bounded degree; uncapped, it can drag tails of unbounded
-    degree through Mora division.
+    degree of a standard monomial of I_i (`_standard_exponents_of`).  Then
+    m^N lies in every I_i, and in the quotient (c in m^N puts each c*v_i in
+    I_i), so the I_i, v and the quotient are cut at degree N
+    (`_degree_capped`, with v_i cut to v_i.jet(N)) without changing any of
+    them as ideals or the quotient: every dropped term times anything lies
+    in the submodule.  This keeps the Schreyer run at bounded degree;
+    uncapped, it can drag tails of unbounded degree through Mora division.
     """
     ctx, k = ideals[0].ctx, len(ideals)
     zero = Polynomial.zero(ctx)
-    standard = [
-        _basis_standard_exponents(standard_basis(I, budget=budget)) for I in dict.fromkeys(ideals)
-    ]
+    standard = [_standard_exponents_of(I, budget) for I in dict.fromkeys(ideals)]
     bound = None
     if all(exps is not None for exps in standard):
         bound = 1 + max((sum(e) for exps in standard for e in exps), default=-1)
@@ -892,11 +869,8 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
     vecs: list[Vec] = [tuple(v)]
     for i, I in enumerate(ideals):
         vecs += [tuple(f if j == i else zero for j in range(k)) for f in I.gens]
-    rows = _syzygies_of(vecs, ctx, k, budget).gens
-    _, scaled = _to_ivecs(vecs)
-    if not all(_is_relation(row, scaled) for row in _to_ivecs(rows)[1]):
-        raise InternalError("syzygy output is not a relation")
-    quotient = Ideal(ctx, [row[0] for row in rows])
+    rows = _schreyer_rows(vecs, ctx, k, budget)
+    quotient = Ideal(ctx, [_vector(ctx, row[:1])[0] for row in rows])
     return quotient if bound is None else _degree_capped(quotient, bound)
 
 

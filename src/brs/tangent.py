@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GermError, InternalError
+from .errors import GermError
 from .polycore import Polynomial, VarContext, VectorField, minors_2x2, require_same_ctx
-from .stdbasis import DEFAULT_BUDGET, Ideal, _is_relation, _schreyer_rows, _to_ivecs, _vector
+from .stdbasis import DEFAULT_BUDGET, Ideal, _schreyer_rows, _vector
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,16 @@ def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationMo
     followed by phi itself.  Generators are not minimized: only the ideals
     df(theta) and (a) matter downstream and minimization changes no
     invariant.  Each syzygy is checked to be a relation in the kernel's
-    integer terms, before it becomes a vector field and its cofactor a.
+    integer terms (`_schreyer_rows`), before it becomes a vector field and
+    its cofactor a.
     """
     if phi.is_zero() or phi.constant_term() != 0:
         raise GermError("phi must be a nonzero germ vanishing at 0")
     ctx = phi.ctx
     n = ctx.n
     inputs = [(phi.partial(i),) for i in range(n)] + [(phi,)]
-    _, scaled = _to_ivecs(inputs)
     gens, cofactors = [], []
     for row in _schreyer_rows(inputs, ctx, 1, budget):
-        if not _is_relation(row, scaled):
-            raise InternalError("syzygy output is not tangent to the hypersurface")
         if any(row[:n]):
             gens.append(VectorField(_vector(ctx, row[:n])))
             cofactors.append(-_vector(ctx, row[n:])[0])

@@ -22,7 +22,9 @@ from brs.stdbasis import (
     NotFiniteType,
     StandardBasis,
     Submodule,
-    _basis_standard_exponents,
+    _as_vecs,
+    _standard_exponents,
+    _syzygies_of,
     membership,
     standard_basis,
 )
@@ -100,8 +102,35 @@ def jet_quotient_dim(I: Ideal, d: int) -> int:
 
 def standard_monomials(basis: StandardBasis) -> list[Monomial] | NotFiniteType:
     """Monomials outside the leading ideal of an ideal's basis; a basis of the quotient."""
-    exps = _basis_standard_exponents(basis)
+    exps = _standard_exponents(basis.leading_monomials, basis.ctx.n)
     return NOT_FINITE if exps is None else [Monomial(e) for e in exps]
+
+
+def syzygies(obj: Ideal | Submodule, *, budget: int = DEFAULT_BUDGET) -> Submodule:
+    """Generators of the relation module of the given generators (Schreyer's method)."""
+    ctx, rank, vecs = _as_vecs(obj)
+    return _syzygies_of(vecs, ctx, rank, budget)
+
+
+def double_one_schreyer_row(monkeypatch) -> None:
+    """Make each Schreyer run collect one row that is no relation.
+
+    The first collected row with a nonzero first component has that
+    component doubled, below `_schreyer_rows`, which must refuse it.
+    """
+    import brs.stdbasis as stdbasis_module
+
+    real = stdbasis_module._complete
+
+    def corrupted(inputs, ctx, rank, budget, **run):
+        entries = real(inputs, ctx, rank, budget, **run)
+        rows = run.get("collect")
+        if rows:
+            k = next(i for i, row in enumerate(rows) if row[0])
+            rows[k] = (tuple((key, 2 * c) for key, c in rows[k][0]),) + rows[k][1:]
+        return entries
+
+    monkeypatch.setattr(stdbasis_module, "_complete", corrupted)
 
 
 def monomial_index(table: _Table, cap: int) -> dict[tuple[int, ...], int]:

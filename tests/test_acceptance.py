@@ -31,11 +31,17 @@ from brs.stdbasis import (
     membership,
     mora_normal_form,
     standard_basis,
-    syzygies,
 )
 from brs.tangent import df_ideal
 from brs.errors import ParseError
-from conftest import corpus_paths, ideal_contains, ideal_product, jet_contains, suspend
+from conftest import (
+    corpus_paths,
+    ideal_contains,
+    ideal_product,
+    jet_contains,
+    suspend,
+    syzygies,
+)
 from strategies import CTX2, monomials, polynomials, zero_dim_ideals
 
 

@@ -2,9 +2,10 @@
 
 Pins the exponents, integer coefficients and order of
 
-* every standard basis that `analyze(..., oracle=True)` builds on
-  `corpus/*.brs`, with the jet level it was given: the `--oracle`
-  cross-check's runs capped at each jet route's level, the others uncapped;
+* the standard basis of every Mora run that `analyze(..., oracle=True)`
+  makes on `corpus/*.brs`, Schreyer runs aside: the capped runs at a jet
+  level N, on I + m^(N+1) (the `--oracle` cross-check's counts, and each
+  proposal that Mora proves), and the uncapped runs (jet level None);
 * the generators of `theta_full(phi)` for each corpus `phi`;
 * the `syzygies` of each ideal of `COLON_CASES` and `INTERSECTION_CASES`.
 
@@ -24,8 +25,9 @@ import pytest
 
 from brs import Polynomial, VarContext, parse_problem
 from brs.polycore import Monomial
-from brs.stdbasis import Ideal, Submodule, standard_basis, syzygies
+from brs.stdbasis import DEFAULT_BUDGET, Ideal, _complete, _vector
 from brs.tangent import theta_full
+from conftest import syzygies
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden_bases.json"
@@ -66,20 +68,32 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def _rebuild(run: dict):
+def _basis_out(ctx: VarContext, entries) -> list:
+    return _vecs_out(_vector(ctx, e.vec) for e in entries)
+
+
+def _rerun(run: dict) -> list:
+    """The basis of a pinned run, completed again: capped at its jet level + 1, if any."""
     ctx = VarContext(run["vars"])
     vecs = [tuple(_poly_in(ctx, p) for p in v) for v in run["input"]]
-    if run["kind"] == "Ideal":
-        return Ideal(ctx, [v[0] for v in vecs])
-    return Submodule(ctx, run["rank"], vecs)
+    cap = None if run["jet_level"] is None else run["jet_level"] + 1
+    return _basis_out(ctx, _complete(vecs, ctx, run["rank"], DEFAULT_BUDGET, cap=cap))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
 def test_analyze_bases_match_golden(name):
     runs = _golden()["analyze"][name]
     for run in runs:
-        basis = standard_basis(_rebuild(run), jet_level=run["jet_level"])
-        assert _vecs_out(basis.elements) == run["elements"], run["input"]
+        assert _rerun(run) == run["elements"], run["input"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
+def test_every_analyze_run_is_pinned(name):
+    pinned = _golden()["analyze"][name]
+    runs = _record_analyze(CORPUS_DIR / name)
+    assert runs
+    for run in runs:
+        assert run in pinned, run["input"]
 
 
 def test_theta_full_matches_golden():
@@ -104,37 +118,40 @@ def test_golden_covers_the_corpus():
 
 
 def _record_analyze(path: Path) -> list[dict]:
-    """Every distinct `standard_basis` call of one `analyze(..., oracle=True)` run."""
-    import brs.invariants as invariants
+    """Every distinct Mora run of one `analyze(..., oracle=True)`, Schreyer runs aside.
+
+    Each run passes through `_kept_entries`; its basis is what `_complete`
+    makes of the entries it keeps.
+    """
     import brs.stdbasis as stdbasis
     from brs import analyze
 
-    original = stdbasis.standard_basis
+    original = stdbasis._kept_entries
     runs: list[dict] = []
 
-    def recording(obj, **kwargs):
-        basis = original(obj, **kwargs)
-        ctx, rank, vecs = stdbasis._as_vecs(obj)
-        run = {
-            "vars": list(ctx.names),
-            "kind": type(obj).__name__ if isinstance(obj, (Ideal, Submodule)) else "Ideal",
-            "rank": rank,
-            "input": [[[[list(m.exponents), str(c)] for m, c in p.terms] for p in v] for v in vecs],
-            "jet_level": kwargs.get("jet_level"),
-        }
-        if kwargs.get("track"):
-            raise AssertionError("analyze is not expected to build a tracked basis")
-        run["elements"] = _vecs_out(basis.elements)
-        if run not in runs:
-            runs.append(run)
-        return basis
+    def recording(inputs, ctx, rank, budget, **kwargs):
+        kept = original(inputs, ctx, rank, budget, **kwargs)
+        if kwargs.get("collect") is None:
+            cap = kwargs.get("cap")
+            terms = [[[[list(m.exponents), str(c)] for m, c in p.terms] for p in v] for v in inputs]
+            run = {
+                "vars": list(ctx.names),
+                "kind": "Ideal" if rank == 1 else "Submodule",
+                "rank": rank,
+                "input": terms,
+                "jet_level": None if cap is None else cap - 1,
+                "elements": _basis_out(ctx, stdbasis._finished(kept, ctx.n, cap)),
+            }
+            if run not in runs:
+                runs.append(run)
+        return kept
 
     parsed = parse_problem(path.read_text(encoding="utf-8"))
-    stdbasis.standard_basis = invariants.standard_basis = recording
+    stdbasis._kept_entries = recording
     try:
         analyze(parsed.problem, oracle=True, max_jet=parsed.max_jet)
     finally:
-        stdbasis.standard_basis = invariants.standard_basis = original
+        stdbasis._kept_entries = original
     return runs
 
 

@@ -394,6 +394,27 @@ def brieskorn_pham(names: str, phi: str, f: str) -> HypersurfaceProblem:
     return prob(phi, f, VarContext(tuple(names.split(","))))
 
 
+# T_{p,q,r} = x^p + y^q + z^r + x*y*z, hyperbolic (1/p + 1/q + 1/r < 1), p >= 3
+# so that the tangent cone is a cubic.
+T_PQR = [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 5, 7), (4, 5, 6)]
+
+
+@pytest.mark.parametrize("p, q, r", T_PQR, ids=[f"T{p}{q}{r}" for p, q, r in T_PQR])
+def test_t_pqr_invariants_match_the_closed_forms(p, q, r, ctx3):
+    # Every expected value comes from the formulas (Arnold, Gusein-Zade and
+    # Varchenko for the normal forms): mu_X = p + q + r - 1, tau_X = mu_X - 1;
+    # the fibre of f = x is y^q + z^r, of f = z is x^p + y^q, and a generic
+    # plane meets the cubic tangent cone in three lines, of Milnor number 4;
+    # mu_f = 0 and mu_BR = mu_BR_rel = mu_fiber + 1.
+    phi = parse_poly(f"x^{p} + y^{q} + z^{r} + x*y*z", ctx3)
+    mu_X = p + q + r - 1
+    for f, mu_fiber in (("x", (q - 1) * (r - 1)), ("z", (p - 1) * (q - 1)), ("x + 2*y - z", 4)):
+        report = analyze(HypersurfaceProblem(ctx=ctx3, phi=phi, f=parse_poly(f, ctx3)))
+        got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
+        assert got == (0, mu_X, mu_X - 1, mu_fiber, mu_fiber + 1, mu_fiber + 1), f
+        assert not report.failed, f
+
+
 class TestMoraCountCarriesItsModel:
     """A finite Mora count proves a level and hands its jet model on."""
 
@@ -432,14 +453,14 @@ class TestMoraCountCarriesItsModel:
     def test_a_wrong_mora_count_is_caught(self, drop, monkeypatch):
         # One standard monomial missing: the model disagrees with the count
         # (first), or the level is too low for the capped walk (last).
-        real = invariants_module._basis_standard_exponents
+        real = invariants_module._standard_exponents_of
 
-        def dropped(basis):
-            exps = list(real(basis))
+        def dropped(*args):
+            exps = sorted(real(*args))
             del exps[drop]
             return exps
 
-        monkeypatch.setattr(invariants_module, "_basis_standard_exponents", dropped)
+        monkeypatch.setattr(invariants_module, "_standard_exponents_of", dropped)
         names, phi, f, _ = BRIESKORN_PHAM[0]
         with pytest.raises(InternalError):
             analyze(brieskorn_pham(names, phi, f))

@@ -11,7 +11,10 @@ from brs.stdbasis import (
     DEFAULT_BUDGET,
     Ideal,
     Submodule,
+    _capped_run,
     _complete,
+    _kept_entries,
+    _proposed_level,
     _vector,
     colength,
     ideal_colon,
@@ -20,17 +23,18 @@ from brs.stdbasis import (
     module_quotient_dim,
     mora_normal_form,
     standard_basis,
-    syzygies,
 )
 from brs.oracle import jet_model
 from conftest import (
     as_submodule,
+    double_one_schreyer_row,
     ideal_contains,
     ideal_product,
     ideals_equal,
     jet_contains,
     jet_model_at,
     standard_monomials,
+    syzygies,
     theta_trivial,
 )
 from strategies import CTX2, polynomials, zero_dim_ideals
@@ -39,6 +43,11 @@ from strategies import CTX2, polynomials, zero_dim_ideals
 def tracked_entries(gens):
     """The basis entries of a syzygy run on `gens`, each with its row and den."""
     return _complete([(g,) for g in gens], gens[0].ctx, 1, DEFAULT_BUDGET, collect=[])
+
+
+def capped(vecs, ctx, budget, level=None):
+    """`_capped_run` at `level`, or at the level proposed for the ideal of `vecs`."""
+    return _capped_run(vecs, ctx, budget, _proposed_level(ctx, vecs) if level is None else level)
 
 
 def recombined(entry, gens):
@@ -159,9 +168,14 @@ class TestColength:
             return jet_model_at(ideal, 2)
 
         I = Ideal(CTX2, [P("x^2"), P("y^3")])
+        vecs = [(g,) for g in I.gens]
         assert colength(I) == 6
+        assert capped(vecs, CTX2, DEFAULT_BUDGET) is not None
         monkeypatch.setattr(oracle_module, "jet_model", too_low)
+        assert _proposed_level(CTX2, vecs) == 2
+        assert capped(vecs, CTX2, DEFAULT_BUDGET) is None
         assert colength(I) == 6
+        assert sorted(m.exponents for m in standard_basis(I).leading_monomials) == [(0, 3), (2, 0)]
 
     def test_capped_colength_enumerates_standard_monomials_once(self, P, monkeypatch):
         # The capped run's proof lists the standard monomials; the count
@@ -327,7 +341,7 @@ class TestColon:
         import brs.stdbasis as stdbasis_module
 
         calls: list = []
-        for name in ("_syzygies_of", "ideal_intersection"):
+        for name in ("_schreyer_rows", "ideal_intersection"):
             real = getattr(stdbasis_module, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
@@ -337,20 +351,14 @@ class TestColon:
             monkeypatch.setattr(stdbasis_module, name, counted)
         I = Ideal(CTX2, [P("x^2 - y^5"), P("x*y")])
         ideal_colon(I, Ideal(CTX2, [P(g) for g in divisors]))
-        assert calls == ["_syzygies_of"]
+        assert calls == ["_schreyer_rows"]
 
-    def test_a_row_that_is_no_relation_is_caught(self, P, monkeypatch):
-        import brs.stdbasis as stdbasis_module
+    def test_a_row_that_is_no_relation_is_caught(self, monkeypatch):
+        # Double the first component of one syzygy row below `_schreyer_rows`:
+        # the colon must refuse it before reading the quotient off it.
         from brs import InternalError
 
-        real = stdbasis_module._syzygies_of
-
-        def corrupted(vecs, ctx, rank, budget):
-            syz = real(vecs, ctx, rank, budget)
-            first = (syz.gens[0][0] + P("x"),) + syz.gens[0][1:]
-            return Submodule(ctx, syz.rank, [first, *syz.gens[1:]])
-
-        monkeypatch.setattr(stdbasis_module, "_syzygies_of", corrupted)
+        double_one_schreyer_row(monkeypatch)
         with pytest.raises(InternalError):
             ideal_colon(*case_ideals(COLON_CASES["by_variable"]))
 
@@ -403,7 +411,8 @@ def assert_capped_path_matches_plain_run(I: Ideal) -> None:
     assert sorted(m.exponents for m in sb.leading_monomials) == sorted(
         e.mono.exponents for e in plain
     )
-    assert colength(sb) == _count_standard_monomials([e.mono for e in plain], I.ctx.n)
+    want = _count_standard_monomials([e.mono for e in plain], I.ctx.n)
+    assert _count_standard_monomials(sb.leading_monomials, I.ctx.n) == colength(I) == want
 
 
 class TestCappedRun:
@@ -420,19 +429,15 @@ class TestCappedRun:
     def test_jacobian_and_tjurina_ideals(self, phi, P):
         # The capped run must prove its level itself, with the pairs whose
         # lcm has degree cap - 1 kept: without them it falls back here.
-        from brs.stdbasis import _jet_capped
-
         g = P(phi)
         for I in (Ideal(CTX2, jacobian_ideal(g)), Ideal(CTX2, [g, *jacobian_ideal(g)])):
-            assert _jet_capped([(h,) for h in I.gens], CTX2, 10_000) is not None
+            assert capped([(h,) for h in I.gens], CTX2, 10_000) is not None
             assert_capped_path_matches_plain_run(I)
 
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals())
     def test_zero_dimensional_property(self, I):
-        from brs.stdbasis import _jet_capped
-
-        assert _jet_capped([(g,) for g in I.gens], I.ctx, 10_000) is not None
+        assert capped([(g,) for g in I.gens], I.ctx, 10_000) is not None
         assert_capped_path_matches_plain_run(I)
 
     def test_cap_monomials_complete_the_basis(self, P):
@@ -448,14 +453,15 @@ class TestCappedRun:
 
     def test_pairs_at_the_cap_are_charged(self, P):
         # Degree-cap monomials form no pairs, but each one they would have
-        # formed still counts against the budget.
+        # formed still counts against the budget; a capped run out of budget
+        # proves nothing.
         from brs import BudgetError
-        from brs.stdbasis import _jet_capped
 
         vecs = [(P("x^2"),), (P("y^3"),)]
-        assert _jet_capped(vecs, CTX2, 10_000, level=4) is not None
+        assert capped(vecs, CTX2, 10_000, level=4) is not None
+        assert capped(vecs, CTX2, 5, level=4) is None
         with pytest.raises(BudgetError):
-            _jet_capped(vecs, CTX2, 5, level=4)
+            _kept_entries(vecs, CTX2, 1, 5, cap=5)
 
 
 class TestBudgetAccounting:
@@ -475,13 +481,13 @@ class TestBudgetAccounting:
     )
     def test_capped_run(self, ideal, level, smallest, P):
         from brs import BudgetError
-        from brs.stdbasis import _jet_capped
 
         vecs = [(g,) for g in ideal(P("x^5 + y^5 + x^2*y^2"))]
         assert jet_model(Ideal(CTX2, [v[0] for v in vecs])).level == level
-        assert _jet_capped(vecs, CTX2, smallest, level=level) is not None
+        assert capped(vecs, CTX2, smallest, level) is not None
+        assert capped(vecs, CTX2, smallest - 1, level) is None
         with pytest.raises(BudgetError):
-            _jet_capped(vecs, CTX2, smallest - 1, level=level)
+            _kept_entries(vecs, CTX2, 1, smallest - 1, cap=level + 1)
 
     @pytest.mark.parametrize(
         "phi, smallest", [("x^5 + y^5 + x^2*y^2", 4), ("x^3 + y^3 + z^4 + x*y*z", 9)]

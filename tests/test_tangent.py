@@ -1,6 +1,5 @@
 import pytest
 
-import brs.tangent as tangent_module
 from brs import (
     ContextError,
     GermError,
@@ -13,7 +12,14 @@ from brs import (
 from brs.polycore import VectorField, jacobian_ideal
 from brs.stdbasis import Ideal, colength, membership, mora_normal_form, standard_basis
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
-from conftest import df_pair, ideals_equal, suspend, theta_contains, theta_trivial
+from conftest import (
+    df_pair,
+    double_one_schreyer_row,
+    ideals_equal,
+    suspend,
+    theta_contains,
+    theta_trivial,
+)
 from strategies import CTX2
 
 
@@ -81,15 +87,7 @@ class TestThetaFull:
     def test_a_row_that_is_not_tangent_is_caught(self, P, monkeypatch):
         # Double the first component of one syzygy row: it is then no
         # relation, and theta_full must refuse it before building a field.
-        real = tangent_module._schreyer_rows
-
-        def corrupted(vecs, ctx, rank, budget):
-            rows = real(vecs, ctx, rank, budget)
-            k = next(i for i, row in enumerate(rows) if row[0])
-            doubled = (tuple((key, 2 * c) for key, c in rows[k][0]),) + rows[k][1:]
-            return rows[:k] + [doubled] + rows[k + 1 :]
-
-        monkeypatch.setattr(tangent_module, "_schreyer_rows", corrupted)
+        double_one_schreyer_row(monkeypatch)
         with pytest.raises(InternalError):
             theta_full(P("x^2 + y^3"))
 
