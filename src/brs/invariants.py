@@ -140,8 +140,10 @@ def _count(
     axis certificate, and neither has any ideal containing it.  `floor` is
     passed on to the walk: the level of an ideal known to contain I.
 
-    When the walk gives up, the standard monomials of a Mora run decide
-    (`_standard_exponents_of`, which builds no basis).  A finite count also
+    When the walk gives up, the standard monomials of one uncapped Mora run
+    decide (`_standard_exponents_of`, which builds no basis, told that no
+    level exists: a walk's verdict does not depend on its floor, so a
+    second walk to propose one would give up again).  A finite count also
     proves a level: with N = 1 + the top degree of a standard monomial, m^N
     lies in I (the highest-corner bound), so a walk capped at N + 1 stops
     by N, and the model it gives must count what Mora counted.
@@ -154,7 +156,7 @@ def _count(
         model = jet_model(I, floor=floor)
     if model is not None:
         return _Count(model.colength, "jet", model)
-    exps = _standard_exponents_of(I, budget)
+    exps = _standard_exponents_of(I, budget, None)
     if exps is None:
         return _Count(NOT_FINITE, "mora")
     level = 1 + max((sum(e) for e in exps), default=-1)

@@ -48,12 +48,20 @@ column is stored at a pivot may change.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from threading import Lock
 from typing import Callable, Sequence
 
 from .errors import BrsError
-from .polycore import Monomial, Polynomial, VarContext, exponents_of_degree, integral_terms
+from .polycore import (
+    MAX_PACKED_DEGREE,
+    Monomial,
+    PackedTerm,
+    Polynomial,
+    VarContext,
+    exponents_of_degree,
+    pack_exponents,
+)
 from .stdbasis import Ideal, NOT_FINITE, Value
 
 
@@ -79,32 +87,16 @@ DEFAULT_CAP = 32
 MIN_CAP = 4  # the smallest cap the oracle takes
 
 
-# A monomial is packed into one integer, one field of _FIELD bits per
-# exponent, so multiplying two monomials is adding their integers.  The sum
-# cannot carry from one field into the next while its degree fits a field,
-# and no table row has a larger degree: a cap or an exponent beyond
-# _MAX_DEGREE raises BrsError instead of naming a wrong row.
-_FIELD = 16
-_MAX_DEGREE = (1 << _FIELD) - 1
-
-
-def _pack(exps: Sequence[int]) -> int:
-    packed = 0
-    for i, e in enumerate(exps):
-        if e > _MAX_DEGREE:
-            raise BrsError(f"exponent {e} exceeds the jet engine's limit {_MAX_DEGREE}")
-        packed |= e << (_FIELD * i)
-    return packed
-
-
 class _Table:
     """The monomials of n variables in graded lexicographic order, grown by degree.
 
-    Row r is the r-th monomial: its exponents, packed form and degree, and
+    Row r is the r-th monomial: its exponents, packed form
+    (`polycore.pack_exponents`: a shift is an integer add) and degree, and
     `row` maps the packed form back to r.  `starts[d]` is the number of
     monomials of degree below d, so the rows of a degree cap are a prefix,
     and a row number means the same monomial in every model of n variables.
-    The table only ever grows, so what it holds never changes.
+    The table only ever grows, so what it holds never changes.  No row has
+    a degree beyond the packing's limit: a larger cap raises BrsError.
     """
 
     __slots__ = ("n", "exps", "packed", "degree", "row", "starts", "_lock")
@@ -121,13 +113,15 @@ class _Table:
     def size(self, cap: int) -> int:
         """The number of monomials of degree below `cap`, growing the table to hold them."""
         if cap >= len(self.starts):
-            if cap > _MAX_DEGREE + 1:
-                raise BrsError(f"jet level {cap} exceeds the jet engine's limit {_MAX_DEGREE + 1}")
+            if cap > MAX_PACKED_DEGREE + 1:
+                raise BrsError(
+                    f"jet level {cap} exceeds the jet engine's limit {MAX_PACKED_DEGREE + 1}"
+                )
             with self._lock:
                 while cap >= len(self.starts):
                     d = len(self.starts) - 1
                     for exps in exponents_of_degree(self.n, d):
-                        packed = _pack(exps)
+                        packed = pack_exponents(exps)
                         self.row[packed] = len(self.exps)
                         self.exps.append(exps)
                         self.packed.append(packed)
@@ -145,17 +139,26 @@ def _table(n: int) -> _Table:
 
 
 # Columns are sparse integer vectors: scaling a column changes no span, so
-# each polynomial is cleared of denominators once, and elimination is
-# fraction-free with content reduction.
+# each polynomial is cleared of denominators once (`Polynomial.packed_terms`,
+# kept on the polynomial), and elimination is fraction-free with content
+# reduction.
 Column = dict[int, int]
-Terms = list[tuple[int, int, int]]  # (packed monomial, degree, coefficient)
+Terms = Sequence[PackedTerm]  # (packed monomial, degree, coefficient), ascending degree
 Generators = list[tuple[int, Terms]]  # (tail degree, terms) of each generator
 
 
 def _integral(polys: Sequence[Polynomial]) -> list[Terms]:
-    """The terms of the polynomials, scaled to integers by one common factor."""
-    _, scaled = integral_terms(polys)
-    return [[(_pack(m.exponents), m.degree, c) for m, c in terms] for terms in scaled]
+    """The terms of the polynomials, scaled to integers by one common factor.
+
+    Each polynomial's packed terms are cleared of its own denominators; only
+    those whose denominator differs from the common one are rescaled.
+    """
+    packed = [p.packed_terms() for p in polys]
+    den = lcm(*(d for d, _ in packed))
+    return [
+        terms if d == den else [(m, deg, c * (den // d)) for m, deg, c in terms]
+        for d, terms in packed
+    ]
 
 
 def _generators(polys: Sequence[Polynomial]) -> Generators:
@@ -265,7 +268,7 @@ class JetModel:
 
     def contains(self, p: Polynomial) -> bool:
         """Exact membership of p in I: reduce its jet below N."""
-        (terms,) = _integral([p])
+        _, terms = p.packed_terms()  # a scaled p has the same membership
         return not self.ech.reduce(_shifted(terms, 0, self.level, self.table.row))
 
     def contains_all(self, gens: Sequence[Polynomial]) -> bool:
@@ -289,9 +292,11 @@ class JetModel:
 
     def generators(self) -> list[Polynomial]:
         """Generators of I: the echelon columns and the monomials of degree N."""
-        exps = self.table.exps
+        exps, degree = self.table.exps, self.table.degree
         gens = [
-            Polynomial(self.ctx, [(Monomial(exps[k]), v) for k, v in col.items()])
+            Polynomial(
+                self.ctx, [(Monomial._unchecked(exps[k], degree[k]), v) for k, v in col.items()]
+            )
             for col in self.ech.pivots.values()
         ]
         gens += [
@@ -443,7 +448,8 @@ def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | No
     level of an ideal known to contain I, below which the walk cannot stop:
     the first echelon is built at cap floor + 1 (never above `cap`).  Every
     growth is exact whatever the floor, so a wrong one costs time, never a
-    value.  The generators are cleared of denominators once for the walk.
+    value.  The generators are read in packed integer form once for the walk
+    (`_generators`), from what each polynomial keeps (`packed_terms`).
     """
     gens = _generators(I.gens)
     span: JetModel | None = None

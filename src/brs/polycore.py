@@ -1,10 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals, ordered locally.
 
 Everything downstream (standard bases, derivation modules, invariants) is built
-on the types here.  Coefficients are `fractions.Fraction` throughout and no
-floating point is ever introduced: all the identity checks this package exists
-for are exact integer equalities, so a single rounded coefficient would
-invalidate the whole pipeline.
+on the types here.  Coefficients are exact: an integral coefficient is a plain
+Python `int`, from the parser through every operation, and a
+`fractions.Fraction` appears only where a genuine rational was put in (`as_coeff`).
+The two agree on `==`, `hash` and `str`, so which one a coefficient is never
+changes a result.  No floating point is ever introduced: all the identity
+checks this package exists for are exact integer equalities, so a single
+rounded coefficient would invalidate the whole pipeline.
 
 The one ring ordering shipped is negative-degree-reverse-lexicographic: lower
 total degree wins, ties are broken on the rightmost differing exponent (larger
@@ -20,26 +23,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from operator import add
+from typing import Iterable, Sequence, Union
 
-from .errors import ContextError, GermError
+from .errors import BrsError, ContextError, GermError
 
-CoeffLike = Union[int, Fraction]
+CoeffLike = Union[int, Fraction]  # an int when integral, once through `as_coeff`
 
 
-def as_coeff(value: CoeffLike) -> Fraction:
-    """Coerce an exact number to Fraction; floats are rejected outright."""
-    if isinstance(value, Fraction):
+def as_coeff(value: CoeffLike) -> CoeffLike:
+    """An exact coefficient: an `int` when the value is integral, else a `Fraction`.
+
+    An `int` is kept as it is, a `bool` becomes 0 or 1, and a `Fraction` with
+    denominator 1 becomes its numerator, so only a genuine rational stays a
+    `Fraction`.  Floats are rejected outright.
+    """
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact rational coefficient required, got {type(value).__name__}")
+
+
+# The jet engine (`oracle`) names a monomial by one integer, one field of
+# PACK_FIELD bits per exponent, so multiplying two monomials is adding their
+# integers.  The sum cannot carry from one field into the next while its
+# degree fits a field, and the engine builds no monomial of a larger degree:
+# an exponent beyond MAX_PACKED_DEGREE raises BrsError instead of naming a
+# wrong monomial.
+PACK_FIELD = 16
+MAX_PACKED_DEGREE = (1 << PACK_FIELD) - 1
+
+
+def pack_exponents(exps: Sequence[int]) -> int:
+    """The jet engine's integer for the monomial with these exponents."""
+    packed = 0
+    for i, e in enumerate(exps):
+        if e > MAX_PACKED_DEGREE:
+            raise BrsError(f"exponent {e} exceeds the jet engine's limit {MAX_PACKED_DEGREE}")
+        packed |= e << (PACK_FIELD * i)
+    return packed
 
 
 class VarContext:
     """Ordered, pairwise-distinct variable names fixing the ambient ring."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "n")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -48,10 +79,7 @@ class VarContext:
         if len(set(names)) != len(names):
             raise ContextError(f"duplicate variable names in {names!r}")
         self.names = names
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
+        self.n = len(names)
 
     def index(self, name: str) -> int:
         try:
@@ -62,13 +90,13 @@ class VarContext:
     def variable(self, i: int) -> "Polynomial":
         exps = [0] * self.n
         exps[i] = 1
-        return Polynomial(self, [(Monomial(exps), Fraction(1))])
+        return Polynomial(self, [(Monomial(exps), 1)])
 
     def variables(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(i) for i in range(self.n))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VarContext) and self.names == other.names
+        return self is other or (isinstance(other, VarContext) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)
@@ -78,7 +106,7 @@ class VarContext:
 
 
 def require_same_ctx(a: VarContext, b: VarContext) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ContextError(f"mixed variable contexts: {a!r} vs {b!r}")
 
 
@@ -98,6 +126,15 @@ class Monomial:
         self.exponents = exps
         self.degree = sum(exps)
         self._key = None
+
+    @staticmethod
+    def _unchecked(exponents: tuple[int, ...], degree: int) -> "Monomial":
+        """Trusted constructor, for exponents known to be non-negative, with their sum."""
+        m = object.__new__(Monomial)
+        m.exponents = exponents
+        m.degree = degree
+        m._key = None
+        return m
 
     def sort_key(self) -> tuple:
         # Greater key means greater monomial under negdegrevlex.
@@ -162,7 +199,8 @@ def exponents_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
     return [(e,) + rest for e in range(d + 1) for rest in exponents_of_degree(n - 1, d - e)]
 
 
-Term = tuple[Monomial, Fraction]
+Term = tuple[Monomial, CoeffLike]
+PackedTerm = tuple[int, int, int]  # (packed monomial, degree, integer coefficient)
 
 
 class Polynomial:
@@ -172,13 +210,14 @@ class Polynomial:
     always returns normalized results (no zero coefficients, no duplicate
     monomials).  Instances are immutable by convention; nothing mutates
     `terms` after construction.  The partial derivatives are computed on
-    first use and kept (`partial`).
+    first use and kept (`partial`), and so are the terms in the jet engine's
+    form (`packed_terms`).
     """
 
-    __slots__ = ("ctx", "terms", "_partials")
+    __slots__ = ("ctx", "terms", "_partials", "_packed")
 
     def __init__(self, ctx: VarContext, terms: Iterable[tuple[Monomial, CoeffLike]] = ()):
-        collected: dict[tuple, tuple[Monomial, Fraction]] = {}
+        collected: dict[tuple, tuple[Monomial, CoeffLike]] = {}
         for mono, coeff in terms:
             if len(mono.exponents) != ctx.n:
                 raise ContextError(f"monomial {mono!r} does not fit context {ctx!r}")
@@ -192,6 +231,7 @@ class Polynomial:
         self.ctx = ctx
         self.terms = tuple(cleaned)
         self._partials = None
+        self._packed = None
 
     @staticmethod
     def _raw(ctx: VarContext, terms: tuple[Term, ...]) -> "Polynomial":
@@ -200,6 +240,7 @@ class Polynomial:
         p.ctx = ctx
         p.terms = terms
         p._partials = None
+        p._packed = None
         return p
 
     # ------------------------------------------------------------------
@@ -234,12 +275,12 @@ class Polynomial:
         """Greatest term under the local order (None for the zero polynomial)."""
         return self.terms[0] if self.terms else None
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> CoeffLike:
         # The unit monomial is the greatest monomial under a local order,
         # so a constant term can only sit in front.
         if self.terms and self.terms[0][0].degree == 0:
             return self.terms[0][1]
-        return Fraction(0)
+        return 0
 
     def degree(self) -> int:
         """Maximum total degree of a term; -1 for the zero polynomial."""
@@ -297,21 +338,7 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        other = self._coerce(other)
-        require_same_ctx(self.ctx, other.ctx)
-        acc: dict[tuple, Fraction] = {}
-        monos: dict[tuple, Monomial] = {}
-        for ma, ca in self.terms:
-            ea = ma.exponents
-            for mb, cb in other.terms:
-                exps = tuple(x + y for x, y in zip(ea, mb.exponents))
-                prev = acc.get(exps)
-                acc[exps] = cb * ca if prev is None else prev + ca * cb
-                if prev is None:
-                    monos[exps] = Monomial(exps)
-        cleaned = [(monos[e], c) for e, c in acc.items() if c != 0]
-        cleaned.sort(key=lambda t: t[0].sort_key(), reverse=True)
-        return Polynomial._raw(self.ctx, tuple(cleaned))
+        return dot(self.ctx, (self,), (self._coerce(other),))
 
     __rmul__ = __mul__
 
@@ -334,7 +361,7 @@ class Polynomial:
             return Polynomial.zero(self.ctx)
         return Polynomial._raw(self.ctx, tuple((m, coeff * c) for m, coeff in self.terms))
 
-    def mul_term(self, mono: Monomial, coeff: Fraction) -> "Polynomial":
+    def mul_term(self, mono: Monomial, coeff: CoeffLike) -> "Polynomial":
         """Multiply by a single term.  Order is preserved, so no re-sort."""
         if coeff == 0:
             return Polynomial.zero(self.ctx)
@@ -370,12 +397,30 @@ class Polynomial:
             e = m.exponents[i]
             if e == 0:
                 continue
-            exps = list(m.exponents)
-            exps[i] = e - 1
-            out.append((Monomial(exps), c * e))
-        # Surviving terms keep their relative order (same shift for all),
-        # but route through the normalizing constructor for safety.
-        return Polynomial(self.ctx, out)
+            exps = m.exponents[:i] + (e - 1,) + m.exponents[i + 1 :]
+            out.append((Monomial._unchecked(exps, m.degree - 1), c * e))
+        # The surviving terms all lose one from the same exponent, so they
+        # stay distinct and keep their order under the local order.
+        return Polynomial._raw(self.ctx, tuple(out))
+
+    def packed_terms(self) -> tuple[int, tuple[PackedTerm, ...]]:
+        """The terms in the jet engine's form, computed once: (den, terms).
+
+        `den` is the least common multiple of the denominators (1 for integer
+        coefficients), and each term is (packed monomial, degree, den * c),
+        the monomial packed by `pack_exponents`, in the order of `terms`.
+        """
+        packed = self._packed
+        if packed is None:
+            den = lcm(*(c.denominator for _, c in self.terms))
+            packed = self._packed = (
+                den,
+                tuple(
+                    (pack_exponents(m.exponents), m.degree, c.numerator * (den // c.denominator))
+                    for m, c in self.terms
+                ),
+            )
+        return packed
 
     # ------------------------------------------------------------------
     # context plumbing
@@ -388,7 +433,7 @@ class Polynomial:
             exps = [0] * new_ctx.n
             for old_i, e in enumerate(m.exponents):
                 exps[mapping[old_i]] = e
-            out.append((Monomial(exps), c))
+            out.append((Monomial._unchecked(tuple(exps), m.degree), c))
         return Polynomial(new_ctx, out)
 
     def restrict(self, sub_ctx: VarContext) -> "Polynomial":
@@ -428,7 +473,7 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.ctx.names, tuple((m.exponents, c) for m, c in self.terms)))
 
-    def _format_term(self, mono: Monomial, coeff: Fraction) -> str:
+    def _format_term(self, mono: Monomial, coeff: CoeffLike) -> str:
         factors = []
         for name, e in zip(self.ctx.names, mono.exponents):
             if e == 1:
@@ -460,6 +505,28 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def dot(ctx: VarContext, left: Sequence[Polynomial], right: Sequence[Polynomial]) -> Polynomial:
+    """sum_i left[i] * right[i], gathered in one term dict and sorted once."""
+    acc: dict[tuple, CoeffLike] = {}
+    monos: dict[tuple, Monomial] = {}
+    for a, b in zip(left, right, strict=True):
+        require_same_ctx(ctx, a.ctx)
+        require_same_ctx(ctx, b.ctx)
+        for ma, ca in a.terms:
+            ea, da = ma.exponents, ma.degree
+            for mb, cb in b.terms:
+                exps = tuple(map(add, ea, mb.exponents))
+                prev = acc.get(exps)
+                if prev is None:
+                    acc[exps] = ca * cb
+                    monos[exps] = Monomial._unchecked(exps, da + mb.degree)
+                else:
+                    acc[exps] = prev + ca * cb
+    cleaned = [(monos[e], c) for e, c in acc.items() if c != 0]
+    cleaned.sort(key=lambda t: t[0].sort_key(), reverse=True)
+    return Polynomial._raw(ctx, tuple(cleaned))
 
 
 @dataclass(frozen=True)

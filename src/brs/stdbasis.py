@@ -19,8 +19,8 @@ The kernel (completion, weak normal form, S-vectors) runs on integer terms:
 a polynomial is a tuple of (key, c) pairs, key the monomial's
 `Monomial.sort_key()` and c an integer, so each order decision compares the
 same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
-`polycore.integral_terms` (the jet engine's helper too), and results become
-`Polynomial`s once, on the way out; a row tracked by a syzygy run carries
+`polycore.integral_terms`, and results become `Polynomial`s with `int`
+coefficients once, on the way out; a row tracked by a syzygy run carries
 one integer denominator.  A degree-capped run (`_capped_run`) leaves the
 monomials of degree cap implicit: they are charged to the budget as the
 pairs they would form, never scanned as reducers, and join the basis at the
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Sequence, Union
@@ -151,12 +150,6 @@ class StandardBasis:
     elements: tuple[Vec, ...]
     leading: tuple[tuple[int, Monomial], ...]
 
-    @property
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        if self.rank != 1:
-            raise ContextError("leading monomials view requires a rank-1 basis")
-        return tuple(m for _, m in self.leading)
-
 
 # ---------------------------------------------------------------------------
 # integer terms
@@ -187,9 +180,9 @@ def _to_ivecs(vecs: Sequence[Vec], cap: int | None = None) -> tuple[int, list[IV
 
 
 def _vector(ctx: VarContext, v: IVec) -> Vec:
-    """The vector v as polynomials."""
+    """The vector v as polynomials, with its integer coefficients."""
     return tuple(
-        Polynomial._raw(ctx, tuple((Monomial(k[1][::-1]), Fraction(c)) for k, c in p))
+        Polynomial._raw(ctx, tuple((Monomial._unchecked(e[::-1], -d), c) for (d, e), c in p))
         for p in v
     )
 
@@ -306,7 +299,7 @@ class _Entry:
 
     @property
     def mono(self) -> Monomial:
-        return Monomial(self.exps[::-1])
+        return Monomial._unchecked(self.exps[::-1], self.deg)
 
     def divides(self, comp: int, deg: int, exps: tuple[int, ...]) -> bool:
         return self.comp == comp and self.deg <= deg and all(map(le, self.exps, exps))
@@ -754,18 +747,18 @@ def _count_standard_monomials(leads: Sequence[Monomial], n: int) -> Value:
 
 
 def _standard_exponents_of(
-    I: Ideal, budget: int, level: int | None = None
+    I: Ideal, budget: int, level: int | None
 ) -> list[tuple[int, ...]] | None:
     """Exponents of the standard monomials of I, with no basis built; None if infinite.
 
-    The capped run at `level` (the level of I's certified jet model, when
-    the caller holds one; else proposed here) lists them when it proves its
-    level.  Else one uncapped run decides: the standard monomials of its
-    kept leads, infinitely many when no lead is a pure power of some
-    variable.
+    `level` is a level N for I: its certified jet model's, or a proposal
+    (`_proposed_level`); None when there is none, as when a jet walk of I
+    gave up.  The capped run at N lists them when it proves its level.  Else
+    one uncapped run decides: the standard monomials of its kept leads,
+    infinitely many when no lead is a pure power of some variable.
     """
     ctx, vecs = I.ctx, [(g,) for g in I.gens]
-    capped = _capped_run(vecs, ctx, budget, _proposed_level(ctx, vecs) if level is None else level)
+    capped = _capped_run(vecs, ctx, budget, level)
     if capped is not None:
         return capped[1]
     return _standard_exponents([e.mono for e in _kept_entries(vecs, ctx, 1, budget)], ctx.n)
@@ -776,9 +769,11 @@ def colength(I: Ideal, *, budget: int = DEFAULT_BUDGET, jet_level: int | None = 
 
     Counts the standard monomials of a Mora run (`_standard_exponents_of`;
     `jet_level`: the level N of the ideal's certified jet model, when the
-    caller holds one).  NOT_FINITE is a legitimate value, not a failure.
+    caller holds one, else proposed here).  NOT_FINITE is a legitimate
+    value, not a failure.
     """
-    exps = _standard_exponents_of(I, budget, jet_level)
+    level = jet_level if jet_level is not None else _proposed_level(I.ctx, [(g,) for g in I.gens])
+    exps = _standard_exponents_of(I, budget, level)
     return NOT_FINITE if exps is None else len(exps)
 
 
@@ -860,7 +855,10 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
     """
     ctx, k = ideals[0].ctx, len(ideals)
     zero = Polynomial.zero(ctx)
-    standard = [_standard_exponents_of(I, budget) for I in dict.fromkeys(ideals)]
+    standard = [
+        _standard_exponents_of(I, budget, _proposed_level(ctx, [(g,) for g in I.gens]))
+        for I in dict.fromkeys(ideals)
+    ]
     bound = None
     if all(exps is not None for exps in standard):
         bound = 1 + max((sum(e) for exps in standard for e in exps), default=-1)

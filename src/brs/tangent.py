@@ -17,10 +17,9 @@ and `df_trivial_ideal`, in closed form, for the trivial fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import GermError
-from .polycore import Polynomial, VarContext, VectorField, minors_2x2, require_same_ctx
+from .polycore import Polynomial, VarContext, VectorField, dot, minors_2x2, require_same_ctx
 from .stdbasis import DEFAULT_BUDGET, Ideal, _schreyer_rows, _vector
 
 
@@ -49,15 +48,6 @@ class DerivationModule:
 
     gens: tuple[VectorField, ...]
     cofactors: tuple[Polynomial, ...]  # dphi(gens[k]) = cofactors[k] * phi
-
-
-def _paired(partials: Sequence[Polynomial], xi: VectorField) -> Polynomial:
-    """sum_i xi_i * partials[i], for partials computed once per caller."""
-    total = Polynomial.zero(xi.ctx)
-    for component, partial in zip(xi.components, partials):
-        if not component.is_zero():
-            total = total + component * partial
-    return total
 
 
 def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationModule:
@@ -110,9 +100,12 @@ def suspended_theta(theta: DerivationModule, ctx: VarContext) -> DerivationModul
 
 
 def df_ideal(f: Polynomial, theta: DerivationModule) -> Ideal:
-    """The ideal generated by df(xi) over the module generators, in order."""
+    """The ideal generated by df(xi) over the module generators, in order.
+
+    Each df(xi) = sum_i xi_i * f_i is summed in one term dict and sorted once (`dot`).
+    """
     partials = [f.partial(i) for i in range(f.ctx.n)]
-    return Ideal(f.ctx, [_paired(partials, xi) for xi in theta.gens])
+    return Ideal(f.ctx, [dot(f.ctx, xi.components, partials) for xi in theta.gens])
 
 
 def df_trivial_ideal(f: Polynomial, phi: Polynomial) -> Ideal:

@@ -15,7 +15,7 @@ from brs import (
     parse_poly,
 )
 from brs.oracle import JetModel, _Echelon, _generators, _shifted, _span, _Table, _table
-from brs.polycore import Monomial, VectorField, require_same_ctx
+from brs.polycore import Monomial, VectorField, dot, require_same_ctx
 from brs.stdbasis import (
     DEFAULT_BUDGET,
     Ideal,
@@ -28,7 +28,7 @@ from brs.stdbasis import (
     membership,
     standard_basis,
 )
-from brs.tangent import DerivationModule, _paired, theta_full
+from brs.tangent import DerivationModule, theta_full
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -100,9 +100,16 @@ def jet_quotient_dim(I: Ideal, d: int) -> int:
     return jet_model_at(I, d).colength
 
 
+def leading_monomials(basis: StandardBasis) -> tuple[Monomial, ...]:
+    """The leading monomials of a rank-1 basis, in its order."""
+    if basis.rank != 1:
+        raise ContextError("leading monomials view requires a rank-1 basis")
+    return tuple(m for _, m in basis.leading)
+
+
 def standard_monomials(basis: StandardBasis) -> list[Monomial] | NotFiniteType:
     """Monomials outside the leading ideal of an ideal's basis; a basis of the quotient."""
-    exps = _standard_exponents(basis.leading_monomials, basis.ctx.n)
+    exps = _standard_exponents(leading_monomials(basis), basis.ctx.n)
     return NOT_FINITE if exps is None else [Monomial(e) for e in exps]
 
 
@@ -157,8 +164,7 @@ def ideals_equal(I: Ideal, J: Ideal, *, budget: int = DEFAULT_BUDGET) -> bool:
 
 def df_pair(f: Polynomial, xi: VectorField) -> Polynomial:
     """The pairing df(xi) = sum_i xi_i * (df/dx_i)."""
-    require_same_ctx(f.ctx, xi.ctx)
-    return _paired([f.partial(i) for i in range(f.ctx.n)], xi)
+    return dot(f.ctx, xi.components, [f.partial(i) for i in range(f.ctx.n)])
 
 
 def theta_trivial(phi: Polynomial) -> DerivationModule:

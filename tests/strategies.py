@@ -22,6 +22,7 @@ CTX3 = VarContext(("x", "y", "z"))
 coefficients = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7
 ).filter(lambda q: q != 0)
+integer_coefficients = st.integers(-9, 9).filter(lambda c: c != 0)
 
 
 def monomials(n: int, max_exp: int = 4):
@@ -29,10 +30,12 @@ def monomials(n: int, max_exp: int = 4):
 
 
 @st.composite
-def polynomials(draw, ctx: VarContext = CTX2, max_terms: int = 4, max_exp: int = 3):
+def polynomials(
+    draw, ctx: VarContext = CTX2, max_terms: int = 4, max_exp: int = 3, coeffs=coefficients
+):
     terms = draw(
         st.lists(
-            st.tuples(monomials(ctx.n, max_exp), coefficients),
+            st.tuples(monomials(ctx.n, max_exp), coeffs),
             min_size=0,
             max_size=max_terms,
         )

@@ -63,6 +63,7 @@ def test_test_only_names_are_not_in_the_package():
         mod = importlib.import_module(f"brs.{module}")
         assert not any(hasattr(mod, name) for name in names), module
     assert not hasattr(importlib.import_module("brs.tangent").DerivationModule, "as_submodule")
+    assert not hasattr(importlib.import_module("brs.stdbasis").StandardBasis, "leading_monomials")
 
 
 def test_readme_library_example_runs_verbatim():

@@ -9,7 +9,8 @@ Pins the exponents, integer coefficients and order of
 * the generators of `theta_full(phi)` for each corpus `phi`;
 * the `syzygies` of each ideal of `COLON_CASES` and `INTERSECTION_CASES`.
 
-A change to the kernel's arithmetic must reproduce them exactly.
+A change to the kernel's arithmetic must reproduce them exactly.  Two pinned
+runs are kernel-only (`KERNEL_ONLY`): `analyze` no longer makes them.
 Regenerate (only when a change of results is intended) with
 
     PYTHONPATH=src python tests/test_golden_bases.py
@@ -31,6 +32,21 @@ from conftest import syzygies
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden_bases.json"
+
+# Pinned runs that no `analyze` run makes, by file and input as printed: the
+# uncapped run on df_T + (phi) = (phi*f_x, phi*f_y, phi), f = phi, of each
+# `degen_*` file.  `analyze` counts that ideal on the generators (phi,
+# minors) instead (`trivial_rel` shares the `legreuel` count), so these pin
+# the kernel's arithmetic on an ideal of infinite colength, not a run of the
+# program.  They stay, although a regeneration of the file would drop them.
+KERNEL_ONLY = {
+    "degen_a2_self.brs": ("2*x^3 + 2*x*y^3", "3*x^2*y^2 + 3*y^5", "x^2 + y^3"),
+    "degen_t55_self.brs": (
+        "2*x^3*y^4 + 2*x*y^7 + 7*x^6*y^2 + 5*x^4*y^5 + 5*x^9",
+        "2*x^4*y^3 + 7*x^2*y^6 + 2*x^7*y + 5*y^9 + 5*x^5*y^4",
+        "x^2*y^2 + y^5 + x^5",
+    ),
+}
 
 
 def _poly_out(p: Polynomial) -> list:
@@ -87,13 +103,24 @@ def test_analyze_bases_match_golden(name):
         assert _rerun(run) == run["elements"], run["input"]
 
 
+def _printed(run: dict) -> tuple[str, ...]:
+    ctx = VarContext(run["vars"])
+    return tuple(str(_poly_in(ctx, p)) for v in run["input"] for p in v)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
 def test_every_analyze_run_is_pinned(name):
+    # The runs `analyze` makes are exactly the pinned runs, the kernel-only one aside.
     pinned = _golden()["analyze"][name]
+    kernel_only = [
+        r for r in pinned if r["jet_level"] is None and _printed(r) == KERNEL_ONLY.get(name)
+    ]
+    assert len(kernel_only) == (name in KERNEL_ONLY)
     runs = _record_analyze(CORPUS_DIR / name)
     assert runs
     for run in runs:
-        assert run in pinned, run["input"]
+        assert run in pinned and run not in kernel_only, run["input"]
+    assert len(runs) == len(pinned) - len(kernel_only)
 
 
 def test_theta_full_matches_golden():

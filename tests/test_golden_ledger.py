@@ -2,8 +2,10 @@
 
 Pins, for each `corpus/*.brs` analyzed without a flag, with `--oracle`, with
 `--tau` and with both, the invariants and each row's name, status, lhs, rhs
-and skip reason, in ledger order.  A refactor of `analyze` must reproduce it
-exactly.
+and skip reason, in ledger order, and the report's `problem` block (path,
+variables, phi and f as printed), which no flag changes.  With these, the
+JSON report of `brs corpus corpus` is pinned in full, `timings_ms` aside.
+A refactor of `analyze` must reproduce it exactly.
 
 Regenerate (only when a change of results is intended) with
 
@@ -30,11 +32,17 @@ MODES = {
 }
 
 
-def _snapshot(path: Path, flags: dict) -> dict:
+def _report(path: Path, flags: dict) -> dict:
+    """The JSON report of `brs corpus corpus` for one file, `timings_ms` left out."""
     parsed = parse_problem(path.read_text(encoding="utf-8"))
     flags = {"oracle": parsed.oracle, **flags}
-    report = analyze(parsed.problem, max_jet=parsed.max_jet, **flags)
+    report = analyze(parsed.problem, path=f"corpus/{path.name}", max_jet=parsed.max_jet, **flags)
     doc = report_to_dict(report)
+    del doc["timings_ms"]
+    return doc
+
+
+def _snapshot(doc: dict) -> dict:
     return {"invariants": doc["invariants"], "ledger": doc["ledger"]}
 
 
@@ -45,17 +53,23 @@ def _golden() -> dict:
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
 def test_ledger_matches_golden(name, mode):
-    assert _snapshot(CORPUS_DIR / name, MODES[mode]) == _golden()[mode][name]
+    doc, golden = _report(CORPUS_DIR / name, MODES[mode]), _golden()
+    assert _snapshot(doc) == golden[mode][name]
+    assert doc["problem"] == golden["problem"][name]
 
 
 def test_golden_covers_the_corpus():
     names = sorted(p.name for p in CORPUS_DIR.glob("*.brs"))
-    assert {mode: sorted(rows) for mode, rows in _golden().items()} == {m: names for m in MODES}
+    sections = {"problem", *MODES}
+    assert {section: sorted(rows) for section, rows in _golden().items()} == {
+        section: names for section in sections
+    }
 
 
 if __name__ == "__main__":
+    paths = sorted(CORPUS_DIR.glob("*.brs"))
     table = {
-        mode: {p.name: _snapshot(p, flags) for p in sorted(CORPUS_DIR.glob("*.brs"))}
-        for mode, flags in MODES.items()
+        mode: {p.name: _snapshot(_report(p, flags)) for p in paths} for mode, flags in MODES.items()
     }
+    table["problem"] = {p.name: _report(p, {})["problem"] for p in paths}
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

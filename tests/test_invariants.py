@@ -449,6 +449,34 @@ class TestMoraCountCarriesItsModel:
         report = analyze(brieskorn_pham(names, phi, f), oracle=True, tau_check=True)
         assert [e.name for e in report.ledger if e.status != "pass"] == []
 
+    @pytest.mark.parametrize("name", ["degen_a2_self.brs", "degen_t55_self.brs"])
+    def test_one_walk_per_mora_count(self, name, monkeypatch):
+        # A walk that gave up is not repeated to propose a level for Mora:
+        # its verdict does not depend on its floor, so it would give up again.
+        walks: list = []
+        real_walk = oracle_module.jet_model
+
+        def walk(I, cap=None, floor=0):
+            if cap is None:
+                walks.append(I)
+            return real_walk(I, cap, floor)
+
+        made: list = []
+        real_count = invariants_module._count
+
+        def count(I, *args, **kwargs):
+            start = len(walks)
+            got = real_count(I, *args, **kwargs)
+            made.append((got.route, walks[start:]))
+            return got
+
+        monkeypatch.setattr(oracle_module, "jet_model", walk)
+        monkeypatch.setattr(invariants_module, "jet_model", walk)
+        monkeypatch.setattr(invariants_module, "_count", count)
+        analyze(corpus_problem(name))
+        mora = [walked for route, walked in made if route == "mora"]
+        assert mora and all(len(walked) == 1 for walked in mora)
+
     @pytest.mark.parametrize("drop", [0, -1], ids=["first", "last"])
     def test_a_wrong_mora_count_is_caught(self, drop, monkeypatch):
         # One standard monomial missing: the model disagrees with the count

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import brs.oracle as oracle_module
 from brs import BrsError, NOT_FINITE, Polynomial, parse_poly
-from brs.polycore import jacobian_ideal
+from brs.polycore import MAX_PACKED_DEGREE, jacobian_ideal
 from brs.stdbasis import Ideal, colength
 from brs.oracle import (
     INCONCLUSIVE,
@@ -332,7 +332,7 @@ class TestModelContainment:
 
 class TestPackedMonomials:
     def test_overflow_raises_instead_of_naming_a_wrong_row(self):
-        limit = oracle_module._MAX_DEGREE + 1
+        limit = MAX_PACKED_DEGREE + 1
         with pytest.raises(BrsError):
             _table(2).size(limit + 1)
         # Packed without the guard, x^limit would carry into y's field and

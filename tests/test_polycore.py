@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brs import ContextError, GermError, Polynomial, VarContext, parse_poly
-from brs.polycore import Monomial, jacobian_ideal, minors_2x2
-from strategies import CTX2, monomials, polynomials
+from brs.polycore import Monomial, jacobian_ideal, minors_2x2, pack_exponents
+from brs.stdbasis import Ideal, standard_basis
+from brs.tangent import theta_full
+from strategies import CTX2, CTX3, integer_coefficients, monomials, polynomials
 
 
 class TestCompare:
@@ -71,6 +75,22 @@ class TestArithmetic:
             Polynomial.constant(ctx2, 0.5)  # type: ignore[arg-type]
         with pytest.raises(TypeError):
             parse_poly("x", ctx2) * 0.5  # type: ignore[operator]
+        # A bool is an integer, and becomes a plain int.
+        ((_, c),) = Polynomial.constant(ctx2, True).terms
+        assert type(c) is int and c == 1
+        ((_, c),) = (parse_poly("x", ctx2) * True).terms
+        assert type(c) is int and c == 1
+        assert Polynomial.constant(ctx2, False).is_zero()
+
+    def test_packed_terms_are_computed_once(self, P):
+        p = P("1/2*x + 1/3*y^2")
+        assert p.packed_terms() is p.packed_terms()
+        # Cleared of denominators by their least common multiple, in term order.
+        assert p.packed_terms() == (
+            6,
+            ((pack_exponents((1, 0)), 1, 3), (pack_exponents((0, 2)), 2, 2)),
+        )
+        assert P("2*x - y").packed_terms()[0] == 1
 
     def test_terms_sorted_descending_without_duplicates(self, P):
         p = P("y^3 + x^2 + x^2")
@@ -92,6 +112,59 @@ class TestArithmetic:
     def test_product_rule(self, f, g):
         for i in range(CTX2.n):
             assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
+
+
+def with_fractions(p: Polynomial) -> Polynomial:
+    """p with every coefficient a `Fraction`, as every coefficient once was."""
+    return Polynomial._raw(p.ctx, tuple((m, Fraction(c)) for m, c in p.terms))
+
+
+def integer_only(p: Polynomial) -> bool:
+    return all(type(c) is int for _, c in p.terms)
+
+
+class TestIntegerCoefficients:
+    """An integral coefficient is a plain int; a `Fraction` only for a rational input."""
+
+    @settings(max_examples=60)
+    @given(
+        f=polynomials(coeffs=integer_coefficients),
+        g=polynomials(coeffs=integer_coefficients),
+        k=st.integers(-5, 5),
+        e=st.integers(0, 3),
+    )
+    def test_integer_polynomials_stay_integer(self, f, g, k, e):
+        F, G = with_fractions(f), with_fractions(g)
+        pairs = [
+            (f + g, F + G),
+            (f - g, F - G),
+            (f * g, F * G),
+            (f**e, F**e),
+            (f.partial(0), F.partial(0)),
+            (f.partial(1), F.partial(1)),
+            (f * k, F * Fraction(k)),
+            (k * f, Fraction(k) * F),
+            (f.embed(CTX3), F.embed(CTX3)),
+        ]
+        for got, old in pairs:
+            assert integer_only(got)
+            assert got == old and hash(got) == hash(old) and str(got) == str(old)
+        assert integer_only(f) and type(f.constant_term()) is int
+
+    def test_a_rational_stays_a_fraction(self, P):
+        ((_, c),) = P("1/2*x").terms
+        assert type(c) is Fraction and c == Fraction(1, 2)
+        ((_, c),) = P("4/2*x").terms
+        assert type(c) is int and c == 2
+
+    def test_kernel_outputs_are_integer(self, P):
+        phi = P("x^2*y^2 + x^5 + y^5")
+        theta = theta_full(phi)
+        fields = [c for xi in theta.gens for c in xi.components]
+        assert fields and theta.cofactors
+        assert all(map(integer_only, fields + list(theta.cofactors)))
+        basis = standard_basis(Ideal(phi.ctx, [phi] + jacobian_ideal(phi)))
+        assert all(integer_only(p) for v in basis.elements for p in v)
 
 
 class TestJacobian:
