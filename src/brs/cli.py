@@ -18,11 +18,7 @@ from .invariants import analyze
 from .oracle import DEFAULT_CAP
 from .parsing import _check_max_jet, parse_problem
 from .report import (
-    corpus_row,
-    render_corpus_json,
-    render_corpus_text,
-    render_json,
-    render_text,
+    corpus_row, corpus_summary, render_corpus_json, render_corpus_text, render_json, render_text,
 )
 from .stdbasis import DEFAULT_BUDGET
 
@@ -134,23 +130,18 @@ def corpus(directory, oracle, max_jet, fmt, budget, tau):
         click.echo(f"error: no such directory: {root}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
     rows = []
-    any_fail = False
-    any_error = False
     for path in sorted(root.glob("*.brs")):
         try:
             _, report = _run_one(path, oracle, max_jet, budget, tau)
         except BrsError as exc:
             rows.append(corpus_row(str(path), None, str(exc)))
-            any_error = True
             continue
         rows.append(corpus_row(str(path), report, None))
-        any_fail = any_fail or report.failed
     if fmt == "json":
         click.echo(render_corpus_json(rows), nl=False)
     else:
         click.echo(render_corpus_text(rows), nl=False)
-    if any_fail:
+    summary = corpus_summary(rows)
+    if summary["fail"]:
         sys.exit(EXIT_IDENTITY_FAILURE)
-    if any_error:
-        sys.exit(EXIT_INPUT_ERROR)
-    sys.exit(EXIT_OK)
+    sys.exit(EXIT_INPUT_ERROR if summary["error"] else EXIT_OK)

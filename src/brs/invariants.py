@@ -21,10 +21,13 @@ Every colength takes the cheapest proof available (`_count`): the axis
 certificate of infinite colength, then a stabilized jet walk, and only when
 the walk hands the ideal back, the standard monomials of a Mora run, which
 prove a finite colength together with a level for its jet model.  So every
-finite count carries a model.  The ledger is one table (`_LEDGER`) that one
-loop evaluates.  Its containment rows run on the jet models of the ideals
-involved, and an ideal of infinite colength is wrapped in `_MoraIdeal`,
-which answers the same questions from a Mora standard basis.
+finite count carries a model.  The counted ideals are one table (`_IDEALS`),
+each declared once with its relations to earlier ones, from which one loop
+(`_count_stage`) takes the model to extend, the walk's floor, and the
+inclusion certificate: an ideal inside one of infinite colength is infinite.
+The ledger is one table (`_LEDGER`) that one loop evaluates.  Its containment
+rows run on the jet models of the ideals involved, and an ideal of infinite
+colength is a `_MoraIdeal`, answering the same from a Mora standard basis.
 """
 
 from __future__ import annotations
@@ -111,34 +114,33 @@ class InvariantReport:
 # colengths
 
 
+@dataclass
 class _Count:
     """A colength and its proof: route "certificate", "jet" or "mora".
 
     Every finite count carries its certified jet model.
     """
 
-    __slots__ = ("value", "route", "model")
+    value: Value
+    route: str
+    model: JetModel | None = None
 
-    def __init__(self, value: Value, route: str, model: JetModel | None = None):
-        self.value = value
-        self.route = route
-        self.model = model
+    @property
+    def level(self) -> int:
+        # The model's level: a floor for the walk of any ideal inside this one.
+        return self.model.level if self.model else 0
 
 
 def _count(
-    I: Ideal,
-    budget: int,
-    base: JetModel | None = None,
-    extra: Ideal | None = None,
-    floor: int = 0,
+    I: Ideal, budget: int, base: JetModel | None = None, extra: Ideal | None = None, floor: int = 0
 ) -> _Count:
     """Colength of I with the cheapest proof that settles it.
 
-    `base`, when given, is the certified model of an ideal that together
-    with `extra` generates I; the model of I then extends it instead of
-    walking from d = 1, and always exists.  An ideal with a model has no
-    axis certificate, and neither has any ideal containing it.  `floor` is
-    passed on to the walk: the level of an ideal known to contain I.
+    `base`, when given, is the certified model of an ideal K with I = K +
+    `extra`, so I's model extends it, with no walk, and always exists (an
+    ideal with a model has no axis certificate, nor has any containing it).
+    `floor`, the level of an ideal known to contain I, is passed on to the
+    walk.  `analyze` derives both from the relations declared in `_IDEALS`.
 
     When the walk gives up, the standard monomials of one uncapped Mora run
     decide (`_standard_exponents_of`, which builds no basis, told that no
@@ -177,8 +179,7 @@ def milnor(f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
 
 def tjurina(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Tjurina number: colength of (phi) + Jacobian ideal of phi."""
-    gens = [phi] + jacobian_ideal(phi)
-    return _count(Ideal(phi.ctx, gens), budget).value
+    return _count(Ideal(phi.ctx, [phi] + jacobian_ideal(phi)), budget).value
 
 
 def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
@@ -188,11 +189,11 @@ def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET
     subtracted off.  Not finite when the pair (phi, f) fails to cut out an
     isolated complete intersection.
     """
-    total = _count(Ideal(phi.ctx, [phi] + minors_2x2(f, phi)), budget).value
     mu_x = milnor(phi, budget=budget)
-    if not (is_finite(total) and is_finite(mu_x)):
+    if not is_finite(mu_x):  # not an IHS: infinite, whatever the Le-Greuel count
         return NOT_FINITE
-    return total - mu_x
+    total = _count(Ideal(phi.ctx, [phi] + minors_2x2(f, phi)), budget).value
+    return total - mu_x if is_finite(total) else NOT_FINITE
 
 
 def bruce_roberts(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
@@ -231,46 +232,138 @@ def detect_split(problem: HypersurfaceProblem) -> SplitParts | None:
     the phi-variables plus a nonzero part in the remaining ones, with no
     mixed term.
     """
-    ctx = problem.ctx
-    used = problem.phi.support_vars()
-    ext_idx = [i for i in range(ctx.n) if i not in used]
-    if not ext_idx:
-        return None
+    ctx, used = problem.ctx, problem.phi.support_vars()
     base_idx = [i for i in range(ctx.n) if i in used]
-    base_terms = []
-    ext_terms = []
+    ext_idx = [i for i in range(ctx.n) if i not in used]
+    terms: tuple[list, list] = ([], [])  # f's terms in the base, and in the fresh variables
     for m, c in problem.f.terms:
         has_base = any(m.exponents[i] for i in base_idx)
         has_ext = any(m.exponents[i] for i in ext_idx)
         if has_base and has_ext:
             return None
-        (ext_terms if has_ext else base_terms).append((m, c))
-    g_big = Polynomial(ctx, ext_terms)
-    if g_big.is_zero():
+        terms[has_ext].append((m, c))
+    g = Polynomial(ctx, terms[1])
+    if g.is_zero():  # also when phi misses no variable
         return None
     base_ctx = VarContext(ctx.names[i] for i in base_idx)
     ext_ctx = VarContext(ctx.names[i] for i in ext_idx)
-    return SplitParts(
-        base_ctx=base_ctx,
-        ext_ctx=ext_ctx,
-        phi_base=problem.phi.restrict(base_ctx),
-        f_base=Polynomial(ctx, base_terms).restrict(base_ctx),
-        g=g_big.restrict(ext_ctx),
-    )
+    f_base = Polynomial(ctx, terms[0]).restrict(base_ctx)
+    phi_base = problem.phi.restrict(base_ctx)
+    return SplitParts(base_ctx, ext_ctx, phi_base, f_base, g.restrict(ext_ctx))
+
+
+# ---------------------------------------------------------------------------
+# the counted ideals
+
+
+@dataclass(frozen=True)
+class _Counted:
+    """An ideal I that `analyze` counts, declared once with what is known of it.
+
+    `build(v)` makes I from the run's facts `v`, in `ring` ("X", the
+    problem's, or "base" and "ext", the parts of a suspension), or None when
+    I is not counted on the problem; I is counted in the `timings_ms` stage
+    `stage`.  The report lists the `reported` counts, and `--oracle` checks
+    those in "X".  A relation to an earlier entry K is a fact proven by the
+    builder or in a comment at the entry, never checked at run time, and
+    void when K is not counted:
+
+      "sum K extra"    I is K plus the generators of the fact `extra`, so its
+                       model extends K's;
+      "inside K"       I lies in K: K's level is a floor for I's walk, and if
+                       K is infinite, so is I (the inclusion certificate);
+      "disjoint K L"   I is K + L in disjoint variables: with levels a, b >= 1
+                       its level is a + b - 1, a floor (R/I is R/K tensor R/L,
+                       and a monomial of that degree has degree at least a in
+                       K's variables or b in L's);
+      "equal K"        I is K on other generators, and shares K's count.
+    """
+
+    name: str
+    ring: str
+    stage: str
+    build: Callable[[SimpleNamespace], Union[Ideal, None]]
+    relations: tuple[str, ...] = ()
+    reported: bool = True
+
+
+def _minors(v: SimpleNamespace) -> tuple[Polynomial, ...]:
+    # df_T is the minors of (f, phi), then phi * g for each generator g of Jf.
+    df_T = v.ideals["trivial"].gens
+    return df_T[: len(df_T) - len(v.ideals["mu_f"].gens)]
+
+
+_IDEALS = (
+    _Counted("mu_f", "X", "jacobian_route", lambda v: Ideal(v.ctx, jacobian_ideal(v.f))),
+    _Counted("mu_X", "X", "jacobian_route", lambda v: Ideal(v.ctx, jacobian_ideal(v.phi))),
+    _Counted("tau_X", "X", "jacobian_route", lambda v: v.I_X + v.ideals["mu_X"],
+             ("sum mu_X I_X",)),
+    # df_T is the minors plus phi * Jf, and every minor lies in J_phi.
+    _Counted("trivial", "X", "jacobian_route", lambda v: df_trivial_ideal(v.f, v.phi),
+             ("inside tau_X",)),
+    # The Le-Greuel ideal (phi) + minors is df_T + (phi), inside (phi) + J_phi.
+    _Counted("legreuel", "X", "jacobian_route", lambda v: Ideal(v.ctx, [v.phi, *_minors(v)]),
+             ("sum trivial I_X", "inside tau_X")),
+    _Counted("trivial_rel", "X", "jacobian_route", lambda v: v.ideals["trivial"] + v.I_X,
+             ("equal legreuel",)),
+    _Counted("split_g_milnor", "ext", "bruce_roberts",
+             lambda v: v.split and Ideal(v.split.ext_ctx, jacobian_ideal(v.split.g))),
+    _Counted("split_base_br", "base", "bruce_roberts",
+             lambda v: v.split and df_ideal(v.split.f_base, v.base_theta)),
+    # A suspension's Theta_X is the unit fields of the fresh variables and the
+    # base fields (`suspended_theta`); df takes them to J_g and the base df_X.
+    _Counted("br", "X", "bruce_roberts", lambda v: df_ideal(v.f, v.theta),
+             ("disjoint split_base_br split_g_milnor",)),
+    _Counted("br_rel", "X", "bruce_roberts", lambda v: v.ideals["br"] + v.I_X, ("sum br I_X",)),
+    _Counted("split_base_tau", "base", "identities", lambda v: v.split and Ideal(
+        v.split.base_ctx, [v.split.phi_base] + jacobian_ideal(v.split.phi_base))),
+    _Counted("split_lifted", "X", "identities", lambda v: v.split and Ideal(v.ctx, [
+        p.embed(v.ctx) for p in v.ideals["split_base_tau"].gens + v.ideals["split_g_milnor"].gens
+    ]), ("disjoint split_base_tau split_g_milnor",)),
+    _Counted("split_f_milnor", "base", "identities",
+             lambda v: v.split and Ideal(v.split.base_ctx, jacobian_ideal(v.split.f_base))),
+    # J_phi + A for the `tau-module` row, counted only where the row reads it.
+    _Counted("tau_module", "X", "identities",
+             lambda v: v.ideals["mu_X"] + v.A if v.tau_check and is_finite(v.mu_X) else None,
+             ("sum mu_X A",), reported=False),
+)
+
+
+def _count_stage(v: SimpleNamespace, stage: str) -> None:
+    """Count the entries of `_IDEALS` in `stage`, each as its relations allow.
+
+    They give the model to extend, the floor, or a count with no work (an
+    equal ideal's, or the inclusion certificate).  Each ideal, count and
+    value is kept on `v` under the entry's name.
+    """
+    for entry in _IDEALS:
+        if entry.stage != stage or (ideal := entry.build(v)) is None:
+            continue
+        base = extra = count = None
+        floor = 0
+        for kind, key, *more in map(str.split, entry.relations):
+            known = v.counts.get(key)
+            if known is None:
+                continue
+            if kind == "equal":
+                count = known
+            elif kind == "sum":
+                base, extra = known.model, getattr(v, more[0])
+            elif kind == "inside" and not is_finite(known.value):
+                count = _Count(NOT_FINITE, "certificate")
+            elif kind == "inside":
+                floor = max(floor, known.level)
+            else:  # "disjoint"; a unit summand (level 0) makes the sum a unit
+                a, b = known.level, v.counts[more[0]].level
+                floor = max(floor, a + b - 1 if a and b else 0)
+        if count is None:
+            count = _count(ideal, v.budget, base, extra, floor)
+        v.ideals[entry.name], v.counts[entry.name] = ideal, count
+        setattr(v, entry.name, count.value)
 
 
 # ---------------------------------------------------------------------------
 # ledger construction
-
-
-def _sum_level(a: int, b: int) -> int:
-    """The level of a sum of two ideals in disjoint variables, from theirs.
-
-    With levels a, b >= 1 it is a + b - 1: a monomial of that degree has
-    degree at least a in the first variables or at least b in the others.
-    A unit summand (level 0) makes the sum a unit; 0 is a floor in any case.
-    """
-    return a + b - 1 if a and b else 0
 
 
 def _finite_product(a: Value, b: Value) -> Value:
@@ -289,6 +382,7 @@ def _value_out(v: Value) -> LedgerValue:
     return v if is_finite(v) else "infinite"
 
 
+@dataclass
 class _MoraIdeal:
     """An ideal without a jet model, answering what a `JetModel` answers.
 
@@ -297,12 +391,9 @@ class _MoraIdeal:
     use and kept.
     """
 
-    __slots__ = ("ideal", "budget", "_basis")
-
-    def __init__(self, ideal: Ideal, budget: int):
-        self.ideal = ideal
-        self.budget = budget
-        self._basis: StandardBasis | None = None
+    ideal: Ideal
+    budget: int
+    _basis: StandardBasis | None = None
 
     def contains_all(self, gens: Sequence[Polynomial]) -> bool:
         if self._basis is None:
@@ -332,7 +423,7 @@ def _colon_vs_jf(v: SimpleNamespace, key: str) -> tuple[bool, bool]:
             inside = jf.contains_ideal(colon)
         else:
             inside = jf.contains_all(colon.generators())
-        v.colons[key] = (inside, colon.contains_all(v.Jf.gens))
+        v.colons[key] = (inside, colon.contains_all(v.ideals["mu_f"].gens))
     return v.colons[key]
 
 
@@ -382,7 +473,7 @@ _LEDGER = (
     _Row("intersect-product", "mutual", True, ("mu_BR_rel",),
          "mu_BR_rel is not finite",
          lambda v: _colon_vs_jf(v, "br")[0],
-         lambda v: v.models["br"].contains_all([g * v.phi for g in v.Jf.gens])),
+         lambda v: v.models["br"].contains_all([g * v.phi for g in v.ideals["mu_f"].gens])),
     _Row("quotient-milnor", "equal", False, ("mu_BR", "mu_BR_rel", "mu_f"),
          "mu_BR is not finite",
          lambda v: v.mu_BR - v.mu_BR_rel, lambda v: v.mu_f),
@@ -398,11 +489,10 @@ _LEDGER = (
     # dphi therefore induces Theta_X / Theta_X^T = phi * A / phi * J_phi,
     # with A the ideal of theta_full's cofactors (dphi(xi_k) = a_k * phi).
     # The ring is a domain, so that is A / J_phi, of dimension
-    # mu_X - colength(J_phi + A), counted by extending mu_X's model like
-    # tau_X.  J_phi + A is not in the report's ideals: the oracle adds no row.
+    # mu_X - colength(J_phi + A), the count `tau_module`.
     _Row("tau-module", "equal", True, ("tau_X",),
          NOT_IHS,
-         lambda v: v.mu_X - _count(v.J_phi + v.A, v.budget, v.J_phi_model, v.A).value,
+         lambda v: v.mu_X - v.tau_module,
          lambda v: v.tau_X),
     _Row("icis-finiteness", "equal", True, (),
          "",
@@ -414,9 +504,9 @@ _SPLIT_LEDGER = (
     _Row("susp-br-product", "equal", False, (), "",
          lambda v: v.mu_BR, lambda v: _finite_product(v.split_g_milnor, v.split_base_br)),
     _Row("split-colength-product", "equal", False, (), "",
-         lambda v: v.lifted, lambda v: _finite_product(v.base_tau, v.split_g_milnor)),
+         lambda v: v.split_lifted, lambda v: _finite_product(v.split_base_tau, v.split_g_milnor)),
     _Row("split-milnor-product", "equal", False, (), "",
-         lambda v: v.mu_f, lambda v: _finite_product(v.mu_f_base, v.split_g_milnor)),
+         lambda v: v.mu_f, lambda v: _finite_product(v.split_f_milnor, v.split_g_milnor)),
 )
 
 
@@ -443,114 +533,59 @@ def analyze(
 ) -> InvariantReport:
     """Compute all invariants of a problem and verify the identity ledger."""
     ctx = problem.ctx
-    phi, f = problem.phi, problem.f
     timings: dict[str, float] = {}
-    t_start = time.perf_counter()
-    ideals: dict[str, Ideal] = {}
-    counts: dict[str, _Count] = {}
-
-    def count(name: str, ideal: Ideal, base: str | None = None, floor: int = 0) -> Value:
-        # With a `base`, `ideal` is I_X plus the ideal counted under that name,
-        # and extends its model.  Otherwise `ideal` is walked from `floor`, the
-        # level of an ideal known to contain it.
-        ideals[name] = ideal
-        model = counts[base].model if base else None
-        counts[name] = _count(ideal, budget, model, I_X, floor)
-        return counts[name].value
-
-    def level(name: str) -> int:
-        # The level of a counted ideal's model: a floor for any ideal inside it.
-        model = counts[name].model
-        return model.level if model else 0
+    t_start = t0 = time.perf_counter()
+    # The run's facts: what the builders of `_IDEALS` and the ledger rows read.
+    v = SimpleNamespace(
+        ctx=ctx, phi=problem.phi, f=problem.f, budget=budget, tau_check=tau_check,
+        I_X=Ideal(ctx, [problem.phi]), ideals={}, counts={}, colons={},
+    )
 
     # Jacobian-route invariants (no tangent module involved).
-    t0 = time.perf_counter()
-    I_X = Ideal(ctx, [phi])
-    Jf = Ideal(ctx, jacobian_ideal(f))
-    mu_f = count("mu_f", Jf)
-    mu_X = count("mu_X", Ideal(ctx, jacobian_ideal(phi)))
-    tau_X = count("tau_X", I_X + ideals["mu_X"], base="mu_X")
-    # df_T is the minors plus phi * Jf, and every minor lies in J_phi, so
-    # df_T lies in (phi) + J_phi; the Le-Greuel ideal is df_T + (phi),
-    # generated by phi and the minors: df_T's generators before its last
-    # len(Jf.gens), which are phi * g for the generators g of Jf.
-    trivial = df_trivial_ideal(f, phi)
-    minors = trivial.gens[: len(trivial.gens) - len(Jf.gens)]
-    count("trivial", trivial, floor=level("tau_X"))
-    lg_total = count("legreuel", Ideal(ctx, [phi, *minors]), base="trivial", floor=level("tau_X"))
-    # trivial_rel, df_T + (phi), is that ideal; the oracle reads its own generators.
-    ideals["trivial_rel"] = ideals["trivial"] + I_X
-    counts["trivial_rel"] = counts["legreuel"]
-    mu_fiber = (
-        lg_total - mu_X if (is_finite(lg_total) and is_finite(mu_X)) else NOT_FINITE
-    )
+    _count_stage(v, "jacobian_route")
+    finite = is_finite(v.legreuel) and is_finite(v.mu_X)
+    v.mu_fiber = v.legreuel - v.mu_X if finite else NOT_FINITE
     timings["jacobian_route"] = (time.perf_counter() - t0) * 1000
 
     # Tangent-module route.  A suspended X has the module of its base, with
     # the unit fields of the fresh variables (`suspended_theta`).
     t0 = time.perf_counter()
-    split = detect_split(problem)
-    if split is None:
-        theta = theta_full(phi, budget=budget)
+    v.split = detect_split(problem)
+    if v.split is None:
+        v.theta = theta_full(v.phi, budget=budget)
     else:
-        base_theta = theta_full(split.phi_base, budget=budget)
-        theta = suspended_theta(base_theta, ctx)
+        v.base_theta = theta_full(v.split.phi_base, budget=budget)
+        v.theta = suspended_theta(v.base_theta, ctx)
+    v.A = Ideal(ctx, v.theta.cofactors)
     timings["tangent_module"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
-    df_X = df_ideal(f, theta)
-    br_floor = 0
-    if split is not None:
-        # df_X is J_g plus the base df_X embedded, in disjoint variables.
-        count("split_g_milnor", Ideal(split.ext_ctx, jacobian_ideal(split.g)))
-        count("split_base_br", df_ideal(split.f_base, base_theta))
-        br_floor = _sum_level(level("split_base_br"), level("split_g_milnor"))
-    mu_BR = count("br", df_X, floor=br_floor)
-    mu_BR_rel = count("br_rel", df_X + I_X, base="br")
+    _count_stage(v, "bruce_roberts")
+    v.mu_BR, v.mu_BR_rel = v.br, v.br_rel
     timings["bruce_roberts"] = (time.perf_counter() - t0) * 1000
 
     # Identity ledger.
     t0 = time.perf_counter()
-    models = {
-        key: counts[key].model or _MoraIdeal(ideals[key], budget)
-        for key in ("mu_f", "br", "trivial")
+    _count_stage(v, "identities")
+    v.models = {
+        k: v.counts[k].model or _MoraIdeal(v.ideals[k], budget) for k in ("mu_f", "br", "trivial")
     }
-    # What the rows read: each colength under its count name, the three
-    # invariants named otherwise, and the ideals of the containment rows.
-    facts = SimpleNamespace(
-        **{name: c.value for name, c in counts.items()},
-        mu_fiber=mu_fiber, mu_BR=mu_BR, mu_BR_rel=mu_BR_rel,
-        phi=phi, Jf=Jf, budget=budget, models=models, colons={},
-        J_phi=ideals["mu_X"], J_phi_model=counts["mu_X"].model, A=Ideal(ctx, theta.cofactors),
-    )
     entries = [
         LedgerEntry(row.name, "skip", reason="disabled (pass --tau to enable)")
         if row.name == "tau-module" and not tau_check
-        else _evaluate(row, facts)
-        for row in _LEDGER
+        else _evaluate(row, v)
+        for row in _LEDGER + (_SPLIT_LEDGER if v.split else ())
     ]
-
-    if split is not None:
-        base_tau_ideal = Ideal(split.base_ctx, [split.phi_base] + jacobian_ideal(split.phi_base))
-        g_gens = ideals["split_g_milnor"].gens
-        lifted = Ideal(ctx, [p.embed(ctx) for p in base_tau_ideal.gens + g_gens])
-        facts.base_tau = count("split_base_tau", base_tau_ideal)
-        # `lifted` is the sum of these two ideals, in disjoint variables.
-        floor = _sum_level(level("split_base_tau"), level("split_g_milnor"))
-        facts.lifted = count("split_lifted", lifted, floor=floor)
-        facts.mu_f_base = milnor(split.f_base, budget=budget) if split.f_base else NOT_FINITE
-        entries += [_evaluate(row, facts) for row in _SPLIT_LEDGER]
     timings["identities"] = (time.perf_counter() - t0) * 1000
 
+    reported = [e for e in _IDEALS if e.reported and e.name in v.counts]
     if oracle:
-        # Each colength is checked by the engine that did not produce it:
-        # jet values by a Mora standard basis, the rest by the jet oracle.
+        # Each colength in the problem's ring is checked by the engine that
+        # did not produce it: jet values by a Mora standard basis, the rest
+        # by the jet oracle.
         t0 = time.perf_counter()
-        for name in sorted(ideals):
-            ideal = ideals[name]
-            if ideal.ctx != ctx:
-                continue  # oracle entries stay in the problem's own ring
-            want = counts[name]
+        for name in sorted(e.name for e in reported if e.ring == "X"):
+            ideal, want = v.ideals[name], v.counts[name]
             if want.route == "jet":
                 got = colength(ideal, budget=budget, jet_level=want.model.level)
             else:
@@ -566,17 +601,10 @@ def analyze(
 
     timings["total"] = (time.perf_counter() - t_start) * 1000
     return InvariantReport(
-        problem=problem,
-        path=path,
-        mu_f=mu_f,
-        mu_X=mu_X,
-        tau_X=tau_X,
-        mu_fiber=mu_fiber,
-        mu_BR=mu_BR,
-        mu_BR_rel=mu_BR_rel,
-        ledger=tuple(entries),
-        timings_ms={k: round(v, 3) for k, v in timings.items()},
-        ideals=ideals,
-        colengths={name: c.value for name, c in counts.items()},
-        routes={name: c.route for name, c in counts.items()},
+        problem=problem, path=path, mu_f=v.mu_f, mu_X=v.mu_X, tau_X=v.tau_X,
+        mu_fiber=v.mu_fiber, mu_BR=v.mu_BR, mu_BR_rel=v.mu_BR_rel, ledger=tuple(entries),
+        timings_ms={k: round(t, 3) for k, t in timings.items()},
+        ideals={e.name: v.ideals[e.name] for e in reported},
+        colengths={e.name: v.counts[e.name].value for e in reported},
+        routes={e.name: v.counts[e.name].route for e in reported},
     )

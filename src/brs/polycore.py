@@ -47,6 +47,11 @@ def as_coeff(value: CoeffLike) -> CoeffLike:
     raise TypeError(f"exact rational coefficient required, got {type(value).__name__}")
 
 
+def _exact(terms: Iterable[tuple["Monomial", CoeffLike]]) -> tuple:
+    # The terms with each integral `Fraction` made an `int`, at one type check an `int`.
+    return tuple((m, c if type(c) is int else as_coeff(c)) for m, c in terms)
+
+
 # The jet engine (`oracle`) names a monomial by one integer, one field of
 # PACK_FIELD bits per exponent, so multiplying two monomials is adding their
 # integers.  The sum cannot carry from one field into the next while its
@@ -224,7 +229,7 @@ class Polynomial:
             coeff = as_coeff(coeff)
             prev = collected.get(mono.exponents)
             if prev is not None:
-                coeff = prev[1] + coeff
+                coeff = as_coeff(prev[1] + coeff)
             collected[mono.exponents] = (mono, coeff)
         cleaned = [(m, c) for (m, c) in collected.values() if c != 0]
         cleaned.sort(key=lambda t: t[0].sort_key(), reverse=True)
@@ -322,7 +327,7 @@ class Polynomial:
             else:
                 c = a[i][1] + b[j][1]
                 if c != 0:
-                    out.append((a[i][0], c))
+                    out.append((a[i][0], c if type(c) is int else as_coeff(c)))
                 i += 1
                 j += 1
         out.extend(a[i:])
@@ -359,7 +364,7 @@ class Polynomial:
         c = as_coeff(c)
         if c == 0:
             return Polynomial.zero(self.ctx)
-        return Polynomial._raw(self.ctx, tuple((m, coeff * c) for m, coeff in self.terms))
+        return Polynomial._raw(self.ctx, _exact((m, coeff * c) for m, coeff in self.terms))
 
     def mul_term(self, mono: Monomial, coeff: CoeffLike) -> "Polynomial":
         """Multiply by a single term.  Order is preserved, so no re-sort."""
@@ -367,9 +372,7 @@ class Polynomial:
             return Polynomial.zero(self.ctx)
         if mono.is_unit():
             return self.scale(coeff)
-        return Polynomial._raw(
-            self.ctx, tuple((m.mul(mono), c * coeff) for m, c in self.terms)
-        )
+        return Polynomial._raw(self.ctx, _exact((m.mul(mono), c * coeff) for m, c in self.terms))
 
     def jet(self, d: int) -> "Polynomial":
         """The terms of total degree below d (a prefix under the local order)."""
@@ -401,7 +404,7 @@ class Polynomial:
             out.append((Monomial._unchecked(exps, m.degree - 1), c * e))
         # The surviving terms all lose one from the same exponent, so they
         # stay distinct and keep their order under the local order.
-        return Polynomial._raw(self.ctx, tuple(out))
+        return Polynomial._raw(self.ctx, _exact(out))
 
     def packed_terms(self) -> tuple[int, tuple[PackedTerm, ...]]:
         """The terms in the jet engine's form, computed once: (den, terms).
@@ -524,7 +527,7 @@ def dot(ctx: VarContext, left: Sequence[Polynomial], right: Sequence[Polynomial]
                     monos[exps] = Monomial._unchecked(exps, da + mb.degree)
                 else:
                     acc[exps] = prev + ca * cb
-    cleaned = [(monos[e], c) for e, c in acc.items() if c != 0]
+    cleaned = [(monos[e], c if type(c) is int else as_coeff(c)) for e, c in acc.items() if c != 0]
     cleaned.sort(key=lambda t: t[0].sort_key(), reverse=True)
     return Polynomial._raw(ctx, tuple(cleaned))
 

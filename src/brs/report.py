@@ -27,20 +27,10 @@ def report_to_dict(report: InvariantReport) -> dict:
     for name in INVARIANT_NAMES:
         value = getattr(report, name)
         invariants[name] = value if isinstance(value, int) else "infinite"
-    ledger = [
-        {
-            "name": e.name,
-            "status": e.status,
-            "lhs": e.lhs,
-            "rhs": e.rhs,
-            "reason": e.reason,
-        }
-        for e in report.ledger
-    ]
     return {
         "problem": problem,
         "invariants": invariants,
-        "ledger": ledger,
+        "ledger": [dict(vars(e)) for e in report.ledger],  # name, status, lhs, rhs, reason
         "timings_ms": dict(report.timings_ms),
     }
 
@@ -110,23 +100,15 @@ def corpus_row(path: str, report: InvariantReport | None, error: str | None) -> 
     return payload
 
 
+def corpus_summary(rows: list[dict]) -> dict:
+    """How many rows there are, and how many pass, fail an identity or hit an error."""
+    errors = sum("error" in r for r in rows)
+    fails = sum(any(e["status"] == "fail" for e in r.get("ledger", ())) for r in rows)
+    return {"count": len(rows), "pass": len(rows) - fails - errors, "fail": fails, "error": errors}
+
+
 def render_corpus_json(rows: list[dict]) -> str:
-    passes = sum(
-        1
-        for r in rows
-        if "error" not in r and all(e["status"] != "fail" for e in r["ledger"])
-    )
-    fails = sum(
-        1
-        for r in rows
-        if "error" not in r and any(e["status"] == "fail" for e in r["ledger"])
-    )
-    errors = sum(1 for r in rows if "error" in r)
-    doc = {
-        "problems": rows,
-        "summary": {"count": len(rows), "pass": passes, "fail": fails, "error": errors},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({"problems": rows, "summary": corpus_summary(rows)}, indent=2) + "\n"
 
 
 def render_corpus_text(rows: list[dict]) -> str:
@@ -151,11 +133,7 @@ def render_corpus_text(rows: list[dict]) -> str:
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
     for row in table:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    passes = sum(1 for row in table if row[-1].startswith("PASS"))
-    fails = sum(1 for row in table if row[-1].startswith("FAIL"))
-    errors = sum(1 for row in table if row[-1].startswith("ERROR"))
+    s = corpus_summary(rows)
     lines.append("")
-    lines.append(
-        f"total: {len(table)} problems, {passes} pass, {fails} fail, {errors} error"
-    )
+    lines.append("total: {count} problems, {pass} pass, {fail} fail, {error} error".format(**s))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -25,11 +26,11 @@ from brs import (
 )
 from brs.cli import main as cli_main
 from brs.invariants import detect_split
-from brs.oracle import oracle_colength
+from brs.oracle import jet_model, oracle_colength
 from brs.polycore import VectorField, jacobian_ideal
 from brs.stdbasis import Ideal, colength, module_quotient_dim
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
-from conftest import CORPUS_DIR, as_submodule, theta_trivial
+from conftest import CORPUS_DIR, as_submodule, ideal_contains, theta_trivial
 from strategies import CTX2
 
 
@@ -86,6 +87,12 @@ class TestFiberMilnor:
     def test_transverse_smooth_pair(self, P):
         assert fiber_milnor(P("x"), P("y")) == 0
 
+    def test_not_an_ihs_counts_no_fibre_ideal(self, ctx3):
+        # S34: mu_X is infinite, so the Le-Greuel ideal, whose uncapped Mora
+        # count stalled, is never counted.
+        phi = parse_poly("x^6 + 3*y^4 + z^2 - 2*x^3*z", ctx3)
+        assert fiber_milnor(phi, parse_poly("2*z^2 + 3*x^2*z - y*z", ctx3)) is NOT_FINITE
+
 
 class TestBruceRoberts:
     def test_cusp_with_line(self, P):
@@ -109,6 +116,43 @@ class TestRelativeBruceRoberts:
     def test_degenerate_pair_not_finite(self, P):
         phi = P("x^2 + y^3")
         assert relative_bruce_roberts(phi, phi) is NOT_FINITE
+
+
+# The counted ideals of a plain `analyze`, in count order, and of a suspension.
+COUNTS = ("mu_f", "mu_X", "tau_X", "trivial", "legreuel", "trivial_rel", "br", "br_rel")
+SPLIT_COUNTS = COUNTS[:6] + (
+    "split_g_milnor", "split_base_br", "br", "br_rel", "split_base_tau", "split_lifted", "split_f_milnor"
+)
+
+# Per corpus file, the work of a plain `analyze`: echelons built, Mora runs
+# (the Schreyer run of Theta_X among them) and each count's route by its first
+# letter (certificate, jet, mora), in count order.  In all, 361 and 32.
+WORK = {
+    "degen_a2_self.brs": (28, 5, "jjjmmmmm"),
+    "degen_t55_self.brs": (46, 5, "jjjmmmmm"),
+    "nwh_t334_generic.brs": (14, 1, "jjjjjjjj"),
+    "nwh_t444_3d_f_z.brs": (17, 1, "jjjjjjjj"),
+    "nwh_t444_generic.brs": (14, 1, "jjjjjjjj"),
+    "nwh_t45_f_x.brs": (16, 1, "jjjjjjjj"),
+    "nwh_t55_f_x_minus_y.brs": (15, 1, "jjjjjjjj"),
+    "nwh_t55_f_y.brs": (16, 1, "jjjjjjjj"),
+    "nwh_t56_f_y.brs": (17, 1, "jjjjjjjj"),
+    "nwh_t77_f_x_minus_y.brs": (22, 1, "jjjjjjjj"),
+    "nwh_t77_f_y.brs": (23, 1, "jjjjjjjj"),
+    "susp_a2_x_z2.brs": (12, 1, "jcccccjjjjjjj"),
+    "susp_a2_z2.brs": (11, 1, "jcccccjjjjjjj"),
+    "susp_a2_z3.brs": (12, 1, "jcccccjjjjjjj"),
+    "susp_d4_z2.brs": (13, 1, "jcccccjjjjjjj"),
+    "wh_a1_3d_f_z.brs": (7, 1, "jjjjjjjj"),
+    "wh_a2_cusp_f_x.brs": (9, 1, "jjjjjjjj"),
+    "wh_a2_cusp_f_y.brs": (8, 1, "jjjjjjjj"),
+    "wh_a3_f_y.brs": (9, 1, "jjjjjjjj"),
+    "wh_a4_f_x.brs": (13, 1, "jjjjjjjj"),
+    "wh_d4_f_2x_y.brs": (10, 1, "jjjjjjjj"),
+    "wh_d4_f_y.brs": (10, 1, "jjjjjjjj"),
+    "wh_e6_f_x.brs": (12, 1, "jjjjjjjj"),
+    "wh_node_f_x_y.brs": (7, 1, "jjjjjjjj"),
+}
 
 
 class TestLedger:
@@ -291,14 +335,19 @@ class TestLedger:
         row = {e.name: e for e in analyze(prob(phi, f, ctx3), tau_check=True).ledger}["tau-module"]
         assert (row.status, row.lhs, row.rhs) == ("pass", report.tau_X, report.tau_X)
 
-    def test_walks_build_only_the_echelons_they_need(self, monkeypatch):
-        # One echelon gives every dim up to its cap, and the walk of df_T
-        # starts at the level of (phi) + J_phi, which contains it: 14
-        # echelons in all, where walking level by level built 30.  The
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
+    def test_walks_build_only_the_echelons_they_need(self, name, monkeypatch):
+        # One echelon gives every dim up to its cap, a walk starts at the
+        # level of a counted ideal that contains its ideal, and a sum extends
+        # the model of its counted part: a lost floor or base shows here as
+        # more echelons (`oracle._span`) or Mora runs (`_kept_entries`).  On
+        # T444 the walk of df_T starts at the level of (phi) + J_phi: 14
+        # echelons in all, where walking level by level built 30; the
         # Le-Greuel ideal is df_T + (phi), so it extends df_T's model and
         # builds none.
         walking: list = []
         built: list = []
+        runs: list = []
         real_walk, real_span = invariants_module.jet_model, oracle_module._span
 
         def walk(I, *args, **kwargs):
@@ -314,15 +363,18 @@ class TestLedger:
 
         monkeypatch.setattr(invariants_module, "jet_model", walk)
         monkeypatch.setattr(oracle_module, "_span", span)
-        parsed = parse_problem((CORPUS_DIR / "nwh_t444_generic.brs").read_text(encoding="utf-8"))
-        report = analyze(parsed.problem)
-        per_ideal = {
-            name: sum(I is report.ideals[name] for I in built)
-            for name in ("mu_f", "mu_X", "br", "trivial", "legreuel")
-        }
-        assert per_ideal == {"mu_f": 1, "mu_X": 6, "br": 4, "trivial": 3, "legreuel": 0}
-        assert len(built) == 14
-        assert report.routes["trivial"] == report.routes["legreuel"] == "jet"
+        spy_on(monkeypatch, "_kept_entries", runs, module=stdbasis_module)
+        report = analyze(corpus_problem(name))
+        echelons, mora_runs, routes = WORK[name]
+        assert (len(built), len(runs)) == (echelons, mora_runs)
+        assert list(report.routes) == list(SPLIT_COUNTS if name.startswith("susp_") else COUNTS)
+        assert "".join(route[0] for route in report.routes.values()) == routes
+        if name == "nwh_t444_generic.brs":
+            per_ideal = {
+                key: sum(I is report.ideals[key] for I in built)
+                for key in ("mu_f", "mu_X", "br", "trivial", "legreuel")
+            }
+            assert per_ideal == {"mu_f": 1, "mu_X": 6, "br": 4, "trivial": 3, "legreuel": 0}
 
     @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "nwh_t45_f_x.brs"])
     @pytest.mark.parametrize("mora", ["mu_f", "br", "trivial"])
@@ -368,6 +420,75 @@ class TestLedger:
 
 def corpus_problem(name: str) -> HypersurfaceProblem:
     return parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8")).problem
+
+
+def test_an_ideal_inside_an_infinite_one_is_certified_at_once():
+    # S34 (not an IHS): df_T and the Le-Greuel ideal lie in (phi) + J_phi,
+    # which is infinite, so both are infinite with no work.  Counted on their
+    # own, df_T's uncapped Mora run stalled with 118 000-bit coefficients.
+    ctx3 = VarContext(("x", "y", "z"))
+    report = analyze(prob("x^6 + 3*y^4 + z^2 - 2*x^3*z", "2*z^2 + 3*x^2*z - y*z", ctx3))
+    got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
+    assert got == (NOT_FINITE,) * 5 + (18,)
+    assert [report.routes[k] for k in ("trivial", "legreuel", "trivial_rel")] == ["certificate"] * 3
+    assert {e.status for e in report.ledger} == {"skip"}
+
+
+def run_facts(problem: HypersurfaceProblem, monkeypatch) -> SimpleNamespace:
+    """The facts of one `analyze(..., tau_check=True)`: every ideal counted, and its count."""
+    seen: list = []
+    real = invariants_module._count_stage
+
+    def count_stage(v, stage):
+        seen.append(v)
+        return real(v, stage)
+
+    monkeypatch.setattr(invariants_module, "_count_stage", count_stage)
+    analyze(problem, tau_check=True)
+    return seen[-1]
+
+
+def contains(ideal: Ideal, model, gens) -> bool:
+    """Whether `gens` lie in `ideal`: by its jet model, else by a Mora standard basis."""
+    if model is not None:
+        return model.contains_all(gens)
+    return ideal_contains(ideal, Ideal(ideal.ctx, gens))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
+def test_every_declared_relation_holds(name, monkeypatch):
+    # What `_IDEALS` declares is never checked by `analyze`; here each fact is
+    # checked on its own evidence, not on the model the relation gave.
+    v = run_facts(corpus_problem(name), monkeypatch)
+    rings = {"X": v.ctx, "base": v.split and v.split.base_ctx, "ext": v.split and v.split.ext_ctx}
+    kinds = set()
+    for entry in invariants_module._IDEALS:
+        if entry.name not in v.ideals:
+            continue
+        I = v.ideals[entry.name]
+        assert I.ctx == rings[entry.ring], entry.name
+        for kind, key, *more in map(str.split, entry.relations):
+            if key not in v.ideals:
+                continue
+            K = v.ideals[key]
+            kinds.add(kind)
+            if kind == "inside":
+                # by K's model when K is finite, else by Mora
+                assert contains(K, v.counts[key].model, I.gens), (entry.name, key)
+            elif kind == "equal":
+                assert contains(K, v.counts[key].model, I.gens), (entry.name, key)
+                assert contains(I, jet_model(I), K.gens), (entry.name, key)
+            elif kind == "sum":
+                # I's generators are K's and the extra ones, and those lie in I
+                parts = K.gens + getattr(v, more[0]).gens
+                assert set(I.gens) <= set(parts), entry.name
+                rest = [g for g in parts if g not in I.gens]
+                assert not rest or contains(I, jet_model(I), rest), entry.name
+            else:
+                L = v.ideals[more[0]]
+                assert not set(K.ctx.names) & set(L.ctx.names), entry.name
+                assert set(I.gens) == {g.embed(I.ctx) for g in K.gens + L.gens}, entry.name
+    assert kinds == {"sum", "inside", "equal"} | ({"disjoint"} if v.split else set())
 
 
 def test_one_minors_computation_per_analyze(monkeypatch):

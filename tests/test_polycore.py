@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brs import ContextError, GermError, Polynomial, VarContext, parse_poly
-from brs.polycore import Monomial, jacobian_ideal, minors_2x2, pack_exponents
+from brs.polycore import Monomial, dot, jacobian_ideal, minors_2x2, pack_exponents
 from brs.stdbasis import Ideal, standard_basis
 from brs.tangent import theta_full
 from strategies import CTX2, CTX3, integer_coefficients, monomials, polynomials
@@ -156,6 +156,29 @@ class TestIntegerCoefficients:
         assert type(c) is Fraction and c == Fraction(1, 2)
         ((_, c),) = P("4/2*x").terms
         assert type(c) is int and c == 2
+
+    def test_integral_results_of_rationals_are_ints(self, P, ctx2):
+        half, y = P("1/2*x"), P("y")
+        results = [
+            half + half,
+            half - P("-1/2*x"),
+            half * P("2*y"),
+            half * 2,
+            Fraction(2) * half,
+            half.scale(4),
+            half.mul_term(Monomial((0, 1)), 2),
+            P("1/2*x^2").partial(0),
+            dot(ctx2, [half, half], [y, y]),
+            Polynomial(ctx2, [(Monomial((1, 0)), Fraction(1, 2))] * 2),
+        ]
+        assert all(map(integer_only, results)), results
+        assert [str(p) for p in results] == ["x", "x", "x*y", "x", "x", "2*x", "x*y", "x", "x*y", "x"]
+
+    @settings(max_examples=60)
+    @given(f=polynomials(), g=polynomials(), k=st.fractions(max_denominator=4))
+    def test_no_integral_fraction_comes_out(self, f, g, k):
+        for p in (f + g, f - g, f * g, f.scale(k), f.partial(0)):
+            assert all(type(c) is int or c.denominator != 1 for _, c in p.terms), p
 
     def test_kernel_outputs_are_integer(self, P):
         phi = P("x^2*y^2 + x^5 + y^5")
