@@ -10,10 +10,12 @@ about I is linear algebra in the finite-dimensional space R/m^N (`JetModel`):
 
 * membership: a polynomial lies in I exactly when its jet below N lies in
   the subspace I/m^N;
-* the colon I : (g_1, ..., g_k) is the kernel of h -> (h*g_1, ..., h*g_k)
+* the colon I : (g_1, ..., g_k) is the whole ring when every g_i lies in I,
+  a membership test; otherwise it is the kernel of h -> (h*g_1, ..., h*g_k)
   from R/m^N to copies of R/I, and again contains m^N;
 * containment and equality: membership of generators; between two models,
-  the columns of one reduced in the echelon of the other.
+  the columns of one reduced in the echelon of the other.  An extension
+  J + (g_1, ..., g_k) whose generators all lie in J is J's own model.
 
 Rows are the monomials of one graded lexicographic table per variable count
 (`_Table`), shared by every model and grown by degree on demand.  A monomial
@@ -196,19 +198,20 @@ class _Echelon:
     so the pivot is always the surviving entry of lowest total degree.  Each
     stored column has its pivot as its lowest row, so a column lies in the
     span exactly when `reduce` empties it.  Stored columns are primitive
-    integer vectors with a positive pivot entry.
+    integer vectors with a positive pivot entry.  One elimination pass gives
+    both the residual and its lowest row, the pivot `insert` stores it at.
     """
 
     def __init__(self, pivots: dict[int, Column] | None = None):
         self.pivots: dict[int, Column] = {} if pivots is None else pivots
 
-    def reduce(self, col: Column) -> Column:
-        """The residual of `col` against the stored columns; `col` itself is consumed."""
+    def _eliminate(self, col: Column) -> tuple[int, Column]:
+        """The residual of `col` and its lowest row (-1 when it is empty); `col` is consumed."""
         while col:
             r = min(col)
             piv = self.pivots.get(r)
             if piv is None:
-                return col
+                return r, col
             a, b = piv[r], col[r]
             g = gcd(a, b)
             a, b = a // g, b // g
@@ -225,17 +228,26 @@ class _Echelon:
                 g = gcd(*col.values())
                 if g != 1:
                     col = {k: v // g for k, v in col.items()}
-        return col
+        return -1, col
+
+    def reduce(self, col: Column) -> Column:
+        """The residual of `col` against the stored columns; `col` itself is consumed."""
+        return self._eliminate(col)[1]
 
     def insert(self, col: Column) -> bool:
-        residual = self.reduce(col)
+        """Store the residual of `col` at its lowest row; False when `col` is in the span.
+
+        The echelon takes ownership of `col`: the residual may be `col`
+        itself, stored as it is when already primitive with a positive
+        pivot entry, so the caller must not use `col` again.
+        """
+        r, residual = self._eliminate(col)
         if not residual:
             return False
-        r = min(residual)
         g = gcd(*residual.values())
         if residual[r] < 0:
             g = -g
-        self.pivots[r] = {k: v // g for k, v in residual.items()}
+        self.pivots[r] = residual if g == 1 else {k: v // g for k, v in residual.items()}
         return True
 
     @property
@@ -336,14 +348,18 @@ class JetModel:
         return JetModel(self.ctx, self.table, level, ech)
 
     def colon(self, divisors: Sequence[Polynomial]) -> "JetModel":
-        """The model of I : (g_1, ..., g_k) at the same level N.
+        """The model of I : (g_1, ..., g_k): the unit ideal, or at the same level N.
 
-        Kernel of h -> (h*g_1, ..., h*g_k) modulo I, found by eliminating the
-        columns (x^a*g_1, ..., x^a*g_k | e_a) against k copies of I/m^N: the
-        columns whose pivot falls in the e block span exactly the h with
-        every h*g_i in I.
+        I : (g_1, ..., g_k) is the whole ring exactly when every g_i lies in
+        I, so then it is the level-0 model, with no elimination.  Otherwise
+        it is the kernel of h -> (h*g_1, ..., h*g_k) modulo I, found by
+        eliminating the columns (x^a*g_1, ..., x^a*g_k | e_a) against k
+        copies of I/m^N: the columns whose pivot falls in the e block span
+        exactly the h with every h*g_i in I.
         """
         table, size, level = self.table, self.size, self.level
+        if self.contains_all(divisors):
+            return JetModel(self.ctx, table, 0, _Echelon())
         k = len(divisors)
         work = _Echelon()
         for block in range(k):
@@ -472,13 +488,17 @@ def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | No
 def extended_jet_model(base: JetModel, extra: Sequence[Polynomial]) -> JetModel:
     """The certified model of the ideal I generated by an ideal J and `extra`.
 
-    `base` is the certified model of J at level N.  Since m^N lies in J,
-    hence in I, the shifts of the extra generators inserted into a copy of
-    J's echelon give I/m^N with no walk.  dim(d) counts the rows without a
-    pivot below degree d, and every row of degree N is in I, so a zero
-    growth always exists: the model is cut down to the level of the first,
-    the level a walk of I stops at without its cost rule.
+    `base` is the certified model of J at level N, the level of its first
+    zero growth, as `jet_model` and this function give it.  When every extra
+    generator lies in J, I = J and `base` itself is the model.  Otherwise,
+    since m^N lies in J, hence in I, the shifts of the extra generators
+    inserted into a copy of J's echelon give I/m^N with no walk.  dim(d)
+    counts the rows without a pivot below degree d, and every row of degree
+    N is in I, so a zero growth always exists: the model is cut down to the
+    level of the first, the level a walk of I stops at without its cost rule.
     """
+    if base.contains_all(extra):
+        return base
     ech = _Echelon(dict(base.ech.pivots))
     _insert_shifts(ech, _generators(extra), base.table, base.level)
     model = JetModel(base.ctx, base.table, base.level, ech)

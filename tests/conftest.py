@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+from math import gcd
 from pathlib import Path
+from time import perf_counter
 from typing import Sequence
 
 import pytest
@@ -14,7 +18,7 @@ from brs import (
     VarContext,
     parse_poly,
 )
-from brs.oracle import JetModel, _Echelon, _generators, _shifted, _span, _Table, _table
+from brs.oracle import Column, JetModel, _Echelon, _generators, _shifted, _span, _Table, _table
 from brs.polycore import Monomial, VectorField, dot, require_same_ctx
 from brs.stdbasis import (
     DEFAULT_BUDGET,
@@ -33,6 +37,10 @@ from brs.tangent import DerivationModule, theta_full
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
 
+# Each test gets this many seconds of wall time: a stall fails its test
+# instead of hanging the suite.  The slowest test takes about 14 s.
+TEST_DEADLINE_S = 120.0
+
 # Verdict lines queued by the acceptance tests; shown after the test run so
 # they survive pytest's output capture.
 ACCEPTANCE_LINES: list[str] = []
@@ -43,6 +51,41 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@contextmanager
+def deadline(name: str, seconds: float):
+    """Fail `name`, a test or fixture, when the block runs past `seconds` of wall time.
+
+    The real-time interval timer raises pytest's failure, a BaseException
+    that no `except Exception` in the code under test swallows.  A deadline
+    armed on entry is put back on exit, less the time spent in the block.
+    Where there is no SIGALRM the block runs without a deadline.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{name} ran past its deadline of {seconds:g} s", pytrace=False)
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (perf_counter() - start), 1e-3))
+
+
+@pytest.fixture(autouse=True)
+def per_test_deadline(request):
+    """Every test runs under `deadline`."""
+    with deadline(request.node.nodeid, TEST_DEADLINE_S):
+        yield
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +127,53 @@ def every_shift_model(I: Ideal, d: int) -> JetModel:
         for i in range(table.starts[d - lead_deg]):
             ech.insert(_shifted(terms, table.packed[i], d - table.degree[i], table.row))
     return model
+
+
+def reference_reduce(pivots: dict[int, Column], col: Column) -> Column:
+    """The residual of `col` against `pivots`, as `_Echelon.reduce` computes it.
+
+    The reference for the engine's single elimination pass: it takes the
+    lowest row of the column at every step and returns the residual alone.
+    """
+    while col:
+        r = min(col)
+        piv = pivots.get(r)
+        if piv is None:
+            return col
+        a, b = piv[r], col[r]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for k in col:
+                col[k] *= a
+        for k, v in piv.items():
+            nv = col.get(k, 0) - b * v
+            if nv:
+                col[k] = nv
+            else:
+                del col[k]
+        if a != 1 and col:
+            g = gcd(*col.values())
+            if g != 1:
+                col = {k: v // g for k, v in col.items()}
+    return col
+
+
+def reference_insert(pivots: dict[int, Column], col: Column) -> bool:
+    """Insert `col` into `pivots` in two passes: reduce, then find the pivot row again.
+
+    The residual is stored as a fresh primitive copy with a positive pivot
+    entry: the reference for `_Echelon.insert`.
+    """
+    residual = reference_reduce(pivots, col)
+    if not residual:
+        return False
+    r = min(residual)
+    g = gcd(*residual.values())
+    if residual[r] < 0:
+        g = -g
+    pivots[r] = {k: v // g for k, v in residual.items()}
+    return True
 
 
 def jet_contains(I: Ideal, p: Polynomial, d: int) -> bool:
@@ -264,11 +354,16 @@ def corpus_paths(prefix: str | None = None) -> list[Path]:
 
 @pytest.fixture(scope="session")
 def corpus_reports():
-    """Every corpus problem analyzed once; reused by the slower suites."""
+    """Every corpus problem analyzed once; reused by the slower suites.
+
+    Session fixtures are set up before the per-test deadline is armed, so
+    this one runs under a deadline of its own.
+    """
     from brs import analyze, parse_problem
 
     reports = {}
-    for path in corpus_paths():
-        parsed = parse_problem(path.read_text(encoding="utf-8"))
-        reports[path.name] = analyze(parsed.problem, path=str(path))
+    with deadline("the corpus_reports fixture", TEST_DEADLINE_S):
+        for path in corpus_paths():
+            parsed = parse_problem(path.read_text(encoding="utf-8"))
+            reports[path.name] = analyze(parsed.problem, path=str(path))
     return reports

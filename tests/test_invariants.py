@@ -125,33 +125,37 @@ SPLIT_COUNTS = COUNTS[:6] + (
 )
 
 # Per corpus file, the work of a plain `analyze`: echelons built, Mora runs
-# (the Schreyer run of Theta_X among them) and each count's route by its first
-# letter (certificate, jet, mora), in count order.  In all, 361 and 32.
+# (the Schreyer run of Theta_X among them), each count's route by its first
+# letter (certificate, jet, mora), in count order, and the colons and
+# extensions of a jet model that eliminate, inserting columns into an echelon.
+# In all, 361 echelons and 32 runs; 0 of the 36 colons, since every f that
+# reaches a colon is linear, so some phi*f_xi is a nonzero multiple of phi and
+# phi lies in df_T and df_X; and 10 of the 60 extensions.
 WORK = {
-    "degen_a2_self.brs": (28, 5, "jjjmmmmm"),
-    "degen_t55_self.brs": (46, 5, "jjjmmmmm"),
-    "nwh_t334_generic.brs": (14, 1, "jjjjjjjj"),
-    "nwh_t444_3d_f_z.brs": (17, 1, "jjjjjjjj"),
-    "nwh_t444_generic.brs": (14, 1, "jjjjjjjj"),
-    "nwh_t45_f_x.brs": (16, 1, "jjjjjjjj"),
-    "nwh_t55_f_x_minus_y.brs": (15, 1, "jjjjjjjj"),
-    "nwh_t55_f_y.brs": (16, 1, "jjjjjjjj"),
-    "nwh_t56_f_y.brs": (17, 1, "jjjjjjjj"),
-    "nwh_t77_f_x_minus_y.brs": (22, 1, "jjjjjjjj"),
-    "nwh_t77_f_y.brs": (23, 1, "jjjjjjjj"),
-    "susp_a2_x_z2.brs": (12, 1, "jcccccjjjjjjj"),
-    "susp_a2_z2.brs": (11, 1, "jcccccjjjjjjj"),
-    "susp_a2_z3.brs": (12, 1, "jcccccjjjjjjj"),
-    "susp_d4_z2.brs": (13, 1, "jcccccjjjjjjj"),
-    "wh_a1_3d_f_z.brs": (7, 1, "jjjjjjjj"),
-    "wh_a2_cusp_f_x.brs": (9, 1, "jjjjjjjj"),
-    "wh_a2_cusp_f_y.brs": (8, 1, "jjjjjjjj"),
-    "wh_a3_f_y.brs": (9, 1, "jjjjjjjj"),
-    "wh_a4_f_x.brs": (13, 1, "jjjjjjjj"),
-    "wh_d4_f_2x_y.brs": (10, 1, "jjjjjjjj"),
-    "wh_d4_f_y.brs": (10, 1, "jjjjjjjj"),
-    "wh_e6_f_x.brs": (12, 1, "jjjjjjjj"),
-    "wh_node_f_x_y.brs": (7, 1, "jjjjjjjj"),
+    "degen_a2_self.brs": (28, 5, "jjjmmmmm", 0, 0),
+    "degen_t55_self.brs": (46, 5, "jjjmmmmm", 0, 1),
+    "nwh_t334_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
+    "nwh_t444_3d_f_z.brs": (17, 1, "jjjjjjjj", 0, 1),
+    "nwh_t444_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
+    "nwh_t45_f_x.brs": (16, 1, "jjjjjjjj", 0, 1),
+    "nwh_t55_f_x_minus_y.brs": (15, 1, "jjjjjjjj", 0, 1),
+    "nwh_t55_f_y.brs": (16, 1, "jjjjjjjj", 0, 1),
+    "nwh_t56_f_y.brs": (17, 1, "jjjjjjjj", 0, 1),
+    "nwh_t77_f_x_minus_y.brs": (22, 1, "jjjjjjjj", 0, 1),
+    "nwh_t77_f_y.brs": (23, 1, "jjjjjjjj", 0, 1),
+    "susp_a2_x_z2.brs": (12, 1, "jcccccjjjjjjj", 0, 0),
+    "susp_a2_z2.brs": (11, 1, "jcccccjjjjjjj", 0, 0),
+    "susp_a2_z3.brs": (12, 1, "jcccccjjjjjjj", 0, 0),
+    "susp_d4_z2.brs": (13, 1, "jcccccjjjjjjj", 0, 0),
+    "wh_a1_3d_f_z.brs": (7, 1, "jjjjjjjj", 0, 0),
+    "wh_a2_cusp_f_x.brs": (9, 1, "jjjjjjjj", 0, 0),
+    "wh_a2_cusp_f_y.brs": (8, 1, "jjjjjjjj", 0, 0),
+    "wh_a3_f_y.brs": (9, 1, "jjjjjjjj", 0, 0),
+    "wh_a4_f_x.brs": (13, 1, "jjjjjjjj", 0, 0),
+    "wh_d4_f_2x_y.brs": (10, 1, "jjjjjjjj", 0, 0),
+    "wh_d4_f_y.brs": (10, 1, "jjjjjjjj", 0, 0),
+    "wh_e6_f_x.brs": (12, 1, "jjjjjjjj", 0, 0),
+    "wh_node_f_x_y.brs": (7, 1, "jjjjjjjj", 0, 0),
 }
 
 
@@ -348,7 +352,10 @@ class TestLedger:
         walking: list = []
         built: list = []
         runs: list = []
+        eliminating: list = []
+        inserts = [0]
         real_walk, real_span = invariants_module.jet_model, oracle_module._span
+        real_insert = oracle_module._Echelon.insert
 
         def walk(I, *args, **kwargs):
             walking.append(I)
@@ -361,12 +368,36 @@ class TestLedger:
             built.append(walking[-1] if walking else None)
             return real_span(*args)
 
+        def insert(self, col):
+            inserts[0] += 1
+            return real_insert(self, col)
+
+        def inserting(kind, real):
+            def call(*args):
+                before = inserts[0]
+                got = real(*args)
+                if inserts[0] > before:
+                    eliminating.append(kind)
+                return got
+
+            return call
+
         monkeypatch.setattr(invariants_module, "jet_model", walk)
         monkeypatch.setattr(oracle_module, "_span", span)
+        monkeypatch.setattr(oracle_module._Echelon, "insert", insert)
+        monkeypatch.setattr(
+            oracle_module.JetModel, "colon", inserting("colon", oracle_module.JetModel.colon)
+        )
+        monkeypatch.setattr(
+            invariants_module,
+            "extended_jet_model",
+            inserting("extension", invariants_module.extended_jet_model),
+        )
         spy_on(monkeypatch, "_kept_entries", runs, module=stdbasis_module)
         report = analyze(corpus_problem(name))
-        echelons, mora_runs, routes = WORK[name]
+        echelons, mora_runs, routes, colons, extensions = WORK[name]
         assert (len(built), len(runs)) == (echelons, mora_runs)
+        assert (eliminating.count("colon"), eliminating.count("extension")) == (colons, extensions)
         assert list(report.routes) == list(SPLIT_COUNTS if name.startswith("susp_") else COUNTS)
         assert "".join(route[0] for route in report.routes.values()) == routes
         if name == "nwh_t444_generic.brs":

@@ -1,3 +1,4 @@
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 import brs.oracle as oracle_module
 from brs import BrsError, NOT_FINITE, Polynomial, parse_poly
 from brs.polycore import MAX_PACKED_DEGREE, jacobian_ideal
-from brs.stdbasis import Ideal, colength
+from brs.stdbasis import Ideal, colength, ideal_colon
 from brs.oracle import (
     INCONCLUSIVE,
+    _Echelon,
     _generators,
     _insert_shifts,
     _span,
@@ -26,8 +28,17 @@ from conftest import (
     jet_model_at,
     jet_quotient_dim,
     monomial_index,
+    reference_insert,
 )
-from strategies import CTX2, CTX3, germs, polynomials, zero_dim_ideals
+from strategies import (
+    CTX2,
+    CTX3,
+    germs,
+    integer_coefficients,
+    nonzero_polynomials,
+    polynomials,
+    zero_dim_ideals,
+)
 
 
 def I2(*sources):
@@ -171,6 +182,95 @@ class TestJetModel:
     def test_infinite_ideal_is_left_to_mora(self):
         assert jet_model(I2("x^2 + y^3")) is None
         assert jet_model(I2("x^2 + y^3", "x^3 + x*y^3")) is None
+
+
+@st.composite
+def elements(draw, I: Ideal):
+    """An element sum h_i * g_i of I, from random cofactors h_i."""
+    cofactors = draw(
+        st.lists(polynomials(max_terms=3, max_exp=2), min_size=len(I.gens), max_size=len(I.gens))
+    )
+    return sum((h * g for h, g in zip(cofactors, I.gens)), Polynomial.zero(I.ctx))
+
+
+@st.composite
+def member_or_not(draw, I: Ideal, nonzero: bool = False):
+    """A polynomial p, an element of I, or their sum."""
+    p = draw(nonzero_polynomials(max_terms=3) if nonzero else polynomials(max_terms=3))
+    member = draw(elements(I))
+    choices = [q for q in (p, member, p + member) if not (nonzero and q.is_zero())]
+    return draw(st.sampled_from(choices))
+
+
+class TestMembershipShortcuts:
+    # I : (g) is the whole ring and I + (g) is I exactly when g lies in I:
+    # both are answered by one membership test, with no elimination.
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_an_element_gives_the_unit_colon_and_the_same_model(self, data):
+        I = data.draw(zero_dim_ideals())
+        model = jet_model(I)
+        if model is None:
+            return
+        g = data.draw(elements(I))
+        with mock.patch.object(_Echelon, "insert") as insert:
+            colon = model.colon([g])
+            assert extended_jet_model(model, [g]) is model
+        insert.assert_not_called()
+        assert (colon.level, colon.colength) == (0, 0)
+        assert colon.contains(parse_poly("1", CTX2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_colon_counts_what_mora_counts(self, data):
+        I = data.draw(zero_dim_ideals())
+        model = jet_model(I)
+        if model is None:
+            return
+        g = data.draw(member_or_not(I, nonzero=True))
+        assert model.colon([g]).colength == colength(ideal_colon(I, Ideal(CTX2, [g])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_extension_counts_what_a_walk_counts(self, data):
+        I = data.draw(zero_dim_ideals())
+        model = jet_model(I)
+        if model is None:
+            return
+        g = data.draw(member_or_not(I))
+        walked = jet_model(I + Ideal(CTX2, [g]), cap=model.level + 1)
+        got = extended_jet_model(model, [g])
+        assert (got.level, got.colength) == (walked.level, walked.colength)
+
+
+# Sparse integer columns: negative entries, and a common factor, so that
+# many are neither primitive nor positive at their lowest row.
+columns = st.tuples(
+    st.dictionaries(st.integers(0, 15), integer_coefficients, max_size=6),
+    st.integers(-4, 4).filter(bool),
+).map(lambda cf: {r: cf[1] * v for r, v in cf[0].items()})
+
+
+class TestEchelon:
+    @settings(max_examples=200, deadline=None)
+    @given(cols=st.lists(columns, max_size=12))
+    def test_one_pass_insert_stores_the_reference_columns(self, cols):
+        ech, reference = _Echelon(), {}
+        for col in cols:
+            assert ech.insert(dict(col)) == reference_insert(reference, dict(col))
+        assert ech.pivots == reference
+        for r, col in ech.pivots.items():
+            assert (min(col), col[r] > 0, gcd(*col.values())) == (r, True, 1)
+
+    def test_a_primitive_column_is_stored_as_given(self):
+        ech = _Echelon()
+        col = {3: 2, 5: -3}
+        assert ech.insert(col)
+        assert ech.pivots[3] is col
+        scaled = {4: -2, 6: 4}
+        assert ech.insert(scaled)
+        assert ech.pivots[4] == {4: 1, 6: -2}
 
 
 class TestJetHelpers:
