@@ -60,7 +60,10 @@ def main():
 
 
 def _run_one(path: Path, oracle, max_jet, budget, tau):
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise BrsError(f"cannot read the problem file: {exc}") from None
     parsed = parse_problem(text)
     return parsed, analyze(
         parsed.problem,

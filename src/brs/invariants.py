@@ -388,7 +388,8 @@ class _MoraIdeal:
 
     In `analyze` that is an ideal of infinite colength, since every finite
     count carries a model.  Its Mora standard basis is completed on first
-    use and kept.
+    use and kept; that basis, its count and the degree bound of its colons
+    all read the one uncapped run the ideal keeps (`Ideal._kept_run`).
     """
 
     ideal: Ideal

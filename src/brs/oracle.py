@@ -50,7 +50,7 @@ column is stored at a pivot may change.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from threading import Lock
 from typing import Callable, Sequence
 
@@ -62,6 +62,7 @@ from .polycore import (
     Polynomial,
     VarContext,
     exponents_of_degree,
+    integral_terms,
     pack_exponents,
 )
 from .stdbasis import Ideal, NOT_FINITE, Value
@@ -142,25 +143,11 @@ def _table(n: int) -> _Table:
 
 # Columns are sparse integer vectors: scaling a column changes no span, so
 # each polynomial is cleared of denominators once (`Polynomial.packed_terms`,
-# kept on the polynomial), and elimination is fraction-free with content
-# reduction.
+# read through `polycore.integral_terms`), and elimination is fraction-free
+# with content reduction.
 Column = dict[int, int]
 Terms = Sequence[PackedTerm]  # (packed monomial, degree, coefficient), ascending degree
 Generators = list[tuple[int, Terms]]  # (tail degree, terms) of each generator
-
-
-def _integral(polys: Sequence[Polynomial]) -> list[Terms]:
-    """The terms of the polynomials, scaled to integers by one common factor.
-
-    Each polynomial's packed terms are cleared of its own denominators; only
-    those whose denominator differs from the common one are rescaled.
-    """
-    packed = [p.packed_terms() for p in polys]
-    den = lcm(*(d for d, _ in packed))
-    return [
-        terms if d == den else [(m, deg, c * (den // d)) for m, deg, c in terms]
-        for d, terms in packed
-    ]
 
 
 def _generators(polys: Sequence[Polynomial]) -> Generators:
@@ -170,7 +157,7 @@ def _generators(polys: Sequence[Polynomial]) -> Generators:
     multiples of the earlier one's, already in the span, so they reduce to zero.
     """
     first: dict[tuple, tuple[int, Terms]] = {}  # by primitive terms, first sign positive
-    for p, terms in zip(polys, _integral(polys)):
+    for p, terms in zip(polys, integral_terms(polys)[1]):
         g = gcd(*(c for _, _, c in terms))
         g = -g if terms and terms[0][2] < 0 else g
         first.setdefault(tuple((m, c // g) for m, _, c in terms), (p.tail_degree(), terms))
@@ -366,7 +353,7 @@ class JetModel:
             for r, col in self.ech.pivots.items():
                 work.pivots[block * size + r] = {row + block * size: v for row, v in col.items()}
         offset = k * size
-        integral = _integral(divisors)
+        _, integral = integral_terms(divisors)
         for i in range(size):
             shift, below = table.packed[i], level - table.degree[i]
             col: Column = {offset + i: 1}
@@ -522,7 +509,7 @@ def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:
             (m.degree for p in vec for m, _ in p.terms),
             default=d,
         )
-        integral = _integral(vec)
+        _, integral = integral_terms(vec)
         for i in range(table.starts[max(d - lead_deg, 0)]):
             shift, below = table.packed[i], d - table.degree[i]
             col: Column = {}

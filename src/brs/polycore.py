@@ -57,7 +57,7 @@ def _exact(terms: Iterable[tuple["Monomial", CoeffLike]]) -> tuple:
 # integers.  The sum cannot carry from one field into the next while its
 # degree fits a field, and the engine builds no monomial of a larger degree:
 # an exponent beyond MAX_PACKED_DEGREE raises BrsError instead of naming a
-# wrong monomial.
+# wrong monomial.  The Mora kernel reads the same form (`packed_terms`).
 PACK_FIELD = 16
 MAX_PACKED_DEGREE = (1 << PACK_FIELD) - 1
 
@@ -182,21 +182,6 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
-def integral_terms(polys: Iterable["Polynomial"]) -> tuple[int, list[list[tuple[Monomial, int]]]]:
-    """The terms of the polynomials, scaled to integers by one common factor.
-
-    The factor is the least common multiple of every denominator, so it is
-    positive and shared: spans, leading terms and the ratios between the
-    polynomials are unchanged.  Returns the factor and the scaled terms.
-    """
-    polys = list(polys)
-    den = 1
-    for p in polys:
-        for _, c in p.terms:
-            den = lcm(den, c.denominator)
-    return den, [[(m, c.numerator * (den // c.denominator)) for m, c in p.terms] for p in polys]
-
-
 def exponents_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
     """Exponent tuples of n variables with total degree d, in lexicographic order."""
     if n == 1:
@@ -215,8 +200,8 @@ class Polynomial:
     always returns normalized results (no zero coefficients, no duplicate
     monomials).  Instances are immutable by convention; nothing mutates
     `terms` after construction.  The partial derivatives are computed on
-    first use and kept (`partial`), and so are the terms in the jet engine's
-    form (`packed_terms`).
+    first use and kept (`partial`), and so are the integer terms both
+    engines read (`packed_terms`).
     """
 
     __slots__ = ("ctx", "terms", "_partials", "_packed")
@@ -407,7 +392,7 @@ class Polynomial:
         return Polynomial._raw(self.ctx, _exact(out))
 
     def packed_terms(self) -> tuple[int, tuple[PackedTerm, ...]]:
-        """The terms in the jet engine's form, computed once: (den, terms).
+        """The terms cleared of denominators, computed once: (den, terms).
 
         `den` is the least common multiple of the denominators (1 for integer
         coefficients), and each term is (packed monomial, degree, den * c),
@@ -508,6 +493,21 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def integral_terms(polys: Sequence[Polynomial]) -> tuple[int, list[tuple[PackedTerm, ...]]]:
+    """The factor and the `packed_terms` of the polynomials, scaled by that factor.
+
+    The factor is the least common multiple of every denominator, so it is
+    positive and shared: spans, leading terms and the ratios between the
+    polynomials are unchanged.  Only terms of another denominator are rescaled.
+    """
+    packed = [p.packed_terms() for p in polys]
+    den = lcm(*(d for d, _ in packed))
+    return den, [
+        terms if d == den else tuple((m, deg, c * (den // d)) for m, deg, c in terms)
+        for d, terms in packed
+    ]
 
 
 def dot(ctx: VarContext, left: Sequence[Polynomial], right: Sequence[Polynomial]) -> Polynomial:

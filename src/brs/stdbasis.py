@@ -19,13 +19,16 @@ The kernel (completion, weak normal form, S-vectors) runs on integer terms:
 a polynomial is a tuple of (key, c) pairs, key the monomial's
 `Monomial.sort_key()` and c an integer, so each order decision compares the
 same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
-`polycore.integral_terms`, and results become `Polynomial`s with `int`
-coefficients once, on the way out; a row tracked by a syzygy run carries
-one integer denominator.  A degree-capped run (`_capped_run`) leaves the
-monomials of degree cap implicit: they are charged to the budget as the
-pairs they would form, never scanned as reducers, and join the basis at the
-end where no kept lead divides them; a count (`colength`) never builds
-them, nor the basis: the run's proof lists the standard monomials.
+`polycore.integral_terms`, from the integer form each polynomial keeps for
+both engines (so an exponent above 65535 raises BrsError here too), and
+results become `Polynomial`s with `int` coefficients once, on the way out;
+a row tracked by a syzygy run carries one integer denominator.  An `Ideal`
+keeps its one uncapped run (`Ideal._kept_run`).  A degree-capped run
+(`_capped_run`) leaves the monomials of degree cap implicit: they are
+charged to the budget as the pairs they would form, never scanned as
+reducers, and join the basis at the end where no kept lead divides them; a
+count (`colength`) never builds them, nor the basis: the run's proof lists
+the standard monomials.
 
 Colengths, memberships and quotient dimensions are exact; infinite dimensions
 are reported as the NOT_FINITE value rather than as errors, because several
@@ -86,7 +89,7 @@ Vec = tuple[Polynomial, ...]
 class Ideal:
     """Finitely generated ideal; generator order is preserved, zeros dropped."""
 
-    __slots__ = ("ctx", "gens")
+    __slots__ = ("ctx", "gens", "_kept")
 
     def __init__(self, ctx: VarContext, gens: Iterable[Polynomial]):
         kept = []
@@ -96,6 +99,16 @@ class Ideal:
                 kept.append(g)
         self.ctx = ctx
         self.gens = tuple(kept)
+        self._kept = None
+
+    def _kept_run(self, budget: int) -> list["_Entry"]:
+        """The kept entries of the ideal's one uncapped Mora run, made on first use.
+
+        Every later call reads them, whatever budget it passes.
+        """
+        if self._kept is None:
+            self._kept = _kept_entries([(g,) for g in self.gens], self.ctx, 1, budget)
+        return self._kept
 
     def __add__(self, other: "Ideal") -> "Ideal":
         require_same_ctx(self.ctx, other.ctx)
@@ -169,14 +182,16 @@ IVec = tuple[IPoly, ...]
 def _to_ivecs(vecs: Sequence[Vec], cap: int | None = None) -> tuple[int, list[IVec]]:
     """The vectors in integer terms, scaled by one common factor, and the factor.
 
+    `integral_terms` follow `terms`, each read with its monomial's key.
     With a cap, the terms of degree cap or more are dropped.
     """
-    den, scaled = integral_terms(p for v in vecs for p in v)
-    polys = (
-        tuple((m.sort_key(), c) for m, c in terms if cap is None or m.degree < cap)
-        for terms in scaled
+    polys = [p for v in vecs for p in v]
+    den, scaled = integral_terms(polys)
+    ipolys = (
+        tuple((m.sort_key(), c) for (m, _), (_, d, c) in zip(p.terms, terms) if cap is None or d < cap)
+        for p, terms in zip(polys, scaled)
     )
-    return den, [tuple(next(polys) for _ in v) for v in vecs]
+    return den, [tuple(next(ipolys) for _ in v) for v in vecs]
 
 
 def _vector(ctx: VarContext, v: IVec) -> Vec:
@@ -580,13 +595,15 @@ def standard_basis(obj: Union[Ideal, Submodule], *, budget: int = DEFAULT_BUDGET
     budget is exhausted.  An ideal is first completed under the degree cap
     its jet proposal gives (`_proposed_level`, `_capped_run`); when that run
     proves nothing or exhausts the budget, one uncapped run decides on a
-    fresh budget.
+    fresh budget, the ideal's kept run (`Ideal._kept_run`).
     """
     ctx, rank, vecs = _as_vecs(obj)
     level = _proposed_level(ctx, vecs) if rank == 1 else None
     capped = _capped_run(vecs, ctx, budget, level)
     if capped is not None:
         entries = _finished(capped[0], ctx.n, level + 1)
+    elif isinstance(obj, Ideal):
+        entries = _finished(obj._kept_run(budget), ctx.n, None)
     else:
         entries = _complete(vecs, ctx, rank, budget)
     return StandardBasis(
@@ -754,14 +771,14 @@ def _standard_exponents_of(
     `level` is a level N for I: its certified jet model's, or a proposal
     (`_proposed_level`); None when there is none, as when a jet walk of I
     gave up.  The capped run at N lists them when it proves its level.  Else
-    one uncapped run decides: the standard monomials of its kept leads,
-    infinitely many when no lead is a pure power of some variable.
+    I's one uncapped run decides (`Ideal._kept_run`): the standard monomials
+    of its kept leads, infinitely many when no lead is a pure power of some
+    variable.
     """
-    ctx, vecs = I.ctx, [(g,) for g in I.gens]
-    capped = _capped_run(vecs, ctx, budget, level)
+    capped = _capped_run([(g,) for g in I.gens], I.ctx, budget, level)
     if capped is not None:
         return capped[1]
-    return _standard_exponents([e.mono for e in _kept_entries(vecs, ctx, 1, budget)], ctx.n)
+    return _standard_exponents([e.mono for e in I._kept_run(budget)], I.ctx.n)
 
 
 def colength(I: Ideal, *, budget: int = DEFAULT_BUDGET, jet_level: int | None = None) -> Value:
@@ -794,7 +811,7 @@ def _schreyer_rows(vecs: list[Vec], ctx: VarContext, rank: int, budget: int) -> 
     if not vecs:
         raise ContextError("syzygies of an empty generator list")
     collected: list[IVec] = []
-    _complete(vecs, ctx, rank, budget, collect=collected)
+    _kept_entries(vecs, ctx, rank, budget, collect=collected)
     rows = [_primitive(row)[0] for row in collected if any(row)]
     _, scaled = _to_ivecs(vecs)
     if not all(_is_relation(row, scaled) for row in rows):

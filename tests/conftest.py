@@ -217,7 +217,7 @@ def double_one_schreyer_row(monkeypatch) -> None:
     """
     import brs.stdbasis as stdbasis_module
 
-    real = stdbasis_module._complete
+    real = stdbasis_module._kept_entries
 
     def corrupted(inputs, ctx, rank, budget, **run):
         entries = real(inputs, ctx, rank, budget, **run)
@@ -227,7 +227,7 @@ def double_one_schreyer_row(monkeypatch) -> None:
             rows[k] = (tuple((key, 2 * c) for key, c in rows[k][0]),) + rows[k][1:]
         return entries
 
-    monkeypatch.setattr(stdbasis_module, "_complete", corrupted)
+    monkeypatch.setattr(stdbasis_module, "_kept_entries", corrupted)
 
 
 def monomial_index(table: _Table, cap: int) -> dict[tuple[int, ...], int]:

@@ -45,6 +45,14 @@ class TestCheck:
         res = invoke("check", "/nonexistent/path.brs")
         assert res.exit_code == 1
 
+    def test_unreadable_file_exits_one(self, tmp_path):
+        path = tmp_path / "latin1.brs"
+        path.write_bytes("vars = x\nphi = x  # \xe9\nf = x\n".encode("latin-1"))
+        res = invoke("check", str(path))
+        assert res.exit_code == 1
+        assert res.output.startswith(f"error: {path}: ")
+        assert "Traceback" not in res.output
+
     def test_parse_error_exits_one(self, tmp_path):
         path = tmp_path / "bad.brs"
         path.write_text("vars=x,y\nphi=x +\nf=y\n", encoding="utf-8")
@@ -202,6 +210,21 @@ class TestCorpus:
         assert res.exit_code == 1
         assert "ERROR" in res.output
         assert "PASS" in res.output
+
+    def test_unreadable_files_reported_others_evaluated(self, tmp_path):
+        # A file that is not UTF-8 and a directory named like a problem file
+        # are ERROR rows; the table is still printed.
+        (tmp_path / "good.brs").write_text(CUSP, encoding="utf-8")
+        (tmp_path / "latin1.brs").write_bytes("vars = x\nphi = x  # \xe9\nf = x\n".encode("latin-1"))
+        (tmp_path / "folder.brs").mkdir()
+        res = invoke("corpus", str(tmp_path))
+        assert res.exit_code == 1, res.output
+        assert "Traceback" not in res.output
+        assert res.output.count("ERROR") >= 2
+        assert "PASS" in res.output
+        doc = json.loads(invoke("corpus", str(tmp_path), "--format", "json").output)
+        assert doc["summary"] == {"count": 3, "pass": 1, "fail": 0, "error": 2}
+        assert ["error" in r for r in doc["problems"]] == [True, False, True]
 
     def test_missing_directory_exits_one(self):
         res = invoke("corpus", "/nonexistent/dir")

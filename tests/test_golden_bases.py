@@ -10,8 +10,9 @@ Pins the exponents, integer coefficients and order of
 * the `syzygies` of each ideal of `COLON_CASES` and `INTERSECTION_CASES`.
 
 A change to the kernel's arithmetic must reproduce them exactly.  Two pinned
-runs are kernel-only (`KERNEL_ONLY`): `analyze` no longer makes them.
-Regenerate (only when a change of results is intended) with
+runs are kernel-only (`KERNEL_ONLY`): `analyze` no longer makes them, and
+the recorder makes them on their own.  Regenerate (only when a change of
+results is intended) with
 
     PYTHONPATH=src python tests/test_golden_bases.py
 """
@@ -24,9 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from brs import Polynomial, VarContext, parse_problem
+from brs import Polynomial, VarContext, parse_poly, parse_problem
 from brs.polycore import Monomial
-from brs.stdbasis import DEFAULT_BUDGET, Ideal, _complete, _vector
+from brs.stdbasis import DEFAULT_BUDGET, Ideal, _complete, _finished, _kept_entries, _vector
 from brs.tangent import theta_full
 from conftest import syzygies
 
@@ -38,7 +39,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden_bases.json"
 # `degen_*` file.  `analyze` counts that ideal on the generators (phi,
 # minors) instead (`trivial_rel` shares the `legreuel` count), so these pin
 # the kernel's arithmetic on an ideal of infinite colength, not a run of the
-# program.  They stay, although a regeneration of the file would drop them.
+# program; the recorder runs them on their own and appends them.
 KERNEL_ONLY = {
     "degen_a2_self.brs": ("2*x^3 + 2*x*y^3", "3*x^2*y^2 + 3*y^5", "x^2 + y^3"),
     "degen_t55_self.brs": (
@@ -159,16 +160,7 @@ def _record_analyze(path: Path) -> list[dict]:
     def recording(inputs, ctx, rank, budget, **kwargs):
         kept = original(inputs, ctx, rank, budget, **kwargs)
         if kwargs.get("collect") is None:
-            cap = kwargs.get("cap")
-            terms = [[[[list(m.exponents), str(c)] for m, c in p.terms] for p in v] for v in inputs]
-            run = {
-                "vars": list(ctx.names),
-                "kind": "Ideal" if rank == 1 else "Submodule",
-                "rank": rank,
-                "input": terms,
-                "jet_level": None if cap is None else cap - 1,
-                "elements": _basis_out(ctx, stdbasis._finished(kept, ctx.n, cap)),
-            }
+            run = _run_out(inputs, ctx, rank, kwargs.get("cap"), kept)
             if run not in runs:
                 runs.append(run)
         return kept
@@ -182,16 +174,49 @@ def _record_analyze(path: Path) -> list[dict]:
     return runs
 
 
-if __name__ == "__main__":
-    import sys
+def _run_out(inputs, ctx: VarContext, rank: int, cap: int | None, kept) -> dict:
+    """One pinned run: its inputs, jet level and basis, from the entries it kept."""
+    return {
+        "vars": list(ctx.names),
+        "kind": "Ideal" if rank == 1 else "Submodule",
+        "rank": rank,
+        "input": [[[[list(m.exponents), str(c)] for m, c in p.terms] for p in v] for v in inputs],
+        "jet_level": None if cap is None else cap - 1,
+        "elements": _basis_out(ctx, _finished(kept, ctx.n, cap)),
+    }
 
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    table = {
-        "analyze": {p.name: _record_analyze(p) for p in sorted(CORPUS_DIR.glob("*.brs"))},
+
+def _kernel_only_run(name: str) -> dict:
+    """The `KERNEL_ONLY` run of one corpus file, made again."""
+    ctx = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8")).problem.ctx
+    inputs = [(parse_poly(s, ctx),) for s in KERNEL_ONLY[name]]
+    return _run_out(inputs, ctx, 1, None, _kept_entries(inputs, ctx, 1, DEFAULT_BUDGET))
+
+
+def _record_table() -> dict:
+    """The golden table as the program makes it now, kernel-only runs appended."""
+    return {
+        "analyze": {
+            p.name: _record_analyze(p) + ([_kernel_only_run(p.name)] if p.name in KERNEL_ONLY else [])
+            for p in sorted(CORPUS_DIR.glob("*.brs"))
+        },
         "theta_full": {
             key: _vecs_out(xi.components for xi in theta_full(phi).gens)
             for key, phi in _corpus_phis().items()
         },
         "syzygies": {key: _vecs_out(syzygies(I).gens) for key, I in _case_ideals().items()},
     }
-    GOLDEN.write_text(json.dumps(table) + "\n", encoding="utf-8")
+
+
+def test_recorder_reproduces_the_golden_file():
+    # A regeneration changes nothing, the kernel-only runs included; only
+    # the order of a file's runs is set aside.
+    def unordered(table: dict) -> dict:
+        runs = {name: sorted(map(json.dumps, got)) for name, got in table["analyze"].items()}
+        return {**table, "analyze": runs}
+
+    assert unordered(json.loads(json.dumps(_record_table()))) == unordered(_golden())
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_record_table()) + "\n", encoding="utf-8")

@@ -465,6 +465,60 @@ def test_an_ideal_inside_an_infinite_one_is_certified_at_once():
     assert {e.status for e in report.ledger} == {"skip"}
 
 
+def uncapped_runs(monkeypatch) -> list[tuple[str, ...]]:
+    """The inputs of every uncapped, untracked Mora run made from now on, as printed."""
+    runs: list = []
+    real = stdbasis_module._kept_entries
+
+    def run(inputs, ctx, rank, budget, collect=None, cap=None, **kwargs):
+        if collect is None and cap is None:
+            runs.append(tuple(str(p) for v in inputs for p in v))
+        return real(inputs, ctx, rank, budget, collect=collect, cap=cap, **kwargs)
+
+    monkeypatch.setattr(stdbasis_module, "_kept_entries", run)
+    return runs
+
+
+class TestOneUncappedRunPerIdeal:
+    # An ideal keeps the entries of its uncapped run (`Ideal._kept_run`):
+    # its Mora count, the ledger's memberships in it (`_MoraIdeal`) and the
+    # degree bound of a colon by it read one run.  Each of these problems has
+    # 5 distinct inputs, which were run 9, 6 and 6 times before.
+    @pytest.mark.parametrize(
+        "phi, f, names",
+        [
+            ("x^2 + y^3", "x^2 + 2*x*y + y^2", "xy"),
+            ("x^2 + y^3", "x^2", "xy"),
+            ("x^3 + y^3 + z^3", "x*y", "xyz"),
+        ],
+    )
+    def test_each_input_runs_once(self, phi, f, names, monkeypatch):
+        runs = uncapped_runs(monkeypatch)
+        analyze(prob(phi, f, VarContext(tuple(names))))
+        assert len(runs) == len(set(runs)) == 5
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+    @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
+    def test_no_input_repeats_on_the_corpus(self, oracle, tau, monkeypatch):
+        # The two `degen_*` files make 4 uncapped runs each, in every mode.
+        runs, total = uncapped_runs(monkeypatch), 0
+        for path in sorted(CORPUS_DIR.glob("*.brs")):
+            parsed = parse_problem(path.read_text(encoding="utf-8"))
+            runs.clear()
+            analyze(parsed.problem, oracle=oracle, max_jet=parsed.max_jet, tau_check=tau)
+            assert len(runs) == len(set(runs)), path.name
+            total += len(runs)
+        assert total == 8
+
+    def test_a_kept_run_is_reused_whatever_the_budget(self, monkeypatch):
+        # The second count would exhaust a budget of 1 if it ran again.
+        I = Ideal(CTX2, [parse_poly("x^2*y", CTX2), parse_poly("x*y^2 + y^5", CTX2)])
+        runs = uncapped_runs(monkeypatch)
+        assert colength(I) is NOT_FINITE
+        assert colength(I, budget=1) is NOT_FINITE
+        assert len(runs) == 1
+
+
 def run_facts(problem: HypersurfaceProblem, monkeypatch) -> SimpleNamespace:
     """The facts of one `analyze(..., tau_check=True)`: every ideal counted, and its count."""
     seen: list = []
@@ -711,11 +765,11 @@ class TestTauModuleRow:
     @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
     def test_the_row_runs_no_standard_basis(self, name, monkeypatch):
         # The row's one count extends mu_X's model: with --tau, the run
-        # completes no more standard bases than without, and that count
-        # is a jet count wherever mu_X's is.
+        # makes no more Mora runs than without, and that count is a jet
+        # count wherever mu_X's is.
         completions: list = []
         routes: list = []
-        spy_on(monkeypatch, "_complete", completions, module=stdbasis_module)
+        spy_on(monkeypatch, "_kept_entries", completions, module=stdbasis_module)
         real = invariants_module._count
 
         def count(*args, **kwargs):

@@ -4,9 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brs import ContextError, GermError, Polynomial, VarContext, parse_poly
-from brs.polycore import Monomial, dot, jacobian_ideal, minors_2x2, pack_exponents
-from brs.stdbasis import Ideal, standard_basis
+import brs.polycore as polycore
+from brs import BrsError, ContextError, GermError, Polynomial, VarContext, parse_poly
+from brs.oracle import jet_model
+from brs.polycore import (
+    MAX_PACKED_DEGREE,
+    Monomial,
+    dot,
+    integral_terms,
+    jacobian_ideal,
+    minors_2x2,
+    pack_exponents,
+)
+from brs.stdbasis import Ideal, _to_ivecs, standard_basis
 from brs.tangent import theta_full
 from strategies import CTX2, CTX3, integer_coefficients, monomials, polynomials
 
@@ -91,6 +101,30 @@ class TestArithmetic:
             ((pack_exponents((1, 0)), 1, 3), (pack_exponents((0, 2)), 2, 2)),
         )
         assert P("2*x - y").packed_terms()[0] == 1
+
+    def test_both_engines_clear_denominators_by_one_factor(self, P, monkeypatch):
+        # The Mora kernel (`_to_ivecs`) and the jet engine read one integer
+        # form, each polynomial's `packed_terms`, scaled by one common factor.
+        p, q = P("1/2*x + 1/3*y^2"), P("3/4*y - x^3")
+        den, ivecs = _to_ivecs([(p,), (q,)])
+        assert den == integral_terms([p, q])[0] == 12
+        assert ivecs == [(tuple((m.sort_key(), int(c * 12)) for m, c in g.terms),) for g in (p, q)]
+        # A standard basis and a walk of one polynomial pack its terms once.
+        # The x axis certifies an infinite colength, so Mora runs with no walk.
+        packed = []
+        real = polycore.pack_exponents
+        monkeypatch.setattr(polycore, "pack_exponents", lambda e: packed.append(e) or real(e))
+        r = P("1/2*x^2*y + 1/3*y^3")
+        standard_basis(Ideal(CTX2, [r]))
+        assert packed == [m.exponents for m, _ in r.terms]
+        jet_model(Ideal(CTX2, [r]))
+        assert packed == [m.exponents for m, _ in r.terms]
+
+    def test_an_exponent_beyond_the_packing_stops_a_mora_run(self, ctx2):
+        # The y axis certifies an infinite colength, so no walk comes first.
+        huge = Polynomial.monomial(ctx2, (MAX_PACKED_DEGREE + 1, 0))
+        with pytest.raises(BrsError, match="exceeds"):
+            standard_basis(Ideal(ctx2, [huge]))
 
     def test_terms_sorted_descending_without_duplicates(self, P):
         p = P("y^3 + x^2 + x^2")
