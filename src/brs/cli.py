@@ -84,12 +84,20 @@ def _max_jet(ctx, param, value):
         sys.exit(EXIT_INPUT_ERROR)
 
 
+def _budget(ctx, param, value):
+    # A pair budget below 1 admits no work: refused before any file is read.
+    if value is not None and value < 1:
+        click.echo("error: --budget: must be at least 1", err=True)
+        sys.exit(EXIT_INPUT_ERROR)
+    return value
+
+
 def _run_options(command):
     """The options `check` and `corpus` share."""
     options = (
         click.option("--oracle", is_flag=True, default=None, help="Cross-check every colength with the engine that did not produce it."),
         click.option("--max-jet", type=int, default=None, callback=_max_jet, help=f"Oracle truncation cap (default {DEFAULT_CAP})."),
-        click.option("--budget", type=int, default=None, envvar="BRS_BUDGET", help="Pair budget for standard bases."),
+        click.option("--budget", type=int, default=None, callback=_budget, envvar="BRS_BUDGET", help="Pair budget for standard bases (at least 1)."),
         click.option("--tau", is_flag=True, help="Also verify the module-quotient form of the Tjurina number."),
     )
     for option in reversed(options):

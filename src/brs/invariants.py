@@ -25,9 +25,11 @@ finite count carries a model.  The counted ideals are one table (`_IDEALS`),
 each declared once with its relations to earlier ones, from which one loop
 (`_count_stage`) takes the model to extend, the walk's floor, and the
 inclusion certificate: an ideal inside one of infinite colength is infinite.
-The ledger is one table (`_LEDGER`) that one loop evaluates.  Its containment
-rows run on the jet models of the ideals involved, and an ideal of infinite
-colength is a `_MoraIdeal`, answering the same from a Mora standard basis.
+Each `Ideal` holds its own proof: its count, its model or where its walk
+gave up, and its kept Mora run, so nothing proven is proven again.  The
+ledger is one table (`_LEDGER`) that one loop evaluates.  Its containment
+rows ask the ideals involved, which answer from their jet models, or, of
+infinite colength, from a Mora standard basis.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from .errors import InternalError
 from .oracle import (
@@ -52,14 +54,10 @@ from .stdbasis import (
     DEFAULT_BUDGET,
     Ideal,
     NOT_FINITE,
-    StandardBasis,
     Value,
     _standard_exponents_of,
     colength,
-    ideal_colon,
     is_finite,
-    membership,
-    standard_basis,
 )
 from .tangent import (
     HypersurfaceProblem,
@@ -114,27 +112,10 @@ class InvariantReport:
 # colengths
 
 
-@dataclass
-class _Count:
-    """A colength and its proof: route "certificate", "jet" or "mora".
-
-    Every finite count carries its certified jet model.
-    """
-
-    value: Value
-    route: str
-    model: JetModel | None = None
-
-    @property
-    def level(self) -> int:
-        # The model's level: a floor for the walk of any ideal inside this one.
-        return self.model.level if self.model else 0
-
-
 def _count(
     I: Ideal, budget: int, base: JetModel | None = None, extra: Ideal | None = None, floor: int = 0
-) -> _Count:
-    """Colength of I with the cheapest proof that settles it.
+) -> Value:
+    """Colength of I with the cheapest proof that settles it, written on I.
 
     `base`, when given, is the certified model of an ideal K with I = K +
     `extra`, so I's model extends it, with no walk, and always exists (an
@@ -144,28 +125,26 @@ def _count(
 
     When the walk gives up, the standard monomials of one uncapped Mora run
     decide (`_standard_exponents_of`, which builds no basis, told that no
-    level exists: a walk's verdict does not depend on its floor, so a
-    second walk to propose one would give up again).  A finite count also
-    proves a level: with N = 1 + the top degree of a standard monomial, m^N
-    lies in I (the highest-corner bound), so a walk capped at N + 1 stops
-    by N, and the model it gives must count what Mora counted.
+    level exists).  A finite count also proves a level: with N = 1 + the top
+    degree of a standard monomial, m^N lies in I (the highest-corner bound),
+    so a walk capped at N + 1 stops by N, and the model it gives must count
+    what Mora counted.  Every finite count thus carries a model.
     """
     if base is not None:
-        model = extended_jet_model(base, extra.gens)
+        I.model = extended_jet_model(base, extra.gens)
     elif axis_certificate(I):
-        return _Count(NOT_FINITE, "certificate")
+        I.value, I.route = NOT_FINITE, "certificate"
+        return I.value
     else:
-        model = jet_model(I, floor=floor)
-    if model is not None:
-        return _Count(model.colength, "jet", model)
-    exps = _standard_exponents_of(I, budget, None)
-    if exps is None:
-        return _Count(NOT_FINITE, "mora")
-    level = 1 + max((sum(e) for e in exps), default=-1)
-    model = jet_model(I, cap=level + 1, floor=level)
-    if model is None or model.colength != len(exps):
-        raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
-    return _Count(len(exps), "mora", model)
+        jet_model(I, floor=floor)
+    I.route = "jet" if I.model else "mora"
+    if I.model is None and (exps := _standard_exponents_of(I, budget, None)) is not None:
+        level = 1 + max((sum(e) for e in exps), default=-1)
+        I.model = jet_model(I, cap=level + 1, floor=level)
+        if I.model is None or I.model.colength != len(exps):
+            raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
+    I.value = I.model.colength if I.model else NOT_FINITE
+    return I.value
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +153,12 @@ def _count(
 
 def milnor(f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Milnor number: colength of the Jacobian ideal."""
-    return _count(Ideal(f.ctx, jacobian_ideal(f)), budget).value
+    return _count(Ideal(f.ctx, jacobian_ideal(f)), budget)
 
 
 def tjurina(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Tjurina number: colength of (phi) + Jacobian ideal of phi."""
-    return _count(Ideal(phi.ctx, [phi] + jacobian_ideal(phi)), budget).value
+    return _count(Ideal(phi.ctx, [phi] + jacobian_ideal(phi)), budget)
 
 
 def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
@@ -192,14 +171,14 @@ def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET
     mu_x = milnor(phi, budget=budget)
     if not is_finite(mu_x):  # not an IHS: infinite, whatever the Le-Greuel count
         return NOT_FINITE
-    total = _count(Ideal(phi.ctx, [phi] + minors_2x2(f, phi)), budget).value
+    total = _count(Ideal(phi.ctx, [phi] + minors_2x2(f, phi)), budget)
     return total - mu_x if is_finite(total) else NOT_FINITE
 
 
 def bruce_roberts(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Bruce-Roberts number of f with respect to {phi = 0}."""
     theta = theta_full(phi, budget=budget)
-    return _count(df_ideal(f, theta), budget).value
+    return _count(df_ideal(f, theta), budget)
 
 
 def relative_bruce_roberts(
@@ -207,7 +186,7 @@ def relative_bruce_roberts(
 ) -> Value:
     """Relative Bruce-Roberts number: df(tangent module) plus (phi)."""
     theta = theta_full(phi, budget=budget)
-    return _count(df_ideal(f, theta) + Ideal(phi.ctx, [phi]), budget).value
+    return _count(df_ideal(f, theta) + Ideal(phi.ctx, [phi]), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +274,9 @@ def _minors(v: SimpleNamespace) -> tuple[Polynomial, ...]:
 
 _IDEALS = (
     _Counted("mu_f", "X", "jacobian_route", lambda v: Ideal(v.ctx, jacobian_ideal(v.f))),
-    _Counted("mu_X", "X", "jacobian_route", lambda v: Ideal(v.ctx, jacobian_ideal(v.phi))),
+    # J_phi is Jf when f = phi (the `degen_*` files): one ideal, with one proof.
+    _Counted("mu_X", "X", "jacobian_route",
+             lambda v: v.ideals["mu_f"] if v.f == v.phi else Ideal(v.ctx, jacobian_ideal(v.phi))),
     _Counted("tau_X", "X", "jacobian_route", lambda v: v.I_X + v.ideals["mu_X"],
              ("sum mu_X I_X",)),
     # df_T is the minors plus phi * Jf, and every minor lies in J_phi.
@@ -329,37 +310,43 @@ _IDEALS = (
 )
 
 
+def _level(K: Ideal) -> int:
+    # The level of K's model: a floor for the walk of any ideal inside K.
+    return K.model.level if K.model else 0
+
+
 def _count_stage(v: SimpleNamespace, stage: str) -> None:
     """Count the entries of `_IDEALS` in `stage`, each as its relations allow.
 
     They give the model to extend, the floor, or a count with no work (an
-    equal ideal's, or the inclusion certificate).  Each ideal, count and
-    value is kept on `v` under the entry's name.
+    equal ideal's, or the inclusion certificate); an ideal the builder
+    takes from an earlier entry keeps its count.  Each ideal and its value
+    are kept on `v` under the entry's name.
     """
     for entry in _IDEALS:
         if entry.stage != stage or (ideal := entry.build(v)) is None:
             continue
-        base = extra = count = None
+        base = extra = None
         floor = 0
         for kind, key, *more in map(str.split, entry.relations):
-            known = v.counts.get(key)
-            if known is None:
+            K = v.ideals.get(key)
+            if K is None:
                 continue
             if kind == "equal":
-                count = known
+                ideal.value, ideal.route, ideal.model = K.value, K.route, K.model
             elif kind == "sum":
-                base, extra = known.model, getattr(v, more[0])
-            elif kind == "inside" and not is_finite(known.value):
-                count = _Count(NOT_FINITE, "certificate")
+                base, extra = K.model, getattr(v, more[0])
+            elif kind == "inside" and not is_finite(K.value):
+                ideal.value, ideal.route = NOT_FINITE, "certificate"
             elif kind == "inside":
-                floor = max(floor, known.level)
+                floor = max(floor, _level(K))
             else:  # "disjoint"; a unit summand (level 0) makes the sum a unit
-                a, b = known.level, v.counts[more[0]].level
+                a, b = _level(K), _level(v.ideals[more[0]])
                 floor = max(floor, a + b - 1 if a and b else 0)
-        if count is None:
-            count = _count(ideal, v.budget, base, extra, floor)
-        v.ideals[entry.name], v.counts[entry.name] = ideal, count
-        setattr(v, entry.name, count.value)
+        if ideal.value is None:
+            _count(ideal, v.budget, base, extra, floor)
+        v.ideals[entry.name] = ideal
+        setattr(v, entry.name, ideal.value)
 
 
 # ---------------------------------------------------------------------------
@@ -382,49 +369,22 @@ def _value_out(v: Value) -> LedgerValue:
     return v if is_finite(v) else "infinite"
 
 
-@dataclass
-class _MoraIdeal:
-    """An ideal without a jet model, answering what a `JetModel` answers.
-
-    In `analyze` that is an ideal of infinite colength, since every finite
-    count carries a model.  Its Mora standard basis is completed on first
-    use and kept; that basis, its count and the degree bound of its colons
-    all read the one uncapped run the ideal keeps (`Ideal._kept_run`).
-    """
-
-    ideal: Ideal
-    budget: int
-    _basis: StandardBasis | None = None
-
-    def contains_all(self, gens: Sequence[Polynomial]) -> bool:
-        if self._basis is None:
-            self._basis = standard_basis(self.ideal, budget=self.budget)
-        return all(membership(g, self._basis) for g in gens)
-
-    def colon(self, divisors: Sequence[Polynomial]) -> "_MoraIdeal":
-        quotient = ideal_colon(self.ideal, Ideal(self.ideal.ctx, divisors), budget=self.budget)
-        return _MoraIdeal(quotient, self.budget)
-
-    def generators(self) -> list[Polynomial]:
-        return list(self.ideal.gens)
-
-
 def _colon_vs_jf(v: SimpleNamespace, key: str) -> tuple[bool, bool]:
     """Whether (I : phi) lies in Jf, and Jf in (I : phi), for I counted under `key`.
 
-    Computed once per run and ideal.  `v.models` holds Jf ("mu_f"), df_X
-    ("br") and df_T ("trivial"), each as its jet model or, of infinite
-    colength, as a `_MoraIdeal`, so the check takes one path on either
-    engine; when both sides are jet models, the colon's columns are reduced
-    in Jf's echelon directly.
+    Computed once per run and ideal.  Jf ("mu_f"), df_X ("br") and df_T
+    ("trivial") answer from their jet models, or, of infinite colength,
+    from Mora, so the check takes one path on either engine; when Jf and
+    the colon both hold models, the colon's columns are reduced in Jf's
+    echelon directly.
     """
     if key not in v.colons:
-        jf, colon = v.models["mu_f"], v.models[key].colon([v.phi])
-        if isinstance(jf, JetModel) and isinstance(colon, JetModel):
-            inside = jf.contains_ideal(colon)
+        jf, colon = v.ideals["mu_f"], v.ideals[key].colon([v.phi], v.budget)
+        if jf.model and colon.model:
+            inside = jf.model.contains_ideal(colon.model)
         else:
-            inside = jf.contains_all(colon.generators())
-        v.colons[key] = (inside, colon.contains_all(v.ideals["mu_f"].gens))
+            inside = jf.contains_all(colon.gens, v.budget)
+        v.colons[key] = (inside, colon.contains_all(jf.gens, v.budget))
     return v.colons[key]
 
 
@@ -474,7 +434,8 @@ _LEDGER = (
     _Row("intersect-product", "mutual", True, ("mu_BR_rel",),
          "mu_BR_rel is not finite",
          lambda v: _colon_vs_jf(v, "br")[0],
-         lambda v: v.models["br"].contains_all([g * v.phi for g in v.ideals["mu_f"].gens])),
+         lambda v: v.ideals["br"].contains_all(
+             [g * v.phi for g in v.ideals["mu_f"].gens], v.budget)),
     _Row("quotient-milnor", "equal", False, ("mu_BR", "mu_BR_rel", "mu_f"),
          "mu_BR is not finite",
          lambda v: v.mu_BR - v.mu_BR_rel, lambda v: v.mu_f),
@@ -539,7 +500,7 @@ def analyze(
     # The run's facts: what the builders of `_IDEALS` and the ledger rows read.
     v = SimpleNamespace(
         ctx=ctx, phi=problem.phi, f=problem.f, budget=budget, tau_check=tau_check,
-        I_X=Ideal(ctx, [problem.phi]), ideals={}, counts={}, colons={},
+        I_X=Ideal(ctx, [problem.phi]), ideals={}, colons={},
     )
 
     # Jacobian-route invariants (no tangent module involved).
@@ -568,9 +529,6 @@ def analyze(
     # Identity ledger.
     t0 = time.perf_counter()
     _count_stage(v, "identities")
-    v.models = {
-        k: v.counts[k].model or _MoraIdeal(v.ideals[k], budget) for k in ("mu_f", "br", "trivial")
-    }
     entries = [
         LedgerEntry(row.name, "skip", reason="disabled (pass --tau to enable)")
         if row.name == "tau-module" and not tau_check
@@ -579,16 +537,16 @@ def analyze(
     ]
     timings["identities"] = (time.perf_counter() - t0) * 1000
 
-    reported = [e for e in _IDEALS if e.reported and e.name in v.counts]
+    reported = [e for e in _IDEALS if e.reported and e.name in v.ideals]
     if oracle:
         # Each colength in the problem's ring is checked by the engine that
         # did not produce it: jet values by a Mora standard basis, the rest
         # by the jet oracle.
         t0 = time.perf_counter()
         for name in sorted(e.name for e in reported if e.ring == "X"):
-            ideal, want = v.ideals[name], v.counts[name]
-            if want.route == "jet":
-                got = colength(ideal, budget=budget, jet_level=want.model.level)
+            ideal = v.ideals[name]
+            if ideal.route == "jet":
+                got = colength(ideal, budget=budget)  # capped at its model's level
             else:
                 got = oracle_colength(ideal, cap=max_jet)
             row = f"oracle-{name}"
@@ -596,8 +554,8 @@ def analyze(
                 reason = f"oracle inconclusive at max_jet={max_jet}"
                 entries.append(LedgerEntry(row, "skip", reason=reason))
             else:
-                status = "pass" if _values_equal(got, want.value) else "fail"
-                entries.append(LedgerEntry(row, status, _value_out(got), _value_out(want.value)))
+                status = "pass" if _values_equal(got, ideal.value) else "fail"
+                entries.append(LedgerEntry(row, status, _value_out(got), _value_out(ideal.value)))
         timings["oracle"] = (time.perf_counter() - t0) * 1000
 
     timings["total"] = (time.perf_counter() - t_start) * 1000
@@ -606,6 +564,6 @@ def analyze(
         mu_fiber=v.mu_fiber, mu_BR=v.mu_BR, mu_BR_rel=v.mu_BR_rel, ledger=tuple(entries),
         timings_ms={k: round(t, 3) for k, t in timings.items()},
         ideals={e.name: v.ideals[e.name] for e in reported},
-        colengths={e.name: v.counts[e.name].value for e in reported},
-        routes={e.name: v.counts[e.name].route for e in reported},
+        colengths={e.name: v.ideals[e.name].value for e in reported},
+        routes={e.name: v.ideals[e.name].route for e in reported},
     )

@@ -30,7 +30,9 @@ echelon at cap c determines dim(d) for every d <= c, as the rows without a
 pivot below degree d, so a walk builds an echelon only once d passes the cap
 of its last.  A `floor`, the level of an ideal known to contain I, lets the
 walk build its first echelon at floor + 1; each dim(d) is still exact, so a
-wrong floor costs time, never a value.  A free certificate of infinite
+wrong floor costs time, never a value.  An uncapped walk writes its model,
+or the level it reached before giving up, on the ideal, and a later walk
+starts past that level.  A free certificate of infinite
 colength, `axis_certificate`, is checked before any walk.  `oracle_colength`
 is the same walk under a fixed cap: it reports NotFinite only with a
 certificate and Inconclusive at the cap, never a guess.
@@ -153,15 +155,15 @@ Generators = list[tuple[int, Terms]]  # (tail degree, terms) of each generator
 def _generators(polys: Sequence[Polynomial]) -> Generators:
     """Each polynomial's tail degree and integral terms, for every level of a walk.
 
-    A nonzero multiple of an earlier polynomial is left out: its shifts are
-    multiples of the earlier one's, already in the span, so they reduce to zero.
+    A polynomial in the rational span of earlier ones is left out: its
+    shifts are combinations of theirs, already in the span.
     """
-    first: dict[tuple, tuple[int, Terms]] = {}  # by primitive terms, first sign positive
-    for p, terms in zip(polys, integral_terms(polys)[1]):
-        g = gcd(*(c for _, _, c in terms))
-        g = -g if terms and terms[0][2] < 0 else g
-        first.setdefault(tuple((m, c // g) for m, _, c in terms), (p.tail_degree(), terms))
-    return list(first.values())
+    earlier = _Echelon()
+    return [
+        (p.tail_degree(), terms)
+        for p, terms in zip(polys, integral_terms(polys)[1])
+        if earlier.insert({m: c for m, _, c in terms})
+    ]
 
 
 def _shifted(terms: Terms, shift: int, below: int, row: dict[int, int]) -> Column:
@@ -443,7 +445,8 @@ def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | No
     None when the walk stops first.  With a cap, it stops after level `cap`.
     Without one, it leaves I to standard bases by the cost rule: the growth
     dim(d) - dim(d-1) has not slowed once d passes the largest generator
-    degree + 2.
+    degree + 2.  An uncapped walk writes its model on I, or, when it gives
+    up, the level it reached (`Ideal.reach`), the floor of any later walk.
 
     One echelon at cap c gives every growth up to d = c (`free_rows`), so a
     new echelon is built only once d passes the cap of the last, and the
@@ -455,6 +458,7 @@ def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | No
     (`_generators`), from what each polynomial keeps (`packed_terms`).
     """
     gens = _generators(I.gens)
+    floor = max(floor, I.reach or 0)
     span: JetModel | None = None
     free: list[int] = []
 
@@ -469,7 +473,10 @@ def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | No
 
     top = max((g.degree() for g in I.gens), default=0) + 2
     level = _walk(growth, top, cap)
-    return None if level is None else span.truncated(level)
+    model = None if level is None else span.truncated(level)
+    if cap is None:
+        I.model, I.reach = model, span.level if model is None else None
+    return model
 
 
 def extended_jet_model(base: JetModel, extra: Sequence[Polynomial]) -> JetModel:
@@ -528,6 +535,8 @@ def oracle_colength(I: Ideal, cap: int = DEFAULT_CAP) -> OracleValue:
     a single non-unit generator in two or more variables (by Krull's
     principal ideal theorem its zero set is a hypersurface).  Otherwise the
     stabilized dimension, or Inconclusive when the walk reaches the cap.
+    The walk reads only where an earlier walk of I gave up (`jet_model`),
+    never the proof of I's count.
     """
     if cap < MIN_CAP:
         raise BrsError(f"oracle cap must be at least {MIN_CAP}")

@@ -23,7 +23,8 @@ same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
 both engines (so an exponent above 65535 raises BrsError here too), and
 results become `Polynomial`s with `int` coefficients once, on the way out;
 a row tracked by a syzygy run carries one integer denominator.  An `Ideal`
-keeps its one uncapped run (`Ideal._kept_run`).  A degree-capped run
+holds its proofs, its one uncapped run among them (`Ideal._kept_run`).  A
+degree-capped run
 (`_capped_run`) leaves the monomials of degree cap implicit: they are
 charged to the budget as the pairs they would form, never scanned as
 reducers, and join the basis at the end where no kept lead divides them; a
@@ -87,9 +88,19 @@ Vec = tuple[Polynomial, ...]
 
 
 class Ideal:
-    """Finitely generated ideal; generator order is preserved, zeros dropped."""
+    """Finitely generated ideal; generator order is preserved, zeros dropped.
 
-    __slots__ = ("ctx", "gens", "_kept")
+    It holds what is proven about it, made once and read by every later
+    call, whatever budget that call passes: its colength `value` and the
+    proof's `route`, "certificate", "jet" or "mora" (`invariants._count`
+    writes them); its certified jet `model`, or, when its walk gave up, the
+    level that walk reached, `reach`, a floor for every later walk
+    (`oracle.jet_model` writes them); and its one uncapped Mora run
+    (`_kept_run`).  It answers `contains_all` and `colon` from its model
+    when it has one, and from Mora otherwise.
+    """
+
+    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_kept")
 
     def __init__(self, ctx: VarContext, gens: Iterable[Polynomial]):
         kept = []
@@ -99,16 +110,29 @@ class Ideal:
                 kept.append(g)
         self.ctx = ctx
         self.gens = tuple(kept)
-        self._kept = None
+        self.value = self.route = self.model = self.reach = self._kept = None
 
     def _kept_run(self, budget: int) -> list["_Entry"]:
-        """The kept entries of the ideal's one uncapped Mora run, made on first use.
-
-        Every later call reads them, whatever budget it passes.
-        """
+        """The kept entries of the ideal's one uncapped Mora run, made on first use."""
         if self._kept is None:
             self._kept = _kept_entries([(g,) for g in self.gens], self.ctx, 1, budget)
         return self._kept
+
+    def contains_all(self, gens: Sequence[Polynomial], budget: int) -> bool:
+        """Whether every polynomial of `gens` lies in the ideal."""
+        if self.model is not None:
+            return self.model.contains_all(gens)
+        basis = standard_basis(self, budget=budget)
+        return all(membership(g, basis) for g in gens)
+
+    def colon(self, divisors: Sequence[Polynomial], budget: int) -> "Ideal":
+        """The ideal quotient by `divisors`; from a model, it holds the colon's model."""
+        if self.model is None:
+            return ideal_colon(self, Ideal(self.ctx, divisors), budget=budget)
+        model = self.model.colon(divisors)
+        quotient = Ideal(self.ctx, model.generators())
+        quotient.model = model
+        return quotient
 
     def __add__(self, other: "Ideal") -> "Ideal":
         require_same_ctx(self.ctx, other.ctx)
@@ -593,12 +617,12 @@ def standard_basis(obj: Union[Ideal, Submodule], *, budget: int = DEFAULT_BUDGET
 
     Deterministic for a fixed input order.  Raises BudgetError when the pair
     budget is exhausted.  An ideal is first completed under the degree cap
-    its jet proposal gives (`_proposed_level`, `_capped_run`); when that run
-    proves nothing or exhausts the budget, one uncapped run decides on a
-    fresh budget, the ideal's kept run (`Ideal._kept_run`).
+    of its jet level (`_proposed_level`, `_capped_run`); when it has none,
+    or that run proves nothing or exhausts the budget, its one uncapped run
+    decides on a fresh budget (`Ideal._kept_run`).
     """
     ctx, rank, vecs = _as_vecs(obj)
-    level = _proposed_level(ctx, vecs) if rank == 1 else None
+    level = _proposed_level(obj) if isinstance(obj, Ideal) else None
     capped = _capped_run(vecs, ctx, budget, level)
     if capped is not None:
         entries = _finished(capped[0], ctx.n, level + 1)
@@ -614,16 +638,18 @@ def standard_basis(obj: Union[Ideal, Submodule], *, budget: int = DEFAULT_BUDGET
     )
 
 
-def _proposed_level(ctx: VarContext, vecs: list[Vec]) -> int | None:
-    """A level N with m^N inside the ideal of `vecs`: its jet model's.
+def _proposed_level(I: Ideal) -> int | None:
+    """A level N with m^N inside I: its certified jet model's.
 
-    None when the axis certificate proves the colength infinite, or when
-    the jet walk gives up.
+    I is walked (`oracle.jet_model`) only when nothing is proven about it
+    yet.  None when I has no model: it is counted infinite, the axis
+    certificate proves it so, or its jet walk gave up.
     """
     from .oracle import axis_certificate, jet_model
 
-    ideal = Ideal(ctx, [v[0] for v in vecs])
-    model = None if axis_certificate(ideal) else jet_model(ideal)
+    model = I.model
+    if model is None and I.reach is None and I.value is None and not axis_certificate(I):
+        model = jet_model(I)
     return None if model is None else model.level
 
 
@@ -768,9 +794,8 @@ def _standard_exponents_of(
 ) -> list[tuple[int, ...]] | None:
     """Exponents of the standard monomials of I, with no basis built; None if infinite.
 
-    `level` is a level N for I: its certified jet model's, or a proposal
-    (`_proposed_level`); None when there is none, as when a jet walk of I
-    gave up.  The capped run at N lists them when it proves its level.  Else
+    `level` is a level N for I (`_proposed_level`), or None when there is
+    none.  The capped run at N lists them when it proves its level.  Else
     I's one uncapped run decides (`Ideal._kept_run`): the standard monomials
     of its kept leads, infinitely many when no lead is a pure power of some
     variable.
@@ -781,16 +806,14 @@ def _standard_exponents_of(
     return _standard_exponents([e.mono for e in I._kept_run(budget)], I.ctx.n)
 
 
-def colength(I: Ideal, *, budget: int = DEFAULT_BUDGET, jet_level: int | None = None) -> Value:
+def colength(I: Ideal, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Dimension of the quotient of the local ring by the ideal.
 
-    Counts the standard monomials of a Mora run (`_standard_exponents_of`;
-    `jet_level`: the level N of the ideal's certified jet model, when the
-    caller holds one, else proposed here).  NOT_FINITE is a legitimate
-    value, not a failure.
+    Counts the standard monomials of a Mora run (`_standard_exponents_of`)
+    at the level of I's certified jet model, when it has one
+    (`_proposed_level`).  NOT_FINITE is a legitimate value, not a failure.
     """
-    level = jet_level if jet_level is not None else _proposed_level(I.ctx, [(g,) for g in I.gens])
-    exps = _standard_exponents_of(I, budget, level)
+    exps = _standard_exponents_of(I, budget, _proposed_level(I))
     return NOT_FINITE if exps is None else len(exps)
 
 
@@ -873,8 +896,7 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
     ctx, k = ideals[0].ctx, len(ideals)
     zero = Polynomial.zero(ctx)
     standard = [
-        _standard_exponents_of(I, budget, _proposed_level(ctx, [(g,) for g in I.gens]))
-        for I in dict.fromkeys(ideals)
+        _standard_exponents_of(I, budget, _proposed_level(I)) for I in dict.fromkeys(ideals)
     ]
     bound = None
     if all(exps is not None for exps in standard):

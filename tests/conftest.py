@@ -5,6 +5,7 @@ from contextlib import contextmanager
 from math import gcd
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
@@ -343,6 +344,49 @@ def suspend(
     cofactors = [a.embed(big) for a in base.cofactors] + [zero] * fresh.n
     new_problem = HypersurfaceProblem(ctx=big, phi=phi_big, f=f_big)
     return new_problem, DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
+
+
+@pytest.fixture
+def recorder(monkeypatch) -> SimpleNamespace:
+    """What the engines do from now on, recorded as it happens.
+
+    `walks`: (ideal, cap) of each `oracle.jet_model` call, from any module;
+    `spans`: (ideal, cap) of each echelon `oracle._span` builds, the ideal
+    being the one the innermost `jet_model` call walks (None outside one);
+    `uncapped`: the inputs of each uncapped, untracked Mora run
+    (`stdbasis._kept_entries`), as printed.
+    """
+    import brs.invariants as invariants_module
+    import brs.oracle as oracle_module
+    import brs.stdbasis as stdbasis_module
+
+    rec = SimpleNamespace(walks=[], spans=[], uncapped=[])
+    walking: list = []
+    real_walk, real_span = oracle_module.jet_model, oracle_module._span
+    real_run = stdbasis_module._kept_entries
+
+    def walk(I, cap=None, floor=0):
+        rec.walks.append((I, cap))
+        walking.append(I)
+        try:
+            return real_walk(I, cap, floor)
+        finally:
+            walking.pop()
+
+    def span(ctx, gens, cap):
+        rec.spans.append((walking[-1] if walking else None, cap))
+        return real_span(ctx, gens, cap)
+
+    def run(inputs, ctx, rank, budget, collect=None, cap=None, **kwargs):
+        if collect is None and cap is None:
+            rec.uncapped.append(tuple(str(p) for v in inputs for p in v))
+        return real_run(inputs, ctx, rank, budget, collect=collect, cap=cap, **kwargs)
+
+    for module in (oracle_module, invariants_module):
+        monkeypatch.setattr(module, "jet_model", walk)
+    monkeypatch.setattr(oracle_module, "_span", span)
+    monkeypatch.setattr(stdbasis_module, "_kept_entries", run)
+    return rec
 
 
 def corpus_paths(prefix: str | None = None) -> list[Path]:

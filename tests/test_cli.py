@@ -177,6 +177,19 @@ class TestUsageErrors:
         assert res.exit_code == 1
         assert "--budget" in res.output
 
+    @pytest.mark.parametrize("command, target", [("check", "wh_e6_f_x.brs"), ("corpus", "")])
+    @pytest.mark.parametrize(
+        "args, env", [(["--budget", "-1"], {}), (["--budget", "0"], {}), ([], {"BRS_BUDGET": "0"})],
+        ids=["negative", "zero", "variable"],
+    )
+    def test_a_budget_below_one_is_rejected_before_any_file_is_read(
+        self, command, target, args, env, monkeypatch
+    ):
+        monkeypatch.setattr(cli_module, "_run_one", None)  # never reached
+        res = CliRunner(env=env).invoke(main, [command, str(CORPUS_DIR / target), *args])
+        assert res.exit_code == 1
+        assert res.output.strip() == "error: --budget: must be at least 1"
+
     def test_unknown_command_exits_one(self):
         assert invoke("bogus").exit_code == 1
 

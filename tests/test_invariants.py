@@ -26,7 +26,7 @@ from brs import (
 )
 from brs.cli import main as cli_main
 from brs.invariants import detect_split
-from brs.oracle import jet_model, oracle_colength
+from brs.oracle import DEFAULT_CAP, jet_model, oracle_colength
 from brs.polycore import VectorField, jacobian_ideal
 from brs.stdbasis import Ideal, colength, module_quotient_dim
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
@@ -128,12 +128,12 @@ SPLIT_COUNTS = COUNTS[:6] + (
 # (the Schreyer run of Theta_X among them), each count's route by its first
 # letter (certificate, jet, mora), in count order, and the colons and
 # extensions of a jet model that eliminate, inserting columns into an echelon.
-# In all, 361 echelons and 32 runs; 0 of the 36 colons, since every f that
+# In all, 351 echelons and 32 runs; 0 of the 36 colons, since every f that
 # reaches a colon is linear, so some phi*f_xi is a nonzero multiple of phi and
 # phi lies in df_T and df_X; and 10 of the 60 extensions.
 WORK = {
-    "degen_a2_self.brs": (28, 5, "jjjmmmmm", 0, 0),
-    "degen_t55_self.brs": (46, 5, "jjjmmmmm", 0, 1),
+    "degen_a2_self.brs": (25, 5, "jjjmmmmm", 0, 0),
+    "degen_t55_self.brs": (39, 5, "jjjmmmmm", 0, 1),
     "nwh_t334_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
     "nwh_t444_3d_f_z.brs": (17, 1, "jjjjjjjj", 0, 1),
     "nwh_t444_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
@@ -257,8 +257,7 @@ class TestLedger:
         # A jet value is checked by counting a capped Mora run, with no basis
         # built; the other values by the jet oracle.
         calls: list = []
-        for module in (stdbasis_module, invariants_module):
-            spy_on(monkeypatch, "standard_basis", calls, module=module)
+        spy_on(monkeypatch, "standard_basis", calls, module=stdbasis_module)
         problem = corpus_problem(name)
         analyze(problem)
         plain = len(calls)
@@ -267,7 +266,7 @@ class TestLedger:
 
     @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "susp_d4_z2.brs"])
     def test_oracle_walks_no_ideal_twice(self, name, monkeypatch):
-        # The cross-check hands Mora the level of the model `analyze` holds,
+        # The cross-check gives Mora the level of the model the ideal holds,
         # and I + (phi) extends the model of I, so no ideal is walked again.
         log: list = []
         spy_on(monkeypatch, "jet_model", log)  # from analyze
@@ -340,7 +339,7 @@ class TestLedger:
         assert (row.status, row.lhs, row.rhs) == ("pass", report.tau_X, report.tau_X)
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
-    def test_walks_build_only_the_echelons_they_need(self, name, monkeypatch):
+    def test_walks_build_only_the_echelons_they_need(self, name, recorder, monkeypatch):
         # One echelon gives every dim up to its cap, a walk starts at the
         # level of a counted ideal that contains its ideal, and a sum extends
         # the model of its counted part: a lost floor or base shows here as
@@ -349,24 +348,10 @@ class TestLedger:
         # echelons in all, where walking level by level built 30; the
         # Le-Greuel ideal is df_T + (phi), so it extends df_T's model and
         # builds none.
-        walking: list = []
-        built: list = []
         runs: list = []
         eliminating: list = []
         inserts = [0]
-        real_walk, real_span = invariants_module.jet_model, oracle_module._span
         real_insert = oracle_module._Echelon.insert
-
-        def walk(I, *args, **kwargs):
-            walking.append(I)
-            try:
-                return real_walk(I, *args, **kwargs)
-            finally:
-                walking.pop()
-
-        def span(*args):
-            built.append(walking[-1] if walking else None)
-            return real_span(*args)
 
         def insert(self, col):
             inserts[0] += 1
@@ -382,8 +367,6 @@ class TestLedger:
 
             return call
 
-        monkeypatch.setattr(invariants_module, "jet_model", walk)
-        monkeypatch.setattr(oracle_module, "_span", span)
         monkeypatch.setattr(oracle_module._Echelon, "insert", insert)
         monkeypatch.setattr(
             oracle_module.JetModel, "colon", inserting("colon", oracle_module.JetModel.colon)
@@ -396,13 +379,13 @@ class TestLedger:
         spy_on(monkeypatch, "_kept_entries", runs, module=stdbasis_module)
         report = analyze(corpus_problem(name))
         echelons, mora_runs, routes, colons, extensions = WORK[name]
-        assert (len(built), len(runs)) == (echelons, mora_runs)
+        assert (len(recorder.spans), len(runs)) == (echelons, mora_runs)
         assert (eliminating.count("colon"), eliminating.count("extension")) == (colons, extensions)
         assert list(report.routes) == list(SPLIT_COUNTS if name.startswith("susp_") else COUNTS)
         assert "".join(route[0] for route in report.routes.values()) == routes
         if name == "nwh_t444_generic.brs":
             per_ideal = {
-                key: sum(I is report.ideals[key] for I in built)
+                key: sum(I is report.ideals[key] for I, _ in recorder.spans)
                 for key in ("mu_f", "mu_X", "br", "trivial", "legreuel")
             }
             assert per_ideal == {"mu_f": 1, "mu_X": 6, "br": 4, "trivial": 3, "legreuel": 0}
@@ -420,12 +403,12 @@ class TestLedger:
         def count(I, budget, base=None, extra=None, floor=0):
             got = real(I, budget, base, extra, floor)
             if I == target:
-                got.model = None
+                I.model = None
             return got
 
         monkeypatch.setattr(invariants_module, "_count", count)
         log: list = []
-        spy_on(monkeypatch, "ideal_colon", log)
+        spy_on(monkeypatch, "ideal_colon", log, module=stdbasis_module)
         got = analyze(parsed.problem)
         assert got.ledger == want.ledger
         rows = {e.name: e.status for e in got.ledger}
@@ -437,7 +420,7 @@ class TestLedger:
         # and the colon and intersection gates are open: Mora decides them,
         # the intersection as phi * (df_X : phi) with no intersection run.
         log: list = []
-        spy_on(monkeypatch, "ideal_colon", log)
+        spy_on(monkeypatch, "ideal_colon", log, module=stdbasis_module)
         spy_on(monkeypatch, "ideal_intersection", log, module=stdbasis_module)
         report = analyze(prob("x^2 + y^3", "x^2"))
         assert report.mu_f is NOT_FINITE
@@ -465,43 +448,29 @@ def test_an_ideal_inside_an_infinite_one_is_certified_at_once():
     assert {e.status for e in report.ledger} == {"skip"}
 
 
-def uncapped_runs(monkeypatch) -> list[tuple[str, ...]]:
-    """The inputs of every uncapped, untracked Mora run made from now on, as printed."""
-    runs: list = []
-    real = stdbasis_module._kept_entries
-
-    def run(inputs, ctx, rank, budget, collect=None, cap=None, **kwargs):
-        if collect is None and cap is None:
-            runs.append(tuple(str(p) for v in inputs for p in v))
-        return real(inputs, ctx, rank, budget, collect=collect, cap=cap, **kwargs)
-
-    monkeypatch.setattr(stdbasis_module, "_kept_entries", run)
-    return runs
+# Problems where Mora decides several counts, each with 5 distinct uncapped runs.
+MORA_INPUTS = [
+    ("x^2 + y^3", "x^2 + 2*x*y + y^2", "xy"),
+    ("x^2 + y^3", "x^2", "xy"),
+    ("x^3 + y^3 + z^3", "x*y", "xyz"),
+]
 
 
 class TestOneUncappedRunPerIdeal:
     # An ideal keeps the entries of its uncapped run (`Ideal._kept_run`):
-    # its Mora count, the ledger's memberships in it (`_MoraIdeal`) and the
-    # degree bound of a colon by it read one run.  Each of these problems has
-    # 5 distinct inputs, which were run 9, 6 and 6 times before.
-    @pytest.mark.parametrize(
-        "phi, f, names",
-        [
-            ("x^2 + y^3", "x^2 + 2*x*y + y^2", "xy"),
-            ("x^2 + y^3", "x^2", "xy"),
-            ("x^3 + y^3 + z^3", "x*y", "xyz"),
-        ],
-    )
-    def test_each_input_runs_once(self, phi, f, names, monkeypatch):
-        runs = uncapped_runs(monkeypatch)
+    # its Mora count, the ledger's memberships in it and the degree bound of
+    # a colon by it read one run.  Each of these problems has 5 distinct
+    # inputs, which were run 9, 6 and 6 times before.
+    @pytest.mark.parametrize("phi, f, names", MORA_INPUTS)
+    def test_each_input_runs_once(self, phi, f, names, recorder):
         analyze(prob(phi, f, VarContext(tuple(names))))
-        assert len(runs) == len(set(runs)) == 5
+        assert len(recorder.uncapped) == len(set(recorder.uncapped)) == 5
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
     @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
-    def test_no_input_repeats_on_the_corpus(self, oracle, tau, monkeypatch):
+    def test_no_input_repeats_on_the_corpus(self, oracle, tau, recorder):
         # The two `degen_*` files make 4 uncapped runs each, in every mode.
-        runs, total = uncapped_runs(monkeypatch), 0
+        runs, total = recorder.uncapped, 0
         for path in sorted(CORPUS_DIR.glob("*.brs")):
             parsed = parse_problem(path.read_text(encoding="utf-8"))
             runs.clear()
@@ -510,13 +479,52 @@ class TestOneUncappedRunPerIdeal:
             total += len(runs)
         assert total == 8
 
-    def test_a_kept_run_is_reused_whatever_the_budget(self, monkeypatch):
+    def test_a_kept_run_is_reused_whatever_the_budget(self, recorder):
         # The second count would exhaust a budget of 1 if it ran again.
         I = Ideal(CTX2, [parse_poly("x^2*y", CTX2), parse_poly("x*y^2 + y^5", CTX2)])
-        runs = uncapped_runs(monkeypatch)
         assert colength(I) is NOT_FINITE
         assert colength(I, budget=1) is NOT_FINITE
-        assert len(runs) == 1
+        assert len(recorder.uncapped) == 1
+
+
+class TestOneProofPerIdeal:
+    # An ideal holds what is proven about it, so in one `analyze` no ideal
+    # is walked twice uncapped (a walk that gave up is not repeated to
+    # propose a level), no echelon of an ideal is built twice at one cap (a
+    # capped walk after one that gave up starts past the level it reached),
+    # and no uncapped Mora input runs twice.  Ideals compare by their
+    # generators here, so Jf and J_phi of a `degen_*` file, where f = phi,
+    # must be one ideal with one proof.
+    @staticmethod
+    def problems():
+        for path in sorted(CORPUS_DIR.glob("*.brs")):
+            parsed = parse_problem(path.read_text(encoding="utf-8"))
+            yield path.name, parsed.problem, parsed.max_jet
+        for phi, f, names in MORA_INPUTS:
+            yield f"{phi} | {f}", prob(phi, f, VarContext(tuple(names))), DEFAULT_CAP
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+    @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
+    def test_no_proof_is_made_twice(self, oracle, tau, recorder):
+        for name, problem, max_jet in self.problems():
+            for made in (recorder.walks, recorder.spans, recorder.uncapped):
+                made.clear()
+            analyze(problem, oracle=oracle, max_jet=max_jet, tau_check=tau)
+            walked = [I for I, cap in recorder.walks if cap is None]
+            assert len(walked) == len(set(walked)), name
+            assert len(recorder.spans) == len(set(recorder.spans)), name
+            assert len(recorder.uncapped) == len(set(recorder.uncapped)), name
+
+    def test_a_capped_walk_starts_past_a_walk_that_gave_up(self, recorder):
+        # Jf = (2x + 2y, 2x + 2y) has infinite colength: its walk gives up,
+        # and the oracle's walk of it, capped at 32, builds its first
+        # echelon one level past the last one the first walk built.
+        report = analyze(prob("x^2 + y^3", "x^2 + 2*x*y + y^2"), oracle=True)
+        jf = report.ideals["mu_f"]
+        caps = [cap for I, cap in recorder.spans if I is jf]
+        assert report.routes["mu_f"] == "mora" and jf.reach is not None
+        assert caps == list(range(1, 33))
+        assert [cap for I, cap in recorder.walks if I is jf] == [None, 32]
 
 
 def run_facts(problem: HypersurfaceProblem, monkeypatch) -> SimpleNamespace:
@@ -559,9 +567,9 @@ def test_every_declared_relation_holds(name, monkeypatch):
             kinds.add(kind)
             if kind == "inside":
                 # by K's model when K is finite, else by Mora
-                assert contains(K, v.counts[key].model, I.gens), (entry.name, key)
+                assert contains(K, v.ideals[key].model, I.gens), (entry.name, key)
             elif kind == "equal":
-                assert contains(K, v.counts[key].model, I.gens), (entry.name, key)
+                assert contains(K, v.ideals[key].model, I.gens), (entry.name, key)
                 assert contains(I, jet_model(I), K.gens), (entry.name, key)
             elif kind == "sum":
                 # I's generators are K's and the extra ones, and those lie in I
@@ -632,20 +640,18 @@ class TestMoraCountCarriesItsModel:
         real = invariants_module._count
 
         def count(I, *args, **kwargs):
-            got = real(I, *args, **kwargs)
-            counts.append((I, got))
-            return got
+            counts.append(I)
+            return real(I, *args, **kwargs)
 
         monkeypatch.setattr(invariants_module, "_count", count)
         log: list = []
-        spy_on(monkeypatch, "ideal_colon", log)
         spy_on(monkeypatch, "ideal_colon", log, module=stdbasis_module)
         report = analyze(brieskorn_pham(names, phi, f))
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == values
         assert all(e.status == "pass" for e in report.gated)
         assert report.routes["mu_X"] == "mora"
-        (mu_X,) = [c for I, c in counts if I is report.ideals["mu_X"]]
+        (mu_X,) = [I for I in counts if I is report.ideals["mu_X"]]
         assert mu_X.model is not None and mu_X.model.colength == values[1]
         assert report.routes["tau_X"] == "jet"
         assert log == []
@@ -673,7 +679,7 @@ class TestMoraCountCarriesItsModel:
         def count(I, *args, **kwargs):
             start = len(walks)
             got = real_count(I, *args, **kwargs)
-            made.append((got.route, walks[start:]))
+            made.append((I.route, walks[start:]))
             return got
 
         monkeypatch.setattr(oracle_module, "jet_model", walk)
@@ -772,9 +778,9 @@ class TestTauModuleRow:
         spy_on(monkeypatch, "_kept_entries", completions, module=stdbasis_module)
         real = invariants_module._count
 
-        def count(*args, **kwargs):
-            got = real(*args, **kwargs)
-            routes.append(got.route)
+        def count(I, *args, **kwargs):
+            got = real(I, *args, **kwargs)
+            routes.append(I.route)
             return got
 
         monkeypatch.setattr(invariants_module, "_count", count)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import brs.oracle as oracle_module
 from brs import BrsError, NOT_FINITE, Polynomial, parse_poly
 from brs.polycore import MAX_PACKED_DEGREE, jacobian_ideal
-from brs.stdbasis import Ideal, colength, ideal_colon
+from brs.stdbasis import DEFAULT_BUDGET, Ideal, colength, ideal_colon
 from brs.oracle import (
     INCONCLUSIVE,
     _Echelon,
@@ -368,15 +368,21 @@ class TestSkippedShifts:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), ctx=st.sampled_from([CTX2, CTX3]))
     def test_a_repeated_generator_changes_no_column(self, data, ctx):
-        # A generator that repeats an earlier one up to a nonzero scalar is
-        # left out, so at every cap the echelon is the one without the copies:
-        # the same pivots, the same stored columns.
+        # A generator in the rational span of earlier ones (a nonzero scalar
+        # multiple of one, or a combination of several) is left out, so at
+        # every cap the echelon is the one without the copies: the same
+        # pivots, the same stored columns.
         I = data.draw(zero_dim_ideals(ctx))
-        scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+        scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4)
         gens = list(I.gens)
         for _ in range(data.draw(st.integers(1, 3))):
-            i = data.draw(st.integers(0, len(gens) - 1))
-            gens.insert(data.draw(st.integers(i + 1, len(gens))), gens[i].scale(data.draw(scalars)))
+            j = data.draw(st.integers(1, len(gens)))  # a combination of gens[:j]
+            combination = sum(
+                (g.scale(data.draw(scalars)) for g in gens[:j]), Polynomial.zero(ctx)
+            )
+            if data.draw(st.booleans()):  # a scalar multiple of one generator
+                combination = gens[j - 1].scale(data.draw(scalars.filter(bool)))
+            gens.insert(data.draw(st.integers(j, len(gens))), combination)
         assert len(_generators(gens)) == len(_generators(I.gens))
         for cap in range(1, 7):
             want = _span(ctx, _generators(I.gens), cap)
@@ -428,6 +434,28 @@ class TestModelContainment:
         this, other = model(this), model(other)
         assert this.contains_ideal(other) == want
         assert this.contains_all(other.generators()) == want
+
+
+class TestAnswersOnEitherEngine:
+    # An ideal answers `contains_all` and `colon` from its jet model when it
+    # holds one, and from Mora otherwise.  Each Mora side is asked of a fresh
+    # copy, which holds no model: asking walks it for a level to cap the run
+    # at, and the copy then answers from that model.
+    @settings(max_examples=30, deadline=None)
+    @given(I=zero_dim_ideals(), probes=st.lists(germs(), min_size=1, max_size=3), g=germs())
+    def test_the_model_answers_as_mora_does(self, I, probes, g):
+        assert jet_model(I) is not None and I.model is not None
+        colon = I.colon([g], DEFAULT_BUDGET)
+        assert colon.model is not None
+        members = [h * p for h, p in zip(probes, I.gens)]
+        for p in probes + members:
+            mora = Ideal(I.ctx, I.gens)
+            assert I.contains_all([p], DEFAULT_BUDGET) == mora.contains_all([p], DEFAULT_BUDGET), p
+            mora_colon = Ideal(I.ctx, I.gens).colon([g], DEFAULT_BUDGET)
+            assert mora_colon.model is None
+            want = mora_colon.contains_all([p], DEFAULT_BUDGET)
+            assert colon.contains_all([p], DEFAULT_BUDGET) == want, p
+        assert all(I.contains_all([p], DEFAULT_BUDGET) for p in members)
 
 
 class TestPackedMonomials:

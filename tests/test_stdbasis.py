@@ -15,6 +15,7 @@ from brs.stdbasis import (
     _complete,
     _kept_entries,
     _proposed_level,
+    _standard_exponents_of,
     _vector,
     colength,
     ideal_colon,
@@ -48,7 +49,9 @@ def tracked_entries(gens):
 
 def capped(vecs, ctx, budget, level=None):
     """`_capped_run` at `level`, or at the level proposed for the ideal of `vecs`."""
-    return _capped_run(vecs, ctx, budget, _proposed_level(ctx, vecs) if level is None else level)
+    if level is None:
+        level = _proposed_level(Ideal(ctx, [v[0] for v in vecs]))
+    return _capped_run(vecs, ctx, budget, level)
 
 
 def recombined(entry, gens):
@@ -168,15 +171,18 @@ class TestColength:
         def too_low(ideal, cap=None):
             return jet_model_at(ideal, 2)
 
-        I = Ideal(CTX2, [P("x^2"), P("y^3")])
-        vecs = [(g,) for g in I.gens]
-        assert colength(I) == 6
+        def fresh():
+            return Ideal(CTX2, [P("x^2"), P("y^3")])
+
+        vecs = [(g,) for g in fresh().gens]
+        assert colength(fresh()) == 6
         assert capped(vecs, CTX2, DEFAULT_BUDGET) is not None
         monkeypatch.setattr(oracle_module, "jet_model", too_low)
-        assert _proposed_level(CTX2, vecs) == 2
+        assert _proposed_level(fresh()) == 2
         assert capped(vecs, CTX2, DEFAULT_BUDGET) is None
-        assert colength(I) == 6
-        assert sorted(m.exponents for m in leading_monomials(standard_basis(I))) == [(0, 3), (2, 0)]
+        assert colength(fresh()) == 6
+        basis = standard_basis(fresh())
+        assert sorted(m.exponents for m in leading_monomials(basis)) == [(0, 3), (2, 0)]
 
     def test_capped_colength_enumerates_standard_monomials_once(self, P, monkeypatch):
         # The capped run's proof lists the standard monomials; the count
@@ -193,14 +199,14 @@ class TestColength:
 
             monkeypatch.setattr(stdbasis_module, name, counted)
         I = Ideal(CTX2, [P("x^2"), P("y^3")])
-        assert colength(I, jet_level=4) == 6
+        assert len(_standard_exponents_of(I, DEFAULT_BUDGET, 4)) == 6
         assert calls == ["_standard_below"]
 
     @pytest.mark.parametrize("level", [2, 4, 7])
     def test_a_wrong_jet_level_costs_time_never_a_value(self, level, P):
         # 4 is the ideal's level; at 2 the capped run proves nothing and the
         # plain run decides, and 7 is proven like 4.
-        assert colength(Ideal(CTX2, [P("x^2"), P("y^3")]), jet_level=level) == 6
+        assert len(_standard_exponents_of(Ideal(CTX2, [P("x^2"), P("y^3")]), DEFAULT_BUDGET, level)) == 6
 
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals(), shift=st.integers(-2, 2))
@@ -210,7 +216,7 @@ class TestColength:
         plain = _complete([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET)
         level = max(jet_model(I).level + shift, 0)
         want = _count_standard_monomials([e.mono for e in plain], I.ctx.n)
-        assert colength(I, jet_level=level) == want
+        assert len(_standard_exponents_of(I, DEFAULT_BUDGET, level)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals(), seed=st.randoms())
@@ -450,7 +456,7 @@ class TestCappedRun:
     def test_a_capped_run_out_of_budget_leaves_the_plain_run_to_decide(self, P):
         # At level 4 the pairs the capped run charges at its cap exceed this
         # budget; the plain run of (x^2, y^3) fits in it.
-        assert colength(Ideal(CTX2, [P("x^2"), P("y^3")]), budget=5, jet_level=4) == 6
+        assert len(_standard_exponents_of(Ideal(CTX2, [P("x^2"), P("y^3")]), 5, 4)) == 6
 
     def test_pairs_at_the_cap_are_charged(self, P):
         # Degree-cap monomials form no pairs, but each one they would have
