@@ -26,10 +26,13 @@ each declared once with its relations to earlier ones, from which one loop
 (`_count_stage`) takes the model to extend, the walk's floor, and the
 inclusion certificate: an ideal inside one of infinite colength is infinite.
 Each `Ideal` holds its own proof: its count, its model or where its walk
-gave up, and its kept Mora run, so nothing proven is proven again.  The
-ledger is one table (`_LEDGER`) that one loop evaluates.  Its containment
-rows ask the ideals involved, which answer from their jet models, or, of
-infinite colength, from a Mora standard basis.
+gave up, its kept Mora run and its colon, so nothing proven is proven again.
+The ledger is one table (`_LEDGER`) whose rows declare their hypotheses as
+gates, and one function (`_evaluate`) decides every row, the `oracle-*`
+rows built from the reported ideals among them: the other engine counts
+each distinct ideal once.  The containment rows ask the ideals involved,
+which answer from their jet models, or, of infinite colength, from a Mora
+standard basis.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ class InvariantReport:
     ledger: tuple[LedgerEntry, ...]
     timings_ms: dict[str, float] = field(default_factory=dict)
     ideals: dict[str, Ideal] = field(default_factory=dict)
-    colengths: dict[str, Value] = field(default_factory=dict)
     # How each colength was proven: "certificate", "jet" or "mora".
     routes: dict[str, str] = field(default_factory=dict)
 
@@ -272,6 +274,18 @@ def _minors(v: SimpleNamespace) -> tuple[Polynomial, ...]:
     return df_T[: len(df_T) - len(v.ideals["mu_f"].gens)]
 
 
+def _base_tjurina(v: SimpleNamespace) -> Ideal | None:
+    # (phi) + J_phi in the ring of the variables phi uses, where a row reads
+    # it: the split rows, and the `br` gate when X is no IHS.  None when phi
+    # uses every variable (X is then no suspension).
+    used = sorted(v.phi.support_vars())
+    if len(used) == v.ctx.n or not (v.split or _not_ihs(v.mu_X, v.ctx.n)):
+        return None
+    base = VarContext(v.ctx.names[i] for i in used)
+    phi = v.phi.restrict(base)
+    return Ideal(base, [phi] + jacobian_ideal(phi))
+
+
 _IDEALS = (
     _Counted("mu_f", "X", "jacobian_route", lambda v: Ideal(v.ctx, jacobian_ideal(v.f))),
     # J_phi is Jf when f = phi (the `degen_*` files): one ideal, with one proof.
@@ -296,8 +310,8 @@ _IDEALS = (
     _Counted("br", "X", "bruce_roberts", lambda v: df_ideal(v.f, v.theta),
              ("disjoint split_base_br split_g_milnor",)),
     _Counted("br_rel", "X", "bruce_roberts", lambda v: v.ideals["br"] + v.I_X, ("sum br I_X",)),
-    _Counted("split_base_tau", "base", "identities", lambda v: v.split and Ideal(
-        v.split.base_ctx, [v.split.phi_base] + jacobian_ideal(v.split.phi_base))),
+    # Counted on a suspension where a row reads it (`_base_tjurina`).
+    _Counted("split_base_tau", "base", "identities", _base_tjurina),
     _Counted("split_lifted", "X", "identities", lambda v: v.split and Ideal(v.ctx, [
         p.embed(v.ctx) for p in v.ideals["split_base_tau"].gens + v.ideals["split_g_milnor"].gens
     ]), ("disjoint split_base_tau split_g_milnor",)),
@@ -305,7 +319,7 @@ _IDEALS = (
              lambda v: v.split and Ideal(v.split.base_ctx, jacobian_ideal(v.split.f_base))),
     # J_phi + A for the `tau-module` row, counted only where the row reads it.
     _Counted("tau_module", "X", "identities",
-             lambda v: v.ideals["mu_X"] + v.A if v.tau_check and is_finite(v.mu_X) else None,
+             lambda v: None if _GATES["tau"](v) or _GATES["ihs"](v) else v.ideals["mu_X"] + v.A,
              ("sum mu_X A",), reported=False),
 )
 
@@ -354,41 +368,54 @@ def _count_stage(v: SimpleNamespace, stage: str) -> None:
 
 
 def _finite_product(a: Value, b: Value) -> Value:
-    if is_finite(a) and is_finite(b):
-        return a * b
-    return NOT_FINITE
-
-
-def _values_equal(a: Value, b: Value) -> bool:
-    if is_finite(a) and is_finite(b):
-        return a == b
-    return not is_finite(a) and not is_finite(b)
+    # colength(K + L), K and L in disjoint variables: R/(K + L) is R1/K tensor R2/L.
+    if a == 0 or b == 0:
+        return 0
+    return a * b if is_finite(a) and is_finite(b) else NOT_FINITE
 
 
 def _value_out(v: Value) -> LedgerValue:
     return v if is_finite(v) else "infinite"
 
 
-def _colon_vs_jf(v: SimpleNamespace, key: str) -> tuple[bool, bool]:
-    """Whether (I : phi) lies in Jf, and Jf in (I : phi), for I counted under `key`.
-
-    Computed once per run and ideal.  Jf ("mu_f"), df_X ("br") and df_T
-    ("trivial") answer from their jet models, or, of infinite colength,
-    from Mora, so the check takes one path on either engine; when Jf and
-    the colon both hold models, the colon's columns are reduced in Jf's
-    echelon directly.
-    """
-    if key not in v.colons:
-        jf, colon = v.ideals["mu_f"], v.ideals[key].colon([v.phi], v.budget)
-        if jf.model and colon.model:
-            inside = jf.model.contains_ideal(colon.model)
-        else:
-            inside = jf.contains_all(colon.gens, v.budget)
-        v.colons[key] = (inside, colon.contains_all(jf.gens, v.budget))
-    return v.colons[key]
+def _colon(v: SimpleNamespace, key: str) -> Ideal:
+    # (I : phi) for the ideal I counted under `key`, kept on I for every row.
+    return v.ideals[key].colon([v.phi], v.budget)
 
 
-NOT_IHS = "mu_X is not finite (the hypersurface is not an IHS)"
+def _other_count(v: SimpleNamespace, I: Ideal) -> Value:
+    # I's colength by the engine that did not count it, once per ideal, which
+    # two names may share: jet values by a Mora count, the rest by the oracle.
+    key = id(I)  # every ideal lives on `v` for the whole run
+    if key not in v.checked:
+        jet = I.route == "jet"
+        v.checked[key] = colength(I, budget=v.budget) if jet else oracle_colength(I, cap=v.max_jet)
+    return v.checked[key]
+
+
+def _not_ihs(mu: Value, n: int) -> str | None:
+    # Why {phi = 0} in n variables is no IHS, or None; mu is its Milnor or
+    # Tjurina number (finite together).  In two or more variables a finite mu
+    # isolates the singular point, so phi is reduced; in one, only mu = 0 does.
+    if not is_finite(mu):
+        return "mu_X is not finite (the hypersurface is not an IHS)"
+    return "phi is not reduced (mu_X > 0 in one variable)" if n == 1 and mu else None
+
+
+def _not_br(v: SimpleNamespace) -> str | None:
+    # mu_BR = mu_f + mu_BR_rel needs X to be an IHS or the suspension of one.
+    base = v.ideals.get("split_base_tau")
+    if _not_ihs(v.mu_X, v.ctx.n) and (base is None or _not_ihs(base.value, base.ctx.n)):
+        return "X is neither an IHS nor the suspension of one"
+    return None
+
+
+# The hypotheses a row may need: each gives why the row is skipped, or None.
+_GATES: dict[str, Callable[[SimpleNamespace], Union[str, None]]] = {
+    "tau": lambda v: None if v.tau_check else "disabled (pass --tau to enable)",
+    "ihs": lambda v: _not_ihs(v.mu_X, v.ctx.n),
+    "br": _not_br,
+}
 
 
 @dataclass(frozen=True)
@@ -396,34 +423,37 @@ class _Row:
     """One ledger identity, read off the run's facts `v` (a namespace).
 
     An "equal" row passes when `lhs(v)` equals `rhs(v)`; a "mutual" row
-    holds two containments and passes when both are true.  The row is
-    skipped with NOT_IHS when it needs an IHS and mu_X is not finite, else
-    with `reason` when a value named in `finite` is not finite.
+    holds two containments and passes when both are true.  Its hypotheses,
+    in order: a `split` row is left out unless the problem is a suspension;
+    the row is skipped with the reason of the first gate of `needs`
+    (`_GATES`) that fails, else with `reason` when a value named in
+    `finite` is not finite or its left side is Inconclusive.
     """
 
     name: str
     kind: str  # "equal" | "mutual"
-    ihs: bool
+    needs: tuple[str, ...]
     finite: tuple[str, ...]
     reason: str
     lhs: Callable[[SimpleNamespace], LedgerValue]
     rhs: Callable[[SimpleNamespace], LedgerValue]
+    split: bool = False
 
 
 _LEDGER = (
-    _Row("relbr-sum", "equal", True, ("mu_BR_rel", "mu_fiber", "tau_X"),
+    _Row("relbr-sum", "equal", ("ihs",), ("mu_BR_rel", "mu_fiber", "tau_X"),
          "mu_BR_rel or mu_fiber is not finite",
          lambda v: v.mu_BR_rel, lambda v: v.mu_fiber + v.mu_X - v.tau_X),
-    _Row("br-split", "equal", False, ("mu_BR", "mu_f", "mu_BR_rel"),
+    _Row("br-split", "equal", ("br",), ("mu_BR", "mu_f", "mu_BR_rel"),
          "mu_BR is not finite",
          lambda v: v.mu_BR, lambda v: v.mu_f + v.mu_BR_rel),
-    _Row("br-sum", "equal", False, ("mu_BR", "mu_f", "mu_fiber", "mu_X", "tau_X"),
+    _Row("br-sum", "equal", ("br",), ("mu_BR", "mu_f", "mu_fiber", "mu_X", "tau_X"),
          "mu_BR or a right-hand invariant is not finite",
          lambda v: v.mu_BR, lambda v: v.mu_f + v.mu_fiber + v.mu_X - v.tau_X),
-    _Row("dim-rel-trivial", "equal", True, ("mu_BR_rel", "tau_X", "trivial_rel"),
+    _Row("dim-rel-trivial", "equal", ("ihs",), ("mu_BR_rel", "tau_X", "trivial_rel"),
          "mu_BR_rel is not finite",
          lambda v: v.trivial_rel - v.mu_BR_rel, lambda v: v.tau_X),
-    _Row("dim-trivial", "equal", True, ("mu_BR", "tau_X", "trivial"),
+    _Row("dim-trivial", "equal", ("ihs",), ("mu_BR", "tau_X", "trivial"),
          "mu_BR is not finite",
          lambda v: v.trivial - v.mu_BR, lambda v: v.tau_X),
     # df_X cap (phi) inside phi * Jf, and phi * Jf inside df_X cap (phi).  The
@@ -431,20 +461,22 @@ _LEDGER = (
     # lies in phi * Jf exactly when df_X : phi lies in Jf; every generator of
     # phi * Jf is a multiple of phi, so it lies in the intersection when it
     # lies in df_X.
-    _Row("intersect-product", "mutual", True, ("mu_BR_rel",),
+    _Row("intersect-product", "mutual", ("ihs",), ("mu_BR_rel",),
          "mu_BR_rel is not finite",
-         lambda v: _colon_vs_jf(v, "br")[0],
+         lambda v: v.ideals["mu_f"].contains_ideal(_colon(v, "br"), v.budget),
          lambda v: v.ideals["br"].contains_all(
              [g * v.phi for g in v.ideals["mu_f"].gens], v.budget)),
-    _Row("quotient-milnor", "equal", False, ("mu_BR", "mu_BR_rel", "mu_f"),
+    _Row("quotient-milnor", "equal", ("br",), ("mu_BR", "mu_BR_rel", "mu_f"),
          "mu_BR is not finite",
          lambda v: v.mu_BR - v.mu_BR_rel, lambda v: v.mu_f),
-    _Row("colon-full", "mutual", True, ("mu_BR_rel",),
+    _Row("colon-full", "mutual", ("ihs",), ("mu_BR_rel",),
          "mu_BR_rel is not finite",
-         lambda v: _colon_vs_jf(v, "br")[0], lambda v: _colon_vs_jf(v, "br")[1]),
-    _Row("colon-trivial", "mutual", True, ("mu_BR_rel",),
+         lambda v: v.ideals["mu_f"].contains_ideal(_colon(v, "br"), v.budget),
+         lambda v: _colon(v, "br").contains_ideal(v.ideals["mu_f"], v.budget)),
+    _Row("colon-trivial", "mutual", ("ihs",), ("mu_BR_rel",),
          "mu_BR_rel is not finite",
-         lambda v: _colon_vs_jf(v, "trivial")[0], lambda v: _colon_vs_jf(v, "trivial")[1]),
+         lambda v: v.ideals["mu_f"].contains_ideal(_colon(v, "trivial"), v.budget),
+         lambda v: _colon(v, "trivial").contains_ideal(v.ideals["mu_f"], v.budget)),
     # dim Theta_X / Theta_X^T, counted on ideals.  For an IHS, J_phi is
     # generated by a regular sequence, so the kernel of xi -> dphi(xi) is
     # the Koszul syzygies, the Hamiltonian fields, which lie in Theta_X^T.
@@ -452,35 +484,42 @@ _LEDGER = (
     # with A the ideal of theta_full's cofactors (dphi(xi_k) = a_k * phi).
     # The ring is a domain, so that is A / J_phi, of dimension
     # mu_X - colength(J_phi + A), the count `tau_module`.
-    _Row("tau-module", "equal", True, ("tau_X",),
-         NOT_IHS,
-         lambda v: v.mu_X - v.tau_module,
-         lambda v: v.tau_X),
-    _Row("icis-finiteness", "equal", True, (),
+    _Row("tau-module", "equal", ("tau", "ihs"), (), "",
+         lambda v: v.mu_X - v.tau_module, lambda v: v.tau_X),
+    _Row("icis-finiteness", "equal", ("ihs",), (),
          "",
          lambda v: is_finite(v.mu_BR_rel), lambda v: is_finite(v.legreuel)),
-)
-
-# Rows of a suspended problem (`detect_split`): always gated.
-_SPLIT_LEDGER = (
-    _Row("susp-br-product", "equal", False, (), "",
-         lambda v: v.mu_BR, lambda v: _finite_product(v.split_g_milnor, v.split_base_br)),
-    _Row("split-colength-product", "equal", False, (), "",
-         lambda v: v.split_lifted, lambda v: _finite_product(v.split_base_tau, v.split_g_milnor)),
-    _Row("split-milnor-product", "equal", False, (), "",
-         lambda v: v.mu_f, lambda v: _finite_product(v.split_f_milnor, v.split_g_milnor)),
+    # The rows of a suspended problem (`detect_split`).
+    _Row("susp-br-product", "equal", (), (), "", lambda v: v.mu_BR,
+         lambda v: _finite_product(v.split_g_milnor, v.split_base_br), split=True),
+    _Row("split-colength-product", "equal", (), (), "", lambda v: v.split_lifted,
+         lambda v: _finite_product(v.split_base_tau, v.split_g_milnor), split=True),
+    _Row("split-milnor-product", "equal", (), (), "", lambda v: v.mu_f,
+         lambda v: _finite_product(v.split_f_milnor, v.split_g_milnor), split=True),
 )
 
 
-def _evaluate(row: _Row, v: SimpleNamespace) -> LedgerEntry:
-    if row.ihs and not is_finite(v.mu_X):
-        return LedgerEntry(row.name, "skip", reason=NOT_IHS)
+def _oracle_row(name: str, max_jet: int) -> _Row:
+    # The count of the ideal reported as `name`, made again by the other engine.
+    return _Row(f"oracle-{name}", "equal", (), (), f"oracle inconclusive at max_jet={max_jet}",
+                lambda v: _other_count(v, v.ideals[name]), lambda v: v.ideals[name].value)
+
+
+def _evaluate(row: _Row, v: SimpleNamespace) -> LedgerEntry | None:
+    """The row's entry, or None for a `split` row of a problem that is no suspension."""
+    if row.split and not v.split:
+        return None
+    for gate in row.needs:
+        if reason := _GATES[gate](v):
+            return LedgerEntry(row.name, "skip", reason=reason)
     if not all(is_finite(getattr(v, name)) for name in row.finite):
         return LedgerEntry(row.name, "skip", reason=row.reason)
     lhs, rhs = row.lhs(v), row.rhs(v)
+    if lhs is INCONCLUSIVE:
+        return LedgerEntry(row.name, "skip", reason=row.reason)
     if row.kind == "mutual":
         return LedgerEntry(row.name, "pass" if lhs and rhs else "fail", lhs, rhs)
-    status = "pass" if _values_equal(lhs, rhs) else "fail"
+    status = "pass" if lhs == rhs else "fail"  # NOT_FINITE equals only itself
     return LedgerEntry(row.name, status, _value_out(lhs), _value_out(rhs))
 
 
@@ -499,8 +538,8 @@ def analyze(
     t_start = t0 = time.perf_counter()
     # The run's facts: what the builders of `_IDEALS` and the ledger rows read.
     v = SimpleNamespace(
-        ctx=ctx, phi=problem.phi, f=problem.f, budget=budget, tau_check=tau_check,
-        I_X=Ideal(ctx, [problem.phi]), ideals={}, colons={},
+        ctx=ctx, phi=problem.phi, f=problem.f, budget=budget, max_jet=max_jet,
+        tau_check=tau_check, I_X=Ideal(ctx, [problem.phi]), ideals={}, checked={},
     )
 
     # Jacobian-route invariants (no tangent module involved).
@@ -529,33 +568,15 @@ def analyze(
     # Identity ledger.
     t0 = time.perf_counter()
     _count_stage(v, "identities")
-    entries = [
-        LedgerEntry(row.name, "skip", reason="disabled (pass --tau to enable)")
-        if row.name == "tau-module" and not tau_check
-        else _evaluate(row, v)
-        for row in _LEDGER + (_SPLIT_LEDGER if v.split else ())
-    ]
+    entries = [entry for row in _LEDGER if (entry := _evaluate(row, v))]
     timings["identities"] = (time.perf_counter() - t0) * 1000
 
     reported = [e for e in _IDEALS if e.reported and e.name in v.ideals]
     if oracle:
-        # Each colength in the problem's ring is checked by the engine that
-        # did not produce it: jet values by a Mora standard basis, the rest
-        # by the jet oracle.
+        # Each colength in the problem's ring, checked by the other engine.
         t0 = time.perf_counter()
-        for name in sorted(e.name for e in reported if e.ring == "X"):
-            ideal = v.ideals[name]
-            if ideal.route == "jet":
-                got = colength(ideal, budget=budget)  # capped at its model's level
-            else:
-                got = oracle_colength(ideal, cap=max_jet)
-            row = f"oracle-{name}"
-            if got is INCONCLUSIVE:
-                reason = f"oracle inconclusive at max_jet={max_jet}"
-                entries.append(LedgerEntry(row, "skip", reason=reason))
-            else:
-                status = "pass" if _values_equal(got, ideal.value) else "fail"
-                entries.append(LedgerEntry(row, status, _value_out(got), _value_out(ideal.value)))
+        names = sorted(e.name for e in reported if e.ring == "X")
+        entries += [_evaluate(_oracle_row(name, max_jet), v) for name in names]
         timings["oracle"] = (time.perf_counter() - t0) * 1000
 
     timings["total"] = (time.perf_counter() - t_start) * 1000
@@ -564,6 +585,5 @@ def analyze(
         mu_fiber=v.mu_fiber, mu_BR=v.mu_BR, mu_BR_rel=v.mu_BR_rel, ledger=tuple(entries),
         timings_ms={k: round(t, 3) for k, t in timings.items()},
         ideals={e.name: v.ideals[e.name] for e in reported},
-        colengths={e.name: v.ideals[e.name].value for e in reported},
         routes={e.name: v.ideals[e.name].route for e in reported},
     )

@@ -96,11 +96,12 @@ class Ideal:
     writes them); its certified jet `model`, or, when its walk gave up, the
     level that walk reached, `reach`, a floor for every later walk
     (`oracle.jet_model` writes them); and its one uncapped Mora run
-    (`_kept_run`).  It answers `contains_all` and `colon` from its model
-    when it has one, and from Mora otherwise.
+    (`_kept_run`).  It answers `contains_all`, `contains_ideal` and `colon`
+    from its model when it has one, and from Mora otherwise, and keeps the
+    colon it took last.
     """
 
-    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_kept")
+    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_kept", "_colon")
 
     def __init__(self, ctx: VarContext, gens: Iterable[Polynomial]):
         kept = []
@@ -110,7 +111,7 @@ class Ideal:
                 kept.append(g)
         self.ctx = ctx
         self.gens = tuple(kept)
-        self.value = self.route = self.model = self.reach = self._kept = None
+        self.value = self.route = self.model = self.reach = self._kept = self._colon = None
 
     def _kept_run(self, budget: int) -> list["_Entry"]:
         """The kept entries of the ideal's one uncapped Mora run, made on first use."""
@@ -125,14 +126,29 @@ class Ideal:
         basis = standard_basis(self, budget=budget)
         return all(membership(g, basis) for g in gens)
 
+    def contains_ideal(self, other: "Ideal", budget: int) -> bool:
+        """Whether the ideal `other` lies in this one.
+
+        Asked of the columns of `other`'s model when both hold models and it
+        has fewer columns than generators, as a colon's model does; else of
+        `other`'s generators.
+        """
+        if self.model and other.model and len(other.model.ech.pivots) < len(other.gens):
+            return self.model.contains_ideal(other.model)
+        return self.contains_all(other.gens, budget)
+
     def colon(self, divisors: Sequence[Polynomial], budget: int) -> "Ideal":
-        """The ideal quotient by `divisors`; from a model, it holds the colon's model."""
-        if self.model is None:
-            return ideal_colon(self, Ideal(self.ctx, divisors), budget=budget)
-        model = self.model.colon(divisors)
-        quotient = Ideal(self.ctx, model.generators())
-        quotient.model = model
-        return quotient
+        """The ideal quotient by `divisors`, kept; from a model, it holds the colon's model."""
+        key = tuple(divisors)
+        if self._colon is None or self._colon[0] != key:
+            if self.model is None:
+                quotient = ideal_colon(self, Ideal(self.ctx, divisors), budget=budget)
+            else:
+                model = self.model.colon(divisors)
+                quotient = Ideal(self.ctx, model.generators())
+                quotient.model = model
+            self._colon = key, quotient
+        return self._colon[1]
 
     def __add__(self, other: "Ideal") -> "Ideal":
         require_same_ctx(self.ctx, other.ctx)

@@ -354,13 +354,14 @@ def recorder(monkeypatch) -> SimpleNamespace:
     `spans`: (ideal, cap) of each echelon `oracle._span` builds, the ideal
     being the one the innermost `jet_model` call walks (None outside one);
     `uncapped`: the inputs of each uncapped, untracked Mora run
-    (`stdbasis._kept_entries`), as printed.
+    (`stdbasis._kept_entries`), as printed; `capped`: the inputs, as
+    printed, and the cap of each degree-capped Mora run.
     """
     import brs.invariants as invariants_module
     import brs.oracle as oracle_module
     import brs.stdbasis as stdbasis_module
 
-    rec = SimpleNamespace(walks=[], spans=[], uncapped=[])
+    rec = SimpleNamespace(walks=[], spans=[], uncapped=[], capped=[])
     walking: list = []
     real_walk, real_span = oracle_module.jet_model, oracle_module._span
     real_run = stdbasis_module._kept_entries
@@ -378,8 +379,11 @@ def recorder(monkeypatch) -> SimpleNamespace:
         return real_span(ctx, gens, cap)
 
     def run(inputs, ctx, rank, budget, collect=None, cap=None, **kwargs):
-        if collect is None and cap is None:
-            rec.uncapped.append(tuple(str(p) for v in inputs for p in v))
+        printed = tuple(str(p) for v in inputs for p in v)
+        if cap is not None:
+            rec.capped.append((printed, cap))
+        elif collect is None:
+            rec.uncapped.append(printed)
         return real_run(inputs, ctx, rank, budget, collect=collect, cap=cap, **kwargs)
 
     for module in (oracle_module, invariants_module):

@@ -258,3 +258,23 @@ class TestCorpus:
         res = invoke("corpus", str(tmp_path), "--format", "json")
         doc = json.loads(res.output)
         assert doc["summary"] == {"count": 1, "pass": 1, "fail": 0, "error": 0}
+
+    def test_an_identity_failure_exits_two_over_an_error(self, tmp_path, monkeypatch):
+        # One file fails a row (made to by the stub), one is an ERROR row:
+        # the failed identity decides the exit code.
+        real = analyze
+
+        def one_fails(problem, **kwargs):
+            report = real(problem, **kwargs)
+            if kwargs["path"].endswith("bad.brs"):
+                report.ledger = (LedgerEntry(name="br-split", status="fail", lhs=2, rhs=3),)
+            return report
+
+        monkeypatch.setattr(cli_module, "analyze", one_fails)
+        for name in ("bad.brs", "good.brs"):
+            (tmp_path / name).write_text(CUSP, encoding="utf-8")
+        (tmp_path / "broken.brs").write_text("vars=x\nphi=??\nf=x\n", encoding="utf-8")
+        res = invoke("corpus", str(tmp_path))
+        assert res.exit_code == 2, res.output
+        assert "FAIL (1 of 1)" in res.output
+        assert res.output.endswith("total: 3 problems, 1 pass, 1 fail, 1 error\n")

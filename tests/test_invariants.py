@@ -1,4 +1,5 @@
 from collections import Counter
+from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
@@ -492,7 +493,8 @@ class TestOneProofPerIdeal:
     # is walked twice uncapped (a walk that gave up is not repeated to
     # propose a level), no echelon of an ideal is built twice at one cap (a
     # capped walk after one that gave up starts past the level it reached),
-    # and no uncapped Mora input runs twice.  Ideals compare by their
+    # and no Mora input runs twice at one cap, or uncapped: the oracle checks
+    # each distinct ideal once, whatever rows name it.  Ideals compare by their
     # generators here, so Jf and J_phi of a `degen_*` file, where f = phi,
     # must be one ideal with one proof.
     @staticmethod
@@ -507,13 +509,29 @@ class TestOneProofPerIdeal:
     @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
     def test_no_proof_is_made_twice(self, oracle, tau, recorder):
         for name, problem, max_jet in self.problems():
-            for made in (recorder.walks, recorder.spans, recorder.uncapped):
+            for made in (recorder.walks, recorder.spans, recorder.uncapped, recorder.capped):
                 made.clear()
             analyze(problem, oracle=oracle, max_jet=max_jet, tau_check=tau)
             walked = [I for I, cap in recorder.walks if cap is None]
             assert len(walked) == len(set(walked)), name
             assert len(recorder.spans) == len(set(recorder.spans)), name
             assert len(recorder.uncapped) == len(set(recorder.uncapped)), name
+            assert len(recorder.capped) == len(set(recorder.capped)), name
+
+    @pytest.mark.parametrize("name", ["degen_a2_self.brs", "degen_t55_self.brs"])
+    def test_the_oracle_checks_each_distinct_ideal_once(self, name, recorder):
+        # f = phi, so mu_f and mu_X name one ideal: the oracle checks its jet
+        # count with one capped Mora run, read by both rows.  The other two
+        # capped runs check tau_X; the 4 uncapped runs count the Mora-route
+        # ideals.  Checked per name, the shared ideal was run twice: 7 runs.
+        report = analyze(corpus_problem(name), oracle=True)
+        assert report.ideals["mu_f"] is report.ideals["mu_X"]
+        rows = {e.name: e for e in report.ledger}
+        mu_f, mu_X = rows["oracle-mu_f"], rows["oracle-mu_X"]
+        assert (mu_f.status, mu_f.lhs, mu_f.rhs) == (mu_X.status, mu_X.lhs, mu_X.rhs)
+        assert mu_f.status == "pass"
+        assert (len(recorder.capped), len(recorder.uncapped)) == (2, 4)
+        assert len(set(recorder.capped)) == 2
 
     def test_a_capped_walk_starts_past_a_walk_that_gave_up(self, recorder):
         # Jf = (2x + 2y, 2x + 2y) has infinite colength: its walk gives up,
@@ -889,3 +907,147 @@ class TestSuspendedModule:
         report = analyze(prob("x^2 + y^3", "y + z^2", ctx3))
         by_name = {e.name: e for e in report.ledger}
         assert by_name["susp-br-product"].status == "fail"
+
+
+class TestOneLedger:
+    @pytest.mark.parametrize("name", ["susp_d4_z2.brs", "degen_a2_self.brs", "wh_e6_f_x.brs"])
+    @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
+    def test_every_entry_is_decided_by_evaluate(self, name, tau, monkeypatch):
+        # Every row, `oracle-*` and `tau-module` among them, comes from the
+        # one table and is decided by the one function; a suspension's rows
+        # are the only ones left out elsewhere.
+        made: list = []
+        real = invariants_module._evaluate
+
+        def evaluate(row, v):
+            made.append((row, real(row, v)))
+            return made[-1][1]
+
+        monkeypatch.setattr(invariants_module, "_evaluate", evaluate)
+        report = analyze(corpus_problem(name), oracle=True, tau_check=tau)
+        assert report.ledger == tuple(entry for _, entry in made if entry is not None)
+        table = len(invariants_module._LEDGER)
+        assert [row for row, _ in made[:table]] == list(invariants_module._LEDGER)
+        assert all(row.name.startswith("oracle-") for row, _ in made[table:])
+        left_out = {row.name for row, entry in made if entry is None}
+        split = {"susp-br-product", "split-colength-product", "split-milnor-product"}
+        assert left_out == (set() if name.startswith("susp_") else split)
+
+    def test_a_zero_factor_makes_the_split_product_zero(self):
+        # R/(K + L) is R1/K tensor R2/L in disjoint variables.
+        product = invariants_module._finite_product
+        assert product(0, NOT_FINITE) == product(NOT_FINITE, 0) == 0
+        assert product(2, 3) == 6 and product(2, NOT_FINITE) is NOT_FINITE
+
+
+# Suspension shapes: phi in the first variables, f in a fresh variable alone
+# (J_g the unit ideal when f is linear), with a base part or a mixed term,
+# zero, or a monomial.  Six bases are isolated singularities; the other four
+# are not reduced or not isolated, where only the split products must hold.
+SUSPENSION_BASES = {
+    "x,y,z": ("x*y", "x^2 + y^3", "x^2*y + y^3", "x^3 + y^4", "x^2*y", "x^3 + x^2*y"),
+    "x,y,z,w": ("x^2 + y^2 + z^2", "x*y + z^3", "x*y*z", "x^2 - y^2*z"),
+}
+SUSPENSION_SHAPES = {
+    "x,y,z": ("z", "z^2", "y + z^3", "x + z^2", "y + x*z", "0", "x*y", "x*z"),
+    "x,y,z,w": ("w", "x + w^2", "z + y*w", "0", "x*y*z"),
+}
+GATED = [
+    (names, phi, f)
+    for names, bases in SUSPENSION_BASES.items()
+    for phi in bases
+    for f in SUSPENSION_SHAPES[names]
+] + [
+    # phi in one variable is reduced only when smooth; non-reduced in two.
+    ("x", "x^3", "x^2"),
+    ("x", "x^2", "x"),
+    ("x", "x", "x^2"),
+    ("x,y", "x^2", "y^2 + x*y"),
+    ("x,y", "x^2*y", "x + y"),
+    ("x,y", "x^3", "y"),
+]
+
+
+class TestHypotheses:
+    """A row whose theorem does not apply is skipped, never failed."""
+
+    @pytest.mark.parametrize(
+        "flags", [{}, {"oracle": True, "tau_check": True}], ids=["plain", "oracle-tau"]
+    )
+    def test_no_row_fails_on_suspensions_or_non_reduced_phi(self, flags):
+        assert len(GATED) == 68 + 6
+        for names, phi, f in GATED:
+            report = analyze(prob(phi, f, VarContext(tuple(names.split(",")))), **flags)
+            assert [e.name for e in report.ledger if e.status == "fail"] == [], (names, phi, f)
+
+    def test_a_non_reduced_phi_in_one_variable_is_no_ihs(self):
+        # mu_X = 2 is finite, but {x^3 = 0} is not reduced: each identity
+        # that needs an IHS is skipped (six of them failed before).
+        report = analyze(prob("x^3", "x^2", VarContext(("x",))), oracle=True, tau_check=True)
+        skipped = {e.name: e.reason for e in report.ledger if e.status == "skip"}
+        assert skipped == {
+            **{name: "phi is not reduced (mu_X > 0 in one variable)" for name in (
+                "relbr-sum", "dim-rel-trivial", "dim-trivial", "intersect-product",
+                "colon-full", "colon-trivial", "tau-module", "icis-finiteness")},
+            **{name: "X is neither an IHS nor the suspension of one"
+               for name in ("br-split", "br-sum", "quotient-milnor")},
+        }
+        smooth = analyze(prob("x", "x^2", VarContext(("x",))), tau_check=True)
+        assert {e.status for e in smooth.ledger} == {"pass"}
+
+    @pytest.mark.parametrize(
+        "names, phi, f, rows",
+        [
+            ("x,y,z", "x^2 + y^3", "z", ["susp-br-product  pass  0 = 0", "br-split  pass  0 = 0"]),
+            ("x,y", "x^2", "y^2 + x*y", ["br-split  skip", "quotient-milnor  skip"]),
+            ("x", "x^3", "x^2", ["relbr-sum  skip", "colon-full  skip"]),
+        ],
+    )
+    def test_the_cli_exits_zero(self, names, phi, f, rows, tmp_path):
+        path = tmp_path / "problem.brs"
+        path.write_text(f"vars = {names}\nphi = {phi}\nf = {f}\n", encoding="utf-8")
+        res = CliRunner().invoke(cli_main, ["check", str(path), "--oracle", "--tau"])
+        assert res.exit_code == 0, res.output
+        lines = [" ".join(line.split()) for line in res.output.splitlines()]
+        for row in rows:
+            assert any(line.startswith(" ".join(row.split())) for line in lines), row
+
+    @pytest.mark.parametrize(
+        "phi, f, counted",
+        [
+            ("x^2 + y^3", "z", True),  # a split problem: the split rows read it
+            ("x^2", "y^2 + x*y", True),  # no IHS and no split: the `br` gate reads it
+            ("x + y^2", "x*z + y", False),  # smooth, so an IHS: no row reads it
+        ],
+    )
+    def test_the_base_tjurina_ideal_is_counted_only_where_a_row_reads_it(self, phi, f, counted):
+        ctx = VarContext(("x", "y", "z"))
+        report = analyze(prob(phi, f, ctx))
+        assert ("split_base_tau" in report.ideals) is counted
+        if counted:
+            assert report.ideals["split_base_tau"].ctx == VarContext(
+                tuple(n for n in ("x", "y", "z") if n in phi))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
+def test_f_plus_a_multiple_of_phi_keeps_what_f_on_x_decides(name):
+    # With g = f + h*phi, dg(xi) = df(xi) + phi*(dh(xi) + h*a) for a field xi
+    # of Theta_X (dphi(xi) = a*phi): df and dg agree modulo (phi) on
+    # Theta_X, and on minors(., phi).  So mu_BR_rel, mu_fiber, and mu_X and
+    # tau_X, which do not read f, stay; mu_f and mu_BR may move, but
+    # br-split, which relates them, must not change its verdict.  The
+    # suspensions stop splitting (h*phi mixes the fresh variable in), so the
+    # `br` gate must see that X is still the suspension of an IHS.
+    problem = corpus_problem(name)
+    ctx = problem.ctx
+    h = ctx.variable(ctx.n - 1) + 1
+    moved = HypersurfaceProblem(ctx=ctx, phi=problem.phi, f=problem.f + h * problem.phi)
+    want = analyze(problem)
+    start = perf_counter()
+    got = analyze(moved)
+    assert perf_counter() - start < 1.0
+    keys = ("mu_X", "tau_X", "mu_fiber", "mu_BR_rel")
+    assert [getattr(got, k) for k in keys] == [getattr(want, k) for k in keys]
+    status = {e.name: e.status for e in got.ledger}
+    assert status["br-split"] == {e.name: e.status for e in want.ledger}["br-split"]
+    assert "fail" not in status.values()

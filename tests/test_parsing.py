@@ -160,3 +160,32 @@ class TestParseProblem:
             parse_problem("vars=x,y\nphi=x^2\nf=y\nmax_jet=two\n")
         with pytest.raises(ParseError):
             parse_problem("vars=x,y\nphi=x^2\nf=y\nformat=xml\n")
+
+
+class TestErrorPaths:
+    # Each message is raised with the line of its key and, inside an
+    # expression, the column of the offending token.
+    @pytest.mark.parametrize(
+        "phi, message, column",
+        [
+            ("x^y", "expected a non-negative integer exponent", 9),
+            ("x^-2", "expected a non-negative integer exponent", 9),
+            ("x^5000", "exponent 5000 exceeds the cap of 4096", 9),
+            ("x^2 + 1/y", "expected an integer denominator", 15),
+            ("(x^2 + y^3", "expected ')'", 17),
+        ],
+    )
+    def test_expression_errors(self, phi, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"vars = x, y\nphi = {phi}\nf = y\n")
+        assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
+        assert str(err.value) == f"syntax error at line 2, column {column}: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("phi x^2", "expected key = value"), ("phi =   # none", "empty value for 'phi'")],
+    )
+    def test_line_errors(self, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"vars = x, y\n{line}\nf = y\n")
+        assert (err.value.message, err.value.line, err.value.column) == (message, 2, 1)
