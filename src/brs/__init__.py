@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
 )
 from .polycore import Polynomial, VarContext
-from .stdbasis import NOT_FINITE, is_finite
+from .oracle import NOT_FINITE, is_finite
 from .tangent import HypersurfaceProblem
 from .invariants import (
     InvariantReport,

@@ -46,29 +46,18 @@ from .errors import InternalError
 from .oracle import (
     DEFAULT_CAP,
     INCONCLUSIVE,
+    NOT_FINITE,
     JetModel,
+    Value,
     axis_certificate,
     extended_jet_model,
+    is_finite,
     jet_model,
     oracle_colength,
 )
 from .polycore import Polynomial, VarContext, jacobian_ideal, minors_2x2
-from .stdbasis import (
-    DEFAULT_BUDGET,
-    Ideal,
-    NOT_FINITE,
-    Value,
-    _standard_exponents_of,
-    colength,
-    is_finite,
-)
-from .tangent import (
-    HypersurfaceProblem,
-    df_ideal,
-    df_trivial_ideal,
-    suspended_theta,
-    theta_full,
-)
+from .stdbasis import DEFAULT_BUDGET, Ideal, _standard_exponents_of, colength
+from .tangent import HypersurfaceProblem, df_ideal, df_trivial_ideal, theta_full
 
 Status = str  # "pass" | "fail" | "skip"
 LedgerValue = Union[int, bool, str, None]
@@ -241,11 +230,11 @@ def detect_split(problem: HypersurfaceProblem) -> SplitParts | None:
 class _Counted:
     """An ideal I that `analyze` counts, declared once with what is known of it.
 
-    `build(v)` makes I from the run's facts `v`, in `ring` ("X", the
-    problem's, or "base" and "ext", the parts of a suspension), or None when
-    I is not counted on the problem; I is counted in the `timings_ms` stage
-    `stage`.  The report lists the `reported` counts, and `--oracle` checks
-    those in "X".  A relation to an earlier entry K is a fact proven by the
+    `build(v)` makes I from the run's facts `v`, in the problem's ring or
+    in that of a part of a suspension, or None when I is not counted on the
+    problem; I is counted in the `timings_ms` stage `stage`.  The report
+    lists the `reported` counts, and `--oracle` checks those in the
+    problem's ring.  A relation to an earlier entry K is a fact proven by the
     builder or in a comment at the entry, never checked at run time, and
     void when K is not counted:
 
@@ -261,7 +250,6 @@ class _Counted:
     """
 
     name: str
-    ring: str
     stage: str
     build: Callable[[SimpleNamespace], Union[Ideal, None]]
     relations: tuple[str, ...] = ()
@@ -286,39 +274,45 @@ def _base_tjurina(v: SimpleNamespace) -> Ideal | None:
     return Ideal(base, [phi] + jacobian_ideal(phi))
 
 
+def _embedded(v: SimpleNamespace, *names: str) -> Ideal:
+    # The generators of the ideals counted under `names`, in order, in the problem's ring.
+    return Ideal(v.ctx, [p.embed(v.ctx) for name in names for p in v.ideals[name].gens])
+
+
 _IDEALS = (
-    _Counted("mu_f", "X", "jacobian_route", lambda v: Ideal(v.ctx, jacobian_ideal(v.f))),
+    _Counted("mu_f", "jacobian_route", lambda v: Ideal(v.ctx, jacobian_ideal(v.f))),
     # J_phi is Jf when f = phi (the `degen_*` files): one ideal, with one proof.
-    _Counted("mu_X", "X", "jacobian_route",
+    _Counted("mu_X", "jacobian_route",
              lambda v: v.ideals["mu_f"] if v.f == v.phi else Ideal(v.ctx, jacobian_ideal(v.phi))),
-    _Counted("tau_X", "X", "jacobian_route", lambda v: v.I_X + v.ideals["mu_X"],
-             ("sum mu_X I_X",)),
+    _Counted("tau_X", "jacobian_route", lambda v: v.I_X + v.ideals["mu_X"], ("sum mu_X I_X",)),
     # df_T is the minors plus phi * Jf, and every minor lies in J_phi.
-    _Counted("trivial", "X", "jacobian_route", lambda v: df_trivial_ideal(v.f, v.phi),
+    _Counted("trivial", "jacobian_route", lambda v: df_trivial_ideal(v.f, v.phi),
              ("inside tau_X",)),
     # The Le-Greuel ideal (phi) + minors is df_T + (phi), inside (phi) + J_phi.
-    _Counted("legreuel", "X", "jacobian_route", lambda v: Ideal(v.ctx, [v.phi, *_minors(v)]),
+    _Counted("legreuel", "jacobian_route", lambda v: Ideal(v.ctx, [v.phi, *_minors(v)]),
              ("sum trivial I_X", "inside tau_X")),
-    _Counted("trivial_rel", "X", "jacobian_route", lambda v: v.ideals["trivial"] + v.I_X,
+    _Counted("trivial_rel", "jacobian_route", lambda v: v.ideals["trivial"] + v.I_X,
              ("equal legreuel",)),
-    _Counted("split_g_milnor", "ext", "bruce_roberts",
+    _Counted("split_g_milnor", "bruce_roberts",
              lambda v: v.split and Ideal(v.split.ext_ctx, jacobian_ideal(v.split.g))),
-    _Counted("split_base_br", "base", "bruce_roberts",
-             lambda v: v.split and df_ideal(v.split.f_base, v.base_theta)),
+    _Counted("split_base_br", "bruce_roberts",
+             lambda v: v.split and df_ideal(v.split.f_base, v.theta)),
     # A suspension's Theta_X is the unit fields of the fresh variables and the
-    # base fields (`suspended_theta`); df takes them to J_g and the base df_X.
-    _Counted("br", "X", "bruce_roberts", lambda v: df_ideal(v.f, v.theta),
-             ("disjoint split_base_br split_g_milnor",)),
-    _Counted("br_rel", "X", "bruce_roberts", lambda v: v.ideals["br"] + v.I_X, ("sum br I_X",)),
+    # base fields (Der(-log X x C) = Der(-log X) + O * d/dz, K. Saito, 1980):
+    # df takes them to J_g and the base df_X, embedded in that order.
+    _Counted("br", "bruce_roberts",
+             lambda v: _embedded(v, "split_g_milnor", "split_base_br") if v.split
+             else df_ideal(v.f, v.theta), ("disjoint split_base_br split_g_milnor",)),
+    _Counted("br_rel", "bruce_roberts", lambda v: v.ideals["br"] + v.I_X, ("sum br I_X",)),
     # Counted on a suspension where a row reads it (`_base_tjurina`).
-    _Counted("split_base_tau", "base", "identities", _base_tjurina),
-    _Counted("split_lifted", "X", "identities", lambda v: v.split and Ideal(v.ctx, [
-        p.embed(v.ctx) for p in v.ideals["split_base_tau"].gens + v.ideals["split_g_milnor"].gens
-    ]), ("disjoint split_base_tau split_g_milnor",)),
-    _Counted("split_f_milnor", "base", "identities",
+    _Counted("split_base_tau", "identities", _base_tjurina),
+    _Counted("split_lifted", "identities",
+             lambda v: v.split and _embedded(v, "split_base_tau", "split_g_milnor"),
+             ("disjoint split_base_tau split_g_milnor",)),
+    _Counted("split_f_milnor", "identities",
              lambda v: v.split and Ideal(v.split.base_ctx, jacobian_ideal(v.split.f_base))),
     # J_phi + A for the `tau-module` row, counted only where the row reads it.
-    _Counted("tau_module", "X", "identities",
+    _Counted("tau_module", "identities",
              lambda v: None if _GATES["tau"](v) or _GATES["ihs"](v) else v.ideals["mu_X"] + v.A,
              ("sum mu_X A",), reported=False),
 )
@@ -548,16 +542,12 @@ def analyze(
     v.mu_fiber = v.legreuel - v.mu_X if finite else NOT_FINITE
     timings["jacobian_route"] = (time.perf_counter() - t0) * 1000
 
-    # Tangent-module route.  A suspended X has the module of its base, with
-    # the unit fields of the fresh variables (`suspended_theta`).
+    # Tangent-module route.  A suspended X takes the module of its base: its
+    # fields' cofactors, and with the unit fields of the fresh variables, df_X.
     t0 = time.perf_counter()
     v.split = detect_split(problem)
-    if v.split is None:
-        v.theta = theta_full(v.phi, budget=budget)
-    else:
-        v.base_theta = theta_full(v.split.phi_base, budget=budget)
-        v.theta = suspended_theta(v.base_theta, ctx)
-    v.A = Ideal(ctx, v.theta.cofactors)
+    v.theta = theta_full(v.split.phi_base if v.split else v.phi, budget=budget)
+    v.A = Ideal(ctx, [a.embed(ctx) for a in v.theta.cofactors])
     timings["tangent_module"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
@@ -575,7 +565,7 @@ def analyze(
     if oracle:
         # Each colength in the problem's ring, checked by the other engine.
         t0 = time.perf_counter()
-        names = sorted(e.name for e in reported if e.ring == "X")
+        names = sorted(e.name for e in reported if v.ideals[e.name].ctx == ctx)
         entries += [_evaluate(_oracle_row(name, max_jet), v) for name in names]
         timings["oracle"] = (time.perf_counter() - t0) * 1000
 

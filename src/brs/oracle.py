@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from math import gcd
 from threading import Lock
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BrsError
 from .polycore import (
@@ -67,26 +67,41 @@ from .polycore import (
     integral_terms,
     pack_exponents,
 )
-from .stdbasis import Ideal, NOT_FINITE, Value
+
+if TYPE_CHECKING:
+    from .stdbasis import Ideal
 
 
-class InconclusiveType:
-    """Singleton marker: the oracle could not certify a value at its cap."""
-
-    _instance = None
+class _Marker:
+    """A value that is not a number: one instance per subclass, shown as its name less "Type"."""
 
     def __new__(cls):
-        if cls._instance is None:
+        if "_instance" not in vars(cls):
             cls._instance = super().__new__(cls)
         return cls._instance
 
     def __repr__(self) -> str:
-        return "Inconclusive"
+        return type(self).__name__.removesuffix("Type")
 
 
+class NotFiniteType(_Marker):
+    """An infinite colength.  A value, not an error."""
+
+
+class InconclusiveType(_Marker):
+    """The oracle could not certify a value at its cap."""
+
+
+NOT_FINITE = NotFiniteType()
 INCONCLUSIVE = InconclusiveType()
 
+Value = int | NotFiniteType
 OracleValue = Value | InconclusiveType
+
+
+def is_finite(value: Value) -> bool:
+    return isinstance(value, int)
+
 
 DEFAULT_CAP = 32
 MIN_CAP = 4  # the smallest cap the oracle takes

@@ -414,7 +414,9 @@ class Polynomial:
     # context plumbing
 
     def embed(self, new_ctx: VarContext) -> "Polynomial":
-        """Reinterpret in a larger context, matching variables by name."""
+        """Reinterpret in a larger context, matching variables by name; in its own, itself."""
+        if new_ctx == self.ctx:
+            return self
         mapping = [new_ctx.index(name) for name in self.ctx.names]
         out = []
         for m, c in self.terms:

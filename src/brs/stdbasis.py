@@ -45,6 +45,16 @@ from operator import add, le, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import BrsError, BudgetError, ContainmentError, ContextError, InternalError
+from .oracle import (  # noqa: F401  (NotFiniteType is re-exported)
+    NOT_FINITE,
+    NotFiniteType,
+    Value,
+    _walk,
+    axis_certificate,
+    is_finite,
+    jet_model,
+    module_jet_quotient_dim,
+)
 from .polycore import (
     Monomial,
     Polynomial,
@@ -55,30 +65,6 @@ from .polycore import (
 )
 
 DEFAULT_BUDGET = 200_000
-
-
-class NotFiniteType:
-    """Singleton marker for an infinite colength.  A value, not an error."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NotFinite"
-
-
-NOT_FINITE = NotFiniteType()
-
-Value = Union[int, NotFiniteType]
-
-
-def is_finite(value: Value) -> bool:
-    return isinstance(value, int)
-
 
 Vec = tuple[Polynomial, ...]
 
@@ -661,8 +647,6 @@ def _proposed_level(I: Ideal) -> int | None:
     yet.  None when I has no model: it is counted infinite, the axis
     certificate proves it so, or its jet walk gave up.
     """
-    from .oracle import axis_certificate, jet_model
-
     model = I.model
     if model is None and I.reach is None and I.value is None and not axis_certificate(I):
         model = jet_model(I)
@@ -971,8 +955,6 @@ def module_quotient_dim(
     presentation are counted componentwise; that count decides, and it is
     the proof of NOT_FINITE.
     """
-    from .oracle import _walk, module_jet_quotient_dim
-
     ctx, rank, sub_gens = _as_vecs(m_sub)
     sup_ctx, sup_rank, sup_gens = _as_vecs(m_sup)
     require_same_ctx(ctx, sup_ctx)

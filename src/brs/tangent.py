@@ -74,31 +74,6 @@ def theta_full(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> DerivationMo
     return DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
 
 
-def suspended_theta(theta: DerivationModule, ctx: VarContext) -> DerivationModule:
-    """The tangent module of X x C^k in `ctx`, from X's module `theta`.
-
-    Der(-log X x C) = Der(-log X) + O * d/dz (K. Saito, 1980).  The unit
-    fields of the variables of `ctx` that X's ring lacks come first, in
-    variable order, then X's fields and cofactors embedded: exactly what
-    `theta_full(phi)` returns for phi in `ctx`, whose Schreyer run collects
-    the row of each zero partial as it enters and then repeats the run in
-    X's variables pair for pair (the order ignores a variable no term has).
-    """
-    base = theta.cofactors[0].ctx
-    zero, one = Polynomial.zero(ctx), Polynomial.constant(ctx, 1)
-    gens, cofactors = [], []
-    for i, name in enumerate(ctx.names):
-        if name not in base.names:
-            gens.append(VectorField(tuple(one if j == i else zero for j in range(ctx.n))))
-            cofactors.append(zero)
-    for xi, a in zip(theta.gens, theta.cofactors):
-        comps = dict(zip(base.names, xi.components))
-        field = tuple(comps[name].embed(ctx) if name in comps else zero for name in ctx.names)
-        gens.append(VectorField(field))
-        cofactors.append(a.embed(ctx))
-    return DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
-
-
 def df_ideal(f: Polynomial, theta: DerivationModule) -> Ideal:
     """The ideal generated by df(xi) over the module generators, in order.
 

@@ -386,7 +386,7 @@ def recorder(monkeypatch) -> SimpleNamespace:
             rec.uncapped.append(printed)
         return real_run(inputs, ctx, rank, budget, collect=collect, cap=cap, **kwargs)
 
-    for module in (oracle_module, invariants_module):
+    for module in (oracle_module, invariants_module, stdbasis_module):
         monkeypatch.setattr(module, "jet_model", walk)
     monkeypatch.setattr(oracle_module, "_span", span)
     monkeypatch.setattr(stdbasis_module, "_kept_entries", run)

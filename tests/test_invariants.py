@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -271,7 +272,8 @@ class TestLedger:
         # and I + (phi) extends the model of I, so no ideal is walked again.
         log: list = []
         spy_on(monkeypatch, "jet_model", log)  # from analyze
-        spy_on(monkeypatch, "jet_model", log, module=oracle_module)  # from stdbasis
+        spy_on(monkeypatch, "jet_model", log, module=oracle_module)  # from the oracle
+        spy_on(monkeypatch, "jet_model", log, module=stdbasis_module)  # from stdbasis
         parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
         report = analyze(parsed.problem, oracle=True)
         rows = [e for e in report.ledger if e.name.startswith("oracle-")]
@@ -571,13 +573,11 @@ def test_every_declared_relation_holds(name, monkeypatch):
     # What `_IDEALS` declares is never checked by `analyze`; here each fact is
     # checked on its own evidence, not on the model the relation gave.
     v = run_facts(corpus_problem(name), monkeypatch)
-    rings = {"X": v.ctx, "base": v.split and v.split.base_ctx, "ext": v.split and v.split.ext_ctx}
     kinds = set()
     for entry in invariants_module._IDEALS:
         if entry.name not in v.ideals:
             continue
         I = v.ideals[entry.name]
-        assert I.ctx == rings[entry.ring], entry.name
         for kind, key, *more in map(str.split, entry.relations):
             if key not in v.ideals:
                 continue
@@ -700,8 +700,8 @@ class TestMoraCountCarriesItsModel:
             made.append((I.route, walks[start:]))
             return got
 
-        monkeypatch.setattr(oracle_module, "jet_model", walk)
-        monkeypatch.setattr(invariants_module, "jet_model", walk)
+        for module in (oracle_module, invariants_module, stdbasis_module):
+            monkeypatch.setattr(module, "jet_model", walk)
         monkeypatch.setattr(invariants_module, "_count", count)
         analyze(corpus_problem(name))
         mora = [walked for route, walked in made if route == "mora"]
@@ -871,44 +871,6 @@ def suspension(case: str) -> HypersurfaceProblem:
     return prob(phi, f, VarContext(("x", "y", "z")))
 
 
-class TestSuspendedModule:
-    """A suspended X takes its tangent module from one Schreyer run, its base's."""
-
-    @pytest.mark.parametrize("case", sorted(SUSPENSIONS))
-    def test_one_schreyer_run_gives_the_module_of_x(self, case, monkeypatch):
-        problem = suspension(case)
-        want = theta_full(problem.phi)
-        runs: list = []
-        for module in (stdbasis_module, tangent_module):
-            spy_on(monkeypatch, "_schreyer_rows", runs, module=module)
-        modules = []
-        real = invariants_module.df_ideal
-
-        def df(f, theta):
-            if f == problem.f:
-                modules.append(theta)
-            return real(f, theta)
-
-        monkeypatch.setattr(invariants_module, "df_ideal", df)
-        report = analyze(problem, oracle=True, tau_check=True)
-        assert len(runs) == 1
-        (theta,) = modules
-        assert theta.gens == want.gens and theta.cofactors == want.cofactors
-        assert not report.failed
-
-    def test_without_the_unit_field_the_product_fails(self, ctx3, monkeypatch):
-        real = invariants_module.suspended_theta
-
-        def dropped(theta, ctx):
-            full = real(theta, ctx)
-            return DerivationModule(full.gens[1:], full.cofactors[1:])
-
-        monkeypatch.setattr(invariants_module, "suspended_theta", dropped)
-        report = analyze(prob("x^2 + y^3", "y + z^2", ctx3))
-        by_name = {e.name: e for e in report.ledger}
-        assert by_name["susp-br-product"].status == "fail"
-
-
 class TestOneLedger:
     @pytest.mark.parametrize("name", ["susp_d4_z2.brs", "degen_a2_self.brs", "wh_e6_f_x.brs"])
     @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
@@ -1027,6 +989,65 @@ class TestHypotheses:
         if counted:
             assert report.ideals["split_base_tau"].ctx == VarContext(
                 tuple(n for n in ("x", "y", "z") if n in phi))
+
+
+class TestSuspendedModule:
+    """A suspended X counts df_X from its base's module: one Schreyer run, its base's.
+
+    Der(-log X x C) = Der(-log X) + O * d/dz (K. Saito, 1980), so df_X is
+    J_g, the df of the unit fields, then the base's df_X, embedded: the
+    ideal, generator for generator, that df gives on the module of X in the
+    problem's ring, whose Schreyer run is not made.
+    """
+
+    @pytest.fixture
+    def spied(self, monkeypatch) -> tuple[list, list]:
+        # The Schreyer runs made, and the run's facts of each `analyze`.
+        runs: list = []
+        stages: list = []
+        for module in (stdbasis_module, tangent_module):
+            spy_on(monkeypatch, "_schreyer_rows", runs, module=module)
+        spy_on(monkeypatch, "_count_stage", stages)
+        return runs, stages
+
+    @staticmethod
+    def check(problem: HypersurfaceProblem, spied) -> None:
+        runs, stages = spied
+        want = theta_full(problem.phi)
+        runs.clear()
+        report = analyze(problem, oracle=True, tau_check=True)
+        v = stages[-1][1]
+        assert len(runs) == 1
+        assert report.ideals["br"].gens == df_ideal(problem.f, want).gens
+        assert v.A.gens == Ideal(problem.ctx, want.cofactors).gens
+        assert not report.failed
+
+    @pytest.mark.parametrize("case", sorted(SUSPENSIONS))
+    def test_one_schreyer_run_gives_the_module_of_x(self, case, spied):
+        self.check(suspension(case), spied)
+
+    def test_every_split_problem_of_the_grid_counts_from_its_base(self, spied):
+        problems = [prob(phi, f, VarContext(tuple(names.split(",")))) for names, phi, f in GATED]
+        split = [problem for problem in problems if detect_split(problem)]
+        assert len(split) == 33  # with the 18 above, 51 split problems
+        for problem in split:
+            self.check(problem, spied)
+
+    def test_without_the_unit_field_the_product_fails(self, ctx3, monkeypatch):
+        # Drop J_g, the df of the unit field d/dz, from the lifted df_X.
+        entries = list(invariants_module._IDEALS)
+        at = [entry.name for entry in entries].index("br")
+        lifted = entries[at].build
+
+        def without_j_g(v):
+            j_g = {g.embed(v.ctx) for g in v.ideals["split_g_milnor"].gens}
+            return Ideal(v.ctx, [g for g in lifted(v).gens if g not in j_g])
+
+        entries[at] = replace(entries[at], build=without_j_g)
+        monkeypatch.setattr(invariants_module, "_IDEALS", tuple(entries))
+        report = analyze(prob("x^2 + y^3", "y + z^2", ctx3))
+        by_name = {e.name: e for e in report.ledger}
+        assert by_name["susp-br-product"].status == "fail"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))

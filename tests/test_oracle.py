@@ -1,3 +1,4 @@
+import copy
 from math import gcd
 from unittest import mock
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brs.oracle as oracle_module
+import brs.stdbasis as stdbasis_module
 from brs import BrsError, NOT_FINITE, Polynomial, parse_poly
 from brs.polycore import MAX_PACKED_DEGREE, jacobian_ideal
 from brs.stdbasis import DEFAULT_BUDGET, Ideal, colength, ideal_colon
@@ -43,6 +45,17 @@ from strategies import (
 
 def I2(*sources):
     return Ideal(CTX2, [parse_poly(s, CTX2) for s in sources])
+
+
+def test_the_two_values_are_singletons_of_one_marker_class():
+    # Defined in `oracle`; `stdbasis` and the package root re-export NOT_FINITE.
+    assert NOT_FINITE is stdbasis_module.NOT_FINITE is oracle_module.NotFiniteType()
+    assert INCONCLUSIVE is oracle_module.InconclusiveType()
+    assert copy.deepcopy(NOT_FINITE) is NOT_FINITE and copy.copy(INCONCLUSIVE) is INCONCLUSIVE
+    assert isinstance(NOT_FINITE, oracle_module._Marker)
+    assert isinstance(INCONCLUSIVE, oracle_module._Marker)
+    assert NOT_FINITE is not INCONCLUSIVE and NOT_FINITE != INCONCLUSIVE
+    assert (repr(NOT_FINITE), repr(INCONCLUSIVE)) == ("NotFinite", "Inconclusive")
 
 
 class TestOracleColength:

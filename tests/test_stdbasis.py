@@ -166,7 +166,7 @@ class TestColength:
         # A zero-dimensional ideal is completed below the jet walk's level,
         # and the run must prove that level itself: proposed too low, it
         # falls back to the plain run and the colength stays right.
-        import brs.oracle as oracle_module
+        import brs.stdbasis as stdbasis_module
 
         def too_low(ideal, cap=None):
             return jet_model_at(ideal, 2)
@@ -177,7 +177,7 @@ class TestColength:
         vecs = [(g,) for g in fresh().gens]
         assert colength(fresh()) == 6
         assert capped(vecs, CTX2, DEFAULT_BUDGET) is not None
-        monkeypatch.setattr(oracle_module, "jet_model", too_low)
+        monkeypatch.setattr(stdbasis_module, "jet_model", too_low)
         assert _proposed_level(fresh()) == 2
         assert capped(vecs, CTX2, DEFAULT_BUDGET) is None
         assert colength(fresh()) == 6
@@ -594,7 +594,9 @@ class TestModuleQuotient:
     def test_mora_count_agrees_with_the_jet_walk(self, phi, P, monkeypatch):
         # The walk answers every finite quotient here; forced to give up, the
         # Mora count must reach the same value (tau = 1 for the A1 curve).
-        import brs.oracle as oracle_module
+        # The walk is stubbed where `stdbasis` binds it, and the count must
+        # run, so a moved import cannot let the walk answer twice.
+        import brs.stdbasis as stdbasis_module
         from brs.tangent import theta_full
 
         phi = P(phi)
@@ -602,8 +604,17 @@ class TestModuleQuotient:
         sup = as_submodule(theta_full(phi))
         walked = module_quotient_dim(sub, sup)
         assert walked == tjurina(phi)
-        monkeypatch.setattr(oracle_module, "_walk", lambda growth, top, cap: None)
+        counted = []
+        real_count = stdbasis_module._count_standard_monomials
+
+        def count(leads, n):
+            counted.append(n)
+            return real_count(leads, n)
+
+        monkeypatch.setattr(stdbasis_module, "_walk", lambda growth, top, cap: None)
+        monkeypatch.setattr(stdbasis_module, "_count_standard_monomials", count)
         assert module_quotient_dim(sub, sup) == walked
+        assert counted
 
     def test_infinite_quotient_is_proven_by_mora(self, P):
         # R/(x) over (x, y): the walk grows by one per level and gives up by
