@@ -17,16 +17,18 @@ rather than an algebraic tautology.  Identities whose hypotheses fail on a
 given input (an infinite invariant, a hypersurface with non-isolated
 singular locus) are reported as skipped with a reason, never as failures.
 
-Every colength takes the cheapest proof available (`_count`): the axis
-certificate of infinite colength, then a stabilized jet walk, and only when
-the walk hands the ideal back, the standard monomials of a Mora run, which
-prove a finite colength together with a level for its jet model.  So every
-finite count carries a model.  The counted ideals are one table (`_IDEALS`),
-each declared once with its relations to earlier ones, from which one loop
-(`_count_stage`) takes the model to extend, the walk's floor, and the
-inclusion certificate: an ideal inside one of infinite colength is infinite.
-Each `Ideal` holds its own proof: its count, its model or where its walk
-gave up, its kept Mora run and its colon, so nothing proven is proven again.
+Every colength takes the cheapest proof available, made by the ideal itself
+(`stdbasis.Ideal.count`): the axis certificate of infinite colength, then a
+stabilized jet walk, and only when the walk hands the ideal back, the
+standard monomials of its Mora run, which prove a finite colength together
+with a level for its jet model.  So every finite count carries a model.  The
+counted ideals are one table (`_IDEALS`), each declared once with its
+relations to earlier ones, from which one loop (`_count_stage`) takes the
+model to extend, the walk's floor, and the inclusion certificate: an ideal
+inside one of infinite colength is infinite.  Each `Ideal` holds its own
+proof: its count, its model or where its walk gave up, its one Mora run and
+its colon, so nothing proven is proven again, and this module reads only
+the engines' public names.
 The ledger is one table (`_LEDGER`) whose rows declare their hypotheses as
 gates, and one function (`_evaluate`) decides every row, the `oracle-*`
 rows built from the reported ideals among them: the other engine counts
@@ -42,21 +44,9 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Union
 
-from .errors import InternalError
-from .oracle import (
-    DEFAULT_CAP,
-    INCONCLUSIVE,
-    NOT_FINITE,
-    JetModel,
-    Value,
-    axis_certificate,
-    extended_jet_model,
-    is_finite,
-    jet_model,
-    oracle_colength,
-)
+from .oracle import DEFAULT_CAP, INCONCLUSIVE, NOT_FINITE, Value, is_finite, oracle_colength
 from .polycore import Polynomial, VarContext, jacobian_ideal, minors_2x2
-from .stdbasis import DEFAULT_BUDGET, Ideal, _standard_exponents_of, colength
+from .stdbasis import DEFAULT_BUDGET, Ideal, colength
 from .tangent import HypersurfaceProblem, df_ideal, df_trivial_ideal, theta_full
 
 Status = str  # "pass" | "fail" | "skip"
@@ -86,9 +76,8 @@ class InvariantReport:
     mu_BR_rel: Value
     ledger: tuple[LedgerEntry, ...]
     timings_ms: dict[str, float] = field(default_factory=dict)
+    # The reported ideals, each with its count's proof (`Ideal.route`).
     ideals: dict[str, Ideal] = field(default_factory=dict)
-    # How each colength was proven: "certificate", "jet" or "mora".
-    routes: dict[str, str] = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -100,56 +89,17 @@ class InvariantReport:
 
 
 # ---------------------------------------------------------------------------
-# colengths
-
-
-def _count(
-    I: Ideal, budget: int, base: JetModel | None = None, extra: Ideal | None = None, floor: int = 0
-) -> Value:
-    """Colength of I with the cheapest proof that settles it, written on I.
-
-    `base`, when given, is the certified model of an ideal K with I = K +
-    `extra`, so I's model extends it, with no walk, and always exists (an
-    ideal with a model has no axis certificate, nor has any containing it).
-    `floor`, the level of an ideal known to contain I, is passed on to the
-    walk.  `analyze` derives both from the relations declared in `_IDEALS`.
-
-    When the walk gives up, the standard monomials of one uncapped Mora run
-    decide (`_standard_exponents_of`, which builds no basis, told that no
-    level exists).  A finite count also proves a level: with N = 1 + the top
-    degree of a standard monomial, m^N lies in I (the highest-corner bound),
-    so a walk capped at N + 1 stops by N, and the model it gives must count
-    what Mora counted.  Every finite count thus carries a model.
-    """
-    if base is not None:
-        I.model = extended_jet_model(base, extra.gens)
-    elif axis_certificate(I):
-        I.value, I.route = NOT_FINITE, "certificate"
-        return I.value
-    else:
-        jet_model(I, floor=floor)
-    I.route = "jet" if I.model else "mora"
-    if I.model is None and (exps := _standard_exponents_of(I, budget, None)) is not None:
-        level = 1 + max((sum(e) for e in exps), default=-1)
-        I.model = jet_model(I, cap=level + 1, floor=level)
-        if I.model is None or I.model.colength != len(exps):
-            raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
-    I.value = I.model.colength if I.model else NOT_FINITE
-    return I.value
-
-
-# ---------------------------------------------------------------------------
 # the individual invariants
 
 
 def milnor(f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Milnor number: colength of the Jacobian ideal."""
-    return _count(Ideal(f.ctx, jacobian_ideal(f)), budget)
+    return Ideal(f.ctx, jacobian_ideal(f)).count(budget)
 
 
 def tjurina(phi: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Tjurina number: colength of (phi) + Jacobian ideal of phi."""
-    return _count(Ideal(phi.ctx, [phi] + jacobian_ideal(phi)), budget)
+    return Ideal(phi.ctx, [phi] + jacobian_ideal(phi)).count(budget)
 
 
 def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
@@ -162,14 +112,14 @@ def fiber_milnor(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET
     mu_x = milnor(phi, budget=budget)
     if not is_finite(mu_x):  # not an IHS: infinite, whatever the Le-Greuel count
         return NOT_FINITE
-    total = _count(Ideal(phi.ctx, [phi] + minors_2x2(f, phi)), budget)
+    total = Ideal(phi.ctx, [phi] + minors_2x2(f, phi)).count(budget)
     return total - mu_x if is_finite(total) else NOT_FINITE
 
 
 def bruce_roberts(phi: Polynomial, f: Polynomial, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Bruce-Roberts number of f with respect to {phi = 0}."""
     theta = theta_full(phi, budget=budget)
-    return _count(df_ideal(f, theta), budget)
+    return df_ideal(f, theta).count(budget)
 
 
 def relative_bruce_roberts(
@@ -177,7 +127,7 @@ def relative_bruce_roberts(
 ) -> Value:
     """Relative Bruce-Roberts number: df(tangent module) plus (phi)."""
     theta = theta_full(phi, budget=budget)
-    return _count(df_ideal(f, theta) + Ideal(phi.ctx, [phi]), budget)
+    return (df_ideal(f, theta) + Ideal(phi.ctx, [phi])).count(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +301,7 @@ def _count_stage(v: SimpleNamespace, stage: str) -> None:
             else:  # "disjoint"; a unit summand (level 0) makes the sum a unit
                 a, b = _level(K), _level(v.ideals[more[0]])
                 floor = max(floor, a + b - 1 if a and b else 0)
-        if ideal.value is None:
-            _count(ideal, v.budget, base, extra, floor)
+        ideal.count(v.budget, base, extra, floor)
         v.ideals[entry.name] = ideal
         setattr(v, entry.name, ideal.value)
 
@@ -575,5 +524,4 @@ def analyze(
         mu_fiber=v.mu_fiber, mu_BR=v.mu_BR, mu_BR_rel=v.mu_BR_rel, ledger=tuple(entries),
         timings_ms={k: round(t, 3) for k, t in timings.items()},
         ideals={e.name: v.ideals[e.name] for e in reported},
-        routes={e.name: v.ideals[e.name].route for e in reported},
     )

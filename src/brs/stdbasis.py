@@ -23,13 +23,13 @@ same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
 both engines (so an exponent above 65535 raises BrsError here too), and
 results become `Polynomial`s with `int` coefficients once, on the way out;
 a row tracked by a syzygy run carries one integer denominator.  An `Ideal`
-holds its proofs, its one uncapped run among them (`Ideal._kept_run`).  A
-degree-capped run
-(`_capped_run`) leaves the monomials of degree cap implicit: they are
-charged to the budget as the pairs they would form, never scanned as
-reducers, and join the basis at the end where no kept lead divides them; a
-count (`colength`) never builds them, nor the basis: the run's proof lists
-the standard monomials.
+holds its proofs: its count (`Ideal.count`) and its one Mora run
+(`Ideal.mora`), which every basis, count and degree bound of it reads.  A
+degree-capped run (`_capped_run`) leaves the monomials of degree cap
+implicit: they are charged to the budget as the pairs they would form,
+never scanned as reducers, and join the basis at the end where no kept lead
+divides them; a count (`colength`) never builds them, nor the basis: the
+run's proof lists the standard monomials.
 
 Colengths, memberships and quotient dimensions are exact; infinite dimensions
 are reported as the NOT_FINITE value rather than as errors, because several
@@ -47,10 +47,12 @@ from typing import Iterable, Sequence, Union
 from .errors import BrsError, BudgetError, ContainmentError, ContextError, InternalError
 from .oracle import (  # noqa: F401  (NotFiniteType is re-exported)
     NOT_FINITE,
+    JetModel,
     NotFiniteType,
     Value,
     _walk,
     axis_certificate,
+    extended_jet_model,
     is_finite,
     jet_model,
     module_jet_quotient_dim,
@@ -78,16 +80,15 @@ class Ideal:
 
     It holds what is proven about it, made once and read by every later
     call, whatever budget that call passes: its colength `value` and the
-    proof's `route`, "certificate", "jet" or "mora" (`invariants._count`
-    writes them); its certified jet `model`, or, when its walk gave up, the
-    level that walk reached, `reach`, a floor for every later walk
-    (`oracle.jet_model` writes them); and its one uncapped Mora run
-    (`_kept_run`).  It answers `contains_all`, `contains_ideal` and `colon`
-    from its model when it has one, and from Mora otherwise, and keeps the
-    colon it took last.
+    proof's `route`, "certificate", "jet" or "mora" (`count` writes them);
+    its certified jet `model`, or, when its walk gave up, the level that
+    walk reached, `reach`, a floor for every later walk (`oracle.jet_model`
+    writes them); and its one Mora run (`mora`).  It answers
+    `contains_all`, `contains_ideal` and `colon` from its model when it has
+    one, and from Mora otherwise, and keeps the colon it took last.
     """
 
-    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_kept", "_colon")
+    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_mora", "_colon")
 
     def __init__(self, ctx: VarContext, gens: Iterable[Polynomial]):
         kept = []
@@ -97,13 +98,65 @@ class Ideal:
                 kept.append(g)
         self.ctx = ctx
         self.gens = tuple(kept)
-        self.value = self.route = self.model = self.reach = self._kept = self._colon = None
+        self.value = self.route = self.model = self.reach = self._mora = self._colon = None
 
-    def _kept_run(self, budget: int) -> list["_Entry"]:
-        """The kept entries of the ideal's one uncapped Mora run, made on first use."""
-        if self._kept is None:
-            self._kept = _kept_entries([(g,) for g in self.gens], self.ctx, 1, budget)
-        return self._kept
+    def count(
+        self, budget: int, base: JetModel | None = None, extra: "Ideal | None" = None, floor: int = 0
+    ) -> Value:
+        """The colength of I, this ideal, with the cheapest proof that settles it.
+
+        Made once: a known value returns at once, whatever the arguments.
+        `base`, when given, is the certified model of an ideal K with I = K +
+        `extra`, so I's model extends it, with no walk, and always exists (an
+        ideal with a model has no axis certificate, nor has any containing
+        it).  Otherwise the axis certificate decides, or the walk, from
+        `floor`, the level of an ideal known to contain I.
+
+        When the walk gives up, the standard monomials of I's Mora run decide
+        (`mora`, uncapped, since no level exists).  A finite count also
+        proves a level: with N = 1 + the top degree of a standard monomial,
+        m^N lies in I (the highest-corner bound), so a walk capped at N + 1
+        stops by N, and the model it gives must count what Mora counted.
+        Every finite count thus carries a model.
+        """
+        if self.value is not None:
+            return self.value
+        if base is not None:
+            self.model = extended_jet_model(base, extra.gens)
+        elif axis_certificate(self):
+            self.value, self.route = NOT_FINITE, "certificate"
+            return self.value
+        else:
+            jet_model(self, floor=floor)
+        self.route = "jet" if self.model else "mora"
+        if self.model is None and (exps := self.mora(budget)[2]) is not None:
+            level = 1 + max((sum(e) for e in exps), default=-1)
+            self.model = jet_model(self, cap=level + 1, floor=level)
+            if self.model is None or self.model.colength != len(exps):
+                raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
+        self.value = self.model.colength if self.model else NOT_FINITE
+        return self.value
+
+    def mora(self, budget: int) -> tuple[list["_Entry"], int | None, list[tuple[int, ...]] | None]:
+        """The ideal's one Mora run, made on first use: kept entries, cap, standard exponents.
+
+        An ideal with nothing proven about it is counted first.  The run is
+        capped at the level of its model when it proves that level
+        (`_capped_run`), else uncapped, and kept whatever budget a later call
+        passes.  The standard exponents are None when there are infinitely
+        many.
+        """
+        if self.route is None and self.model is None:
+            self.count(budget)
+        if self._mora is None:
+            vecs = [(g,) for g in self.gens]
+            capped = _capped_run(vecs, self.ctx, budget, self.model.level) if self.model else None
+            if capped is not None:
+                self._mora = capped[0], self.model.level + 1, capped[1]
+            else:
+                kept = _kept_entries(vecs, self.ctx, 1, budget)
+                self._mora = kept, None, _standard_exponents([e.mono for e in kept], self.ctx.n)
+        return self._mora
 
     def contains_all(self, gens: Sequence[Polynomial], budget: int) -> bool:
         """Whether every polynomial of `gens` lies in the ideal."""
@@ -618,18 +671,14 @@ def standard_basis(obj: Union[Ideal, Submodule], *, budget: int = DEFAULT_BUDGET
     """Mora standard basis of an ideal or submodule.
 
     Deterministic for a fixed input order.  Raises BudgetError when the pair
-    budget is exhausted.  An ideal is first completed under the degree cap
-    of its jet level (`_proposed_level`, `_capped_run`); when it has none,
-    or that run proves nothing or exhausts the budget, its one uncapped run
-    decides on a fresh budget (`Ideal._kept_run`).
+    budget is exhausted.  An ideal's basis is read off its one Mora run
+    (`Ideal.mora`), capped at the level of its jet model when the run
+    proves that level.
     """
     ctx, rank, vecs = _as_vecs(obj)
-    level = _proposed_level(obj) if isinstance(obj, Ideal) else None
-    capped = _capped_run(vecs, ctx, budget, level)
-    if capped is not None:
-        entries = _finished(capped[0], ctx.n, level + 1)
-    elif isinstance(obj, Ideal):
-        entries = _finished(obj._kept_run(budget), ctx.n, None)
+    if isinstance(obj, Ideal):
+        kept, cap, _ = obj.mora(budget)
+        entries = _finished(kept, ctx.n, cap)
     else:
         entries = _complete(vecs, ctx, rank, budget)
     return StandardBasis(
@@ -640,21 +689,8 @@ def standard_basis(obj: Union[Ideal, Submodule], *, budget: int = DEFAULT_BUDGET
     )
 
 
-def _proposed_level(I: Ideal) -> int | None:
-    """A level N with m^N inside I: its certified jet model's.
-
-    I is walked (`oracle.jet_model`) only when nothing is proven about it
-    yet.  None when I has no model: it is counted infinite, the axis
-    certificate proves it so, or its jet walk gave up.
-    """
-    model = I.model
-    if model is None and I.reach is None and I.value is None and not axis_certificate(I):
-        model = jet_model(I)
-    return None if model is None else model.level
-
-
 def _capped_run(
-    vecs: list[Vec], ctx: VarContext, budget: int, level: int | None
+    vecs: list[Vec], ctx: VarContext, budget: int, level: int
 ) -> tuple[list[_Entry], list[tuple[int, ...]]] | None:
     """The run of a zero-dimensional ideal I below a jet level, with its proof.
 
@@ -666,13 +702,11 @@ def _capped_run(
     basis of I, proven by the run itself, so it takes no word of the jet
     engine that proposed N on trust.  Returns the kept entries with the
     exponents of the standard monomials, which the proof listed.  None
-    when no level is given, the run exhausts the budget (it charges every
-    pair it skips at the cap, so a high level exhausts it at once) or the
-    proof fails: the plain run then decides, so a proposal costs time,
-    never correctness.
+    when the run exhausts the budget (it charges every pair it skips at the
+    cap, so a high level exhausts it at once) or the proof fails: the plain
+    run then decides (`Ideal.mora`), so a proposal costs time, never
+    correctness.
     """
-    if level is None:
-        return None
     try:
         kept = _kept_entries(vecs, ctx, 1, budget, cap=level + 1)
     except BudgetError:
@@ -789,31 +823,13 @@ def _count_standard_monomials(leads: Sequence[Monomial], n: int) -> Value:
     return NOT_FINITE if exps is None else len(exps)
 
 
-def _standard_exponents_of(
-    I: Ideal, budget: int, level: int | None
-) -> list[tuple[int, ...]] | None:
-    """Exponents of the standard monomials of I, with no basis built; None if infinite.
-
-    `level` is a level N for I (`_proposed_level`), or None when there is
-    none.  The capped run at N lists them when it proves its level.  Else
-    I's one uncapped run decides (`Ideal._kept_run`): the standard monomials
-    of its kept leads, infinitely many when no lead is a pure power of some
-    variable.
-    """
-    capped = _capped_run([(g,) for g in I.gens], I.ctx, budget, level)
-    if capped is not None:
-        return capped[1]
-    return _standard_exponents([e.mono for e in I._kept_run(budget)], I.ctx.n)
-
-
 def colength(I: Ideal, *, budget: int = DEFAULT_BUDGET) -> Value:
     """Dimension of the quotient of the local ring by the ideal.
 
-    Counts the standard monomials of a Mora run (`_standard_exponents_of`)
-    at the level of I's certified jet model, when it has one
-    (`_proposed_level`).  NOT_FINITE is a legitimate value, not a failure.
+    Counts the standard monomials of I's one Mora run (`Ideal.mora`).
+    NOT_FINITE is a legitimate value, not a failure.
     """
-    exps = _standard_exponents_of(I, budget, _proposed_level(I))
+    exps = I.mora(budget)[2]
     return NOT_FINITE if exps is None else len(exps)
 
 
@@ -884,8 +900,9 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
     c*v = -sum(a_j * f_j*e_i) lies in the submodule, and every such c has a
     row, so the first components generate the quotient.
 
-    When every I_i is zero-dimensional, let N be the largest of 1 + the top
-    degree of a standard monomial of I_i (`_standard_exponents_of`).  Then
+    When every I_i is zero-dimensional (`Ideal.count`, so an infinite one
+    makes no Mora run here), let N be the largest of 1 + the top degree of a
+    standard monomial of I_i (`Ideal.mora`).  Then
     m^N lies in every I_i, and in the quotient (c in m^N puts each c*v_i in
     I_i), so the I_i, v and the quotient are cut at degree N
     (`_degree_capped`, with v_i cut to v_i.jet(N)) without changing any of
@@ -895,12 +912,10 @@ def _syzygy_quotient(ideals: Sequence[Ideal], v: Sequence[Polynomial], budget: i
     """
     ctx, k = ideals[0].ctx, len(ideals)
     zero = Polynomial.zero(ctx)
-    standard = [
-        _standard_exponents_of(I, budget, _proposed_level(I)) for I in dict.fromkeys(ideals)
-    ]
+    distinct = dict.fromkeys(ideals)
     bound = None
-    if all(exps is not None for exps in standard):
-        bound = 1 + max((sum(e) for exps in standard for e in exps), default=-1)
+    if all(is_finite(I.count(budget)) for I in distinct):
+        bound = 1 + max((sum(e) for I in distinct for e in I.mora(budget)[2]), default=-1)
         ideals = [_degree_capped(I, bound) for I in ideals]
         v = [g.jet(bound) for g in v]
     vecs: list[Vec] = [tuple(v)]

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import signal
+import sys
 from contextlib import contextmanager
 from math import gcd
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -346,8 +347,21 @@ def suspend(
     return new_problem, DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
 
 
+def patch_everywhere(monkeypatch, module, name: str, replacement) -> None:
+    """Replace `module.name` in every `brs` module that binds it.
+
+    A module that imports a name by `from ... import` calls its own binding,
+    so a patch on one binding misses the others, and a patch on a module
+    that no longer binds the name raises here instead of reaching nothing.
+    """
+    real = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "brs" and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, replacement)
+
+
 @pytest.fixture
-def recorder(monkeypatch) -> SimpleNamespace:
+def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
     """What the engines do from now on, recorded as it happens.
 
     `walks`: (ideal, cap) of each `oracle.jet_model` call, from any module;
@@ -355,9 +369,10 @@ def recorder(monkeypatch) -> SimpleNamespace:
     being the one the innermost `jet_model` call walks (None outside one);
     `uncapped`: the inputs of each uncapped, untracked Mora run
     (`stdbasis._kept_entries`), as printed; `capped`: the inputs, as
-    printed, and the cap of each degree-capped Mora run.
+    printed, and the cap of each degree-capped Mora run.  Each name is
+    patched in every module that binds it (`patch_everywhere`), and the
+    test fails if the recorder saw no walk and no Mora run.
     """
-    import brs.invariants as invariants_module
     import brs.oracle as oracle_module
     import brs.stdbasis as stdbasis_module
 
@@ -386,11 +401,11 @@ def recorder(monkeypatch) -> SimpleNamespace:
             rec.uncapped.append(printed)
         return real_run(inputs, ctx, rank, budget, collect=collect, cap=cap, **kwargs)
 
-    for module in (oracle_module, invariants_module, stdbasis_module):
-        monkeypatch.setattr(module, "jet_model", walk)
-    monkeypatch.setattr(oracle_module, "_span", span)
-    monkeypatch.setattr(stdbasis_module, "_kept_entries", run)
-    return rec
+    patch_everywhere(monkeypatch, oracle_module, "jet_model", walk)
+    patch_everywhere(monkeypatch, oracle_module, "_span", span)
+    patch_everywhere(monkeypatch, stdbasis_module, "_kept_entries", run)
+    yield rec
+    assert rec.walks or rec.uncapped or rec.capped, "the recorder saw no walk and no Mora run"
 
 
 def corpus_paths(prefix: str | None = None) -> list[Path]:

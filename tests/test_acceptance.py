@@ -224,7 +224,7 @@ def test_criterion_10_oracle_equivalence(corpus_reports):
             want = ideal.value
             if not is_finite(want):
                 continue
-            assert report.routes[key] == "jet", (key, ideal)
+            assert ideal.route == "jet", (key, ideal)
             register(ideal, want)
     assert len(seen) >= 40, f"only {len(seen)} distinct zero-dimensional ideals"
     t0 = time.perf_counter()

@@ -64,3 +64,16 @@ def test_the_internal_imports_form_no_cycle():
 def test_the_jet_engine_imports_nothing_from_stdbasis():
     assert "stdbasis" not in GRAPH["oracle"]
     assert "oracle" in GRAPH["stdbasis"]
+
+
+def test_the_ledger_layer_imports_only_public_engine_names():
+    # `invariants` builds and counts ideals through the engines' public names;
+    # an engine's private name stays in the engine.
+    private = [
+        f"{node.module}.{alias.name}"
+        for node, _ in _imports(MODULES["invariants"].body)
+        if isinstance(node, ast.ImportFrom) and _targets(node)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

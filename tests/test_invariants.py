@@ -32,7 +32,7 @@ from brs.oracle import DEFAULT_CAP, jet_model, oracle_colength
 from brs.polycore import VectorField, jacobian_ideal
 from brs.stdbasis import Ideal, colength, module_quotient_dim
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
-from conftest import CORPUS_DIR, as_submodule, ideal_contains, theta_trivial
+from conftest import CORPUS_DIR, as_submodule, ideal_contains, patch_everywhere, theta_trivial
 from strategies import CTX2
 
 
@@ -244,7 +244,8 @@ class TestLedger:
         routes = set()
         for row in rows:
             key = row.removeprefix("oracle-")
-            ideal, route = report.ideals[key], report.routes[key]
+            ideal = report.ideals[key]
+            route = ideal.route
             routes.add(route)
             if route == "jet":
                 assert ideal in mora and ideal not in oracle, key
@@ -270,17 +271,20 @@ class TestLedger:
     def test_oracle_walks_no_ideal_twice(self, name, monkeypatch):
         # The cross-check gives Mora the level of the model the ideal holds,
         # and I + (phi) extends the model of I, so no ideal is walked again.
-        log: list = []
-        spy_on(monkeypatch, "jet_model", log)  # from analyze
-        spy_on(monkeypatch, "jet_model", log, module=oracle_module)  # from the oracle
-        spy_on(monkeypatch, "jet_model", log, module=stdbasis_module)  # from stdbasis
+        walked: list = []
+        real = oracle_module.jet_model
+
+        def walk(I, *args, **kwargs):
+            walked.append(I)
+            return real(I, *args, **kwargs)
+
+        patch_everywhere(monkeypatch, oracle_module, "jet_model", walk)
         parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
         report = analyze(parsed.problem, oracle=True)
         rows = [e for e in report.ledger if e.name.startswith("oracle-")]
         assert rows and all(e.status == "pass" for e in rows)
-        walked = [ideal for _, ideal in log]
         assert walked and len(walked) == len(set(walked))
-        extended = [n for n in ("tau_X", "br_rel", "trivial_rel") if report.routes[n] == "jet"]
+        extended = [n for n in ("tau_X", "br_rel", "trivial_rel") if report.ideals[n].route == "jet"]
         assert extended
         for key in extended:
             assert report.ideals[key] not in walked, key
@@ -312,7 +316,7 @@ class TestLedger:
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == (0, 81, 81, 27, 27, 27)
         assert report.gated and all(e.status == "pass" for e in report.gated)
-        assert set(report.routes.values()) == {"jet"}
+        assert {I.route for I in report.ideals.values()} == {"jet"}
 
     @pytest.mark.parametrize(
         "phi, f, values",
@@ -334,7 +338,7 @@ class TestLedger:
         report = analyze(prob(phi, f, ctx3))
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == values
-        assert set(report.routes.values()) == {"jet"}
+        assert {I.route for I in report.ideals.values()} == {"jet"}
         assert not report.failed
         # The tau-module row extends mu_X's model too; on S18 its Mora
         # route stalled in a standard basis of dphi(Theta_X).
@@ -352,6 +356,7 @@ class TestLedger:
         # Le-Greuel ideal is df_T + (phi), so it extends df_T's model and
         # builds none.
         runs: list = []
+        called: list = []
         eliminating: list = []
         inserts = [0]
         real_insert = oracle_module._Echelon.insert
@@ -362,6 +367,7 @@ class TestLedger:
 
         def inserting(kind, real):
             def call(*args):
+                called.append(kind)
                 before = inserts[0]
                 got = real(*args)
                 if inserts[0] > before:
@@ -375,17 +381,18 @@ class TestLedger:
             oracle_module.JetModel, "colon", inserting("colon", oracle_module.JetModel.colon)
         )
         monkeypatch.setattr(
-            invariants_module,
+            stdbasis_module,
             "extended_jet_model",
-            inserting("extension", invariants_module.extended_jet_model),
+            inserting("extension", stdbasis_module.extended_jet_model),
         )
         spy_on(monkeypatch, "_kept_entries", runs, module=stdbasis_module)
         report = analyze(corpus_problem(name))
         echelons, mora_runs, routes, colons, extensions = WORK[name]
+        assert "extension" in called  # tau_X extends mu_X's model on every file
         assert (len(recorder.spans), len(runs)) == (echelons, mora_runs)
         assert (eliminating.count("colon"), eliminating.count("extension")) == (colons, extensions)
-        assert list(report.routes) == list(SPLIT_COUNTS if name.startswith("susp_") else COUNTS)
-        assert "".join(route[0] for route in report.routes.values()) == routes
+        assert list(report.ideals) == list(SPLIT_COUNTS if name.startswith("susp_") else COUNTS)
+        assert "".join(I.route[0] for I in report.ideals.values()) == routes
         if name == "nwh_t444_generic.brs":
             per_ideal = {
                 key: sum(I is report.ideals[key] for I, _ in recorder.spans)
@@ -401,18 +408,21 @@ class TestLedger:
         parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
         want = analyze(parsed.problem)
         target = want.ideals[mora]
-        real = invariants_module._count
+        real = Ideal.count
+        dropped: list = []
 
         def count(I, budget, base=None, extra=None, floor=0):
             got = real(I, budget, base, extra, floor)
-            if I == target:
+            if I == target and I.model is not None:
                 I.model = None
+                dropped.append(I)
             return got
 
-        monkeypatch.setattr(invariants_module, "_count", count)
+        monkeypatch.setattr(Ideal, "count", count)
         log: list = []
         spy_on(monkeypatch, "ideal_colon", log, module=stdbasis_module)
         got = analyze(parsed.problem)
+        assert len(dropped) == 1
         assert got.ledger == want.ledger
         rows = {e.name: e.status for e in got.ledger}
         assert [rows[e] for e in ("intersect-product", "colon-full", "colon-trivial")] == ["pass"] * 3
@@ -428,7 +438,7 @@ class TestLedger:
         report = analyze(prob("x^2 + y^3", "x^2"))
         assert report.mu_f is NOT_FINITE
         assert report.mu_BR_rel == 5
-        assert report.routes["mu_f"] == "certificate"
+        assert report.ideals["mu_f"].route == "certificate"
         by_name = {e.name: e for e in report.ledger}
         for entry in ("intersect-product", "colon-full", "colon-trivial"):
             assert by_name[entry].status == "pass", by_name[entry]
@@ -447,27 +457,32 @@ def test_an_ideal_inside_an_infinite_one_is_certified_at_once():
     report = analyze(prob("x^6 + 3*y^4 + z^2 - 2*x^3*z", "2*z^2 + 3*x^2*z - y*z", ctx3))
     got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
     assert got == (NOT_FINITE,) * 5 + (18,)
-    assert [report.routes[k] for k in ("trivial", "legreuel", "trivial_rel")] == ["certificate"] * 3
+    routes = [report.ideals[k].route for k in ("trivial", "legreuel", "trivial_rel")]
+    assert routes == ["certificate"] * 3
     assert {e.status for e in report.ledger} == {"skip"}
 
 
-# Problems where Mora decides several counts, each with 5 distinct uncapped runs.
+# Problems where Mora decides several counts, with their distinct uncapped runs.
 MORA_INPUTS = [
-    ("x^2 + y^3", "x^2 + 2*x*y + y^2", "xy"),
-    ("x^2 + y^3", "x^2", "xy"),
-    ("x^3 + y^3 + z^3", "x*y", "xyz"),
+    ("x^2 + y^3", "x^2 + 2*x*y + y^2", "xy", 5),
+    ("x^2 + y^3", "x^2", "xy", 4),
+    ("x^3 + y^3 + z^3", "x*y", "xyz", 4),
 ]
 
 
 class TestOneUncappedRunPerIdeal:
-    # An ideal keeps the entries of its uncapped run (`Ideal._kept_run`):
-    # its Mora count, the ledger's memberships in it and the degree bound of
-    # a colon by it read one run.  Each of these problems has 5 distinct
-    # inputs, which were run 9, 6 and 6 times before.
-    @pytest.mark.parametrize("phi, f, names", MORA_INPUTS)
-    def test_each_input_runs_once(self, phi, f, names, recorder):
+    # An ideal keeps its one Mora run (`Ideal.mora`): its Mora count, the
+    # ledger's memberships in it and the degree bound of a colon by it read
+    # one run, and a colon by an ideal counted infinite asks for no bound, so
+    # it runs no Mora.  These inputs were run 9, 6 and 6 times before an
+    # ideal kept its run, and 5, 5 and 5 times before a colon asked the
+    # count first.
+    @pytest.mark.parametrize(
+        "phi, f, names, runs", MORA_INPUTS, ids=["-".join(case[:3]) for case in MORA_INPUTS]
+    )
+    def test_each_input_runs_once(self, phi, f, names, runs, recorder):
         analyze(prob(phi, f, VarContext(tuple(names))))
-        assert len(recorder.uncapped) == len(set(recorder.uncapped)) == 5
+        assert len(recorder.uncapped) == len(set(recorder.uncapped)) == runs
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
     @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
@@ -504,7 +519,7 @@ class TestOneProofPerIdeal:
         for path in sorted(CORPUS_DIR.glob("*.brs")):
             parsed = parse_problem(path.read_text(encoding="utf-8"))
             yield path.name, parsed.problem, parsed.max_jet
-        for phi, f, names in MORA_INPUTS:
+        for phi, f, names, _ in MORA_INPUTS:
             yield f"{phi} | {f}", prob(phi, f, VarContext(tuple(names))), DEFAULT_CAP
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
@@ -542,7 +557,7 @@ class TestOneProofPerIdeal:
         report = analyze(prob("x^2 + y^3", "x^2 + 2*x*y + y^2"), oracle=True)
         jf = report.ideals["mu_f"]
         caps = [cap for I, cap in recorder.spans if I is jf]
-        assert report.routes["mu_f"] == "mora" and jf.reach is not None
+        assert jf.route == "mora" and jf.reach is not None
         assert caps == list(range(1, 33))
         assert [cap for I, cap in recorder.walks if I is jf] == [None, 32]
 
@@ -654,24 +669,26 @@ class TestMoraCountCarriesItsModel:
         "names, phi, f, values", BRIESKORN_PHAM, ids=["fermat10_x", "b8910_z", "fermat7_4d_x"]
     )
     def test_brieskorn_pham(self, names, phi, f, values, monkeypatch):
+        # The spy records each count that makes a proof, not one read back.
         counts: list = []
-        real = invariants_module._count
+        real = Ideal.count
 
         def count(I, *args, **kwargs):
-            counts.append(I)
+            if I.value is None:
+                counts.append(I)
             return real(I, *args, **kwargs)
 
-        monkeypatch.setattr(invariants_module, "_count", count)
+        monkeypatch.setattr(Ideal, "count", count)
         log: list = []
         spy_on(monkeypatch, "ideal_colon", log, module=stdbasis_module)
         report = analyze(brieskorn_pham(names, phi, f))
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == values
         assert all(e.status == "pass" for e in report.gated)
-        assert report.routes["mu_X"] == "mora"
+        assert report.ideals["mu_X"].route == "mora"
         (mu_X,) = [I for I in counts if I is report.ideals["mu_X"]]
         assert mu_X.model is not None and mu_X.model.colength == values[1]
-        assert report.routes["tau_X"] == "jet"
+        assert report.ideals["tau_X"].route == "jet"
         assert log == []
 
     def test_every_oracle_and_tau_row_passes(self):
@@ -692,17 +709,17 @@ class TestMoraCountCarriesItsModel:
             return real_walk(I, cap, floor)
 
         made: list = []
-        real_count = invariants_module._count
+        real_count = Ideal.count
 
         def count(I, *args, **kwargs):
-            start = len(walks)
+            start, fresh = len(walks), I.value is None
             got = real_count(I, *args, **kwargs)
-            made.append((I.route, walks[start:]))
+            if fresh:
+                made.append((I.route, walks[start:]))
             return got
 
-        for module in (oracle_module, invariants_module, stdbasis_module):
-            monkeypatch.setattr(module, "jet_model", walk)
-        monkeypatch.setattr(invariants_module, "_count", count)
+        patch_everywhere(monkeypatch, oracle_module, "jet_model", walk)
+        monkeypatch.setattr(Ideal, "count", count)
         analyze(corpus_problem(name))
         mora = [walked for route, walked in made if route == "mora"]
         assert mora and all(len(walked) == 1 for walked in mora)
@@ -711,17 +728,21 @@ class TestMoraCountCarriesItsModel:
     def test_a_wrong_mora_count_is_caught(self, drop, monkeypatch):
         # One standard monomial missing: the model disagrees with the count
         # (first), or the level is too low for the capped walk (last).
-        real = invariants_module._standard_exponents_of
+        real = Ideal.mora
+        calls: list = []
 
-        def dropped(*args):
-            exps = sorted(real(*args))
+        def dropped(I, budget):
+            kept, cap, exps = real(I, budget)
+            calls.append(I)
+            exps = sorted(exps)
             del exps[drop]
-            return exps
+            return kept, cap, exps
 
-        monkeypatch.setattr(invariants_module, "_standard_exponents_of", dropped)
+        monkeypatch.setattr(Ideal, "mora", dropped)
         names, phi, f, _ = BRIESKORN_PHAM[0]
         with pytest.raises(InternalError):
             analyze(brieskorn_pham(names, phi, f))
+        assert calls
 
 
 class TestTauModuleRow:
@@ -791,20 +812,24 @@ class TestTauModuleRow:
         # The row's one count extends mu_X's model: with --tau, the run
         # makes no more Mora runs than without, and that count is a jet
         # count wherever mu_X's is.
+        # The spy records each count that makes a proof, not one read back.
         completions: list = []
         routes: list = []
         spy_on(monkeypatch, "_kept_entries", completions, module=stdbasis_module)
-        real = invariants_module._count
+        real = Ideal.count
 
         def count(I, *args, **kwargs):
+            fresh = I.value is None
             got = real(I, *args, **kwargs)
-            routes.append(I.route)
+            if fresh:
+                routes.append(I.route)
             return got
 
-        monkeypatch.setattr(invariants_module, "_count", count)
+        monkeypatch.setattr(Ideal, "count", count)
         problem = corpus_problem(name)
         report = analyze(problem)
         plain = (len(completions), Counter(routes))
+        assert routes
         completions.clear()
         routes.clear()
         analyze(problem, tau_check=True)
@@ -813,7 +838,7 @@ class TestTauModuleRow:
         added.subtract(plain[1])
         gated = is_finite(report.mu_X)
         assert sum(added.values()) == gated
-        if gated and report.routes["mu_X"] == "jet":
+        if gated and report.ideals["mu_X"].route == "jet":
             assert +added == Counter(["jet"])
 
 

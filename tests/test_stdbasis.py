@@ -14,8 +14,6 @@ from brs.stdbasis import (
     _capped_run,
     _complete,
     _kept_entries,
-    _proposed_level,
-    _standard_exponents_of,
     _vector,
     colength,
     ideal_colon,
@@ -48,10 +46,19 @@ def tracked_entries(gens):
 
 
 def capped(vecs, ctx, budget, level=None):
-    """`_capped_run` at `level`, or at the level proposed for the ideal of `vecs`."""
+    """`_capped_run` at `level`, or at the level of the jet model of the ideal of `vecs`."""
     if level is None:
-        level = _proposed_level(Ideal(ctx, [v[0] for v in vecs]))
+        level = jet_model(Ideal(ctx, [v[0] for v in vecs])).level
     return _capped_run(vecs, ctx, budget, level)
+
+
+def proposed(I: Ideal, level: int) -> Ideal:
+    """I holding the model of I + m^level, as if a walk had certified it.
+
+    `Ideal.mora` caps I's run at that level.
+    """
+    I.route, I.model = "jet", jet_model_at(I, level)
+    return I
 
 
 def recombined(entry, gens):
@@ -162,26 +169,20 @@ class TestColength:
     def test_empty_ideal(self):
         assert colength(Ideal(CTX2, [])) is NOT_FINITE
 
-    def test_jet_level_is_proven_by_the_capped_run(self, P, monkeypatch):
-        # A zero-dimensional ideal is completed below the jet walk's level,
-        # and the run must prove that level itself: proposed too low, it
-        # falls back to the plain run and the colength stays right.
-        import brs.stdbasis as stdbasis_module
-
-        def too_low(ideal, cap=None):
-            return jet_model_at(ideal, 2)
-
+    def test_jet_level_is_proven_by_the_capped_run(self, P):
+        # A zero-dimensional ideal is completed below its model's level, and
+        # the run must prove that level itself: a model too low leaves the
+        # uncapped run to decide, and the colength stays right.
         def fresh():
             return Ideal(CTX2, [P("x^2"), P("y^3")])
 
         vecs = [(g,) for g in fresh().gens]
-        assert colength(fresh()) == 6
-        assert capped(vecs, CTX2, DEFAULT_BUDGET) is not None
-        monkeypatch.setattr(stdbasis_module, "jet_model", too_low)
-        assert _proposed_level(fresh()) == 2
-        assert capped(vecs, CTX2, DEFAULT_BUDGET) is None
-        assert colength(fresh()) == 6
-        basis = standard_basis(fresh())
+        I = fresh()
+        assert colength(I) == 6 and I.mora(DEFAULT_BUDGET)[1] == 5
+        assert capped(vecs, CTX2, DEFAULT_BUDGET, level=2) is None
+        I = proposed(fresh(), 2)
+        assert colength(I) == 6 and I.mora(DEFAULT_BUDGET)[1] is None
+        basis = standard_basis(I)
         assert sorted(m.exponents for m in leading_monomials(basis)) == [(0, 3), (2, 0)]
 
     def test_capped_colength_enumerates_standard_monomials_once(self, P, monkeypatch):
@@ -198,15 +199,14 @@ class TestColength:
                 return real(*args)
 
             monkeypatch.setattr(stdbasis_module, name, counted)
-        I = Ideal(CTX2, [P("x^2"), P("y^3")])
-        assert len(_standard_exponents_of(I, DEFAULT_BUDGET, 4)) == 6
+        assert colength(Ideal(CTX2, [P("x^2"), P("y^3")])) == 6
         assert calls == ["_standard_below"]
 
     @pytest.mark.parametrize("level", [2, 4, 7])
     def test_a_wrong_jet_level_costs_time_never_a_value(self, level, P):
         # 4 is the ideal's level; at 2 the capped run proves nothing and the
         # plain run decides, and 7 is proven like 4.
-        assert len(_standard_exponents_of(Ideal(CTX2, [P("x^2"), P("y^3")]), DEFAULT_BUDGET, level)) == 6
+        assert colength(proposed(Ideal(CTX2, [P("x^2"), P("y^3")]), level)) == 6
 
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals(), shift=st.integers(-2, 2))
@@ -216,7 +216,7 @@ class TestColength:
         plain = _complete([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET)
         level = max(jet_model(I).level + shift, 0)
         want = _count_standard_monomials([e.mono for e in plain], I.ctx.n)
-        assert len(_standard_exponents_of(I, DEFAULT_BUDGET, level)) == want
+        assert colength(proposed(I, level)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals(), seed=st.randoms())
@@ -225,6 +225,44 @@ class TestColength:
         gens = list(I.gens)
         seed.shuffle(gens)
         assert colength(Ideal(I.ctx, gens)) == base
+
+
+def counted_runs(monkeypatch) -> list:
+    """Record the inputs of every Mora run (`_kept_entries`) from now on."""
+    import brs.stdbasis as stdbasis_module
+
+    runs: list = []
+    real = stdbasis_module._kept_entries
+
+    def run(inputs, *args, **kwargs):
+        runs.append(inputs)
+        return real(inputs, *args, **kwargs)
+
+    monkeypatch.setattr(stdbasis_module, "_kept_entries", run)
+    return runs
+
+
+class TestOneMoraRunPerIdeal:
+    """An ideal's count, basis and colength read its one Mora run, whatever the budget."""
+
+    def test_count_basis_and_a_small_budget_read_one_run(self, P, monkeypatch):
+        runs = counted_runs(monkeypatch)
+        I = Ideal(CTX2, [P("x^2 + 3*y^3"), P("x*y")])
+        assert colength(I) == 5
+        basis = standard_basis(I)
+        assert colength(I, budget=1) == 5
+        assert len(runs) == 1
+        assert len(standard_monomials(basis)) == 5
+        assert I.route == "jet" and I.value == 5  # counted before its run was made
+
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals())
+    def test_the_basis_has_colength_many_standard_monomials(self, I):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            runs = counted_runs(monkeypatch)
+            basis = standard_basis(I)
+            assert len(standard_monomials(basis)) == colength(I)
+        assert len(runs) == 1
 
 
 class TestMembership:
@@ -456,7 +494,8 @@ class TestCappedRun:
     def test_a_capped_run_out_of_budget_leaves_the_plain_run_to_decide(self, P):
         # At level 4 the pairs the capped run charges at its cap exceed this
         # budget; the plain run of (x^2, y^3) fits in it.
-        assert len(_standard_exponents_of(Ideal(CTX2, [P("x^2"), P("y^3")]), 5, 4)) == 6
+        I = proposed(Ideal(CTX2, [P("x^2"), P("y^3")]), 4)
+        assert colength(I, budget=5) == 6 and I.mora(5)[1] is None
 
     def test_pairs_at_the_cap_are_charged(self, P):
         # Degree-cap monomials form no pairs, but each one they would have
