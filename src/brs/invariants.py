@@ -18,7 +18,7 @@ given input (an infinite invariant, a hypersurface with non-isolated
 singular locus) are reported as skipped with a reason, never as failures.
 
 Every colength takes the cheapest proof available, made by the ideal itself
-(`stdbasis.Ideal.count`): the axis certificate of infinite colength, then a
+(`stdbasis.Ideal.count`): the certificate of infinite colength, then a
 stabilized jet walk, and only when the walk hands the ideal back, the
 standard monomials of its Mora run, which prove a finite colength together
 with a level for its jet model.  So every finite count carries a model.  The
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Union
 
-from .oracle import DEFAULT_CAP, INCONCLUSIVE, NOT_FINITE, Value, is_finite, oracle_colength
+from .oracle import DEFAULT_CAP, INCONCLUSIVE, NOT_FINITE, Value, check_cap, is_finite, oracle_colength
 from .polycore import Polynomial, VarContext, jacobian_ideal, minors_2x2
 from .stdbasis import DEFAULT_BUDGET, Ideal, colength
 from .tangent import HypersurfaceProblem, df_ideal, df_trivial_ideal, theta_full
@@ -167,9 +167,9 @@ def detect_split(problem: HypersurfaceProblem) -> SplitParts | None:
         return None
     base_ctx = VarContext(ctx.names[i] for i in base_idx)
     ext_ctx = VarContext(ctx.names[i] for i in ext_idx)
-    f_base = Polynomial(ctx, terms[0]).restrict(base_ctx)
-    phi_base = problem.phi.restrict(base_ctx)
-    return SplitParts(base_ctx, ext_ctx, phi_base, f_base, g.restrict(ext_ctx))
+    f_base = Polynomial(ctx, terms[0]).embed(base_ctx)
+    phi_base = problem.phi.embed(base_ctx)
+    return SplitParts(base_ctx, ext_ctx, phi_base, f_base, g.embed(ext_ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def _base_tjurina(v: SimpleNamespace) -> Ideal | None:
     if len(used) == v.ctx.n or not (v.split or _not_ihs(v.mu_X, v.ctx.n)):
         return None
     base = VarContext(v.ctx.names[i] for i in used)
-    phi = v.phi.restrict(base)
+    phi = v.phi.embed(base)
     return Ideal(base, [phi] + jacobian_ideal(phi))
 
 
@@ -476,6 +476,8 @@ def analyze(
     budget: int = DEFAULT_BUDGET,
 ) -> InvariantReport:
     """Compute all invariants of a problem and verify the identity ledger."""
+    if oracle:
+        check_cap(max_jet)
     ctx = problem.ctx
     timings: dict[str, float] = {}
     t_start = t0 = time.perf_counter()

@@ -32,10 +32,10 @@ of its last.  A `floor`, the level of an ideal known to contain I, lets the
 walk build its first echelon at floor + 1; each dim(d) is still exact, so a
 wrong floor costs time, never a value.  An uncapped walk writes its model,
 or the level it reached before giving up, on the ideal, and a later walk
-starts past that level.  A free certificate of infinite
-colength, `axis_certificate`, is checked before any walk.  `oracle_colength`
-is the same walk under a fixed cap: it reports NotFinite only with a
-certificate and Inconclusive at the cap, never a guess.
+starts past that level.  One free certificate of infinite colength,
+`certificate`, is checked before a count's walk and before the oracle's.
+`oracle_colength` is the same walk under a fixed cap: it reports NotFinite
+only with that certificate and Inconclusive at the cap, never a guess.
 
 An echelon is built from the shifts x^t * g_j of the generators, but not
 from all of them: a shift whose row t is already a pivot when g_j comes in
@@ -421,15 +421,16 @@ def _span(ctx: VarContext, gens: Generators, cap: int) -> JetModel:
     return model
 
 
-def axis_certificate(I: Ideal) -> bool:
-    """True when a coordinate axis lies in the zero set of I.
+def certificate(I: Ideal) -> bool:
+    """True when a free certificate proves that I has infinite colength.
 
-    That holds when, for some variable, no generator has a term that is a
-    pure power of it (the constant 1 counts as the zeroth power, so a unit
-    generator rules the certificate out).  The ideal then has infinite
-    colength, with no computation at all.  Each term is read once, for the
-    variable it is a pure power of (-1 for the unit, which covers them all).
+    Either I is one non-unit generator in two or more variables, whose zero
+    set is a hypersurface (Krull's principal ideal theorem), or a coordinate
+    axis lies in the zero set: for some variable, no term of a generator is
+    a pure power of it (1 is the zeroth power of each, read as -1).
     """
+    if I.ctx.n >= 2 and len(I.gens) == 1 and I.gens[0].constant_term() == 0:
+        return True
     axes = {m.pure_power_axis() for g in I.gens for m, _ in g.terms}
     return -1 not in axes and not axes.issuperset(range(I.ctx.n))
 
@@ -543,21 +544,22 @@ def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:
     return rank * size - ech.rank
 
 
+def check_cap(cap: int) -> None:
+    """Refuse an oracle cap below MIN_CAP."""
+    if cap < MIN_CAP:
+        raise BrsError(f"oracle cap must be at least {MIN_CAP}")
+
+
 def oracle_colength(I: Ideal, cap: int = DEFAULT_CAP) -> OracleValue:
     """Independent colength by stabilized jet dimensions, up to level `cap`.
 
-    NotFinite only with a certificate: a coordinate axis in the zero set, or
-    a single non-unit generator in two or more variables (by Krull's
-    principal ideal theorem its zero set is a hypersurface).  Otherwise the
-    stabilized dimension, or Inconclusive when the walk reaches the cap.
-    The walk reads only where an earlier walk of I gave up (`jet_model`),
-    never the proof of I's count.
+    NotFinite only with a `certificate`; otherwise the stabilized dimension,
+    or Inconclusive when the walk reaches the cap.  The walk reads only
+    where an earlier walk of I gave up (`jet_model`), never the proof of
+    I's count.
     """
-    if cap < MIN_CAP:
-        raise BrsError(f"oracle cap must be at least {MIN_CAP}")
-    if axis_certificate(I) or (
-        I.ctx.n >= 2 and len(I.gens) == 1 and I.gens[0].constant_term() == 0
-    ):
+    check_cap(cap)
+    if certificate(I):
         return NOT_FINITE
     model = jet_model(I, cap)
     return INCONCLUSIVE if model is None else model.colength

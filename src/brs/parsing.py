@@ -17,6 +17,7 @@ Problem files are line oriented key = value text with # comments:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +31,16 @@ _KEYS = ("vars", "phi", "f", "oracle", "max_jet", "format")
 # Keeps the parser total on adversarial input; no sensible germ needs more.
 _MAX_EXPONENT = 4096
 
+# A variable name, and one token per match.  Names and integers stick to
+# ASCII, since str.isdigit() and str.isalpha() accept characters like
+# superscript digits that int() rejects; any whitespace separates tokens.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(
+    rf"(?P<NEWLINE>\n)|(?P<SPACE>[^\S\n]+)|(?P<INT>[0-9]+)|(?P<NAME>{_NAME.pattern})"
+    r"|(?P<OP>[-+*^()/])|(?P<BAD>.)",
+    re.DOTALL,
+)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -40,47 +51,22 @@ class Token:
 
 
 def _tokenize(src: str, line: int = 1, col: int = 1) -> list[Token]:
-    """The tokens of `src`, whose first character sits at (`line`, `col`)."""
+    """The tokens of `src`, whose first character sits at (`line`, `col`).
+
+    Every character but a newline takes one column; a newline starts the
+    next line at column 1.
+    """
     tokens: list[Token] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        # Stick to ASCII: str.isdigit()/isalpha() accept characters like
-        # superscript digits that int() and identifiers reject.
-        if ch in "0123456789":
-            j = i
-            while j < len(src) and src[j] in "0123456789":
-                j += 1
-            tokens.append(Token("INT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if (ch.isascii() and ch.isalpha()) or ch == "_":
-            j = i
-            while j < len(src) and (
-                (src[j].isascii() and src[j].isalnum()) or src[j] == "_"
-            ):
-                j += 1
-            tokens.append(Token("NAME", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append(Token("OP", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
+    shift = col  # the column of src[i] on the current line is i + shift
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, shift = line + 1, 1 - m.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + shift)
+        elif kind != "SPACE":
+            tokens.append(Token(kind, m.group(), line, m.start() + shift))
+    tokens.append(Token("END", "", line, len(src) + shift))
     return tokens
 
 
@@ -110,14 +96,7 @@ class _Parser:
         return value
 
     def expr(self) -> Polynomial:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "OP" and tok.text == "-":
-            self.take()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
+        value = self.term()  # a leading minus is the first factor's (`factor`)
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "+-":
@@ -254,9 +233,7 @@ def read_problem_file(src: str) -> ProblemFile:
     if any(not name for name in names):
         raise ParseError("empty variable name in vars", *positions["vars"])
     for name in names:
-        head_ok = (name[0].isascii() and name[0].isalpha()) or name[0] == "_"
-        body_ok = all((c.isascii() and c.isalnum()) or c == "_" for c in name)
-        if not (head_ok and body_ok):
+        if not _NAME.fullmatch(name):
             raise ParseError(f"invalid variable name {name!r}", *positions["vars"])
     options = {k: v for k, v in seen.items() if k not in ("vars", "phi", "f")}
     return ProblemFile(names, seen["phi"], seen["f"], options, positions)

@@ -414,36 +414,23 @@ class Polynomial:
     # context plumbing
 
     def embed(self, new_ctx: VarContext) -> "Polynomial":
-        """Reinterpret in a larger context, matching variables by name; in its own, itself."""
+        """Reinterpret in another context, matching variables by name; in its own, itself.
+
+        Every variable the polynomial uses must exist in `new_ctx`.
+        """
         if new_ctx == self.ctx:
             return self
-        mapping = [new_ctx.index(name) for name in self.ctx.names]
+        mapping = [new_ctx.names.index(v) if v in new_ctx.names else None for v in self.ctx.names]
         out = []
         for m, c in self.terms:
             exps = [0] * new_ctx.n
             for old_i, e in enumerate(m.exponents):
-                exps[mapping[old_i]] = e
+                if e:
+                    if mapping[old_i] is None:
+                        raise ContextError(f"variable {self.ctx.names[old_i]!r} not present in {new_ctx!r}")
+                    exps[mapping[old_i]] = e
             out.append((Monomial._unchecked(tuple(exps), m.degree), c))
         return Polynomial(new_ctx, out)
-
-    def restrict(self, sub_ctx: VarContext) -> "Polynomial":
-        """Project onto a sub-context; fails if other variables occur."""
-        mapping = []
-        for i, name in enumerate(self.ctx.names):
-            mapping.append(sub_ctx.names.index(name) if name in sub_ctx.names else None)
-        out = []
-        for m, c in self.terms:
-            exps = [0] * sub_ctx.n
-            for old_i, e in enumerate(m.exponents):
-                if e == 0:
-                    continue
-                if mapping[old_i] is None:
-                    raise ContextError(
-                        f"variable {self.ctx.names[old_i]!r} not present in {sub_ctx!r}"
-                    )
-                exps[mapping[old_i]] = e
-            out.append((Monomial(exps), c))
-        return Polynomial(sub_ctx, out)
 
     # ------------------------------------------------------------------
     # comparison / display

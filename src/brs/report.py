@@ -49,42 +49,34 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def summary_line(report: InvariantReport) -> str:
-    gated = report.gated
-    failed = [e for e in gated if e.status == "fail"]
-    if failed:
-        return f"ledger: {len(failed)} of {len(gated)} gated identities FAIL"
-    return f"ledger: all {len(gated)} gated identities PASS"
+def _verdict(ledger) -> tuple[int, int]:
+    """How many rows of a rendered ledger fail, and how many are gated (not skipped)."""
+    gated = [e for e in ledger if e["status"] != "skip"]
+    return sum(e["status"] == "fail" for e in gated), len(gated)
 
 
 def render_text(report: InvariantReport) -> str:
-    lines = []
-    lines.append(f"problem : {report.path or '<memory>'}")
-    lines.append(f"vars    : {', '.join(report.problem.ctx.names)}")
-    lines.append(f"phi     : {report.problem.phi}")
-    lines.append(f"f       : {report.problem.f}")
-    lines.append("")
-    lines.append("invariants")
-    for name in INVARIANT_NAMES:
-        value = getattr(report, name)
-        shown = value if isinstance(value, int) else "infinite"
-        lines.append(f"  {name:<10} = {shown}")
-    lines.append("")
-    lines.append("ledger")
-    width = max(len(e.name) for e in report.ledger) if report.ledger else 4
-    for e in report.ledger:
-        if e.status == "skip":
-            lines.append(f"  {e.name:<{width}}  skip   ({e.reason})")
+    """The text form of `report_to_dict`'s content."""
+    d = report_to_dict(report)
+    p = d["problem"]
+    lines = [f"problem : {p['path'] or '<memory>'}", f"vars    : {', '.join(p['vars'])}"]
+    lines += [f"phi     : {p['phi']}", f"f       : {p['f']}", "", "invariants"]
+    lines += [f"  {name:<10} = {value}" for name, value in d["invariants"].items()]
+    lines += ["", "ledger"]
+    width = max((len(e["name"]) for e in d["ledger"]), default=4)
+    for e in d["ledger"]:
+        if e["status"] == "skip":
+            lines.append(f"  {e['name']:<{width}}  skip   ({e['reason']})")
         else:
-            lines.append(
-                f"  {e.name:<{width}}  {e.status:<5}  {_fmt_value(e.lhs)} = {_fmt_value(e.rhs)}"
-            )
-    lines.append("")
-    lines.append("timings_ms")
-    for stage, ms in report.timings_ms.items():
-        lines.append(f"  {stage:<16} = {ms}")
-    lines.append("")
-    lines.append(summary_line(report))
+            lhs, rhs = _fmt_value(e["lhs"]), _fmt_value(e["rhs"])
+            lines.append(f"  {e['name']:<{width}}  {e['status']:<5}  {lhs} = {rhs}")
+    lines += ["", "timings_ms"]
+    lines += [f"  {stage:<16} = {ms}" for stage, ms in d["timings_ms"].items()]
+    failed, gated = _verdict(d["ledger"])
+    verdict = (
+        f"{failed} of {gated} gated identities FAIL" if failed else f"all {gated} gated identities PASS"
+    )
+    lines += ["", f"ledger: {verdict}"]
     return "\n".join(lines) + "\n"
 
 
@@ -103,7 +95,7 @@ def corpus_row(path: str, report: InvariantReport | None, error: str | None) -> 
 def corpus_summary(rows: list[dict]) -> dict:
     """How many rows there are, and how many pass, fail an identity or hit an error."""
     errors = sum("error" in r for r in rows)
-    fails = sum(any(e["status"] == "fail" for e in r.get("ledger", ())) for r in rows)
+    fails = sum(_verdict(r.get("ledger", ()))[0] > 0 for r in rows)
     return {"count": len(rows), "pass": len(rows) - fails - errors, "fail": fails, "error": errors}
 
 
@@ -120,11 +112,8 @@ def render_corpus_text(rows: list[dict]) -> str:
             table.append([path, *["-"] * len(INVARIANT_NAMES), f"ERROR: {r['error']}"])
             continue
         inv = [str(r["invariants"][name]) for name in INVARIANT_NAMES]
-        gated = [e for e in r["ledger"] if e["status"] != "skip"]
-        failed = [e for e in gated if e["status"] == "fail"]
-        verdict = (
-            f"FAIL ({len(failed)} of {len(gated)})" if failed else f"PASS ({len(gated)} checks)"
-        )
+        failed, gated = _verdict(r["ledger"])
+        verdict = f"FAIL ({failed} of {gated})" if failed else f"PASS ({gated} checks)"
         table.append([path, *inv, verdict])
     widths = [len(h) for h in headers]
     for row in table:

@@ -51,7 +51,7 @@ from .oracle import (  # noqa: F401  (NotFiniteType is re-exported)
     NotFiniteType,
     Value,
     _walk,
-    axis_certificate,
+    certificate,
     extended_jet_model,
     is_finite,
     jet_model,
@@ -108,8 +108,8 @@ class Ideal:
         Made once: a known value returns at once, whatever the arguments.
         `base`, when given, is the certified model of an ideal K with I = K +
         `extra`, so I's model extends it, with no walk, and always exists (an
-        ideal with a model has no axis certificate, nor has any containing
-        it).  Otherwise the axis certificate decides, or the walk, from
+        ideal with a model has no certificate, nor has any containing it).
+        Otherwise `certificate`, the oracle's own, decides, or the walk, from
         `floor`, the level of an ideal known to contain I.
 
         When the walk gives up, the standard monomials of I's Mora run decide
@@ -123,7 +123,7 @@ class Ideal:
             return self.value
         if base is not None:
             self.model = extended_jet_model(base, extra.gens)
-        elif axis_certificate(self):
+        elif certificate(self):
             self.value, self.route = NOT_FINITE, "certificate"
             return self.value
         else:

@@ -29,7 +29,7 @@ MODULE_NAMES = {
         "mora_normal_form", "standard_basis",
     ),
     "oracle": (
-        "INCONCLUSIVE", "InconclusiveType", "JetModel", "axis_certificate", "jet_model",
+        "INCONCLUSIVE", "InconclusiveType", "JetModel", "certificate", "jet_model",
         "oracle_colength",
     ),
     "tangent": ("DerivationModule", "df_ideal", "df_trivial_ideal", "theta_full"),

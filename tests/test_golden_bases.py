@@ -9,7 +9,7 @@ Pins the exponents, integer coefficients and order of
 * the generators of `theta_full(phi)` for each corpus `phi`;
 * the `syzygies` of each ideal of `COLON_CASES` and `INTERSECTION_CASES`.
 
-A change to the kernel's arithmetic must reproduce them exactly.  Two pinned
+A change to the kernel's arithmetic must reproduce them exactly.  Five pinned
 runs are kernel-only (`KERNEL_ONLY`): `analyze` no longer makes them, and
 the recorder makes them on their own.  Regenerate (only when a change of
 results is intended) with
@@ -34,18 +34,29 @@ from conftest import syzygies
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden_bases.json"
 
-# Pinned runs that no `analyze` run makes, by file and input as printed: the
-# uncapped run on df_T + (phi) = (phi*f_x, phi*f_y, phi), f = phi, of each
-# `degen_*` file.  `analyze` counts that ideal on the generators (phi,
-# minors) instead (`trivial_rel` shares the `legreuel` count), so these pin
-# the kernel's arithmetic on an ideal of infinite colength, not a run of the
-# program; the recorder runs them on their own and appends them.
+# Pinned runs that no `analyze` run makes, by file and inputs as printed.
+# First the uncapped run on df_T + (phi) = (phi*f_x, phi*f_y, phi), f = phi,
+# of each `degen_*` file: `analyze` counts that ideal on the generators
+# (phi, minors) instead (`trivial_rel` shares the `legreuel` count).  Then
+# the uncapped runs on the principal ideals that `analyze` now certifies
+# infinite with no run (`oracle.certificate`): the Le-Greuel ideal (phi),
+# the minors being zero, and on `degen_a2_self` df_X.  So these pin the
+# kernel's arithmetic on ideals of infinite colength, principal ones among
+# them, not runs of the program; the recorder runs them on their own and
+# appends them.
 KERNEL_ONLY = {
-    "degen_a2_self.brs": ("2*x^3 + 2*x*y^3", "3*x^2*y^2 + 3*y^5", "x^2 + y^3"),
+    "degen_a2_self.brs": (
+        ("2*x^3 + 2*x*y^3", "3*x^2*y^2 + 3*y^5", "x^2 + y^3"),
+        ("x^2 + y^3",),
+        ("-6*x^2 - 6*y^3",),
+    ),
     "degen_t55_self.brs": (
-        "2*x^3*y^4 + 2*x*y^7 + 7*x^6*y^2 + 5*x^4*y^5 + 5*x^9",
-        "2*x^4*y^3 + 7*x^2*y^6 + 2*x^7*y + 5*y^9 + 5*x^5*y^4",
-        "x^2*y^2 + y^5 + x^5",
+        (
+            "2*x^3*y^4 + 2*x*y^7 + 7*x^6*y^2 + 5*x^4*y^5 + 5*x^9",
+            "2*x^4*y^3 + 7*x^2*y^6 + 2*x^7*y + 5*y^9 + 5*x^5*y^4",
+            "x^2*y^2 + y^5 + x^5",
+        ),
+        ("x^2*y^2 + y^5 + x^5",),
     ),
 }
 
@@ -111,12 +122,12 @@ def _printed(run: dict) -> tuple[str, ...]:
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
 def test_every_analyze_run_is_pinned(name):
-    # The runs `analyze` makes are exactly the pinned runs, the kernel-only one aside.
+    # The runs `analyze` makes are exactly the pinned runs, the kernel-only ones aside.
     pinned = _golden()["analyze"][name]
     kernel_only = [
-        r for r in pinned if r["jet_level"] is None and _printed(r) == KERNEL_ONLY.get(name)
+        r for r in pinned if r["jet_level"] is None and _printed(r) in KERNEL_ONLY.get(name, ())
     ]
-    assert len(kernel_only) == (name in KERNEL_ONLY)
+    assert len(kernel_only) == len(KERNEL_ONLY.get(name, ()))
     runs = _record_analyze(CORPUS_DIR / name)
     assert runs
     for run in runs:
@@ -186,18 +197,21 @@ def _run_out(inputs, ctx: VarContext, rank: int, cap: int | None, kept) -> dict:
     }
 
 
-def _kernel_only_run(name: str) -> dict:
-    """The `KERNEL_ONLY` run of one corpus file, made again."""
+def _kernel_only_runs(name: str) -> list[dict]:
+    """The `KERNEL_ONLY` runs of one corpus file, made again."""
     ctx = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8")).problem.ctx
-    inputs = [(parse_poly(s, ctx),) for s in KERNEL_ONLY[name]]
-    return _run_out(inputs, ctx, 1, None, _kept_entries(inputs, ctx, 1, DEFAULT_BUDGET))
+    runs = []
+    for sources in KERNEL_ONLY.get(name, ()):
+        inputs = [(parse_poly(s, ctx),) for s in sources]
+        runs.append(_run_out(inputs, ctx, 1, None, _kept_entries(inputs, ctx, 1, DEFAULT_BUDGET)))
+    return runs
 
 
 def _record_table() -> dict:
     """The golden table as the program makes it now, kernel-only runs appended."""
     return {
         "analyze": {
-            p.name: _record_analyze(p) + ([_kernel_only_run(p.name)] if p.name in KERNEL_ONLY else [])
+            p.name: _record_analyze(p) + _kernel_only_runs(p.name)
             for p in sorted(CORPUS_DIR.glob("*.brs"))
         },
         "theta_full": {

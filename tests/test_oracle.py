@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import brs.oracle as oracle_module
 import brs.stdbasis as stdbasis_module
-from brs import BrsError, NOT_FINITE, Polynomial, parse_poly
+from brs import BrsError, NOT_FINITE, Polynomial, VarContext, parse_poly
 from brs.polycore import MAX_PACKED_DEGREE, jacobian_ideal
 from brs.stdbasis import DEFAULT_BUDGET, Ideal, colength, ideal_colon
 from brs.oracle import (
@@ -18,7 +18,7 @@ from brs.oracle import (
     _insert_shifts,
     _span,
     _table,
-    axis_certificate,
+    certificate,
     extended_jet_model,
     jet_model,
     oracle_colength,
@@ -30,6 +30,7 @@ from conftest import (
     jet_model_at,
     jet_quotient_dim,
     monomial_index,
+    patch_everywhere,
     reference_insert,
 )
 from strategies import (
@@ -67,29 +68,6 @@ class TestOracleColength:
 
     def test_principal_is_not_finite(self):
         assert oracle_colength(I2("x")) is NOT_FINITE
-
-    def test_axis_certificate(self):
-        # No generator has a pure power of y: the y-axis lies in the zero set.
-        assert axis_certificate(I2("x", "x*y^2"))
-        assert oracle_colength(I2("x", "x*y^2")) is NOT_FINITE
-        assert not axis_certificate(I2("x", "y^3 + x*y"))
-        assert not axis_certificate(I2("1 + x"))
-
-    @settings(max_examples=150, deadline=None)
-    @given(gens=st.lists(polynomials(CTX3, max_terms=4, max_exp=2), max_size=4))
-    def test_axis_certificate_scans_each_variable(self, gens):
-        # The definition, one scan of every term per variable: a variable
-        # is covered by a term that is a pure power of it, or by the unit.
-        I = Ideal(CTX3, gens)
-
-        def covered(v):
-            return any(
-                all(e == 0 for i, e in enumerate(m.exponents) if i != v)
-                for g in I.gens
-                for m, _ in g.terms
-            )
-
-        assert axis_certificate(I) == (not all(covered(v) for v in range(CTX3.n)))
 
     def test_growth_alone_is_not_a_certificate(self):
         # Finite ideals whose jet dimensions grow linearly for many steps:
@@ -136,6 +114,62 @@ class TestOracleColength:
         dims = [jet_quotient_dim(I, d) for d in (4, 6, 8, 10)]
         assert dims == sorted(dims)
         assert dims[-1] == dims[-2] == colength(I)
+
+
+class TestCertificate:
+    def test_certificate(self):
+        # No generator has a pure power of y: the y-axis lies in the zero set.
+        assert certificate(I2("x", "x*y^2"))
+        assert oracle_colength(I2("x", "x*y^2")) is NOT_FINITE
+        assert not certificate(I2("x", "y^3 + x*y"))
+        assert not certificate(I2("1 + x"))
+        # One non-unit generator in two variables cuts out a curve (Krull),
+        # but a pure power in one variable cuts out the point.
+        assert certificate(I2("x^2 + y^3"))
+        ctx1 = VarContext(("x",))
+        assert not certificate(Ideal(ctx1, [parse_poly("x^2", ctx1)]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(gens=st.lists(polynomials(CTX3, max_terms=4, max_exp=2), max_size=4))
+    def test_certificate_scans_each_variable(self, gens):
+        # The definition, one scan of every term per variable: a variable
+        # is covered by a term that is a pure power of it, or by the unit;
+        # one generator without a constant term certifies on its own.
+        I = Ideal(CTX3, gens)
+
+        def covered(v):
+            return any(
+                all(e == 0 for i, e in enumerate(m.exponents) if i != v)
+                for g in I.gens
+                for m, _ in g.terms
+            )
+
+        principal = len(I.gens) == 1 and I.gens[0].constant_term() == 0
+        assert certificate(I) == (principal or not all(covered(v) for v in range(CTX3.n)))
+
+    def test_the_count_takes_the_certificate_with_no_work(self, monkeypatch):
+        # The count and the oracle share one certificate: a principal ideal
+        # is settled with no jet walk and no Mora run.
+        calls: list = []
+        for module, name in ((oracle_module, "jet_model"), (stdbasis_module, "_kept_entries")):
+            patch_everywhere(monkeypatch, module, name, lambda *a, _n=name, **k: calls.append(_n))
+        I = I2("x^2 + y^3")
+        assert I.count(DEFAULT_BUDGET) is NOT_FINITE
+        assert (I.route, calls) == ("certificate", [])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        I=st.one_of(
+            zero_dim_ideals(),
+            st.lists(germs(), max_size=3).map(lambda gens: Ideal(CTX2, gens)),
+            nonzero_polynomials(max_terms=3).map(lambda p: Ideal(CTX2, [p])),
+            st.lists(germs(CTX3), max_size=2).map(lambda gens: Ideal(CTX3, gens)),
+        )
+    )
+    def test_a_certificate_is_never_contradicted_by_mora(self, I):
+        # Mora's standard monomials count the colength on their own.
+        if certificate(I):
+            assert colength(I) is NOT_FINITE
 
 
 class TestJetModel:

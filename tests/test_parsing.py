@@ -12,6 +12,7 @@ from brs import (
     parse_poly,
     parse_problem,
 )
+from brs.parsing import Token, _tokenize
 from strategies import polynomials
 
 
@@ -58,6 +59,30 @@ class TestParsePoly:
 
     def test_unary_minus_nested(self, P):
         assert P("x * -y") == -(P("x") * P("y"))
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\x0b"])
+    def test_any_whitespace_takes_one_column(self, space, ctx2):
+        with pytest.raises(ParseError) as err:
+            parse_poly(f"x +{space}?", ctx2)
+        assert (err.value.message, err.value.line, err.value.column) == ("unexpected character '?'", 1, 5)
+
+    @pytest.mark.parametrize("src, bad", [("x^\u00b2", "\u00b2"), ("2*\u0663 + y", "\u0663")])
+    def test_non_ascii_digits_are_rejected_at_their_column(self, src, bad, ctx2):
+        # str.isdigit() holds for both, and int() reads the Arabic-Indic three.
+        with pytest.raises(ParseError) as err:
+            parse_poly(src, ctx2)
+        assert (err.value.message, err.value.column) == (f"unexpected character {bad!r}", 3)
+
+    def test_a_newline_starts_the_next_line_at_column_1(self, ctx2):
+        got = _tokenize("x\n  y\n", 3, 7)
+        assert got == [
+            Token("NAME", "x", 3, 7), Token("NAME", "y", 4, 3), Token("END", "", 5, 1)
+        ]
+        with pytest.raises(ParseError) as err:
+            parse_poly("x +\n", ctx2)
+        assert (err.value.message, err.value.line, err.value.column) == (
+            "unexpected end of input", 2, 1
+        )
 
     @settings(max_examples=100)
     @given(p=polynomials(max_terms=5, max_exp=4))
@@ -142,6 +167,14 @@ class TestParseProblem:
             with pytest.raises(ParseError) as err:
                 parse_problem(src)
             assert (err.value.line, err.value.column) == (line, column), src
+
+    @pytest.mark.parametrize("names, bad", [("x, \u00b2", "\u00b2"), ("\u00e9", "\u00e9")])
+    def test_names_are_ascii(self, names, bad):
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"phi = x^2\nf = x\nvars = {names}\n")
+        assert (err.value.message, err.value.line, err.value.column) == (
+            f"invalid variable name {bad!r}", 3, 8
+        )
 
     def test_germ_conditions_in_file_order(self):
         # HypersurfaceProblem checks zero phi, then phi(0), then f(0).

@@ -272,14 +272,21 @@ class TestContexts:
         with pytest.raises(ContextError):
             VarContext(("x", "x"))
 
-    def test_embed_restrict_roundtrip(self, ctx2, ctx3):
+    def test_embed_roundtrip(self, ctx2, ctx3):
         p = parse_poly("x^2 - 3*y", ctx2)
-        assert p.embed(ctx3).restrict(ctx2) == p
+        assert p.embed(ctx3).embed(ctx2) == p
 
-    def test_restrict_fails_on_used_variable(self, ctx2, ctx3):
+    def test_embed_fails_on_used_variable(self, ctx2, ctx3):
         p = parse_poly("z^2", ctx3)
         with pytest.raises(ContextError):
-            p.restrict(ctx2)
+            p.embed(ctx2)
+
+    def test_embed_ignores_an_unused_variable(self, ctx2):
+        # Only the variables the polynomial uses must exist in the target.
+        p = parse_poly("x^2 - 3*x", ctx2)
+        ctx_xz = VarContext(("z", "x"))
+        assert p.embed(ctx_xz) == parse_poly("x^2 - 3*x", ctx_xz)
+        assert p.embed(ctx_xz).embed(ctx2) == p
 
     def test_mixed_context_arithmetic_rejected(self, ctx2, ctx3):
         with pytest.raises(ContextError):
