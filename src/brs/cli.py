@@ -13,10 +13,10 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import BrsError, BudgetError, ParseError
+from .errors import BrsError, BudgetError
 from .invariants import analyze
-from .oracle import DEFAULT_CAP
-from .parsing import _check_max_jet, parse_problem
+from .oracle import DEFAULT_CAP, check_cap
+from .parsing import parse_problem
 from .report import (
     corpus_row, corpus_summary, render_corpus_json, render_corpus_text, render_json, render_text,
 )
@@ -76,11 +76,11 @@ def _run_one(path: Path, oracle, max_jet, budget, tau):
 
 
 def _max_jet(ctx, param, value):
-    # Checked by the problem file's own rule, before any problem is read.
+    # Checked by the rule a problem file's max_jet obeys, before any problem is read.
     try:
-        return value if value is None else _check_max_jet(value)
-    except ParseError as exc:
-        click.echo(f"error: --max-jet: {exc.message}", err=True)
+        return value if value is None else check_cap(value)
+    except BrsError as exc:
+        click.echo(f"error: --max-jet: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
 
 

@@ -32,7 +32,7 @@ class ParseError(BrsError):
 
 
 class BudgetError(BrsError):
-    """A standard-basis computation exceeded its pair budget.
+    """A standard basis, or a count's rounds of jets and Mora, exceeded its pair budget.
 
     Turns nontermination-in-practice into a structured failure instead of a hang.
     """

@@ -17,10 +17,10 @@ rather than an algebraic tautology.  Identities whose hypotheses fail on a
 given input (an infinite invariant, a hypersurface with non-isolated
 singular locus) are reported as skipped with a reason, never as failures.
 
-Every colength takes the cheapest proof available, made by the ideal itself
-(`stdbasis.Ideal.count`): the certificate of infinite colength, then a
-stabilized jet walk, and only when the walk hands the ideal back, the
-standard monomials of its Mora run, which prove a finite colength together
+Every colength takes the first proof found by the ideal itself
+(`stdbasis.Ideal.count`): the certificate of infinite colength, then rounds
+of a jet walk to a cap and of its Mora run under an allowance, both doubling;
+the standard monomials of a finished run prove a finite colength together
 with a level for its jet model.  So every finite count carries a model.  The
 counted ideals are one table (`_IDEALS`), each declared once with its
 relations to earlier ones, from which one loop (`_count_stage`) takes the
@@ -82,10 +82,6 @@ class InvariantReport:
     @property
     def failed(self) -> bool:
         return any(e.status == "fail" for e in self.ledger)
-
-    @property
-    def gated(self) -> tuple[LedgerEntry, ...]:
-        return tuple(e for e in self.ledger if e.status != "skip")
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,19 @@ is one packed integer, so a shift x^a * x^b is an integer add and one table
 lookup; a row number names the same monomial in every model, so the rows of
 a degree cap are a prefix and a column of one model is a column of another.
 
-`jet_model` walks d = 1, 2, ... and gives up (None) by a cost rule, never by
-a verdict: when the growth of dim(d) has not slowed once d passes the
-largest generator degree + 2, the ideal is left to standard bases.  One
+`jet_model` walks d = 1, 2, ... up to the cap it is given and returns None
+there, never guessing: which cap, and what to try once a walk reaches it,
+is `Ideal.count`'s choice, and the walk writes nothing on the ideal.  One
 echelon at cap c determines dim(d) for every d <= c, as the rows without a
 pivot below degree d, so a walk builds an echelon only once d passes the cap
-of its last.  A `floor`, the level of an ideal known to contain I, lets the
-walk build its first echelon at floor + 1; each dim(d) is still exact, so a
-wrong floor costs time, never a value.  An uncapped walk writes its model,
-or the level it reached before giving up, on the ideal, and a later walk
-starts past that level.  One free certificate of infinite colength,
+of its last.  A `floor`, the level of an ideal known to contain I or the cap
+an earlier walk of I reached (`Ideal.reach`), lets the walk build its first
+echelon at floor + 1; each dim(d) is still exact, so a wrong floor costs
+time, never a value.  One free certificate of infinite colength,
 `certificate`, is checked before a count's walk and before the oracle's.
-`oracle_colength` is the same walk under a fixed cap: it reports NotFinite
-only with that certificate and Inconclusive at the cap, never a guess.
+`oracle_colength` is the same walk under a fixed cap, from where the
+count's walks stopped: it reports NotFinite only with that certificate and
+Inconclusive at the cap, never a guess.
 
 An echelon is built from the shifts x^t * g_j of the generators, but not
 from all of them: a shift whose row t is already a pivot when g_j comes in
@@ -435,64 +435,45 @@ def certificate(I: Ideal) -> bool:
     return -1 not in axes and not axes.issuperset(range(I.ctx.n))
 
 
-def _walk(growth: Callable[[int], int], top: int, cap: int | None) -> int | None:
-    """The level at which a walk stops, from its growths dim(d) - dim(d-1).
-
-    The level is d - 1 for the first d = 1, 2, ... with zero growth.  None
-    when d passes `cap`, or, without a cap, by the cost rule: the growth has
-    not slowed once d passes `top`.
-    """
-    prev = None
-    d = 1
-    while cap is None or d <= cap:
-        g = growth(d)
-        if g == 0:
-            return d - 1
-        if cap is None and d > top and g >= prev:
-            return None
-        prev = g
-        d += 1
-    return None
+def _walk(growth: Callable[[int], int], cap: int) -> int | None:
+    """The level d - 1 of the first d = 1, ..., cap with zero growth dim(d) - dim(d-1), else None."""
+    return next((d - 1 for d in range(1, cap + 1) if growth(d) == 0), None)
 
 
-def jet_model(I: Ideal, cap: int | None = None, floor: int = 0) -> JetModel | None:
-    """The certified model of I: raise d until dim(d) == dim(d+1).
+def jet_model(
+    I: Ideal, cap: int = DEFAULT_CAP, floor: int = 0, charge: Callable[[int], object] | None = None
+) -> JetModel | None:
+    """The certified model of I: raise d up to `cap` until dim(d) == dim(d+1).
 
-    None when the walk stops first.  With a cap, it stops after level `cap`.
-    Without one, it leaves I to standard bases by the cost rule: the growth
-    dim(d) - dim(d-1) has not slowed once d passes the largest generator
-    degree + 2.  An uncapped walk writes its model on I, or, when it gives
-    up, the level it reached (`Ideal.reach`), the floor of any later walk.
+    None when d passes `cap` first; the walk has then built its last echelon
+    at the cap, and the caller may record that level as a floor for a later
+    walk of I.  The walk writes nothing on I.
 
     One echelon at cap c gives every growth up to d = c (`free_rows`), so a
     new echelon is built only once d passes the cap of the last, and the
-    model at level N is the cap-(N+1) echelon cut down.  `floor` is the
-    level of an ideal known to contain I, below which the walk cannot stop:
-    the first echelon is built at cap floor + 1 (never above `cap`).  Every
-    growth is exact whatever the floor, so a wrong one costs time, never a
-    value.  The generators are read in packed integer form once for the walk
-    (`_generators`), from what each polynomial keeps (`packed_terms`).
+    model at level N is the cap-(N+1) echelon cut down.  `floor` is a level
+    below which the walk cannot stop: the first echelon is built at cap
+    floor + 1 (never above `cap`).  Every growth is exact whatever the floor,
+    so a wrong one costs time, never a value.  `charge`, when given, is told
+    the columns each echelon stores once it is built.  The generators are
+    read in packed integer form once for the walk (`_generators`), from what
+    each polynomial keeps (`packed_terms`).
     """
     gens = _generators(I.gens)
-    floor = max(floor, I.reach or 0)
     span: JetModel | None = None
     free: list[int] = []
 
     def growth(d: int) -> int:
         nonlocal span, free
         if span is None or d > span.level:
-            c = d if span is not None else max(d, floor + 1)
-            c = c if cap is None else min(c, cap)
-            span = _span(I.ctx, gens, c)
+            span = _span(I.ctx, gens, min(max(d, floor + 1), cap))
+            if charge:
+                charge(span.ech.rank)
             free = span.free_rows()
         return free[d - 1]
 
-    top = max((g.degree() for g in I.gens), default=0) + 2
-    level = _walk(growth, top, cap)
-    model = None if level is None else span.truncated(level)
-    if cap is None:
-        I.model, I.reach = model, span.level if model is None else None
-    return model
+    level = _walk(growth, cap)
+    return None if level is None else span.truncated(level)
 
 
 def extended_jet_model(base: JetModel, extra: Sequence[Polynomial]) -> JetModel:
@@ -505,7 +486,7 @@ def extended_jet_model(base: JetModel, extra: Sequence[Polynomial]) -> JetModel:
     inserted into a copy of J's echelon give I/m^N with no walk.  dim(d)
     counts the rows without a pivot below degree d, and every row of degree
     N is in I, so a zero growth always exists: the model is cut down to the
-    level of the first, the level a walk of I stops at without its cost rule.
+    level of the first, the level a walk of I stops at.
     """
     if base.contains_all(extra):
         return base
@@ -544,10 +525,11 @@ def module_jet_quotient_dim(gens, rank: int, n: int, d: int) -> int:
     return rank * size - ech.rank
 
 
-def check_cap(cap: int) -> None:
-    """Refuse an oracle cap below MIN_CAP."""
+def check_cap(cap: int) -> int:
+    """The oracle cap, `max_jet`, refused below MIN_CAP, wherever it is given."""
     if cap < MIN_CAP:
-        raise BrsError(f"oracle cap must be at least {MIN_CAP}")
+        raise BrsError(f"max_jet must be at least {MIN_CAP}")
+    return cap
 
 
 def oracle_colength(I: Ideal, cap: int = DEFAULT_CAP) -> OracleValue:
@@ -555,11 +537,12 @@ def oracle_colength(I: Ideal, cap: int = DEFAULT_CAP) -> OracleValue:
 
     NotFinite only with a `certificate`; otherwise the stabilized dimension,
     or Inconclusive when the walk reaches the cap.  The walk reads only
-    where an earlier walk of I gave up (`jet_model`), never the proof of
-    I's count.
+    where the count's walks of I stopped (`Ideal.reach`), never the proof
+    of I's count; at or past the cap, that is already Inconclusive.
     """
     check_cap(cap)
     if certificate(I):
         return NOT_FINITE
-    model = jet_model(I, cap)
+    floor = I.reach or 0
+    model = jet_model(I, cap, floor) if floor < cap else None
     return INCONCLUSIVE if model is None else model.colength

@@ -21,8 +21,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError
-from .oracle import DEFAULT_CAP, MIN_CAP
+from .errors import BrsError, ParseError
+from .oracle import DEFAULT_CAP, check_cap
 from .polycore import Polynomial, VarContext
 from .tangent import HypersurfaceProblem
 
@@ -239,13 +239,6 @@ def read_problem_file(src: str) -> ProblemFile:
     return ProblemFile(names, seen["phi"], seen["f"], options, positions)
 
 
-def _check_max_jet(max_jet: int, line: int = 1, column: int = 1) -> int:
-    """An oracle cap, from a file's max_jet key or the CLI: at least MIN_CAP."""
-    if max_jet < MIN_CAP:
-        raise ParseError(f"max_jet must be at least {MIN_CAP}", line, column)
-    return max_jet
-
-
 def parse_problem(src: str) -> ParsedProblem:
     """Parse and validate a full problem file.
 
@@ -267,11 +260,12 @@ def parse_problem(src: str) -> ParsedProblem:
         raise ParseError(f"oracle must be on or off, got {oracle_raw!r}", *at["oracle"])
     max_jet_raw = pf.options.get("max_jet", str(DEFAULT_CAP))
     try:
-        max_jet = int(max_jet_raw)
+        max_jet = check_cap(int(max_jet_raw))
     except ValueError:
         message = f"max_jet must be an integer, got {max_jet_raw!r}"
         raise ParseError(message, *at["max_jet"]) from None
-    _check_max_jet(max_jet, *at.get("max_jet", ()))
+    except BrsError as exc:  # the oracle's own rule, at the key's position
+        raise ParseError(str(exc), *at["max_jet"]) from None
     fmt = pf.options.get("format", "text")
     if fmt not in ("text", "json"):
         raise ParseError(f"format must be text or json, got {fmt!r}", *at["format"])

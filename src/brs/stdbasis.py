@@ -23,13 +23,13 @@ same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
 both engines (so an exponent above 65535 raises BrsError here too), and
 results become `Polynomial`s with `int` coefficients once, on the way out;
 a row tracked by a syzygy run carries one integer denominator.  An `Ideal`
-holds its proofs: its count (`Ideal.count`) and its one Mora run
-(`Ideal.mora`), which every basis, count and degree bound of it reads.  A
-degree-capped run (`_capped_run`) leaves the monomials of degree cap
-implicit: they are charged to the budget as the pairs they would form,
-never scanned as reducers, and join the basis at the end where no kept lead
-divides them; a count (`colength`) never builds them, nor the basis: the
-run's proof lists the standard monomials.
+holds its proofs: its count (`Ideal.count`, the one place that chooses
+between certificate, jets and Mora) and its one Mora run (`Ideal.mora`),
+which every basis, count and degree bound of it reads.  A degree-capped run
+(`_capped_run`) leaves the monomials of degree cap implicit: they form no
+pair, are never scanned as reducers, and join the basis at the end where no
+kept lead divides them; a count (`colength`) never builds them, nor the
+basis: the run's proof lists the standard monomials.
 
 Colengths, memberships and quotient dimensions are exact; infinite dimensions
 are reported as the NOT_FINITE value rather than as errors, because several
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Sequence, Union
 
@@ -67,6 +67,7 @@ from .polycore import (
 )
 
 DEFAULT_BUDGET = 200_000
+FIRST_ALLOWANCE = 1000  # the Mora pairs of a count's first round; each round doubles them
 
 Vec = tuple[Polynomial, ...]
 
@@ -79,13 +80,13 @@ class Ideal:
     """Finitely generated ideal; generator order is preserved, zeros dropped.
 
     It holds what is proven about it, made once and read by every later
-    call, whatever budget that call passes: its colength `value` and the
-    proof's `route`, "certificate", "jet" or "mora" (`count` writes them);
-    its certified jet `model`, or, when its walk gave up, the level that
-    walk reached, `reach`, a floor for every later walk (`oracle.jet_model`
-    writes them); and its one Mora run (`mora`).  It answers
-    `contains_all`, `contains_ideal` and `colon` from its model when it has
-    one, and from Mora otherwise, and keeps the colon it took last.
+    call, whatever budget that call passes: its colength `value`, the
+    proof's `route`, "certificate", "jet" or "mora", its certified jet
+    `model`, and the cap `reach` that its count's walks reached without a
+    model, a floor for every later walk (`count` writes them all); and its
+    one Mora run (`mora`).  It answers `contains_all`, `contains_ideal` and
+    `colon` from its model when it has one, and from Mora otherwise, and
+    keeps the colon it took last.
     """
 
     __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_mora", "_colon")
@@ -103,41 +104,68 @@ class Ideal:
     def count(
         self, budget: int, base: JetModel | None = None, extra: "Ideal | None" = None, floor: int = 0
     ) -> Value:
-        """The colength of I, this ideal, with the cheapest proof that settles it.
+        """The colength of I, this ideal, by the first proof found; nothing else picks the proof.
 
         Made once: a known value returns at once, whatever the arguments.
         `base`, when given, is the certified model of an ideal K with I = K +
         `extra`, so I's model extends it, with no walk, and always exists (an
         ideal with a model has no certificate, nor has any containing it).
-        Otherwise `certificate`, the oracle's own, decides, or the walk, from
-        `floor`, the level of an ideal known to contain I.
-
-        When the walk gives up, the standard monomials of I's Mora run decide
-        (`mora`, uncapped, since no level exists).  A finite count also
-        proves a level: with N = 1 + the top degree of a standard monomial,
-        m^N lies in I (the highest-corner bound), so a walk capped at N + 1
-        stops by N, and the model it gives must count what Mora counted.
-        Every finite count thus carries a model.
+        Otherwise `certificate`, the oracle's own, decides, or rounds do:
+        round one walks from `floor`, the level of an ideal known to contain
+        I, to a cap n + 1 past the larger of the floor and the top generator
+        degree + 2 (n variables), then makes I's Mora run (`mora`) under an
+        allowance of FIRST_ALLOWANCE pairs; each later round doubles both and
+        walks on from the cap the last reached (`reach`), so no echelon is
+        built twice.  The first model or finished run wins.  With N = 1 + the
+        top degree of a standard monomial of a finite run, m^N lies in I (the
+        highest-corner bound), so a walk capped at N + 1 stops by N, and its
+        model must count what Mora counted: every finite count has a model.
+        All rounds draw on one meter of `budget` (`_Budget`); BudgetError
+        names I, the round, the level the walks reached and the pairs spent.
         """
         if self.value is not None:
             return self.value
         if base is not None:
-            self.model = extended_jet_model(base, extra.gens)
+            self.model, self.route = extended_jet_model(base, extra.gens), "jet"
         elif certificate(self):
-            self.value, self.route = NOT_FINITE, "certificate"
-            return self.value
+            self.route = "certificate"
         else:
-            jet_model(self, floor=floor)
-        self.route = "jet" if self.model else "mora"
-        if self.model is None and (exps := self.mora(budget)[2]) is not None:
-            level = 1 + max((sum(e) for e in exps), default=-1)
-            self.model = jet_model(self, cap=level + 1, floor=level)
-            if self.model is None or self.model.colength != len(exps):
-                raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
+            self._rounds(budget, floor)
         self.value = self.model.colength if self.model else NOT_FINITE
         return self.value
 
-    def mora(self, budget: int) -> tuple[list["_Entry"], int | None, list[tuple[int, ...]] | None]:
+    def _rounds(self, budget: int, floor: int) -> None:
+        # The rounds of `count`: they write the model, the route and the reach.
+        meter = _Budget(budget)
+        cap = max(floor, max((g.degree() for g in self.gens), default=0) + 2) + self.ctx.n + 1
+        pairs, rounds = FIRST_ALLOWANCE, 1
+        try:
+            while not (model := jet_model(self, cap, max(floor, self.reach or 0), meter.charge_columns)):
+                self.reach = cap
+                meter.allow(pairs)
+                try:
+                    exps = self.mora(meter)[2]
+                    break
+                except BudgetError:
+                    if meter.spent:
+                        raise
+                finally:
+                    meter.allow(budget)
+                cap, pairs, rounds = 2 * cap, 2 * pairs, rounds + 1
+            self.route = "jet" if model else "mora"
+            if not model and exps is not None:
+                level = 1 + max((sum(e) for e in exps), default=-1)
+                model = jet_model(self, level + 1, level, meter.charge_columns)
+                if model is None or model.colength != len(exps):
+                    raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
+            self.model = model
+        except BudgetError:
+            spent = f"jets to level {self.reach or 0} and {meter.pairs - meter.columns} Mora pairs"
+            raise BudgetError(budget, f"round {rounds} of the count of {self}, with {spent}") from None
+
+    def mora(
+        self, budget: "int | _Budget"
+    ) -> tuple[list["_Entry"], int | None, list[tuple[int, ...]] | None]:
         """The ideal's one Mora run, made on first use: kept entries, cap, standard exponents.
 
         An ideal with nothing proven about it is counted first.  The run is
@@ -146,7 +174,7 @@ class Ideal:
         passes.  The standard exponents are None when there are infinitely
         many.
         """
-        if self.route is None and self.model is None:
+        if self.route is None and self.model is None and self.reach is None:
             self.count(budget)
         if self._mora is None:
             vecs = [(g,) for g in self.gens]
@@ -400,31 +428,40 @@ class _Entry:
 
 
 class _Budget:
-    """Shared work meter for one completion run.
+    """Work meter of one Mora run, or of all the walks and runs of one count.
 
     Mora reduction terminates in theory, but adversarial inputs can march
     through astronomically many or astronomically large steps; counting
-    individual reduction steps alongside treated pairs turns both flavors of
-    nontermination-in-practice into a structured BudgetError.  A capped run
-    charges the pairs it never forms (lcm at or above the cap) as they are
-    dropped, so a budget stops it no later than when it treated them all.
+    reduction steps alongside treated pairs makes both a BudgetError.  Pairs,
+    and the columns a count's echelons store, are charged against `limit`,
+    steps against ten times it; `allow` narrows both to a round's allowance.
     """
 
-    STEPS_PER_PAIR = 10
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.pairs = self.steps = self.columns = 0
+        self.allow(limit)
 
-    def __init__(self, pairs: int):
-        self.pairs_left = pairs
-        self.steps_left = pairs * self.STEPS_PER_PAIR
-        self.limit = pairs
+    def allow(self, pairs: int) -> None:
+        self.pair_end = min(self.pairs + pairs, self.limit)
+        self.step_end = min(self.steps + 10 * pairs, 10 * self.limit)
+
+    @property
+    def spent(self) -> bool:
+        return self.pairs > self.limit or self.steps > 10 * self.limit
 
     def charge_pair(self, count: int = 1):
-        self.pairs_left -= count
-        if self.pairs_left < 0:
+        self.pairs += count
+        if self.pairs > self.pair_end:
             raise BudgetError(self.limit)
 
+    def charge_columns(self, count: int):
+        self.columns += count
+        self.charge_pair(count)
+
     def charge_step(self):
-        self.steps_left -= 1
-        if self.steps_left < 0:
+        self.steps += 1
+        if self.steps > self.step_end:
             raise BudgetError(self.limit, stage="normal form reduction")
 
 
@@ -514,7 +551,7 @@ def _kept_entries(
     inputs: list[Vec],
     ctx: VarContext,
     rank: int,
-    budget: int,
+    budget: "int | _Budget",
     use_criteria: bool = True,
     collect: list[IVec] | None = None,
     cap: int | None = None,
@@ -525,7 +562,8 @@ def _kept_entries(
     the (i, j) indices, so runs are reproducible.  Pair pruning uses the
     chain criterion in its Gebauer-Moeller form (old-pair cancellation plus
     lcm minimalization among new pairs); no coprimality shortcut, which would
-    be unsound here.
+    be unsound here.  `budget` is a pair limit, or the meter of the count
+    that makes the run (`Ideal.count`).
 
     When `collect` is given, the run is tracked: every element carries a
     passenger row/den expressing it as an exact polynomial combination of
@@ -548,21 +586,17 @@ def _kept_entries(
     them, so the basis and the order in which the remaining pairs are
     treated do not change.  The monomials of degree cap are therefore left
     implicit: they would enter after the inputs with no pairs, and no
-    reduction could use them, since every lead it meets lies below the cap.
-    Each pair they would have formed is still charged (per monomial, one per
-    entry or monomial before it, and one per later entry); they are not
-    among the entries returned (`_complete` adds those no kept lead divides).
+    reduction could use them, since every lead it meets lies below the cap;
+    they are not among the entries returned (`_complete` adds those no kept
+    lead divides).
     """
     track = collect is not None
     den_in, vecs = _to_ivecs(inputs if track else list(dict.fromkeys(inputs)), cap)
-    n = ctx.n
-    one = (0, (0,) * n)  # the key of the monomial 1
+    one = (0, (0,) * ctx.n)  # the key of the monomial 1
     entries: list[_Entry] = []
     alive: dict[tuple[int, int], tuple[int, ...]] = {}
     heap: list[tuple[int, int, int]] = []
-    meter = _Budget(budget)
-    implicit = comb(cap + n - 1, n - 1) if cap is not None else 0
-    cap_peers = 0  # implicit monomials entered so far
+    meter = budget if isinstance(budget, _Budget) else _Budget(budget)
     collapse = rank == 1 and not track
 
     def add(vec: IVec, row: IVec | None, den: int) -> bool:
@@ -572,13 +606,11 @@ def _kept_entries(
         t = len(entries)
         peers = [i for i, old in enumerate(entries) if old.comp == entry.comp]
         entries.append(entry)
-        meter.charge_pair(cap_peers)  # every lcm with a cap monomial reaches the cap
         new_lcms: dict[tuple[int, ...], tuple[int, int]] = {}
         for i in peers:
             lcm_exps = tuple(map(max, entries[i].exps, entry.exps))
             lcm_deg = sum(lcm_exps)
             if cap is not None and lcm_deg >= cap:
-                meter.charge_pair()
                 continue
             if lcm_exps not in new_lcms:  # keep lowest index per repeated lcm
                 new_lcms[lcm_exps] = (i, lcm_deg)
@@ -622,11 +654,6 @@ def _kept_entries(
         if any(reduced) and add(reduced, row, den):
             collapsed = True
             break
-
-    if implicit and not collapsed:
-        # The monomials of degree cap enter here, after the inputs.
-        meter.charge_pair(implicit * len(entries) + implicit * (implicit - 1) // 2)
-        cap_peers = implicit
 
     while heap and not collapsed:
         _, i, j = heapq.heappop(heap)
@@ -702,10 +729,8 @@ def _capped_run(
     basis of I, proven by the run itself, so it takes no word of the jet
     engine that proposed N on trust.  Returns the kept entries with the
     exponents of the standard monomials, which the proof listed.  None
-    when the run exhausts the budget (it charges every pair it skips at the
-    cap, so a high level exhausts it at once) or the proof fails: the plain
-    run then decides (`Ideal.mora`), so a proposal costs time, never
-    correctness.
+    when the run exhausts the budget or the proof fails: the plain run then
+    decides (`Ideal.mora`), so a proposal costs time, never correctness.
     """
     try:
         kept = _kept_entries(vecs, ctx, 1, budget, cap=level + 1)
@@ -965,8 +990,9 @@ def module_quotient_dim(
     Q is counted by the jet walk every ideal takes (`oracle._walk`):
     dim(d) = dim Q/m^d Q for d = 1, 2, ... by exact linear algebra, and
     dim(d) == dim(d+1) means m^d Q = m^(d+1) Q, so m^d Q = 0 by Nakayama's
-    lemma and dim(d) is the answer.  When the walk gives up by its cost
-    rule, the standard monomials of an uncapped Mora basis of the
+    lemma and dim(d) is the answer.  The walk's cap is that of a count's
+    first round: n + 1 past the largest presentation degree + 2.  When the
+    walk reaches it, the standard monomials of an uncapped Mora basis of the
     presentation are counted componentwise; that count decides, and it is
     the proof of NOT_FINITE.
     """
@@ -993,8 +1019,7 @@ def module_quotient_dim(
         dims.append(module_jet_quotient_dim(presentation, t, ctx.n, d))
         return dims[d] - dims[d - 1]
 
-    top = max(p.degree() for v in presentation for p in v) + 2
-    level = _walk(growth, top, None)
+    level = _walk(growth, max(p.degree() for v in presentation for p in v) + ctx.n + 3)
     if level is not None:
         return dims[level]
     entries = _complete(presentation, ctx, t, budget)

@@ -20,7 +20,17 @@ from brs import (
     VarContext,
     parse_poly,
 )
-from brs.oracle import Column, JetModel, _Echelon, _generators, _shifted, _span, _Table, _table
+from brs.oracle import (
+    DEFAULT_CAP,
+    Column,
+    JetModel,
+    _Echelon,
+    _generators,
+    _shifted,
+    _span,
+    _Table,
+    _table,
+)
 from brs.polycore import Monomial, VectorField, dot, require_same_ctx
 from brs.stdbasis import (
     DEFAULT_BUDGET,
@@ -365,7 +375,8 @@ def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
     """What the engines do from now on, recorded as it happens.
 
     `walks`: (ideal, cap) of each `oracle.jet_model` call, from any module;
-    `spans`: (ideal, cap) of each echelon `oracle._span` builds, the ideal
+    `counted`: those of them that a count (`Ideal.count`) makes of its own
+    ideal; `spans`: (ideal, cap) of each echelon `oracle._span` builds, the ideal
     being the one the innermost `jet_model` call walks (None outside one);
     `uncapped`: the inputs of each uncapped, untracked Mora run
     (`stdbasis._kept_entries`), as printed; `capped`: the inputs, as
@@ -376,18 +387,28 @@ def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
     import brs.oracle as oracle_module
     import brs.stdbasis as stdbasis_module
 
-    rec = SimpleNamespace(walks=[], spans=[], uncapped=[], capped=[])
+    rec = SimpleNamespace(walks=[], counted=[], spans=[], uncapped=[], capped=[])
     walking: list = []
+    counting: list = []
     real_walk, real_span = oracle_module.jet_model, oracle_module._span
-    real_run = stdbasis_module._kept_entries
+    real_run, real_count = stdbasis_module._kept_entries, Ideal.count
 
-    def walk(I, cap=None, floor=0):
+    def walk(I, cap=DEFAULT_CAP, *args):
         rec.walks.append((I, cap))
+        if counting and counting[-1] is I:
+            rec.counted.append((I, cap))
         walking.append(I)
         try:
-            return real_walk(I, cap, floor)
+            return real_walk(I, cap, *args)
         finally:
             walking.pop()
+
+    def count(I, *args, **kwargs):
+        counting.append(I)
+        try:
+            return real_count(I, *args, **kwargs)
+        finally:
+            counting.pop()
 
     def span(ctx, gens, cap):
         rec.spans.append((walking[-1] if walking else None, cap))
@@ -403,6 +424,7 @@ def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
 
     patch_everywhere(monkeypatch, oracle_module, "jet_model", walk)
     patch_everywhere(monkeypatch, oracle_module, "_span", span)
+    monkeypatch.setattr(Ideal, "count", count)
     patch_everywhere(monkeypatch, stdbasis_module, "_kept_entries", run)
     yield rec
     assert rec.walks or rec.uncapped or rec.capped, "the recorder saw no walk and no Mora run"

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import brs.cli as cli_module
 from brs import LedgerEntry, analyze
 from brs.cli import main
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, REPO_ROOT
 
 CUSP = "vars = x, y\nphi  = x^2 + y^3\nf    = y\n"
 
@@ -145,10 +145,12 @@ class TestCheck:
         assert invoke("check", "/nonexistent/path.brs", "--max-jet", "3").exit_code == 1
 
     def test_module_entry_point(self, cusp_file):
+        # Run from the source directory, so `-m` finds the package uninstalled.
         res = subprocess.run(
             [sys.executable, "-m", "brs", "check", str(cusp_file)],
             capture_output=True,
             text=True,
+            cwd=REPO_ROOT / "src",
         )
         assert res.returncode == 0
         assert res.stdout.rstrip().endswith("PASS")

@@ -12,6 +12,7 @@ import brs.stdbasis as stdbasis_module
 import brs.tangent as tangent_module
 from brs import (
     BrsError,
+    BudgetError,
     ContainmentError,
     HypersurfaceProblem,
     InternalError,
@@ -31,9 +32,16 @@ from brs.cli import main as cli_main
 from brs.invariants import detect_split
 from brs.oracle import DEFAULT_CAP, jet_model, oracle_colength
 from brs.polycore import VectorField, jacobian_ideal
-from brs.stdbasis import Ideal, colength, module_quotient_dim
+from brs.stdbasis import DEFAULT_BUDGET, Ideal, colength, module_quotient_dim
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
-from conftest import CORPUS_DIR, as_submodule, ideal_contains, patch_everywhere, theta_trivial
+from conftest import (
+    CORPUS_DIR,
+    as_submodule,
+    deadline,
+    ideal_contains,
+    patch_everywhere,
+    theta_trivial,
+)
 from strategies import CTX2
 
 
@@ -41,6 +49,11 @@ def prob(phi_src: str, f_src: str, ctx=CTX2) -> HypersurfaceProblem:
     return HypersurfaceProblem(
         ctx=ctx, phi=parse_poly(phi_src, ctx), f=parse_poly(f_src, ctx)
     )
+
+
+def gated(report) -> list:
+    """The ledger entries whose hypotheses hold: every entry not skipped."""
+    return [e for e in report.ledger if e.status != "skip"]
 
 
 def spy_on(monkeypatch, name: str, log: list, module=invariants_module) -> None:
@@ -131,12 +144,14 @@ SPLIT_COUNTS = COUNTS[:6] + (
 # (the Schreyer run of Theta_X among them), each count's route by its first
 # letter (certificate, jet, mora), in count order, and the colons and
 # extensions of a jet model that eliminate, inserting columns into an echelon.
-# In all, 338 echelons and 29 runs; 0 of the 36 colons, since every f that
-# reaches a colon is linear, so some phi*f_xi is a nonzero multiple of phi and
-# phi lies in df_T and df_X; and 10 of the 60 extensions.
+# A Mora-route ideal is walked to its count's round-one cap, 3 past its
+# largest generator degree + 2 in two variables.  In all, 348 echelons and 29
+# runs; 0 of the 36 colons, since every f that reaches a colon is linear, so
+# some phi*f_xi is a nonzero multiple of phi and phi lies in df_T and df_X;
+# and 10 of the 60 extensions.
 WORK = {
-    "degen_a2_self.brs": (15, 3, "jjjmcccm", 0, 0),
-    "degen_t55_self.brs": (36, 4, "jjjmccmm", 0, 1),
+    "degen_a2_self.brs": (19, 3, "jjjmcccm", 0, 0),
+    "degen_t55_self.brs": (42, 4, "jjjmccmm", 0, 1),
     "nwh_t334_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
     "nwh_t444_3d_f_z.brs": (17, 1, "jjjjjjjj", 0, 1),
     "nwh_t444_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
@@ -165,8 +180,8 @@ WORK = {
 class TestLedger:
     def test_cusp_all_gated_pass(self, P):
         report = analyze(prob("x^2 + y^3", "y"))
-        gated = report.gated
-        assert gated and all(e.status == "pass" for e in gated)
+        entries = gated(report)
+        assert entries and all(e.status == "pass" for e in entries)
         by_name = {e.name: e for e in report.ledger}
         assert by_name["relbr-sum"].lhs == 1
         assert by_name["relbr-sum"].rhs == 1  # 1 + 2 - 2
@@ -304,7 +319,7 @@ class TestLedger:
         report = analyze(parsed.problem)
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == values
-        assert report.gated and all(e.status == "pass" for e in report.gated)
+        assert gated(report) and all(e.status == "pass" for e in gated(report))
         by_name = {e.name: e for e in report.ledger}
         for entry in ("intersect-product", "colon-full", "colon-trivial"):
             assert by_name[entry].status == "pass"
@@ -316,7 +331,7 @@ class TestLedger:
         report = analyze(prob("x^4 + y^4 + z^4 + w^4 + x*y*z*w", "x + 2*y - z + 3*w", ctx))
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == (0, 81, 81, 27, 27, 27)
-        assert report.gated and all(e.status == "pass" for e in report.gated)
+        assert gated(report) and all(e.status == "pass" for e in gated(report))
         assert {I.route for I in report.ideals.values()} == {"jet"}
 
     @pytest.mark.parametrize(
@@ -457,7 +472,7 @@ def test_a_low_oracle_cap_is_refused_before_any_count(name, monkeypatch):
     counted: list = []
     real = Ideal.count
     monkeypatch.setattr(Ideal, "count", lambda I, *a, **k: counted.append(I) or real(I, *a, **k))
-    with pytest.raises(BrsError, match="oracle cap must be at least 4"):
+    with pytest.raises(BrsError, match="max_jet must be at least 4"):
         analyze(corpus_problem(name), oracle=True, max_jet=1)
     assert counted == []
 
@@ -539,11 +554,11 @@ class TestOneProofPerIdeal:
     @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
     def test_no_proof_is_made_twice(self, oracle, tau, recorder):
         for name, problem, max_jet in self.problems():
-            for made in (recorder.walks, recorder.spans, recorder.uncapped, recorder.capped):
+            for made in (recorder.counted, recorder.spans, recorder.uncapped, recorder.capped):
                 made.clear()
             analyze(problem, oracle=oracle, max_jet=max_jet, tau_check=tau)
-            walked = [I for I, cap in recorder.walks if cap is None]
-            assert len(walked) == len(set(walked)), name
+            walked = recorder.counted
+            assert walked and len(walked) == len(set(walked)), name
             assert len(recorder.spans) == len(set(recorder.spans)), name
             assert len(recorder.uncapped) == len(set(recorder.uncapped)), name
             assert len(recorder.capped) == len(set(recorder.capped)), name
@@ -566,15 +581,63 @@ class TestOneProofPerIdeal:
         assert len(set(recorder.capped)) == 2
 
     def test_a_capped_walk_starts_past_a_walk_that_gave_up(self, recorder):
-        # Jf = (2x + 2y, 2x + 2y) has infinite colength: its walk gives up,
-        # and the oracle's walk of it, capped at 32, builds its first
-        # echelon one level past the last one the first walk built.
+        # Jf = (2x + 2y, 2x + 2y) has infinite colength: its count's walk
+        # reaches round one's cap, 6, before Mora proves it, and the oracle's
+        # walk of it, capped at 32, builds its first echelon one level past.
         report = analyze(prob("x^2 + y^3", "x^2 + 2*x*y + y^2"), oracle=True)
         jf = report.ideals["mu_f"]
         caps = [cap for I, cap in recorder.spans if I is jf]
         assert jf.route == "mora" and jf.reach is not None
         assert caps == list(range(1, 33))
-        assert [cap for I, cap in recorder.walks if I is jf] == [None, 32]
+        assert [cap for I, cap in recorder.walks if I is jf] == [6, 32]
+
+
+class TestCountRounds:
+    # `Ideal.count` tries the certificate, then a walk to its round's cap,
+    # then the ideal's Mora run under its round's allowance; the cap and the
+    # allowance double each round, and the first proof wins.
+    def test_s39_trivial_ideal_is_proven_by_jets(self, ctx3):
+        # The walk of df_T stops at level 10, past the largest generator
+        # degree + 2 = 9, where a cost rule once gave up on it for an
+        # uncapped Mora run that did not end.
+        phi = parse_poly("x^4 + y^3 + z^6 - 2*x*y*z + x*y*z^3", ctx3)
+        I = df_trivial_ideal(parse_poly("-2*y*z + x + y^2", ctx3), phi)
+        with deadline("the count of S39's df_T", 1.0):
+            assert I.count(DEFAULT_BUDGET) == 22
+        assert (I.route, I.model.level) == ("jet", 10)
+
+    def test_a_second_round_walks_on_from_the_first(self, recorder, monkeypatch):
+        # With no Mora allowance, round one's walk of (x^9, y^9) reaches its
+        # cap, 9 + 2 + 3, and round two's walk, to twice that, starts past it
+        # and proves the level, 17: no echelon is built twice.
+        monkeypatch.setattr(stdbasis_module, "FIRST_ALLOWANCE", 0)
+        I = Ideal(CTX2, [parse_poly("x^9", CTX2), parse_poly("y^9", CTX2)])
+        assert I.count(DEFAULT_BUDGET) == 81
+        assert (I.route, I.model.level, I.reach) == ("jet", 17, 14)
+        assert recorder.counted == [(I, 14), (I, 28)]
+        assert [cap for _, cap in recorder.spans] == list(range(1, 19))
+        assert recorder.uncapped == [("x^9", "y^9")]
+
+    def test_a_budget_too_small_for_round_one_names_the_ideal_and_the_round(self):
+        # The walk to round one's cap stores more columns than the budget.
+        I = Ideal(CTX2, [parse_poly("x^9", CTX2), parse_poly("y^9", CTX2)])
+        with pytest.raises(BudgetError) as caught:
+            I.count(50)
+        assert f"round 1 of the count of {I}, with jets to level 0" in str(caught.value)
+        assert I.value is None
+
+    def test_a_high_jet_level_is_checked_by_a_capped_run(self, ctx3):
+        # tau_X, df_T and the Le-Greuel ideal extend J_phi's model at levels
+        # 34 and 35.  A capped run once paid for the pairs its implicit cap
+        # monomials never form, which passed the default budget from level
+        # 34 in three variables, so the plain run decided; charged for the
+        # work it does, the capped run checks each count.
+        report = analyze(prob("x^13 + y^13 + z^13", "x + 2*y - z", ctx3))
+        high = [I for I in report.ideals.values() if I.route == "jet" and I.model.level >= 34]
+        assert len(high) == 4
+        for I in high:
+            kept, cap, exps = I.mora(DEFAULT_BUDGET)
+            assert cap == I.model.level + 1 and len(exps) == I.value
 
 
 def run_facts(problem: HypersurfaceProblem, monkeypatch) -> SimpleNamespace:
@@ -699,7 +762,7 @@ class TestMoraCountCarriesItsModel:
         report = analyze(brieskorn_pham(names, phi, f))
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == values
-        assert all(e.status == "pass" for e in report.gated)
+        assert all(e.status == "pass" for e in gated(report))
         assert report.ideals["mu_X"].route == "mora"
         (mu_X,) = [I for I in counts if I is report.ideals["mu_X"]]
         assert mu_X.model is not None and mu_X.model.colength == values[1]
@@ -713,15 +776,15 @@ class TestMoraCountCarriesItsModel:
 
     @pytest.mark.parametrize("name", ["degen_a2_self.brs", "degen_t55_self.brs"])
     def test_one_walk_per_mora_count(self, name, monkeypatch):
-        # A walk that gave up is not repeated to propose a level for Mora:
-        # its verdict does not depend on its floor, so it would give up again.
+        # Every Mora-route ideal here is infinite, proven by the Mora run of
+        # its count's first round: one walk, to that round's cap, and no
+        # walk for a level.
         walks: list = []
         real_walk = oracle_module.jet_model
 
-        def walk(I, cap=None, floor=0):
-            if cap is None:
-                walks.append(I)
-            return real_walk(I, cap, floor)
+        def walk(I, *args):
+            walks.append(I)
+            return real_walk(I, *args)
 
         made: list = []
         real_count = Ideal.count

@@ -491,37 +491,49 @@ class TestCappedRun:
         entries = _complete([(P("x^2"),)], CTX2, 1, 10_000, cap=3)
         assert [e.mono.exponents for e in entries] == [(2, 0), (0, 3), (1, 2)]
 
-    def test_a_capped_run_out_of_budget_leaves_the_plain_run_to_decide(self, P):
-        # At level 4 the pairs the capped run charges at its cap exceed this
-        # budget; the plain run of (x^2, y^3) fits in it.
+    def test_a_capped_run_out_of_budget_leaves_the_plain_run_to_decide(self, P, monkeypatch):
+        # A capped run is charged only the work it does, here no more than
+        # the plain run's; stubbed to run out, it proves nothing, and the
+        # plain run of (x^2, y^3) decides.
+        import brs.stdbasis as stdbasis_module
+        from brs import BudgetError
+
+        real = stdbasis_module._kept_entries
+
+        def run(inputs, ctx, rank, budget, **kwargs):
+            if kwargs.get("cap") is not None:
+                raise BudgetError(budget)
+            return real(inputs, ctx, rank, budget, **kwargs)
+
+        monkeypatch.setattr(stdbasis_module, "_kept_entries", run)
         I = proposed(Ideal(CTX2, [P("x^2"), P("y^3")]), 4)
         assert colength(I, budget=5) == 6 and I.mora(5)[1] is None
 
-    def test_pairs_at_the_cap_are_charged(self, P):
-        # Degree-cap monomials form no pairs, but each one they would have
-        # formed still counts against the budget; a capped run out of budget
-        # proves nothing.
+    def test_pairs_at_the_cap_cost_nothing(self, P):
+        # Degree-cap monomials form no pairs, and the one pair of x^2 and y^3
+        # has its lcm at the cap of level 4, so the capped run treats no pair
+        # and no budget stops it; the plain run treats that pair.
         from brs import BudgetError
 
         vecs = [(P("x^2"),), (P("y^3"),)]
-        assert capped(vecs, CTX2, 10_000, level=4) is not None
-        assert capped(vecs, CTX2, 5, level=4) is None
+        assert capped(vecs, CTX2, 0, level=4) is not None
+        assert _kept_entries(vecs, CTX2, 1, 0, cap=5)
         with pytest.raises(BudgetError):
-            _kept_entries(vecs, CTX2, 1, 5, cap=5)
+            _kept_entries(vecs, CTX2, 1, 0)
 
 
 class TestBudgetAccounting:
     """The smallest budget each run succeeds with, pinned one below it.
 
-    A capped run charges a pair for every pair it never forms at the cap,
-    so these figures move if the cap's accounting does.
+    A capped run is charged only the pairs it treats and the steps it
+    takes, so these figures move if its accounting does.
     """
 
     @pytest.mark.parametrize(
         "ideal, level, smallest",
         [
-            (lambda phi: [phi, *jacobian_ideal(phi)], 5, 65),
-            (lambda phi: case_ideals(COLON_CASES["by_unit"])[0].gens, 6, 55),
+            (lambda phi: [phi, *jacobian_ideal(phi)], 5, 2),
+            (lambda phi: case_ideals(COLON_CASES["by_unit"])[0].gens, 6, 1),
         ],
         ids=["t255_tjurina", "colon_by_unit"],
     )
@@ -650,14 +662,14 @@ class TestModuleQuotient:
             counted.append(n)
             return real_count(leads, n)
 
-        monkeypatch.setattr(stdbasis_module, "_walk", lambda growth, top, cap: None)
+        monkeypatch.setattr(stdbasis_module, "_walk", lambda growth, cap: None)
         monkeypatch.setattr(stdbasis_module, "_count_standard_monomials", count)
         assert module_quotient_dim(sub, sup) == walked
         assert counted
 
     def test_infinite_quotient_is_proven_by_mora(self, P):
-        # R/(x) over (x, y): the walk grows by one per level and gives up by
-        # its cost rule, and the Mora count proves the value infinite.
+        # R/(x) over (x, y): the walk grows by one per level up to its cap,
+        # and the Mora count proves the value infinite.
         one = Polynomial.constant(CTX2, 1)
         sup = Submodule(CTX2, 1, [(one,)])
         sub = Submodule(CTX2, 1, [(P("x"),)])
