@@ -35,7 +35,10 @@ class BudgetError(BrsError):
     """A standard basis, or a count's rounds of jets and Mora, exceeded its pair budget.
 
     Turns nontermination-in-practice into a structured failure instead of a hang.
+    `paused` is the Mora run that the budget stopped, when it can be resumed.
     """
+
+    paused = None
 
     def __init__(self, budget: int, stage: str = "standard basis"):
         super().__init__(f"pair budget of {budget} exceeded during {stage}")

@@ -17,24 +17,18 @@ rather than an algebraic tautology.  Identities whose hypotheses fail on a
 given input (an infinite invariant, a hypersurface with non-isolated
 singular locus) are reported as skipped with a reason, never as failures.
 
-Every colength takes the first proof found by the ideal itself
-(`stdbasis.Ideal.count`): the certificate of infinite colength, then rounds
-of a jet walk to a cap and of its Mora run under an allowance, both doubling;
-the standard monomials of a finished run prove a finite colength together
-with a level for its jet model.  So every finite count carries a model.  The
-counted ideals are one table (`_IDEALS`), each declared once with its
-relations to earlier ones, from which one loop (`_count_stage`) takes the
-model to extend, the walk's floor, and the inclusion certificate: an ideal
-inside one of infinite colength is infinite.  Each `Ideal` holds its own
-proof: its count, its model or where its walk gave up, its one Mora run and
-its colon, so nothing proven is proven again, and this module reads only
-the engines' public names.
-The ledger is one table (`_LEDGER`) whose rows declare their hypotheses as
-gates, and one function (`_evaluate`) decides every row, the `oracle-*`
-rows built from the reported ideals among them: the other engine counts
-each distinct ideal once.  The containment rows ask the ideals involved,
-which answer from their jet models, or, of infinite colength, from a Mora
-standard basis.
+Every colength, and every proof of one, is made by the ideal itself
+(`stdbasis.Ideal.count`), which alone writes what is proven about it: its
+count, its model or where its walk gave up, its one Mora run, the other
+engine's count (`Ideal.check`) and its colon, so nothing proven is proven
+again, and this module reads only the engines' public names.  The counted
+ideals are one table (`_IDEALS`), each declared once with its relations to
+earlier ones, which one loop (`_count_stage`) resolves to ideals and hands
+to the count.  The ledger is one table (`_LEDGER`) whose rows declare their
+hypotheses as gates, and one function (`_evaluate`) decides every row, the
+`oracle-*` rows built from the reported ideals among them.  The containment
+rows ask the ideals involved, which answer from their jet models, or, of
+infinite colength, from a Mora standard basis.
 """
 
 from __future__ import annotations
@@ -44,9 +38,9 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Union
 
-from .oracle import DEFAULT_CAP, INCONCLUSIVE, NOT_FINITE, Value, check_cap, is_finite, oracle_colength
+from .oracle import DEFAULT_CAP, INCONCLUSIVE, NOT_FINITE, Value, check_cap, is_finite
 from .polycore import Polynomial, VarContext, jacobian_ideal, minors_2x2
-from .stdbasis import DEFAULT_BUDGET, Ideal, colength
+from .stdbasis import DEFAULT_BUDGET, Ideal
 from .tangent import HypersurfaceProblem, df_ideal, df_trivial_ideal, theta_full
 
 Status = str  # "pass" | "fail" | "skip"
@@ -182,17 +176,10 @@ class _Counted:
     lists the `reported` counts, and `--oracle` checks those in the
     problem's ring.  A relation to an earlier entry K is a fact proven by the
     builder or in a comment at the entry, never checked at run time, and
-    void when K is not counted:
-
-      "sum K extra"    I is K plus the generators of the fact `extra`, so its
-                       model extends K's;
-      "inside K"       I lies in K: K's level is a floor for I's walk, and if
-                       K is infinite, so is I (the inclusion certificate);
-      "disjoint K L"   I is K + L in disjoint variables: with levels a, b >= 1
-                       its level is a + b - 1, a floor (R/I is R/K tensor R/L,
-                       and a monomial of that degree has degree at least a in
-                       K's variables or b in L's);
-      "equal K"        I is K on other generators, and shares K's count.
+    void when K is not counted.  Each is the keyword of `Ideal.count` that
+    applies it, with the names of K and of the ideals it reads, the fact
+    `extra` among them: "equal K", "within K", "extends K extra" and
+    "disjoint K L".
     """
 
     name: str
@@ -230,13 +217,13 @@ _IDEALS = (
     # J_phi is Jf when f = phi (the `degen_*` files): one ideal, with one proof.
     _Counted("mu_X", "jacobian_route",
              lambda v: v.ideals["mu_f"] if v.f == v.phi else Ideal(v.ctx, jacobian_ideal(v.phi))),
-    _Counted("tau_X", "jacobian_route", lambda v: v.I_X + v.ideals["mu_X"], ("sum mu_X I_X",)),
+    _Counted("tau_X", "jacobian_route", lambda v: v.I_X + v.ideals["mu_X"], ("extends mu_X I_X",)),
     # df_T is the minors plus phi * Jf, and every minor lies in J_phi.
     _Counted("trivial", "jacobian_route", lambda v: df_trivial_ideal(v.f, v.phi),
-             ("inside tau_X",)),
+             ("within tau_X",)),
     # The Le-Greuel ideal (phi) + minors is df_T + (phi), inside (phi) + J_phi.
     _Counted("legreuel", "jacobian_route", lambda v: Ideal(v.ctx, [v.phi, *_minors(v)]),
-             ("sum trivial I_X", "inside tau_X")),
+             ("extends trivial I_X", "within tau_X")),
     _Counted("trivial_rel", "jacobian_route", lambda v: v.ideals["trivial"] + v.I_X,
              ("equal legreuel",)),
     _Counted("split_g_milnor", "bruce_roberts",
@@ -249,7 +236,7 @@ _IDEALS = (
     _Counted("br", "bruce_roberts",
              lambda v: _embedded(v, "split_g_milnor", "split_base_br") if v.split
              else df_ideal(v.f, v.theta), ("disjoint split_base_br split_g_milnor",)),
-    _Counted("br_rel", "bruce_roberts", lambda v: v.ideals["br"] + v.I_X, ("sum br I_X",)),
+    _Counted("br_rel", "bruce_roberts", lambda v: v.ideals["br"] + v.I_X, ("extends br I_X",)),
     # Counted on a suspension where a row reads it (`_base_tjurina`).
     _Counted("split_base_tau", "identities", _base_tjurina),
     _Counted("split_lifted", "identities",
@@ -260,44 +247,30 @@ _IDEALS = (
     # J_phi + A for the `tau-module` row, counted only where the row reads it.
     _Counted("tau_module", "identities",
              lambda v: None if _GATES["tau"](v) or _GATES["ihs"](v) else v.ideals["mu_X"] + v.A,
-             ("sum mu_X A",), reported=False),
+             ("extends mu_X A",), reported=False),
 )
 
 
-def _level(K: Ideal) -> int:
-    # The level of K's model: a floor for the walk of any ideal inside K.
-    return K.model.level if K.model else 0
-
-
 def _count_stage(v: SimpleNamespace, stage: str) -> None:
-    """Count the entries of `_IDEALS` in `stage`, each as its relations allow.
+    """Count the entries of `_IDEALS` in `stage`, each given its relations, resolved to ideals.
 
-    They give the model to extend, the floor, or a count with no work (an
-    equal ideal's, or the inclusion certificate); an ideal the builder
-    takes from an earlier entry keeps its count.  Each ideal and its value
-    are kept on `v` under the entry's name.
+    A name resolves to the ideal counted under it, else to the fact of `v`
+    (`I_X`, `A`); an ideal the builder takes from an earlier entry keeps its
+    count.  Each ideal and its value are kept on `v` under the entry's name.
     """
     for entry in _IDEALS:
         if entry.stage != stage or (ideal := entry.build(v)) is None:
             continue
-        base = extra = None
-        floor = 0
-        for kind, key, *more in map(str.split, entry.relations):
-            K = v.ideals.get(key)
-            if K is None:
-                continue
-            if kind == "equal":
-                ideal.value, ideal.route, ideal.model = K.value, K.route, K.model
-            elif kind == "sum":
-                base, extra = K.model, getattr(v, more[0])
-            elif kind == "inside" and not is_finite(K.value):
-                ideal.value, ideal.route = NOT_FINITE, "certificate"
-            elif kind == "inside":
-                floor = max(floor, _level(K))
-            else:  # "disjoint"; a unit summand (level 0) makes the sum a unit
-                a, b = _level(K), _level(v.ideals[more[0]])
-                floor = max(floor, a + b - 1 if a and b else 0)
-        ideal.count(v.budget, base, extra, floor)
+        relations: dict = {"within": [], "disjoint": []}
+        for kind, *names in map(str.split, entry.relations):
+            if names[0] in v.ideals:  # void when K is not counted
+                found = [v.ideals[n] if n in v.ideals else getattr(v, n) for n in names]
+                known = found[0] if len(found) == 1 else tuple(found)
+                if kind in relations:
+                    relations[kind].append(known)
+                else:
+                    relations[kind] = known
+        ideal.count(v.budget, **relations)
         v.ideals[entry.name] = ideal
         setattr(v, entry.name, ideal.value)
 
@@ -320,16 +293,6 @@ def _value_out(v: Value) -> LedgerValue:
 def _colon(v: SimpleNamespace, key: str) -> Ideal:
     # (I : phi) for the ideal I counted under `key`, kept on I for every row.
     return v.ideals[key].colon([v.phi], v.budget)
-
-
-def _other_count(v: SimpleNamespace, I: Ideal) -> Value:
-    # I's colength by the engine that did not count it, once per ideal, which
-    # two names may share: jet values by a Mora count, the rest by the oracle.
-    key = id(I)  # every ideal lives on `v` for the whole run
-    if key not in v.checked:
-        jet = I.route == "jet"
-        v.checked[key] = colength(I, budget=v.budget) if jet else oracle_colength(I, cap=v.max_jet)
-    return v.checked[key]
 
 
 def _not_ihs(mu: Value, n: int) -> str | None:
@@ -441,7 +404,7 @@ _LEDGER = (
 def _oracle_row(name: str, max_jet: int) -> _Row:
     # The count of the ideal reported as `name`, made again by the other engine.
     return _Row(f"oracle-{name}", "equal", (), (), f"oracle inconclusive at max_jet={max_jet}",
-                lambda v: _other_count(v, v.ideals[name]), lambda v: v.ideals[name].value)
+                lambda v: v.ideals[name].check(v.budget, v.max_jet), lambda v: v.ideals[name].value)
 
 
 def _evaluate(row: _Row, v: SimpleNamespace) -> LedgerEntry | None:
@@ -480,7 +443,7 @@ def analyze(
     # The run's facts: what the builders of `_IDEALS` and the ledger rows read.
     v = SimpleNamespace(
         ctx=ctx, phi=problem.phi, f=problem.f, budget=budget, max_jet=max_jet,
-        tau_check=tau_check, I_X=Ideal(ctx, [problem.phi]), ideals={}, checked={},
+        tau_check=tau_check, I_X=Ideal(ctx, [problem.phi]), ideals={},
     )
 
     # Jacobian-route invariants (no tangent module involved).

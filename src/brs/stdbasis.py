@@ -23,13 +23,13 @@ same tuples as `Polynomial`.  Inputs are cleared of denominators once, by
 both engines (so an exponent above 65535 raises BrsError here too), and
 results become `Polynomial`s with `int` coefficients once, on the way out;
 a row tracked by a syzygy run carries one integer denominator.  An `Ideal`
-holds its proofs: its count (`Ideal.count`, the one place that chooses
-between certificate, jets and Mora) and its one Mora run (`Ideal.mora`),
-which every basis, count and degree bound of it reads.  A degree-capped run
-(`_capped_run`) leaves the monomials of degree cap implicit: they form no
-pair, are never scanned as reducers, and join the basis at the end where no
-kept lead divides them; a count (`colength`) never builds them, nor the
-basis: the run's proof lists the standard monomials.
+holds its proofs, and nothing else writes them: its count (`Ideal.count`,
+which alone chooses the proof), its one Mora run (`Ideal.mora`), read by
+every basis, count and degree bound of it, and the other engine's check
+(`Ideal.check`).  A degree-capped run (`_capped_run`) leaves the monomials
+of degree cap implicit: they form no pair, reduce nothing, and join the basis
+at the end where no kept lead divides them; a count (`colength`) builds
+neither them nor the basis, since the run's proof lists the standard ones.
 
 Colengths, memberships and quotient dimensions are exact; infinite dimensions
 are reported as the NOT_FINITE value rather than as errors, because several
@@ -42,13 +42,14 @@ import heapq
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Iterable, Sequence, Union
+from typing import Generator, Iterable, Sequence, Union
 
 from .errors import BrsError, BudgetError, ContainmentError, ContextError, InternalError
 from .oracle import (  # noqa: F401  (NotFiniteType is re-exported)
     NOT_FINITE,
     JetModel,
     NotFiniteType,
+    OracleValue,
     Value,
     _walk,
     certificate,
@@ -56,6 +57,7 @@ from .oracle import (  # noqa: F401  (NotFiniteType is re-exported)
     is_finite,
     jet_model,
     module_jet_quotient_dim,
+    oracle_colength,
 )
 from .polycore import (
     Monomial,
@@ -79,17 +81,17 @@ Vec = tuple[Polynomial, ...]
 class Ideal:
     """Finitely generated ideal; generator order is preserved, zeros dropped.
 
-    It holds what is proven about it, made once and read by every later
-    call, whatever budget that call passes: its colength `value`, the
+    It alone writes what is proven about it, made once and read by every
+    later call, whatever budget that call passes: its colength `value`, the
     proof's `route`, "certificate", "jet" or "mora", its certified jet
     `model`, and the cap `reach` that its count's walks reached without a
-    model, a floor for every later walk (`count` writes them all); and its
-    one Mora run (`mora`).  It answers `contains_all`, `contains_ideal` and
-    `colon` from its model when it has one, and from Mora otherwise, and
-    keeps the colon it took last.
+    model, a floor for every later walk (`count` writes them all); its one
+    Mora run (`mora`) and the other engine's count (`check`).  It answers
+    `contains_all`, `contains_ideal` and `colon` from its model when it has
+    one, and from Mora otherwise, and keeps the colon it took last.
     """
 
-    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_mora", "_colon")
+    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_mora", "_paused", "_checked", "_colon")
 
     def __init__(self, ctx: VarContext, gens: Iterable[Polynomial]):
         kept = []
@@ -99,38 +101,63 @@ class Ideal:
                 kept.append(g)
         self.ctx = ctx
         self.gens = tuple(kept)
-        self.value = self.route = self.model = self.reach = self._mora = self._colon = None
+        self.value = self.route = self.model = self.reach = None
+        self._mora = self._paused = self._checked = self._colon = None
 
     def count(
-        self, budget: int, base: JetModel | None = None, extra: "Ideal | None" = None, floor: int = 0
+        self,
+        budget: int,
+        *,
+        equal: "Ideal | None" = None,
+        extends: "tuple[Ideal, Ideal] | None" = None,
+        within: Sequence["Ideal"] = (),
+        disjoint: Sequence[tuple["Ideal", "Ideal"]] = (),
     ) -> Value:
         """The colength of I, this ideal, by the first proof found; nothing else picks the proof.
 
         Made once: a known value returns at once, whatever the arguments.
-        `base`, when given, is the certified model of an ideal K with I = K +
-        `extra`, so I's model extends it, with no walk, and always exists (an
-        ideal with a model has no certificate, nor has any containing it).
-        Otherwise `certificate`, the oracle's own, decides, or rounds do:
-        round one walks from `floor`, the level of an ideal known to contain
-        I, to a cap n + 1 past the larger of the floor and the top generator
-        degree + 2 (n variables), then makes I's Mora run (`mora`) under an
-        allowance of FIRST_ALLOWANCE pairs; each later round doubles both and
-        walks on from the cap the last reached (`reach`), so no echelon is
-        built twice.  The first model or finished run wins.  With N = 1 + the
-        top degree of a standard monomial of a finite run, m^N lies in I (the
-        highest-corner bound), so a walk capped at N + 1 stops by N, and its
-        model must count what Mora counted: every finite count has a model.
-        All rounds draw on one meter of `budget` (`_Budget`); BudgetError
-        names I, the round, the level the walks reached and the pairs spent.
+        The keywords are facts about ideals K, L counted before I, taken on
+        trust and applied in this order.  `equal=K`: I = K, and shares K's
+        count.  `within=[K, ...]`: I lies in each K, so it is infinite when
+        some K is (the inclusion certificate, with no walk).  `extends=(K,
+        extra)`: I = K + extra, so I's model extends K's, if any, by extra's
+        generators, with no walk (an ideal with a model has no certificate,
+        nor has any containing it).  Otherwise `certificate`, the oracle's
+        own, decides, or rounds do, from a floor: the top level of the K
+        `within`, and a + b - 1 for `disjoint=[(K, L), ...]`, I = K + L in
+        disjoint variables at levels a, b >= 1 (R/I is R/K tensor R/L, and a
+        monomial of that degree has degree at least a in K's variables or b
+        in L's), or 0 when a summand is the unit ideal.  Round one walks from
+        the floor to a cap n + 1 past the larger of the floor and the top
+        generator degree + 2 (n variables), then makes I's Mora run (`mora`)
+        under an allowance of FIRST_ALLOWANCE pairs; each later round doubles
+        both, walks on from the cap the last reached (`reach`) and resumes the
+        run where the last allowance stopped it, so no echelon is built twice
+        and no run starts twice.  The first model or finished run wins.  With
+        N = 1 + the top degree of a standard monomial of a finite run, m^N
+        lies in I (the highest-corner bound), so a walk capped at N + 1 stops
+        by N, and its model must count what Mora counted: every finite count
+        has a model.  All rounds draw on one meter of `budget` (`_Budget`);
+        BudgetError names I, the round, the level the walks reached and the
+        pairs spent.
         """
         if self.value is not None:
             return self.value
-        if base is not None:
-            self.model, self.route = extended_jet_model(base, extra.gens), "jet"
+        if equal is not None:
+            equal.count(budget)
+            self.route, self.model = equal.route, equal.model
+        elif any(K.value is NOT_FINITE for K in within):
+            self.route = "certificate"
+        elif extends and extends[0].model:
+            self.model, self.route = extended_jet_model(extends[0].model, extends[1].gens), "jet"
         elif certificate(self):
             self.route = "certificate"
         else:
-            self._rounds(budget, floor)
+            floors = [K.model.level for K in within if K.model]
+            for pair in disjoint:
+                a, b = (K.model.level if K.model else 0 for K in pair)
+                floors.append(a + b - 1 if a and b else 0)
+            self._rounds(budget, max(floors, default=0))
         self.value = self.model.colength if self.model else NOT_FINITE
         return self.value
 
@@ -171,8 +198,9 @@ class Ideal:
         An ideal with nothing proven about it is counted first.  The run is
         capped at the level of its model when it proves that level
         (`_capped_run`), else uncapped, and kept whatever budget a later call
-        passes.  The standard exponents are None when there are infinitely
-        many.
+        passes; an uncapped run that its budget stopped is kept paused, and
+        the next call resumes it.  The standard exponents are None when there
+        are infinitely many.
         """
         if self.route is None and self.model is None and self.reach is None:
             self.count(budget)
@@ -182,9 +210,25 @@ class Ideal:
             if capped is not None:
                 self._mora = capped[0], self.model.level + 1, capped[1]
             else:
-                kept = _kept_entries(vecs, self.ctx, 1, budget)
+                try:
+                    run = self._paused
+                    kept = _resume(run, budget) if run else _kept_entries(vecs, self.ctx, 1, budget)
+                except BudgetError as stop:
+                    self._paused = stop.paused
+                    raise
                 self._mora = kept, None, _standard_exponents([e.mono for e in kept], self.ctx.n)
         return self._mora
+
+    def check(self, budget: int, cap: int) -> OracleValue:
+        """I's colength by the engine that did not count it, made once and kept.
+
+        A jet value by Mora (`colength`), any other by the jet oracle
+        (`oracle_colength`, to level `cap`); later calls read what is kept.
+        """
+        if self._checked is None:
+            jet = self.route == "jet"
+            self._checked = colength(self, budget=budget) if jet else oracle_colength(self, cap)
+        return self._checked
 
     def contains_all(self, gens: Sequence[Polynomial], budget: int) -> bool:
         """Whether every polynomial of `gens` lies in the ideal."""
@@ -556,7 +600,7 @@ def _kept_entries(
     collect: list[IVec] | None = None,
     cap: int | None = None,
 ) -> list[_Entry]:
-    """Buchberger completion with Mora reduction; the minimal entries it keeps.
+    """Buchberger completion with Mora reduction (`_run`); the minimal entries it keeps.
 
     Pair selection is the normal strategy: lowest lcm degree first, ties by
     the (i, j) indices, so runs are reproducible.  Pair pruning uses the
@@ -589,7 +633,28 @@ def _kept_entries(
     reduction could use them, since every lead it meets lies below the cap;
     they are not among the entries returned (`_complete` adds those no kept
     lead divides).
+
+    A run that its budget stops raises that BudgetError with the run, paused,
+    as its `paused`: `_resume` continues it under a new budget from the
+    input or pair that was stopped, so it treats the pairs in the same order
+    and keeps the same entries as a run never stopped.
     """
+    return _resume(_run(inputs, ctx, rank, budget, use_criteria, collect, cap))
+
+
+def _resume(run: Generator[BudgetError, _Budget, list[_Entry]], budget=None) -> list[_Entry]:
+    """The kept entries of a Mora run (`_run`), started, or resumed under `budget`."""
+    try:
+        stop = run.send(budget if budget is None or isinstance(budget, _Budget) else _Budget(budget))
+    except StopIteration as end:
+        return end.value
+    stop.paused = run
+    raise stop
+
+
+def _run(inputs, ctx, rank, budget, use_criteria, collect, cap):
+    # The run of `_kept_entries`: it yields each BudgetError that stops it and
+    # goes on under the meter sent back.
     track = collect is not None
     den_in, vecs = _to_ivecs(inputs if track else list(dict.fromkeys(inputs)), cap)
     one = (0, (0,) * ctx.n)  # the key of the monomial 1
@@ -650,7 +715,12 @@ def _kept_entries(
             else:
                 collect.append(row)
             continue
-        reduced, row, den = _nf_mora(vec, entries, budget=meter, cap=cap)
+        while True:  # an input that the budget stops is reduced again on resuming
+            try:
+                reduced, row, den = _nf_mora(vec, entries, budget=meter, cap=cap)
+                break
+            except BudgetError as stop:
+                meter = yield stop
         if any(reduced) and add(reduced, row, den):
             collapsed = True
             break
@@ -660,28 +730,34 @@ def _kept_entries(
         lcm_exps = alive.pop((i, j), None)
         if lcm_exps is None:
             continue
-        meter.charge_pair()
-        a, b = entries[i], entries[j]
-        lcm_deg = sum(lcm_exps)
-        qa = (a.deg - lcm_deg, tuple(map(sub, lcm_exps, a.exps)))
-        qb = (b.deg - lcm_deg, tuple(map(sub, lcm_exps, b.exps)))
-        # Cross-multiplied to keep coefficients integral.
-        s = _combine(b.coeff, qa, a.vec, a.coeff, qb, b.vec, cap)
-        row, den = None, 1
-        if track:
-            den = lcm(a.den, b.den)
-            row = _combine(b.coeff * (den // a.den), qa, a.row, a.coeff * (den // b.den), qb, b.row)
-        if not any(s):
+        try:
+            meter.charge_pair()
+            a, b = entries[i], entries[j]
+            lcm_deg = sum(lcm_exps)
+            qa = (a.deg - lcm_deg, tuple(map(sub, lcm_exps, a.exps)))
+            qb = (b.deg - lcm_deg, tuple(map(sub, lcm_exps, b.exps)))
+            # Cross-multiplied to keep coefficients integral.
+            s = _combine(b.coeff, qa, a.vec, a.coeff, qb, b.vec, cap)
+            row, den = None, 1
             if track:
-                collect.append(row)
-            continue
-        reduced, row, den = _nf_mora(s, entries, row, den, meter, cap)
-        if not any(reduced):
-            if track and any(row):
-                collect.append(row)
-            continue
-        if add(reduced, row, den):
-            collapsed = True
+                den = lcm(a.den, b.den)
+                row = _combine(b.coeff * (den // a.den), qa, a.row, a.coeff * (den // b.den), qb, b.row)
+            if not any(s):
+                if track:
+                    collect.append(row)
+                continue
+            reduced, row, den = _nf_mora(s, entries, row, den, meter, cap)
+            if not any(reduced):
+                if track and any(row):
+                    collect.append(row)
+                continue
+            if add(reduced, row, den):
+                collapsed = True
+        except BudgetError as stop:
+            # The pair goes back to the queue, to be treated first on resuming.
+            alive[i, j] = lcm_exps
+            heapq.heappush(heap, (sum(lcm_exps), i, j))
+            meter = yield stop
 
     if collapsed:
         return [_Entry((((one, 1),),))]

@@ -30,7 +30,7 @@ from brs import (
 )
 from brs.cli import main as cli_main
 from brs.invariants import detect_split
-from brs.oracle import DEFAULT_CAP, jet_model, oracle_colength
+from brs.oracle import DEFAULT_CAP, INCONCLUSIVE, jet_model, oracle_colength
 from brs.polycore import VectorField, jacobian_ideal
 from brs.stdbasis import DEFAULT_BUDGET, Ideal, colength, module_quotient_dim
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
@@ -249,8 +249,8 @@ class TestLedger:
         # Jet values must be checked by a Mora count, certificate and Mora
         # values by the jet oracle; spy on both to see which one saw what.
         log: list = []
-        spy_on(monkeypatch, "colength", log)
-        spy_on(monkeypatch, "oracle_colength", log)
+        spy_on(monkeypatch, "colength", log, module=stdbasis_module)
+        spy_on(monkeypatch, "oracle_colength", log, module=stdbasis_module)
         parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
         report = analyze(parsed.problem, oracle=True)
         rows = {e.name: e for e in report.ledger if e.name.startswith("oracle-")}
@@ -427,8 +427,8 @@ class TestLedger:
         real = Ideal.count
         dropped: list = []
 
-        def count(I, budget, base=None, extra=None, floor=0):
-            got = real(I, budget, base, extra, floor)
+        def count(I, *args, **kwargs):
+            got = real(I, *args, **kwargs)
             if I == target and I.model is not None:
                 I.model = None
                 dropped.append(I)
@@ -639,6 +639,97 @@ class TestCountRounds:
             kept, cap, exps = I.mora(DEFAULT_BUDGET)
             assert cap == I.model.level + 1 and len(exps) == I.value
 
+    def test_a_stopped_mora_run_resumes_in_the_next_round(self, recorder, monkeypatch):
+        # With an allowance of one pair, the run of degen_t55_self's df_T is
+        # stopped in round one and resumed in round two, where it proves df_T
+        # infinite: it starts once, where each round once started it again,
+        # three runs in all, with the walks to round three's cap, 56.  It
+        # keeps what a run never stopped keeps.
+        monkeypatch.setattr(stdbasis_module, "FIRST_ALLOWANCE", 1)
+        problem = corpus_problem("degen_t55_self.brs")
+        I = df_trivial_ideal(problem.f, problem.phi)
+        assert I.count(DEFAULT_BUDGET) is NOT_FINITE
+        assert (I.route, I.reach) == ("mora", 28)
+        assert len(recorder.uncapped) == 1
+        fresh = stdbasis_module._kept_entries([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET)
+        assert [e.vec for e in I.mora(DEFAULT_BUDGET)[0]] == [e.vec for e in fresh]
+
+
+def _ideal(*gens: str, ctx: VarContext = CTX2) -> Ideal:
+    return Ideal(ctx, [parse_poly(g, ctx) for g in gens])
+
+
+class TestCountRelations:
+    # Each relation `_IDEALS` declares reaches the count as a keyword of
+    # `Ideal.count`, and the count alone applies it; here on small ideals.
+    def test_equal_shares_the_count(self, recorder):
+        K = _ideal("x^2", "y^3")
+        K.count(DEFAULT_BUDGET)
+        I = _ideal("x^2 + y^3", "y^3")
+        assert I.count(DEFAULT_BUDGET, equal=K) == 6
+        assert (I.route, I.model) == ("jet", K.model)
+        assert [J for J, _ in recorder.walks] == [K]
+
+    def test_within_an_infinite_ideal_is_the_inclusion_certificate(self, recorder):
+        # I = (x^2 - y^2) * (x, y) has a pure power of each variable, so no
+        # free certificate holds: alone, it is walked and run by Mora.
+        K = _ideal("x^2 - y^2")
+        assert K.count(DEFAULT_BUDGET) is NOT_FINITE and K.route == "certificate"
+        I = _ideal("x^3 - x*y^2", "x^2*y - y^3")
+        assert I.count(DEFAULT_BUDGET, within=[K]) is NOT_FINITE
+        assert (I.route, I.model, I.reach) == ("certificate", None, None)
+        assert recorder.walks == [] and recorder.uncapped == []
+        alone = _ideal("x^3 - x*y^2", "x^2*y - y^3")
+        assert alone.count(DEFAULT_BUDGET) is NOT_FINITE and alone.route == "mora"
+        assert [J for J, _ in recorder.walks] == [alone] and len(recorder.uncapped) == 1
+
+    def test_within_a_finite_ideal_gives_the_floor(self, recorder):
+        # I = (x^2, y^3) * (x, y) lies in K = (x^2, y^3), at level 4.
+        K = _ideal("x^2", "y^3")
+        K.count(DEFAULT_BUDGET)
+        I = _ideal("x^3", "x^2*y", "x*y^3", "y^4")
+        assert I.count(DEFAULT_BUDGET, within=[K]) == 8
+        assert (I.route, I.model.level) == ("jet", 4)
+        assert [cap for J, cap in recorder.spans if J is I] == [K.model.level + 1]
+
+    def test_disjoint_summands_give_the_floor_a_plus_b_minus_one(self, recorder):
+        x, y = VarContext(("x",)), VarContext(("y",))
+        K, L, unit = _ideal("x^3", ctx=x), _ideal("y^2", ctx=y), _ideal("1 + y", ctx=y)
+        for J in (K, L, unit):
+            J.count(DEFAULT_BUDGET)
+        assert (K.model.level, L.model.level, unit.model.level) == (3, 2, 0)
+        I = _ideal("x^3", "y^2")
+        assert I.count(DEFAULT_BUDGET, disjoint=[(K, L)]) == 6
+        assert I.model.level == 3 + 2 - 1
+        assert [cap for J, cap in recorder.spans if J is I] == [3 + 2]
+        # A unit summand makes the sum a unit, and the floor 0.
+        I = _ideal("x^3", "1 + y")
+        assert I.count(DEFAULT_BUDGET, disjoint=[(K, unit)]) == 0
+        assert [cap for J, cap in recorder.spans if J is I] == [1]
+
+    def test_extends_by_generators_already_in_k_is_k_s_own_model(self, recorder):
+        K = _ideal("x^2", "y^3")
+        K.count(DEFAULT_BUDGET)
+        extra = _ideal("x^2*y", "y^3 + x^2")
+        I = K + extra
+        assert I.count(DEFAULT_BUDGET, extends=(K, extra)) == 6
+        assert I.route == "jet" and I.model is K.model
+        assert [J for J, _ in recorder.walks] == [K]
+
+    def test_check_runs_once_per_ideal(self, recorder):
+        # A jet value is checked by one capped Mora run, any other by one
+        # walk of the oracle, however many rows ask.
+        jet = _ideal("x^2", "y^3")
+        mora = _ideal("x^3 - x*y^2", "x^2*y - y^3")
+        for I in (jet, mora):
+            I.count(DEFAULT_BUDGET)
+        recorder.walks.clear()
+        for _ in range(3):
+            assert jet.check(DEFAULT_BUDGET, DEFAULT_CAP) == 6
+            assert mora.check(DEFAULT_BUDGET, DEFAULT_CAP) is INCONCLUSIVE
+        assert recorder.capped == [(("x^2", "y^3"), jet.model.level + 1)]
+        assert recorder.walks == [(mora, DEFAULT_CAP)]
+
 
 def run_facts(problem: HypersurfaceProblem, monkeypatch) -> SimpleNamespace:
     """The facts of one `analyze(..., tau_check=True)`: every ideal counted, and its count."""
@@ -676,13 +767,13 @@ def test_every_declared_relation_holds(name, monkeypatch):
                 continue
             K = v.ideals[key]
             kinds.add(kind)
-            if kind == "inside":
+            if kind == "within":
                 # by K's model when K is finite, else by Mora
                 assert contains(K, v.ideals[key].model, I.gens), (entry.name, key)
             elif kind == "equal":
                 assert contains(K, v.ideals[key].model, I.gens), (entry.name, key)
                 assert contains(I, jet_model(I), K.gens), (entry.name, key)
-            elif kind == "sum":
+            elif kind == "extends":
                 # I's generators are K's and the extra ones, and those lie in I
                 parts = K.gens + getattr(v, more[0]).gens
                 assert set(I.gens) <= set(parts), entry.name
@@ -692,7 +783,7 @@ def test_every_declared_relation_holds(name, monkeypatch):
                 L = v.ideals[more[0]]
                 assert not set(K.ctx.names) & set(L.ctx.names), entry.name
                 assert set(I.gens) == {g.embed(I.ctx) for g in K.gens + L.gens}, entry.name
-    assert kinds == {"sum", "inside", "equal"} | ({"disjoint"} if v.split else set())
+    assert kinds == {"extends", "within", "equal"} | ({"disjoint"} if v.split else set())
 
 
 def test_one_minors_computation_per_analyze(monkeypatch):

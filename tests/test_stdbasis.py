@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brs import ContainmentError, NOT_FINITE, Polynomial, VarContext, tjurina
+from brs import BudgetError, ContainmentError, NOT_FINITE, Polynomial, VarContext, tjurina
 from brs.polycore import jacobian_ideal
 from brs.stdbasis import (
     DEFAULT_BUDGET,
     Ideal,
     Submodule,
+    _Budget,
     _capped_run,
     _complete,
     _kept_entries,
+    _resume,
     _vector,
     colength,
     ideal_colon,
@@ -263,6 +265,50 @@ class TestOneMoraRunPerIdeal:
             basis = standard_basis(I)
             assert len(standard_monomials(basis)) == colength(I)
         assert len(runs) == 1
+
+
+def stepwise(gens, **run):
+    """A run of `_kept_entries` on `gens`, stopped by its meter again and again.
+
+    The meter starts with no allowance, and each stop resumes the run with
+    one more pair (and ten more steps) than the last: the kept entries and
+    the number of stops.
+    """
+    meter = _Budget(DEFAULT_BUDGET)
+    meter.allow(0)
+    try:
+        return _kept_entries([(g,) for g in gens], gens[0].ctx, 1, meter, **run), 0
+    except BudgetError as stop:
+        paused = stop.paused
+    stops = 1
+    while True:
+        meter.allow(stops)
+        try:
+            return _resume(paused, meter), stops
+        except BudgetError as stop:
+            assert stop.paused is paused
+            stops += 1
+
+
+class TestStoppedRun:
+    """A stopped run resumes where it stopped: the same pairs, in the same order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(I=zero_dim_ideals())
+    def test_a_resumed_run_keeps_what_an_unstopped_one_keeps(self, I):
+        kept, _ = stepwise(list(I.gens))
+        fresh = _kept_entries([(g,) for g in I.gens], I.ctx, 1, DEFAULT_BUDGET)
+        assert [e.vec for e in kept] == [e.vec for e in fresh]
+
+    def test_a_resumed_schreyer_run_collects_the_same_rows(self, P):
+        gens = [P("x^5 + y^5 + x^2*y^2"), P("5*x^4 + 2*x*y^2"), P("5*y^4 + 2*x^2*y")]
+        rows: list = []
+        kept, stops = stepwise(gens, collect=rows)
+        fresh_rows: list = []
+        fresh = _kept_entries([(g,) for g in gens], CTX2, 1, DEFAULT_BUDGET, collect=fresh_rows)
+        assert stops > 1
+        assert [(e.vec, e.row, e.den) for e in kept] == [(e.vec, e.row, e.den) for e in fresh]
+        assert rows == fresh_rows
 
 
 class TestMembership:
