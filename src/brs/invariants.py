@@ -224,8 +224,10 @@ _IDEALS = (
     # The Le-Greuel ideal (phi) + minors is df_T + (phi), inside (phi) + J_phi.
     _Counted("legreuel", "jacobian_route", lambda v: Ideal(v.ctx, [v.phi, *_minors(v)]),
              ("extends trivial I_X", "within tau_X")),
+    # df_T + (phi) is the Le-Greuel ideal, which gives its count; as the sum,
+    # its Mora check continues df_T's run (`Ideal.mora`).
     _Counted("trivial_rel", "jacobian_route", lambda v: v.ideals["trivial"] + v.I_X,
-             ("equal legreuel",)),
+             ("equal legreuel", "extends trivial I_X")),
     _Counted("split_g_milnor", "bruce_roberts",
              lambda v: v.split and Ideal(v.split.ext_ctx, jacobian_ideal(v.split.g))),
     _Counted("split_base_br", "bruce_roberts",

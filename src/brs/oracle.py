@@ -447,7 +447,9 @@ def jet_model(
 
     None when d passes `cap` first; the walk has then built its last echelon
     at the cap, and the caller may record that level as a floor for a later
-    walk of I.  The walk writes nothing on I.
+    walk of I.  The walk writes nothing on I.  A generator with a constant
+    term gives dim(1) - dim(0) = 0 at once: I is the unit ideal, and its
+    model is the level-0 one, with no echelon built.
 
     One echelon at cap c gives every growth up to d = c (`free_rows`), so a
     new echelon is built only once d passes the cap of the last, and the
@@ -459,6 +461,8 @@ def jet_model(
     read in packed integer form once for the walk (`_generators`), from what
     each polynomial keeps (`packed_terms`).
     """
+    if any(g.constant_term() for g in I.gens):
+        return JetModel(I.ctx, _table(I.ctx.n), 0, _Echelon())
     gens = _generators(I.gens)
     span: JetModel | None = None
     free: list[int] = []

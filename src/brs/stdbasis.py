@@ -91,7 +91,9 @@ class Ideal:
     one, and from Mora otherwise, and keeps the colon it took last.
     """
 
-    __slots__ = ("ctx", "gens", "value", "route", "model", "reach", "_mora", "_paused", "_checked", "_colon")
+    __slots__ = (
+        "ctx", "gens", "value", "route", "model", "reach", "_extends", "_mora", "_paused", "_checked", "_colon"
+    )
 
     def __init__(self, ctx: VarContext, gens: Iterable[Polynomial]):
         kept = []
@@ -102,7 +104,7 @@ class Ideal:
         self.ctx = ctx
         self.gens = tuple(kept)
         self.value = self.route = self.model = self.reach = None
-        self._mora = self._paused = self._checked = self._colon = None
+        self._extends = self._mora = self._paused = self._checked = self._colon = None
 
     def count(
         self,
@@ -127,7 +129,8 @@ class Ideal:
         `within`, and a + b - 1 for `disjoint=[(K, L), ...]`, I = K + L in
         disjoint variables at levels a, b >= 1 (R/I is R/K tensor R/L, and a
         monomial of that degree has degree at least a in K's variables or b
-        in L's), or 0 when a summand is the unit ideal.  Round one walks from
+        in L's); a summand with no model reads as 0, and a unit summand gives
+        I a unit generator, which the walk reads first.  Round one walks from
         the floor to a cap n + 1 past the larger of the floor and the top
         generator degree + 2 (n variables), then makes I's Mora run (`mora`)
         under an allowance of FIRST_ALLOWANCE pairs; each later round doubles
@@ -139,10 +142,11 @@ class Ideal:
         by N, and its model must count what Mora counted: every finite count
         has a model.  All rounds draw on one meter of `budget` (`_Budget`);
         BudgetError names I, the round, the level the walks reached and the
-        pairs spent.
+        Mora pairs treated.
         """
         if self.value is not None:
             return self.value
+        self._extends = extends
         if equal is not None:
             equal.count(budget)
             self.route, self.model = equal.route, equal.model
@@ -154,9 +158,7 @@ class Ideal:
             self.route = "certificate"
         else:
             floors = [K.model.level for K in within if K.model]
-            for pair in disjoint:
-                a, b = (K.model.level if K.model else 0 for K in pair)
-                floors.append(a + b - 1 if a and b else 0)
+            floors += [sum(K.model.level if K.model else 0 for K in pair) - 1 for pair in disjoint]
             self._rounds(budget, max(floors, default=0))
         self.value = self.model.colength if self.model else NOT_FINITE
         return self.value
@@ -187,7 +189,7 @@ class Ideal:
                     raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
             self.model = model
         except BudgetError:
-            spent = f"jets to level {self.reach or 0} and {meter.pairs - meter.columns} Mora pairs"
+            spent = f"jets to level {self.reach or 0} and {meter.pairs - meter.columns} treated Mora pairs"
             raise BudgetError(budget, f"round {rounds} of the count of {self}, with {spent}") from None
 
     def mora(
@@ -199,16 +201,28 @@ class Ideal:
         capped at the level of its model when it proves that level
         (`_capped_run`), else uncapped, and kept whatever budget a later call
         passes; an uncapped run that its budget stopped is kept paused, and
-        the next call resumes it.  The standard exponents are None when there
-        are infinitely many.
+        the next call resumes it.  I, counted as K + extra (`count`'s
+        `extends`) on exactly K's and extra's generators, continues K's kept
+        capped run: extra's generators join K's kept entries under K's cap,
+        with no pair among those formed again, and the proof at K's level N
+        holds for I, since m^N lies in K, inside I; otherwise I makes its own
+        run of its own generators.  The standard exponents are None when
+        there are infinitely many.
         """
         if self.route is None and self.model is None and self.reach is None:
             self.count(budget)
         if self._mora is None:
-            vecs = [(g,) for g in self.gens]
-            capped = _capped_run(vecs, self.ctx, budget, self.model.level) if self.model else None
+            vecs, capped = [(g,) for g in self.gens], None
+            if self.model:
+                inputs, start, level = vecs, None, self.model.level
+                K, extra = self._extends or (None, None)
+                if K and K.model and set(self.gens) == set(K.gens + extra.gens):
+                    kept, cap, _ = K.mora(budget)
+                    if cap is not None:
+                        inputs, start, level = [(g,) for g in extra.gens], kept, cap - 1
+                capped = _capped_run(inputs, self.ctx, budget, level, start)
             if capped is not None:
-                self._mora = capped[0], self.model.level + 1, capped[1]
+                self._mora = capped[0], level + 1, capped[1]
             else:
                 try:
                     run = self._paused
@@ -478,35 +492,36 @@ class _Budget:
     through astronomically many or astronomically large steps; counting
     reduction steps alongside treated pairs makes both a BudgetError.  Pairs,
     and the columns a count's echelons store, are charged against `limit`,
-    steps against ten times it; `allow` narrows both to a round's allowance.
+    steps against ten times it, each once made (a pair the meter stops is
+    charged when the resumed run treats it); `allow` narrows both to a
+    round's allowance, and `spent` is whether the last stop was the budget's.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.pairs = self.steps = self.columns = 0
+        self.spent = False
         self.allow(limit)
 
     def allow(self, pairs: int) -> None:
         self.pair_end = min(self.pairs + pairs, self.limit)
         self.step_end = min(self.steps + 10 * pairs, 10 * self.limit)
 
-    @property
-    def spent(self) -> bool:
-        return self.pairs > self.limit or self.steps > 10 * self.limit
-
     def charge_pair(self, count: int = 1):
-        self.pairs += count
-        if self.pairs > self.pair_end:
+        if self.pairs + count > self.pair_end:
+            self.spent = self.pair_end == self.limit
             raise BudgetError(self.limit)
+        self.pairs += count
 
     def charge_columns(self, count: int):
-        self.columns += count
         self.charge_pair(count)
+        self.columns += count
 
     def charge_step(self):
-        self.steps += 1
-        if self.steps > self.step_end:
+        if self.steps >= self.step_end:
+            self.spent = self.step_end == 10 * self.limit
             raise BudgetError(self.limit, stage="normal form reduction")
+        self.steps += 1
 
 
 def _nf_mora(
@@ -599,6 +614,7 @@ def _kept_entries(
     use_criteria: bool = True,
     collect: list[IVec] | None = None,
     cap: int | None = None,
+    start: list[_Entry] | None = None,
 ) -> list[_Entry]:
     """Buchberger completion with Mora reduction (`_run`); the minimal entries it keeps.
 
@@ -634,12 +650,19 @@ def _kept_entries(
     they are not among the entries returned (`_complete` adds those no kept
     lead divides).
 
+    A `start` (untracked only) is the kept entries of a finished run under
+    the same cap, a standard basis: the run begins with them, forms no pair
+    among them, and the inputs enter after them (`Ideal.mora`).  Untracked
+    rank-1 inputs with a unit make no run: their basis is {1}.
+
     A run that its budget stops raises that BudgetError with the run, paused,
     as its `paused`: `_resume` continues it under a new budget from the
     input or pair that was stopped, so it treats the pairs in the same order
     and keeps the same entries as a run never stopped.
     """
-    return _resume(_run(inputs, ctx, rank, budget, use_criteria, collect, cap))
+    if collect is None and rank == 1 and any(v[0].constant_term() for v in inputs):
+        return [_Entry(((((0, (0,) * ctx.n), 1),),))]
+    return _resume(_run(inputs, ctx, rank, budget, use_criteria, collect, cap, start))
 
 
 def _resume(run: Generator[BudgetError, _Budget, list[_Entry]], budget=None) -> list[_Entry]:
@@ -652,13 +675,13 @@ def _resume(run: Generator[BudgetError, _Budget, list[_Entry]], budget=None) -> 
     raise stop
 
 
-def _run(inputs, ctx, rank, budget, use_criteria, collect, cap):
+def _run(inputs, ctx, rank, budget, use_criteria, collect, cap, start):
     # The run of `_kept_entries`: it yields each BudgetError that stops it and
     # goes on under the meter sent back.
     track = collect is not None
     den_in, vecs = _to_ivecs(inputs if track else list(dict.fromkeys(inputs)), cap)
     one = (0, (0,) * ctx.n)  # the key of the monomial 1
-    entries: list[_Entry] = []
+    entries: list[_Entry] = list(start or ())
     alive: dict[tuple[int, int], tuple[int, ...]] = {}
     heap: list[tuple[int, int, int]] = []
     meter = budget if isinstance(budget, _Budget) else _Budget(budget)
@@ -793,7 +816,7 @@ def standard_basis(obj: Union[Ideal, Submodule], *, budget: int = DEFAULT_BUDGET
 
 
 def _capped_run(
-    vecs: list[Vec], ctx: VarContext, budget: int, level: int
+    vecs: list[Vec], ctx: VarContext, budget: int, level: int, start: list[_Entry] | None = None
 ) -> tuple[list[_Entry], list[tuple[int, ...]]] | None:
     """The run of a zero-dimensional ideal I below a jet level, with its proof.
 
@@ -803,13 +826,15 @@ def _capped_run(
     two ideals are equal, and the kept entries, completed by the monomials
     of degree N + 1 that no kept lead divides (`_finished`), are a standard
     basis of I, proven by the run itself, so it takes no word of the jet
-    engine that proposed N on trust.  Returns the kept entries with the
+    engine that proposed N on trust.  A `start`, the kept entries of such a
+    run of an ideal inside I at the same level, is continued by `vecs` (the
+    generators that I adds).  Returns the kept entries with the
     exponents of the standard monomials, which the proof listed.  None
     when the run exhausts the budget or the proof fails: the plain run then
     decides (`Ideal.mora`), so a proposal costs time, never correctness.
     """
     try:
-        kept = _kept_entries(vecs, ctx, 1, budget, cap=level + 1)
+        kept = _kept_entries(vecs, ctx, 1, budget, cap=level + 1, start=start)
     except BudgetError:
         return None
     # The monomials of degree N + 1 are implicit: the standard ones are the

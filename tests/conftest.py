@@ -380,14 +380,16 @@ def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
     being the one the innermost `jet_model` call walks (None outside one);
     `uncapped`: the inputs of each uncapped, untracked Mora run
     (`stdbasis._kept_entries`), as printed; `capped`: the inputs, as
-    printed, and the cap of each degree-capped Mora run.  Each name is
+    printed, and the cap of each degree-capped Mora run that starts from no
+    basis; `continued`: the same of each capped run that continues the kept
+    entries of another (`Ideal.mora`).  Each name is
     patched in every module that binds it (`patch_everywhere`), and the
     test fails if the recorder saw no walk and no Mora run.
     """
     import brs.oracle as oracle_module
     import brs.stdbasis as stdbasis_module
 
-    rec = SimpleNamespace(walks=[], counted=[], spans=[], uncapped=[], capped=[])
+    rec = SimpleNamespace(walks=[], counted=[], spans=[], uncapped=[], capped=[], continued=[])
     walking: list = []
     counting: list = []
     real_walk, real_span = oracle_module.jet_model, oracle_module._span
@@ -416,7 +418,9 @@ def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
 
     def run(inputs, ctx, rank, budget, collect=None, cap=None, **kwargs):
         printed = tuple(str(p) for v in inputs for p in v)
-        if cap is not None:
+        if kwargs.get("start") is not None:
+            rec.continued.append((printed, cap))
+        elif cap is not None:
             rec.capped.append((printed, cap))
         elif collect is None:
             rec.uncapped.append(printed)
@@ -427,7 +431,9 @@ def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
     monkeypatch.setattr(Ideal, "count", count)
     patch_everywhere(monkeypatch, stdbasis_module, "_kept_entries", run)
     yield rec
-    assert rec.walks or rec.uncapped or rec.capped, "the recorder saw no walk and no Mora run"
+    assert rec.walks or rec.uncapped or rec.capped or rec.continued, (
+        "the recorder saw no walk and no Mora run"
+    )
 
 
 def corpus_paths(prefix: str | None = None) -> list[Path]:

@@ -145,35 +145,36 @@ SPLIT_COUNTS = COUNTS[:6] + (
 # letter (certificate, jet, mora), in count order, and the colons and
 # extensions of a jet model that eliminate, inserting columns into an echelon.
 # A Mora-route ideal is walked to its count's round-one cap, 3 past its
-# largest generator degree + 2 in two variables.  In all, 348 echelons and 29
-# runs; 0 of the 36 colons, since every f that reaches a colon is linear, so
-# some phi*f_xi is a nonzero multiple of phi and phi lies in df_T and df_X;
-# and 10 of the 60 extensions.
+# largest generator degree + 2 in two variables, and a unit ideal (Jf of a
+# linear f) is read off its constant terms with no echelon.  In all, 322
+# echelons and 29 runs; 0 of the 36 colons, since every f that reaches a
+# colon is linear, so some phi*f_xi is a nonzero multiple of phi and phi
+# lies in df_T and df_X; and 10 of the 60 extensions.
 WORK = {
     "degen_a2_self.brs": (19, 3, "jjjmcccm", 0, 0),
     "degen_t55_self.brs": (42, 4, "jjjmccmm", 0, 1),
-    "nwh_t334_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
-    "nwh_t444_3d_f_z.brs": (17, 1, "jjjjjjjj", 0, 1),
-    "nwh_t444_generic.brs": (14, 1, "jjjjjjjj", 0, 1),
-    "nwh_t45_f_x.brs": (16, 1, "jjjjjjjj", 0, 1),
-    "nwh_t55_f_x_minus_y.brs": (15, 1, "jjjjjjjj", 0, 1),
-    "nwh_t55_f_y.brs": (16, 1, "jjjjjjjj", 0, 1),
-    "nwh_t56_f_y.brs": (17, 1, "jjjjjjjj", 0, 1),
-    "nwh_t77_f_x_minus_y.brs": (22, 1, "jjjjjjjj", 0, 1),
-    "nwh_t77_f_y.brs": (23, 1, "jjjjjjjj", 0, 1),
-    "susp_a2_x_z2.brs": (12, 1, "jcccccjjjjjjj", 0, 0),
-    "susp_a2_z2.brs": (11, 1, "jcccccjjjjjjj", 0, 0),
-    "susp_a2_z3.brs": (12, 1, "jcccccjjjjjjj", 0, 0),
-    "susp_d4_z2.brs": (13, 1, "jcccccjjjjjjj", 0, 0),
-    "wh_a1_3d_f_z.brs": (7, 1, "jjjjjjjj", 0, 0),
-    "wh_a2_cusp_f_x.brs": (9, 1, "jjjjjjjj", 0, 0),
-    "wh_a2_cusp_f_y.brs": (8, 1, "jjjjjjjj", 0, 0),
-    "wh_a3_f_y.brs": (9, 1, "jjjjjjjj", 0, 0),
-    "wh_a4_f_x.brs": (13, 1, "jjjjjjjj", 0, 0),
-    "wh_d4_f_2x_y.brs": (10, 1, "jjjjjjjj", 0, 0),
-    "wh_d4_f_y.brs": (10, 1, "jjjjjjjj", 0, 0),
-    "wh_e6_f_x.brs": (12, 1, "jjjjjjjj", 0, 0),
-    "wh_node_f_x_y.brs": (7, 1, "jjjjjjjj", 0, 0),
+    "nwh_t334_generic.brs": (13, 1, "jjjjjjjj", 0, 1),
+    "nwh_t444_3d_f_z.brs": (16, 1, "jjjjjjjj", 0, 1),
+    "nwh_t444_generic.brs": (13, 1, "jjjjjjjj", 0, 1),
+    "nwh_t45_f_x.brs": (15, 1, "jjjjjjjj", 0, 1),
+    "nwh_t55_f_x_minus_y.brs": (14, 1, "jjjjjjjj", 0, 1),
+    "nwh_t55_f_y.brs": (15, 1, "jjjjjjjj", 0, 1),
+    "nwh_t56_f_y.brs": (16, 1, "jjjjjjjj", 0, 1),
+    "nwh_t77_f_x_minus_y.brs": (21, 1, "jjjjjjjj", 0, 1),
+    "nwh_t77_f_y.brs": (22, 1, "jjjjjjjj", 0, 1),
+    "susp_a2_x_z2.brs": (10, 1, "jcccccjjjjjjj", 0, 0),
+    "susp_a2_z2.brs": (9, 1, "jcccccjjjjjjj", 0, 0),
+    "susp_a2_z3.brs": (10, 1, "jcccccjjjjjjj", 0, 0),
+    "susp_d4_z2.brs": (11, 1, "jcccccjjjjjjj", 0, 0),
+    "wh_a1_3d_f_z.brs": (6, 1, "jjjjjjjj", 0, 0),
+    "wh_a2_cusp_f_x.brs": (8, 1, "jjjjjjjj", 0, 0),
+    "wh_a2_cusp_f_y.brs": (7, 1, "jjjjjjjj", 0, 0),
+    "wh_a3_f_y.brs": (8, 1, "jjjjjjjj", 0, 0),
+    "wh_a4_f_x.brs": (12, 1, "jjjjjjjj", 0, 0),
+    "wh_d4_f_2x_y.brs": (9, 1, "jjjjjjjj", 0, 0),
+    "wh_d4_f_y.brs": (9, 1, "jjjjjjjj", 0, 0),
+    "wh_e6_f_x.brs": (11, 1, "jjjjjjjj", 0, 0),
+    "wh_node_f_x_y.brs": (6, 1, "jjjjjjjj", 0, 0),
 }
 
 
@@ -414,7 +415,7 @@ class TestLedger:
                 key: sum(I is report.ideals[key] for I, _ in recorder.spans)
                 for key in ("mu_f", "mu_X", "br", "trivial", "legreuel")
             }
-            assert per_ideal == {"mu_f": 1, "mu_X": 6, "br": 4, "trivial": 3, "legreuel": 0}
+            assert per_ideal == {"mu_f": 0, "mu_X": 6, "br": 4, "trivial": 3, "legreuel": 0}
 
     @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "nwh_t45_f_x.brs"])
     @pytest.mark.parametrize("mora", ["mu_f", "br", "trivial"])
@@ -489,6 +490,18 @@ def test_an_ideal_inside_an_infinite_one_is_certified_at_once():
     assert routes == ["certificate"] * 3
     assert {e.status for e in report.ledger} == {"skip"}
 
+
+# Per corpus file, the capped Mora checks of `analyze(..., oracle=True)`:
+# runs that start from no basis, unit ideals (jet level 0, answered {1} with
+# no run), and runs that continue K's kept run for an ideal counted as
+# K + extra (`Ideal.mora`).  Before continuations, each check was a run from
+# no basis: 2, 8, 4 and 8.
+ORACLE_RUNS = {
+    "degen_t55_self.brs": (1, 0, 1),
+    "nwh_t444_generic.brs": (4, 1, 3),
+    "susp_a2_z2.brs": (2, 1, 1),
+    "wh_e6_f_x.brs": (3, 1, 4),
+}
 
 # Problems where Mora decides several counts, with their distinct uncapped runs.
 MORA_INPUTS = [
@@ -566,10 +579,11 @@ class TestOneProofPerIdeal:
     @pytest.mark.parametrize("name", ["degen_a2_self.brs", "degen_t55_self.brs"])
     def test_the_oracle_checks_each_distinct_ideal_once(self, name, recorder):
         # f = phi, so mu_f and mu_X name one ideal: the oracle checks its jet
-        # count with one capped Mora run, read by both rows.  The other
-        # capped run checks tau_X; the uncapped runs count the Mora-route
-        # ideals (the principal ones take the certificate and run nothing).
-        # Checked per name, the shared ideal was run twice.
+        # count with one capped Mora run, read by both rows, which tau_X's
+        # check continues; the uncapped runs count the Mora-route ideals (the
+        # principal ones take the certificate and run nothing).  Checked per
+        # name, the shared ideal was run twice; before the continuation,
+        # tau_X made a second capped run of its own.
         report = analyze(corpus_problem(name), oracle=True)
         assert report.ideals["mu_f"] is report.ideals["mu_X"]
         rows = {e.name: e for e in report.ledger}
@@ -577,8 +591,44 @@ class TestOneProofPerIdeal:
         assert (mu_f.status, mu_f.lhs, mu_f.rhs) == (mu_X.status, mu_X.lhs, mu_X.rhs)
         assert mu_f.status == "pass"
         uncapped = {"degen_a2_self.brs": 2, "degen_t55_self.brs": 3}[name]
-        assert (len(recorder.capped), len(recorder.uncapped)) == (2, uncapped)
-        assert len(set(recorder.capped)) == 2
+        assert (len(recorder.capped), len(recorder.uncapped)) == (1, uncapped)
+        assert recorder.continued == [((str(report.problem.phi),), recorder.capped[0][1])]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+    def test_oracle_runs_continue_where_they_can(self, name, recorder):
+        report = analyze(corpus_problem(name), oracle=True)
+        units = sum(cap == 1 for _, cap in recorder.capped)
+        got = (len(recorder.capped) - units, units, len(recorder.continued))
+        assert got == ORACLE_RUNS[name]
+        assert not [e for e in report.ledger if e.name.startswith("oracle-") and e.status == "fail"]
+
+    @pytest.mark.parametrize("name, own", [("wh_e6_f_x.brs", False), ("wh_d4_f_2x_y.brs", True)])
+    def test_the_le_greuel_check_continues_only_on_df_t_s_generators(self, name, own, recorder):
+        # (phi) + minors has the generators of df_T + (phi) when each phi*f_i
+        # is phi (f = x), and continues df_T's run as trivial_rel does; with
+        # f = 2x + y, phi*f_x = 2*phi, so it makes its own capped run.
+        report = analyze(corpus_problem(name), oracle=True)
+        legreuel, trivial, phi = report.ideals["legreuel"], report.ideals["trivial"], report.problem.phi
+        assert (set(legreuel.gens) != set(trivial.gens + (phi,))) is own
+        assert ((tuple(map(str, legreuel.gens)), legreuel.model.level + 1) in recorder.capped) is own
+        continued = ((str(phi),), trivial.mora(DEFAULT_BUDGET)[1])
+        assert recorder.continued.count(continued) == (1 if own else 2)
+        rows = {e.name: e.status for e in report.ledger}
+        assert rows["oracle-legreuel"] == rows["oracle-trivial_rel"] == "pass"
+
+    def test_a_unit_ideal_builds_no_echelon_and_starts_no_run(self, recorder, monkeypatch):
+        # f = x, so Jf = (1): the walk reads dim(1) - dim(0) = 0 off the
+        # constant terms, and the check's Mora count is {1} before any run.
+        started: list = []
+        real = stdbasis_module._run
+        monkeypatch.setattr(stdbasis_module, "_run", lambda *run: started.append(run[0]) or real(*run))
+        report = analyze(corpus_problem("wh_e6_f_x.brs"), oracle=True)
+        jf = report.ideals["mu_f"]
+        assert (jf.value, jf.model.level) == (0, 0)
+        assert [cap for J, cap in recorder.spans if J is jf] == []
+        assert ((tuple(map(str, jf.gens)), 1) in recorder.capped) and started
+        assert [(g,) for g in jf.gens] not in started
+        assert {e.name: e.status for e in report.ledger}["oracle-mu_f"] == "pass"
 
     def test_a_capped_walk_starts_past_a_walk_that_gave_up(self, recorder):
         # Jf = (2x + 2y, 2x + 2y) has infinite colength: its count's walk
@@ -625,6 +675,15 @@ class TestCountRounds:
             I.count(50)
         assert f"round 1 of the count of {I}, with jets to level 0" in str(caught.value)
         assert I.value is None
+
+    def test_a_budget_error_names_the_pairs_treated(self, monkeypatch):
+        # An allowance of one pair stops I's run at its second pair in round
+        # one, and round two's walk spends the rest of the budget: one pair
+        # was treated.  The stopped pair was once charged too, and read 2.
+        monkeypatch.setattr(stdbasis_module, "FIRST_ALLOWANCE", 1)
+        I = _ideal("x^5 - x^3*y^2", "x^3*y - x*y^3", "x^2*y^4 - y^6")
+        with pytest.raises(BudgetError, match="round 2 .* to level 11 and 1 treated Mora pairs$"):
+            I.count(130)
 
     def test_a_high_jet_level_is_checked_by_a_capped_run(self, ctx3):
         # tau_X, df_T and the Le-Greuel ideal extend J_phi's model at levels
@@ -702,10 +761,11 @@ class TestCountRelations:
         assert I.count(DEFAULT_BUDGET, disjoint=[(K, L)]) == 6
         assert I.model.level == 3 + 2 - 1
         assert [cap for J, cap in recorder.spans if J is I] == [3 + 2]
-        # A unit summand makes the sum a unit, and the floor 0.
+        # A unit summand makes the sum a unit, and the floor 0; the walk reads
+        # the unit off the constant terms and builds no echelon.
         I = _ideal("x^3", "1 + y")
         assert I.count(DEFAULT_BUDGET, disjoint=[(K, unit)]) == 0
-        assert [cap for J, cap in recorder.spans if J is I] == [1]
+        assert [cap for J, cap in recorder.spans if J is I] == []
 
     def test_extends_by_generators_already_in_k_is_k_s_own_model(self, recorder):
         K = _ideal("x^2", "y^3")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from brs.stdbasis import (
     mora_normal_form,
     standard_basis,
 )
+import brs.stdbasis as stdbasis_module
 from brs.oracle import jet_model
 from conftest import (
     as_submodule,
@@ -39,7 +41,7 @@ from conftest import (
     syzygies,
     theta_trivial,
 )
-from strategies import CTX2, polynomials, zero_dim_ideals
+from strategies import CTX2, germs, polynomials, zero_dim_ideals
 
 
 def tracked_entries(gens):
@@ -309,6 +311,54 @@ class TestStoppedRun:
         assert stops > 1
         assert [(e.vec, e.row, e.den) for e in kept] == [(e.vec, e.row, e.den) for e in fresh]
         assert rows == fresh_rows
+
+    def test_a_stopped_pair_is_charged_once(self, P):
+        # Given one pair more at each stop, the run of the Tjurina ideal of
+        # x^5 + y^5 + x^2*y^2 stops 3 times and is charged the 4 pairs that
+        # an unstopped run treats.  Each stopped pair was once charged at its
+        # stop and again when treated: 7 in all.
+        phi = P("x^5 + y^5 + x^2*y^2")
+        vecs = [(g,) for g in [phi, *jacobian_ideal(phi)]]
+        whole = _Budget(DEFAULT_BUDGET)
+        _kept_entries(vecs, CTX2, 1, whole)
+        meter, run, stops = _Budget(DEFAULT_BUDGET), None, 0
+        while True:
+            meter.allow(1)
+            try:
+                _resume(run, meter) if run else _kept_entries(vecs, CTX2, 1, meter)
+                break
+            except BudgetError as stop:
+                run, stops = stop.paused, stops + 1
+        assert (stops, meter.pairs, whole.pairs) == (3, 4, 4)
+
+
+class TestContinuedRun:
+    """I = K + extra, counted so, continues K's kept capped run (`Ideal.mora`)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=zero_dim_ideals(), extra=st.lists(germs(CTX2), min_size=1, max_size=2))
+    def test_a_continued_run_proves_what_a_fresh_one_proves(self, K, extra):
+        # The same standard monomials and minimal leads as a fresh capped
+        # run of I's generators at K's level, from extra's generators alone.
+        K.count(DEFAULT_BUDGET)
+        start, cap, _ = K.mora(DEFAULT_BUDGET)
+        extra = Ideal(CTX2, extra)
+        I = K + extra
+        I.count(DEFAULT_BUDGET, extends=(K, extra))
+        calls: list = []
+        real = stdbasis_module._kept_entries
+
+        def run(inputs, *args, **kwargs):
+            calls.append((inputs, kwargs.get("start"), kwargs.get("cap")))
+            return real(inputs, *args, **kwargs)
+
+        with mock.patch.object(stdbasis_module, "_kept_entries", run):
+            kept, got_cap, exps = I.mora(DEFAULT_BUDGET)
+        assert cap == got_cap == K.model.level + 1
+        assert calls == [([(g,) for g in extra.gens], start, cap)]
+        fresh, fresh_exps = _capped_run([(g,) for g in I.gens], CTX2, DEFAULT_BUDGET, K.model.level)
+        assert exps == fresh_exps and len(exps) == I.value
+        assert sorted(e.exps for e in kept) == sorted(e.exps for e in fresh)
 
 
 class TestMembership:
