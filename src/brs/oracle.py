@@ -52,9 +52,11 @@ column is stored at a pivot may change.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import gcd
 from threading import Lock
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import BrsError
 from .polycore import (
@@ -105,6 +107,35 @@ def is_finite(value: Value) -> bool:
 
 DEFAULT_CAP = 32
 MIN_CAP = 4  # the smallest cap the oracle takes
+
+_LOG: ContextVar[list] = ContextVar("work_log")
+
+
+@contextmanager
+def metered() -> Iterator[list[tuple[str, object, int | None]]]:
+    """A work log: the list of what both engines do in this scope, in this thread (`note`).
+
+    Each entry is (kind, subject, cap).  "walk" and "echelon": each
+    `jet_model` call and each echelon it builds, and "round": each walk a
+    count makes of its own ideal (the ideal, the cap); "count": each count
+    that makes a proof (the ideal, None); "extend": each `extended_jet_model`
+    call, and "colon" or "extension": each colon or extension that
+    eliminates (the model, its level); "tracked", "uncapped", "capped" or
+    "continued": each Mora run (`stdbasis._kept_entries`: the inputs, the
+    cap).  A nested scope logs only its own work.
+    """
+    token = _LOG.set([])
+    try:
+        yield _LOG.get()
+    finally:
+        _LOG.reset(token)
+
+
+def note(kind: str, subject: object, cap: int | None) -> None:
+    """Log one piece of work in the open `metered` scope; with none open, do nothing."""
+    log = _LOG.get(None)
+    if log is not None:
+        log.append((kind, subject, cap))
 
 
 class _Table:
@@ -364,6 +395,7 @@ class JetModel:
         table, size, level = self.table, self.size, self.level
         if self.contains_all(divisors):
             return JetModel(self.ctx, table, 0, _Echelon())
+        note("colon", self, level)
         k = len(divisors)
         work = _Echelon()
         for block in range(k):
@@ -461,6 +493,7 @@ def jet_model(
     read in packed integer form once for the walk (`_generators`), from what
     each polynomial keeps (`packed_terms`).
     """
+    note("walk", I, cap)
     if any(g.constant_term() for g in I.gens):
         return JetModel(I.ctx, _table(I.ctx.n), 0, _Echelon())
     gens = _generators(I.gens)
@@ -471,6 +504,7 @@ def jet_model(
         nonlocal span, free
         if span is None or d > span.level:
             span = _span(I.ctx, gens, min(max(d, floor + 1), cap))
+            note("echelon", I, span.level)
             if charge:
                 charge(span.ech.rank)
             free = span.free_rows()
@@ -492,8 +526,10 @@ def extended_jet_model(base: JetModel, extra: Sequence[Polynomial]) -> JetModel:
     N is in I, so a zero growth always exists: the model is cut down to the
     level of the first, the level a walk of I stops at.
     """
+    note("extend", base, base.level)
     if base.contains_all(extra):
         return base
+    note("extension", base, base.level)
     ech = _Echelon(dict(base.ech.pivots))
     _insert_shifts(ech, _generators(extra), base.table, base.level)
     model = JetModel(base.ctx, base.table, base.level, ech)

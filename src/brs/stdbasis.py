@@ -57,6 +57,7 @@ from .oracle import (  # noqa: F401  (NotFiniteType is re-exported)
     is_finite,
     jet_model,
     module_jet_quotient_dim,
+    note,
     oracle_colength,
 )
 from .polycore import (
@@ -146,6 +147,7 @@ class Ideal:
         """
         if self.value is not None:
             return self.value
+        note("count", self, None)
         self._extends = extends
         if equal is not None:
             equal.count(budget)
@@ -168,8 +170,13 @@ class Ideal:
         meter = _Budget(budget)
         cap = max(floor, max((g.degree() for g in self.gens), default=0) + 2) + self.ctx.n + 1
         pairs, rounds = FIRST_ALLOWANCE, 1
+
+        def walk(cap: int, floor: int) -> JetModel | None:
+            note("round", self, cap)
+            return jet_model(self, cap, floor, meter.charge_columns)
+
         try:
-            while not (model := jet_model(self, cap, max(floor, self.reach or 0), meter.charge_columns)):
+            while not (model := walk(cap, max(floor, self.reach or 0))):
                 self.reach = cap
                 meter.allow(pairs)
                 try:
@@ -184,7 +191,7 @@ class Ideal:
             self.route = "jet" if model else "mora"
             if not model and exps is not None:
                 level = 1 + max((sum(e) for e in exps), default=-1)
-                model = jet_model(self, level + 1, level, meter.charge_columns)
+                model = walk(level + 1, level)
                 if model is None or model.colength != len(exps):
                     raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
             self.model = model
@@ -660,6 +667,8 @@ def _kept_entries(
     input or pair that was stopped, so it treats the pairs in the same order
     and keeps the same entries as a run never stopped.
     """
+    kind = "tracked" if collect is not None else "uncapped" if cap is None else "capped"
+    note("continued" if start is not None else kind, inputs, cap)
     if collect is None and rank == 1 and any(v[0].constant_term() for v in inputs):
         return [_Entry(((((0, (0,) * ctx.n), 1),),))]
     return _resume(_run(inputs, ctx, rank, budget, use_criteria, collect, cap, start))

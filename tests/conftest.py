@@ -1,12 +1,10 @@
 from __future__ import annotations
 
 import signal
-import sys
 from contextlib import contextmanager
 from math import gcd
 from pathlib import Path
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import pytest
@@ -21,7 +19,6 @@ from brs import (
     parse_poly,
 )
 from brs.oracle import (
-    DEFAULT_CAP,
     Column,
     JetModel,
     _Echelon,
@@ -30,6 +27,7 @@ from brs.oracle import (
     _span,
     _Table,
     _table,
+    metered,
 )
 from brs.polycore import Monomial, VectorField, dot, require_same_ctx
 from brs.stdbasis import (
@@ -50,7 +48,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
 
 # Each test gets this many seconds of wall time: a stall fails its test
-# instead of hanging the suite.  The slowest test takes about 14 s.
+# instead of hanging the suite.  The slowest test,
+# `test_criterion_11_property_suites`, takes about 10 s on 2 vCPUs.
 TEST_DEADLINE_S = 120.0
 
 # Verdict lines queued by the acceptance tests; shown after the test run so
@@ -357,81 +356,47 @@ def suspend(
     return new_problem, DerivationModule(gens=tuple(gens), cofactors=tuple(cofactors))
 
 
-def patch_everywhere(monkeypatch, module, name: str, replacement) -> None:
-    """Replace `module.name` in every `brs` module that binds it.
+def printed(inputs) -> tuple[str, ...]:
+    """The polynomials of a Mora run's inputs, as printed."""
+    return tuple(str(p) for v in inputs for p in v)
 
-    A module that imports a name by `from ... import` calls its own binding,
-    so a patch on one binding misses the others, and a patch on a module
-    that no longer binds the name raises here instead of reaching nothing.
+
+RUN_KINDS = ("tracked", "uncapped", "capped", "continued")  # the kinds of a Mora run
+
+
+class Recorder:
+    """The engines' work log (`oracle.metered`), read by kind.
+
+    `log`: every (kind, subject, cap) entry; `walks`: (ideal, cap) of each
+    `jet_model` call; `counted`: those a count makes of its own ideal;
+    `echelons`: (ideal, cap) of each echelon a walk builds; `runs`: the
+    kind of each Mora run; `uncapped`: the printed inputs of each uncapped,
+    untracked run; `capped` and `continued`: the printed inputs and the cap
+    of each degree-capped run that starts from no basis, and of each that
+    continues the kept entries of another (`Ideal.mora`).
     """
-    real = getattr(module, name)
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").split(".")[0] == "brs" and vars(mod).get(name) is real:
-            monkeypatch.setattr(mod, name, replacement)
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def of(self, kind: str) -> list:
+        return [(subject, cap) for k, subject, cap in self.log if k == kind]
+
+    walks = property(lambda self: self.of("walk"))
+    counted = property(lambda self: self.of("round"))
+    echelons = property(lambda self: self.of("echelon"))
+    runs = property(lambda self: [k for k, *_ in self.log if k in RUN_KINDS])
+    uncapped = property(lambda self: [printed(inputs) for inputs, _ in self.of("uncapped")])
+    capped = property(lambda self: [(printed(inputs), cap) for inputs, cap in self.of("capped")])
+    continued = property(lambda self: [(printed(inputs), cap) for inputs, cap in self.of("continued")])
 
 
 @pytest.fixture
-def recorder(monkeypatch) -> Iterator[SimpleNamespace]:
-    """What the engines do from now on, recorded as it happens.
-
-    `walks`: (ideal, cap) of each `oracle.jet_model` call, from any module;
-    `counted`: those of them that a count (`Ideal.count`) makes of its own
-    ideal; `spans`: (ideal, cap) of each echelon `oracle._span` builds, the ideal
-    being the one the innermost `jet_model` call walks (None outside one);
-    `uncapped`: the inputs of each uncapped, untracked Mora run
-    (`stdbasis._kept_entries`), as printed; `capped`: the inputs, as
-    printed, and the cap of each degree-capped Mora run that starts from no
-    basis; `continued`: the same of each capped run that continues the kept
-    entries of another (`Ideal.mora`).  Each name is
-    patched in every module that binds it (`patch_everywhere`), and the
-    test fails if the recorder saw no walk and no Mora run.
-    """
-    import brs.oracle as oracle_module
-    import brs.stdbasis as stdbasis_module
-
-    rec = SimpleNamespace(walks=[], counted=[], spans=[], uncapped=[], capped=[], continued=[])
-    walking: list = []
-    counting: list = []
-    real_walk, real_span = oracle_module.jet_model, oracle_module._span
-    real_run, real_count = stdbasis_module._kept_entries, Ideal.count
-
-    def walk(I, cap=DEFAULT_CAP, *args):
-        rec.walks.append((I, cap))
-        if counting and counting[-1] is I:
-            rec.counted.append((I, cap))
-        walking.append(I)
-        try:
-            return real_walk(I, cap, *args)
-        finally:
-            walking.pop()
-
-    def count(I, *args, **kwargs):
-        counting.append(I)
-        try:
-            return real_count(I, *args, **kwargs)
-        finally:
-            counting.pop()
-
-    def span(ctx, gens, cap):
-        rec.spans.append((walking[-1] if walking else None, cap))
-        return real_span(ctx, gens, cap)
-
-    def run(inputs, ctx, rank, budget, collect=None, cap=None, **kwargs):
-        printed = tuple(str(p) for v in inputs for p in v)
-        if kwargs.get("start") is not None:
-            rec.continued.append((printed, cap))
-        elif cap is not None:
-            rec.capped.append((printed, cap))
-        elif collect is None:
-            rec.uncapped.append(printed)
-        return real_run(inputs, ctx, rank, budget, collect=collect, cap=cap, **kwargs)
-
-    patch_everywhere(monkeypatch, oracle_module, "jet_model", walk)
-    patch_everywhere(monkeypatch, oracle_module, "_span", span)
-    monkeypatch.setattr(Ideal, "count", count)
-    patch_everywhere(monkeypatch, stdbasis_module, "_kept_entries", run)
-    yield rec
-    assert rec.walks or rec.uncapped or rec.capped or rec.continued, (
+def recorder() -> Iterator[Recorder]:
+    """What the engines do from now on, read from their own log; the test fails if it saw no work."""
+    with metered() as log:
+        yield Recorder(log)
+    assert any(kind == "walk" or kind in RUN_KINDS for kind, *_ in log), (
         "the recorder saw no walk and no Mora run"
     )
 

@@ -3,8 +3,9 @@
 `bench/tracing.py` wraps functions by (module, name) and `Polynomial`
 methods by name, and its hooks read the results of two of them; a rename,
 a removal or a changed result field in `brs` would break
-`bench/run.py --trace 1`.  The tracer module is only loaded here, never
-installed.
+`bench/run.py --trace 1`.  It patches only the modules that
+`bench/worker.py` lists, so that list must be every module of `brs`.  The
+tracer and worker modules are only loaded here, never installed or run.
 """
 
 import importlib
@@ -19,16 +20,14 @@ from conftest import REPO_ROOT
 from strategies import CTX2
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", REPO_ROOT / "bench" / "tracing.py"
-    )
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO_ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING = _tracing()
+TRACING = _bench_module("tracing")
 
 
 @pytest.mark.parametrize(
@@ -59,3 +58,10 @@ def test_standard_basis_hook_reads_a_real_basis():
     assert cur["sb_keys"] == {TRACING._sb_input_key(ideal, {})}
     assert cur["maxima"]["stdbasis.basis_size_max"] == len(basis.elements) > 0
     assert cur["maxima"]["stdbasis.coeff_bits_max"] > 0
+
+
+def test_the_worker_imports_every_module():
+    # The tracer patches bindings only in the worker's MODULES, so a module
+    # of `brs` outside that list would be work the benchmark never sees.
+    modules = {p.stem for p in (REPO_ROOT / "src" / "brs").glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(_bench_module("worker").MODULES) == sorted(modules)

@@ -7,7 +7,6 @@ import pytest
 from click.testing import CliRunner
 
 import brs.invariants as invariants_module
-import brs.oracle as oracle_module
 import brs.stdbasis as stdbasis_module
 import brs.tangent as tangent_module
 from brs import (
@@ -30,7 +29,7 @@ from brs import (
 )
 from brs.cli import main as cli_main
 from brs.invariants import detect_split
-from brs.oracle import DEFAULT_CAP, INCONCLUSIVE, jet_model, oracle_colength
+from brs.oracle import DEFAULT_CAP, INCONCLUSIVE, jet_model, metered, oracle_colength
 from brs.polycore import VectorField, jacobian_ideal
 from brs.stdbasis import DEFAULT_BUDGET, Ideal, colength, module_quotient_dim
 from brs.tangent import DerivationModule, df_ideal, df_trivial_ideal, theta_full
@@ -38,8 +37,9 @@ from conftest import (
     CORPUS_DIR,
     as_submodule,
     deadline,
+    RUN_KINDS,
     ideal_contains,
-    patch_everywhere,
+    printed,
     theta_trivial,
 )
 from strategies import CTX2
@@ -285,21 +285,14 @@ class TestLedger:
         assert len(calls) == 2 * plain
 
     @pytest.mark.parametrize("name", ["wh_e6_f_x.brs", "susp_d4_z2.brs"])
-    def test_oracle_walks_no_ideal_twice(self, name, monkeypatch):
+    def test_oracle_walks_no_ideal_twice(self, name, recorder):
         # The cross-check gives Mora the level of the model the ideal holds,
         # and I + (phi) extends the model of I, so no ideal is walked again.
-        walked: list = []
-        real = oracle_module.jet_model
-
-        def walk(I, *args, **kwargs):
-            walked.append(I)
-            return real(I, *args, **kwargs)
-
-        patch_everywhere(monkeypatch, oracle_module, "jet_model", walk)
         parsed = parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8"))
         report = analyze(parsed.problem, oracle=True)
         rows = [e for e in report.ledger if e.name.startswith("oracle-")]
         assert rows and all(e.status == "pass" for e in rows)
+        walked = [I for I, _ in recorder.walks]
         assert walked and len(walked) == len(set(walked))
         extended = [n for n in ("tau_X", "br_rel", "trivial_rel") if report.ideals[n].route == "jet"]
         assert extended
@@ -349,9 +342,10 @@ class TestLedger:
     )
     def test_an_extended_model_is_never_handed_to_mora(self, phi, f, values, ctx3):
         # The Le-Greuel ideal extends df_T's model, whose level N puts m^N
-        # inside it, so the extension is certified.  A plain walk of that
-        # ideal gives up by its cost rule on both problems, and the uncapped
-        # Mora count behind it stalled.
+        # inside it, so the extension is certified with no walk.  Counted on
+        # its own, its walk proves level 9 within round one's cap, 12, on
+        # both problems; a cost rule once gave that walk up for an uncapped
+        # Mora count, which stalled.
         report = analyze(prob(phi, f, ctx3))
         got = (report.mu_f, report.mu_X, report.tau_X, report.mu_fiber, report.mu_BR, report.mu_BR_rel)
         assert got == values
@@ -363,56 +357,24 @@ class TestLedger:
         assert (row.status, row.lhs, row.rhs) == ("pass", report.tau_X, report.tau_X)
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
-    def test_walks_build_only_the_echelons_they_need(self, name, recorder, monkeypatch):
+    def test_walks_build_only_the_echelons_they_need(self, name, recorder):
         # One echelon gives every dim up to its cap, a walk starts at the
         # level of a counted ideal that contains its ideal, and a sum extends
         # the model of its counted part: a lost floor or base shows here as
-        # more echelons (`oracle._span`) or Mora runs (`_kept_entries`).  On
-        # T444 the walk of df_T starts at the level of (phi) + J_phi: 14
-        # echelons in all, where walking level by level built 30; the
-        # Le-Greuel ideal is df_T + (phi), so it extends df_T's model and
-        # builds none.
-        runs: list = []
-        called: list = []
-        eliminating: list = []
-        inserts = [0]
-        real_insert = oracle_module._Echelon.insert
-
-        def insert(self, col):
-            inserts[0] += 1
-            return real_insert(self, col)
-
-        def inserting(kind, real):
-            def call(*args):
-                called.append(kind)
-                before = inserts[0]
-                got = real(*args)
-                if inserts[0] > before:
-                    eliminating.append(kind)
-                return got
-
-            return call
-
-        monkeypatch.setattr(oracle_module._Echelon, "insert", insert)
-        monkeypatch.setattr(
-            oracle_module.JetModel, "colon", inserting("colon", oracle_module.JetModel.colon)
-        )
-        monkeypatch.setattr(
-            stdbasis_module,
-            "extended_jet_model",
-            inserting("extension", stdbasis_module.extended_jet_model),
-        )
-        spy_on(monkeypatch, "_kept_entries", runs, module=stdbasis_module)
+        # more echelons or Mora runs.  On T444 the walk of df_T starts at the
+        # level of (phi) + J_phi: 14 echelons in all, where walking level by
+        # level built 30; the Le-Greuel ideal is df_T + (phi), so it extends
+        # df_T's model and builds none.
         report = analyze(corpus_problem(name))
         echelons, mora_runs, routes, colons, extensions = WORK[name]
-        assert "extension" in called  # tau_X extends mu_X's model on every file
-        assert (len(recorder.spans), len(runs)) == (echelons, mora_runs)
-        assert (eliminating.count("colon"), eliminating.count("extension")) == (colons, extensions)
+        assert recorder.of("extend")  # tau_X extends mu_X's model on every file
+        assert (len(recorder.echelons), len(recorder.runs)) == (echelons, mora_runs)
+        assert (len(recorder.of("colon")), len(recorder.of("extension"))) == (colons, extensions)
         assert list(report.ideals) == list(SPLIT_COUNTS if name.startswith("susp_") else COUNTS)
         assert "".join(I.route[0] for I in report.ideals.values()) == routes
         if name == "nwh_t444_generic.brs":
             per_ideal = {
-                key: sum(I is report.ideals[key] for I, _ in recorder.spans)
+                key: sum(I is report.ideals[key] for I, _ in recorder.echelons)
                 for key in ("mu_f", "mu_X", "br", "trivial", "legreuel")
             }
             assert per_ideal == {"mu_f": 0, "mu_X": 6, "br": 4, "trivial": 3, "legreuel": 0}
@@ -467,15 +429,12 @@ def corpus_problem(name: str) -> HypersurfaceProblem:
 
 
 @pytest.mark.parametrize("name", ["wh_a2_cusp_f_x.brs", "degen_a2_self.brs"])
-def test_a_low_oracle_cap_is_refused_before_any_count(name, monkeypatch):
+def test_a_low_oracle_cap_is_refused_before_any_count(name):
     # `analyze` refuses the cap before any count, whatever routes the
     # file's counts would take (all jet on the first, some not on the second).
-    counted: list = []
-    real = Ideal.count
-    monkeypatch.setattr(Ideal, "count", lambda I, *a, **k: counted.append(I) or real(I, *a, **k))
-    with pytest.raises(BrsError, match="max_jet must be at least 4"):
+    with metered() as log, pytest.raises(BrsError, match="max_jet must be at least 4"):
         analyze(corpus_problem(name), oracle=True, max_jet=1)
-    assert counted == []
+    assert log == []
 
 
 def test_an_ideal_inside_an_infinite_one_is_certified_at_once():
@@ -529,11 +488,12 @@ class TestOneUncappedRunPerIdeal:
     @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
     def test_no_input_repeats_on_the_corpus(self, oracle, tau, recorder):
         # The two `degen_*` files make 2 and 3 uncapped runs, in every mode.
-        runs, total = recorder.uncapped, 0
+        total = 0
         for path in sorted(CORPUS_DIR.glob("*.brs")):
             parsed = parse_problem(path.read_text(encoding="utf-8"))
-            runs.clear()
+            recorder.log.clear()
             analyze(parsed.problem, oracle=oracle, max_jet=parsed.max_jet, tau_check=tau)
+            runs = recorder.uncapped
             assert len(runs) == len(set(runs)), path.name
             total += len(runs)
         assert total == 5
@@ -567,12 +527,11 @@ class TestOneProofPerIdeal:
     @pytest.mark.parametrize("tau", [False, True], ids=["", "tau"])
     def test_no_proof_is_made_twice(self, oracle, tau, recorder):
         for name, problem, max_jet in self.problems():
-            for made in (recorder.counted, recorder.spans, recorder.uncapped, recorder.capped):
-                made.clear()
+            recorder.log.clear()
             analyze(problem, oracle=oracle, max_jet=max_jet, tau_check=tau)
             walked = recorder.counted
             assert walked and len(walked) == len(set(walked)), name
-            assert len(recorder.spans) == len(set(recorder.spans)), name
+            assert len(recorder.echelons) == len(set(recorder.echelons)), name
             assert len(recorder.uncapped) == len(set(recorder.uncapped)), name
             assert len(recorder.capped) == len(set(recorder.capped)), name
 
@@ -616,18 +575,19 @@ class TestOneProofPerIdeal:
         rows = {e.name: e.status for e in report.ledger}
         assert rows["oracle-legreuel"] == rows["oracle-trivial_rel"] == "pass"
 
-    def test_a_unit_ideal_builds_no_echelon_and_starts_no_run(self, recorder, monkeypatch):
+    def test_a_unit_ideal_builds_no_echelon_and_starts_no_run(self, recorder):
         # f = x, so Jf = (1): the walk reads dim(1) - dim(0) = 0 off the
-        # constant terms, and the check's Mora count is {1} before any run.
-        started: list = []
-        real = stdbasis_module._run
-        monkeypatch.setattr(stdbasis_module, "_run", lambda *run: started.append(run[0]) or real(*run))
+        # constant terms, and the check's Mora count is {1} before any run
+        # (`_kept_entries` answers a unit input so): Jf's inputs are logged
+        # once, as the check's capped run at level 0.
         report = analyze(corpus_problem("wh_e6_f_x.brs"), oracle=True)
         jf = report.ideals["mu_f"]
         assert (jf.value, jf.model.level) == (0, 0)
-        assert [cap for J, cap in recorder.spans if J is jf] == []
-        assert ((tuple(map(str, jf.gens)), 1) in recorder.capped) and started
-        assert [(g,) for g in jf.gens] not in started
+        assert [cap for J, cap in recorder.echelons if J is jf] == []
+        gens = tuple(map(str, jf.gens))
+        assert ((gens, 1) in recorder.capped) and recorder.runs
+        runs = [(k, cap) for k, run, cap in recorder.log if k in RUN_KINDS and printed(run) == gens]
+        assert runs == [("capped", 1)]
         assert {e.name: e.status for e in report.ledger}["oracle-mu_f"] == "pass"
 
     def test_a_capped_walk_starts_past_a_walk_that_gave_up(self, recorder):
@@ -636,7 +596,7 @@ class TestOneProofPerIdeal:
         # walk of it, capped at 32, builds its first echelon one level past.
         report = analyze(prob("x^2 + y^3", "x^2 + 2*x*y + y^2"), oracle=True)
         jf = report.ideals["mu_f"]
-        caps = [cap for I, cap in recorder.spans if I is jf]
+        caps = [cap for I, cap in recorder.echelons if I is jf]
         assert jf.route == "mora" and jf.reach is not None
         assert caps == list(range(1, 33))
         assert [cap for I, cap in recorder.walks if I is jf] == [6, 32]
@@ -665,7 +625,7 @@ class TestCountRounds:
         assert I.count(DEFAULT_BUDGET) == 81
         assert (I.route, I.model.level, I.reach) == ("jet", 17, 14)
         assert recorder.counted == [(I, 14), (I, 28)]
-        assert [cap for _, cap in recorder.spans] == list(range(1, 19))
+        assert [cap for _, cap in recorder.echelons] == list(range(1, 19))
         assert recorder.uncapped == [("x^9", "y^9")]
 
     def test_a_budget_too_small_for_round_one_names_the_ideal_and_the_round(self):
@@ -749,7 +709,7 @@ class TestCountRelations:
         I = _ideal("x^3", "x^2*y", "x*y^3", "y^4")
         assert I.count(DEFAULT_BUDGET, within=[K]) == 8
         assert (I.route, I.model.level) == ("jet", 4)
-        assert [cap for J, cap in recorder.spans if J is I] == [K.model.level + 1]
+        assert [cap for J, cap in recorder.echelons if J is I] == [K.model.level + 1]
 
     def test_disjoint_summands_give_the_floor_a_plus_b_minus_one(self, recorder):
         x, y = VarContext(("x",)), VarContext(("y",))
@@ -760,12 +720,12 @@ class TestCountRelations:
         I = _ideal("x^3", "y^2")
         assert I.count(DEFAULT_BUDGET, disjoint=[(K, L)]) == 6
         assert I.model.level == 3 + 2 - 1
-        assert [cap for J, cap in recorder.spans if J is I] == [3 + 2]
+        assert [cap for J, cap in recorder.echelons if J is I] == [3 + 2]
         # A unit summand makes the sum a unit, and the floor 0; the walk reads
         # the unit off the constant terms and builds no echelon.
         I = _ideal("x^3", "1 + y")
         assert I.count(DEFAULT_BUDGET, disjoint=[(K, unit)]) == 0
-        assert [cap for J, cap in recorder.spans if J is I] == []
+        assert [cap for J, cap in recorder.echelons if J is I] == []
 
     def test_extends_by_generators_already_in_k_is_k_s_own_model(self, recorder):
         K = _ideal("x^2", "y^3")
@@ -783,7 +743,7 @@ class TestCountRelations:
         mora = _ideal("x^3 - x*y^2", "x^2*y - y^3")
         for I in (jet, mora):
             I.count(DEFAULT_BUDGET)
-        recorder.walks.clear()
+        recorder.log.clear()
         for _ in range(3):
             assert jet.check(DEFAULT_BUDGET, DEFAULT_CAP) == 6
             assert mora.check(DEFAULT_BUDGET, DEFAULT_CAP) is INCONCLUSIVE
@@ -857,8 +817,9 @@ def test_one_minors_computation_per_analyze(monkeypatch):
 
 # Brieskorn-Pham germs phi = sum x_i^(a_i) with f a coordinate: mu_f = 0,
 # mu_X = tau_X = prod(a_i - 1), and mu_fiber = mu_BR = mu_BR_rel is the same
-# product over the variables other than f's.  The walk of J_phi gives up by
-# its cost rule on each, so mu_X is a Mora count.
+# product over the variables other than f's.  Round one's cap stops the walk
+# of J_phi below its level on each, and that round's Mora run proves the
+# count, so mu_X is a Mora count.
 BRIESKORN_PHAM = [
     ("x,y,z", "x^10 + y^10 + z^10", "x", (0, 729, 729, 81, 81, 81)),
     ("x,y,z", "x^8 + y^9 + z^10", "z", (0, 504, 504, 56, 56, 56)),
@@ -897,17 +858,8 @@ class TestMoraCountCarriesItsModel:
     @pytest.mark.parametrize(
         "names, phi, f, values", BRIESKORN_PHAM, ids=["fermat10_x", "b8910_z", "fermat7_4d_x"]
     )
-    def test_brieskorn_pham(self, names, phi, f, values, monkeypatch):
-        # The spy records each count that makes a proof, not one read back.
-        counts: list = []
-        real = Ideal.count
-
-        def count(I, *args, **kwargs):
-            if I.value is None:
-                counts.append(I)
-            return real(I, *args, **kwargs)
-
-        monkeypatch.setattr(Ideal, "count", count)
+    def test_brieskorn_pham(self, names, phi, f, values, recorder, monkeypatch):
+        # The log notes each count that makes a proof, not one read back.
         log: list = []
         spy_on(monkeypatch, "ideal_colon", log, module=stdbasis_module)
         report = analyze(brieskorn_pham(names, phi, f))
@@ -915,7 +867,7 @@ class TestMoraCountCarriesItsModel:
         assert got == values
         assert all(e.status == "pass" for e in gated(report))
         assert report.ideals["mu_X"].route == "mora"
-        (mu_X,) = [I for I in counts if I is report.ideals["mu_X"]]
+        (mu_X,) = [I for I, _ in recorder.of("count") if I is report.ideals["mu_X"]]
         assert mu_X.model is not None and mu_X.model.colength == values[1]
         assert report.ideals["tau_X"].route == "jet"
         assert log == []
@@ -926,32 +878,13 @@ class TestMoraCountCarriesItsModel:
         assert [e.name for e in report.ledger if e.status != "pass"] == []
 
     @pytest.mark.parametrize("name", ["degen_a2_self.brs", "degen_t55_self.brs"])
-    def test_one_walk_per_mora_count(self, name, monkeypatch):
+    def test_one_walk_per_mora_count(self, name, recorder):
         # Every Mora-route ideal here is infinite, proven by the Mora run of
         # its count's first round: one walk, to that round's cap, and no
-        # walk for a level.
-        walks: list = []
-        real_walk = oracle_module.jet_model
-
-        def walk(I, *args):
-            walks.append(I)
-            return real_walk(I, *args)
-
-        made: list = []
-        real_count = Ideal.count
-
-        def count(I, *args, **kwargs):
-            start, fresh = len(walks), I.value is None
-            got = real_count(I, *args, **kwargs)
-            if fresh:
-                made.append((I.route, walks[start:]))
-            return got
-
-        patch_everywhere(monkeypatch, oracle_module, "jet_model", walk)
-        monkeypatch.setattr(Ideal, "count", count)
+        # walk for a level.  A plain `analyze` walks an ideal only to count it.
         analyze(corpus_problem(name))
-        mora = [walked for route, walked in made if route == "mora"]
-        assert mora and all(len(walked) == 1 for walked in mora)
+        mora = [I for I, _ in recorder.of("count") if I.route == "mora"]
+        assert mora and all([J for J, _ in recorder.walks].count(I) == 1 for I in mora)
 
     @pytest.mark.parametrize("drop", [0, -1], ids=["first", "last"])
     def test_a_wrong_mora_count_is_caught(self, drop, monkeypatch):
@@ -1037,33 +970,22 @@ class TestTauModuleRow:
             module_quotient_dim(df_trivial_ideal(phi, phi), df_ideal(phi, dropped))
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*.brs")))
-    def test_the_row_runs_no_standard_basis(self, name, monkeypatch):
+    def test_the_row_runs_no_standard_basis(self, name, recorder):
         # The row's one count extends mu_X's model: with --tau, the run
         # makes no more Mora runs than without, and that count is a jet
         # count wherever mu_X's is.
-        # The spy records each count that makes a proof, not one read back.
-        completions: list = []
-        routes: list = []
-        spy_on(monkeypatch, "_kept_entries", completions, module=stdbasis_module)
-        real = Ideal.count
+        # The log notes each count that makes a proof, not one read back.
+        def routes() -> list:
+            return [I.route for I, _ in recorder.of("count")]
 
-        def count(I, *args, **kwargs):
-            fresh = I.value is None
-            got = real(I, *args, **kwargs)
-            if fresh:
-                routes.append(I.route)
-            return got
-
-        monkeypatch.setattr(Ideal, "count", count)
         problem = corpus_problem(name)
         report = analyze(problem)
-        plain = (len(completions), Counter(routes))
-        assert routes
-        completions.clear()
-        routes.clear()
+        plain = (len(recorder.runs), Counter(routes()))
+        assert routes()
+        recorder.log.clear()
         analyze(problem, tau_check=True)
-        assert len(completions) == plain[0]
-        added = Counter(routes)
+        assert len(recorder.runs) == plain[0]
+        added = Counter(routes())
         added.subtract(plain[1])
         gated = is_finite(report.mu_X)
         assert sum(added.values()) == gated
@@ -1255,23 +1177,21 @@ class TestSuspendedModule:
     """
 
     @pytest.fixture
-    def spied(self, monkeypatch) -> tuple[list, list]:
-        # The Schreyer runs made, and the run's facts of each `analyze`.
-        runs: list = []
+    def spied(self, recorder, monkeypatch) -> tuple:
+        # The work log, whose tracked runs are the Schreyer runs, and the
+        # run's facts of each `analyze`.
         stages: list = []
-        for module in (stdbasis_module, tangent_module):
-            spy_on(monkeypatch, "_schreyer_rows", runs, module=module)
         spy_on(monkeypatch, "_count_stage", stages)
-        return runs, stages
+        return recorder, stages
 
     @staticmethod
     def check(problem: HypersurfaceProblem, spied) -> None:
-        runs, stages = spied
+        recorder, stages = spied
         want = theta_full(problem.phi)
-        runs.clear()
+        recorder.log.clear()
         report = analyze(problem, oracle=True, tau_check=True)
         v = stages[-1][1]
-        assert len(runs) == 1
+        assert len(recorder.of("tracked")) == 1
         assert report.ideals["br"].gens == df_ideal(problem.f, want).gens
         assert v.A.gens == Ideal(problem.ctx, want.cofactors).gens
         assert not report.failed

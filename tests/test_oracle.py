@@ -1,6 +1,8 @@
 import copy
+import sys
+import threading
+from contextvars import copy_context
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 import brs.oracle as oracle_module
 import brs.stdbasis as stdbasis_module
-from brs import BrsError, NOT_FINITE, Polynomial, VarContext, parse_poly
+from brs import BrsError, NOT_FINITE, Polynomial, VarContext, analyze, parse_poly, parse_problem
 from brs.polycore import MAX_PACKED_DEGREE, jacobian_ideal
 from brs.stdbasis import DEFAULT_BUDGET, Ideal, colength, ideal_colon
 from brs.oracle import (
+    DEFAULT_CAP,
     INCONCLUSIVE,
     _Echelon,
     _generators,
@@ -21,16 +24,17 @@ from brs.oracle import (
     certificate,
     extended_jet_model,
     jet_model,
+    metered,
     oracle_colength,
 )
 from conftest import (
+    CORPUS_DIR,
     every_shift_model,
     ideals_equal,
     jet_contains,
     jet_model_at,
     jet_quotient_dim,
     monomial_index,
-    patch_everywhere,
     reference_insert,
 )
 from strategies import (
@@ -147,15 +151,13 @@ class TestCertificate:
         principal = len(I.gens) == 1 and I.gens[0].constant_term() == 0
         assert certificate(I) == (principal or not all(covered(v) for v in range(CTX3.n)))
 
-    def test_the_count_takes_the_certificate_with_no_work(self, monkeypatch):
+    def test_the_count_takes_the_certificate_with_no_work(self):
         # The count and the oracle share one certificate: a principal ideal
         # is settled with no jet walk and no Mora run.
-        calls: list = []
-        for module, name in ((oracle_module, "jet_model"), (stdbasis_module, "_kept_entries")):
-            patch_everywhere(monkeypatch, module, name, lambda *a, _n=name, **k: calls.append(_n))
         I = I2("x^2 + y^3")
-        assert I.count(DEFAULT_BUDGET) is NOT_FINITE
-        assert (I.route, calls) == ("certificate", [])
+        with metered() as log:
+            assert I.count(DEFAULT_BUDGET) is NOT_FINITE
+        assert (I.route, log) == ("certificate", [("count", I, None)])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -261,10 +263,10 @@ class TestMembershipShortcuts:
         if model is None:
             return
         g = data.draw(elements(I))
-        with mock.patch.object(_Echelon, "insert") as insert:
+        with metered() as log:
             colon = model.colon([g])
             assert extended_jet_model(model, [g]) is model
-        insert.assert_not_called()
+        assert log == [("extend", model, model.level)]  # no colon or extension eliminates
         assert (colon.level, colon.colength) == (0, 0)
         assert colon.contains(parse_poly("1", CTX2))
 
@@ -359,22 +361,70 @@ class TestFloors:
         want = jet_model(I)
         if want is None:
             return
-        real = oracle_module._span
         for cap in (want.level, want.level + 1):
             for floor in range(want.level + 3):
-                caps: list[int] = []
-
-                def span(ctx, gens, c):
-                    caps.append(c)
-                    return real(ctx, gens, c)
-
-                with mock.patch.object(oracle_module, "_span", span):
+                with metered() as log:
                     got = jet_model(I, cap=cap, floor=floor)
+                caps = [c for kind, _, c in log if kind == "echelon"]
                 assert all(c <= cap for c in caps), (cap, floor, caps)
                 # A walk needs cap N + 1 to see dim(N) == dim(N + 1).
                 assert (got is None) == (cap == want.level)
                 if got is not None:
                     assert (got.level, got.colength) == (want.level, want.colength)
+
+
+class TestWorkLog:
+    """The engines' work log: a `metered` scope logs its own thread's work; with none, nothing is kept."""
+
+    def test_a_nested_scope_logs_only_its_own_work(self):
+        I, J = I2("x^2", "y^3"), I2("x^3", "y^2")
+        with metered() as outer:
+            jet_model(I)
+            with metered() as inner:
+                jet_model(J, 8)
+            jet_model(I, 9)
+        assert [(s, c) for k, s, c in inner if k == "walk"] == [(J, 8)]
+        assert [(s, c) for k, s, c in outer if k == "walk"] == [(I, DEFAULT_CAP), (I, 9)]
+        assert all(s is J for _, s, _ in inner) and all(s is I for _, s, _ in outer)
+
+    def test_threads_each_log_only_their_own_analyze(self):
+        # More threads than cores, switching often: each scope's log is the
+        # one its problem makes alone, and no two logs share an ideal.
+        problems = [
+            parse_problem((CORPUS_DIR / name).read_text(encoding="utf-8")).problem
+            for name in ("wh_e6_f_x.brs", "wh_d4_f_2x_y.brs", "nwh_t444_generic.brs")
+        ]
+        alone = []
+        for problem in problems:
+            with metered() as log:
+                analyze(problem)
+            alone.append([kind for kind, *_ in log])
+        start, logs = threading.Barrier(len(problems), timeout=30), [None] * len(problems)
+
+        def work(k: int) -> None:
+            with metered() as log:
+                start.wait()
+                analyze(problems[k])
+            logs[k] = log
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(problems))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [[kind for kind, *_ in log] for log in logs] == alone
+        ideals = [{id(I) for kind, I, _ in log if kind == "count"} for log in logs]
+        assert sum(map(len, ideals)) == len(set().union(*ideals))
+
+    def test_no_scope_keeps_nothing(self):
+        analyze(parse_problem((CORPUS_DIR / "wh_e6_f_x.brs").read_text(encoding="utf-8")).problem)
+        assert oracle_module._LOG not in copy_context()
 
 
 def same_span(got, want) -> bool:

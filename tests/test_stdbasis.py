@@ -27,8 +27,9 @@ from brs.stdbasis import (
     standard_basis,
 )
 import brs.stdbasis as stdbasis_module
-from brs.oracle import jet_model
+from brs.oracle import jet_model, metered
 from conftest import (
+    RUN_KINDS,
     as_submodule,
     double_one_schreyer_row,
     ideal_contains,
@@ -191,20 +192,21 @@ class TestColength:
 
     def test_capped_colength_enumerates_standard_monomials_once(self, P, monkeypatch):
         # The capped run's proof lists the standard monomials; the count
-        # reuses that list, and no other enumeration runs.
+        # reuses that list, and no other enumeration runs (`_standard_exponents`
+        # would make a second list through `_standard_below`).
         import brs.stdbasis as stdbasis_module
 
-        calls: list = []
-        for name in ("_standard_below", "_standard_exponents"):
-            real = getattr(stdbasis_module, name)
+        lists: list = []
+        real = stdbasis_module._standard_below
 
-            def counted(*args, real=real, name=name):
-                calls.append(name)
-                return real(*args)
+        def standard_below(*args):
+            lists.append(real(*args))
+            return lists[-1]
 
-            monkeypatch.setattr(stdbasis_module, name, counted)
-        assert colength(Ideal(CTX2, [P("x^2"), P("y^3")])) == 6
-        assert calls == ["_standard_below"]
+        monkeypatch.setattr(stdbasis_module, "_standard_below", standard_below)
+        I = Ideal(CTX2, [P("x^2"), P("y^3")])
+        assert colength(I) == 6
+        assert len(lists) == 1 and I.mora(DEFAULT_BUDGET)[2] is lists[0]
 
     @pytest.mark.parametrize("level", [2, 4, 7])
     def test_a_wrong_jet_level_costs_time_never_a_value(self, level, P):
@@ -231,42 +233,25 @@ class TestColength:
         assert colength(Ideal(I.ctx, gens)) == base
 
 
-def counted_runs(monkeypatch) -> list:
-    """Record the inputs of every Mora run (`_kept_entries`) from now on."""
-    import brs.stdbasis as stdbasis_module
-
-    runs: list = []
-    real = stdbasis_module._kept_entries
-
-    def run(inputs, *args, **kwargs):
-        runs.append(inputs)
-        return real(inputs, *args, **kwargs)
-
-    monkeypatch.setattr(stdbasis_module, "_kept_entries", run)
-    return runs
-
-
 class TestOneMoraRunPerIdeal:
     """An ideal's count, basis and colength read its one Mora run, whatever the budget."""
 
-    def test_count_basis_and_a_small_budget_read_one_run(self, P, monkeypatch):
-        runs = counted_runs(monkeypatch)
+    def test_count_basis_and_a_small_budget_read_one_run(self, P, recorder):
         I = Ideal(CTX2, [P("x^2 + 3*y^3"), P("x*y")])
         assert colength(I) == 5
         basis = standard_basis(I)
         assert colength(I, budget=1) == 5
-        assert len(runs) == 1
+        assert len(recorder.runs) == 1
         assert len(standard_monomials(basis)) == 5
         assert I.route == "jet" and I.value == 5  # counted before its run was made
 
     @settings(max_examples=40, deadline=None)
     @given(I=zero_dim_ideals())
     def test_the_basis_has_colength_many_standard_monomials(self, I):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            runs = counted_runs(monkeypatch)
+        with metered() as log:
             basis = standard_basis(I)
             assert len(standard_monomials(basis)) == colength(I)
-        assert len(runs) == 1
+        assert sum(kind in RUN_KINDS for kind, *_ in log) == 1
 
 
 def stepwise(gens, **run):
@@ -476,23 +461,13 @@ class TestColon:
         assert ideals_equal(Ideal(CTX2, jet_model(I).colon(J.gens).generators()), got)
 
     @pytest.mark.parametrize("divisors", [["x"], ["x", "y^2"], ["x", "y^2", "x*y"]])
-    def test_one_syzygy_run_per_colon(self, divisors, P, monkeypatch):
-        # However many divisors, the colon is one syzygy computation and
-        # no intersection of single-divisor colons.
-        import brs.stdbasis as stdbasis_module
-
-        calls: list = []
-        for name in ("_schreyer_rows", "ideal_intersection"):
-            real = getattr(stdbasis_module, name)
-
-            def counted(*args, _name=name, _real=real, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(stdbasis_module, name, counted)
+    def test_one_syzygy_run_per_colon(self, divisors, P, recorder):
+        # However many divisors, the colon is one syzygy computation, one
+        # tracked run, and no intersection of single-divisor colons, which
+        # would make a tracked run for each colon and one to intersect.
         I = Ideal(CTX2, [P("x^2 - y^5"), P("x*y")])
         ideal_colon(I, Ideal(CTX2, [P(g) for g in divisors]))
-        assert calls == ["_schreyer_rows"]
+        assert len(recorder.of("tracked")) == 1
 
     def test_a_row_that_is_no_relation_is_caught(self, monkeypatch):
         # Double the first component of one syzygy row below `_schreyer_rows`:
