@@ -113,16 +113,17 @@ _LOG: ContextVar[list] = ContextVar("work_log")
 
 @contextmanager
 def metered() -> Iterator[list[tuple[str, object, int | None]]]:
-    """A work log: the list of what both engines do in this scope, in this thread (`note`).
+    """A work log: the list of what both engines do in this scope, in this context (`note`).
 
-    Each entry is (kind, subject, cap).  "walk" and "echelon": each
-    `jet_model` call and each echelon it builds, and "round": each walk a
-    count makes of its own ideal (the ideal, the cap); "count": each count
-    that makes a proof (the ideal, None); "extend": each `extended_jet_model`
-    call, and "colon" or "extension": each colon or extension that
-    eliminates (the model, its level); "tracked", "uncapped", "capped" or
-    "continued": each Mora run (`stdbasis._kept_entries`: the inputs, the
-    cap).  A nested scope logs only its own work.
+    Each entry is (kind, subject, cap).  "walk", or "round" when a count
+    makes it of its own ideal: each `jet_model` call, and "echelon": each
+    echelon it builds (the ideal, the cap); "count": each count that makes a
+    proof (the ideal, None); "extend": each `extended_jet_model` call, and
+    "colon" or "extension": each colon or extension that eliminates (the
+    model, its level); "tracked", "uncapped", "capped" or "continued": each
+    Mora run, and "unit": each answered with no run (`stdbasis._kept_entries`:
+    the inputs, the cap).  A nested scope logs only its own work; a task or
+    thread started in a scope's context appends to its log.
     """
     token = _LOG.set([])
     try:
@@ -493,7 +494,7 @@ def jet_model(
     read in packed integer form once for the walk (`_generators`), from what
     each polynomial keeps (`packed_terms`).
     """
-    note("walk", I, cap)
+    note("round" if charge else "walk", I, cap)
     if any(g.constant_term() for g in I.gens):
         return JetModel(I.ctx, _table(I.ctx.n), 0, _Echelon())
     gens = _generators(I.gens)

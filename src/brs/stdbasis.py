@@ -170,13 +170,8 @@ class Ideal:
         meter = _Budget(budget)
         cap = max(floor, max((g.degree() for g in self.gens), default=0) + 2) + self.ctx.n + 1
         pairs, rounds = FIRST_ALLOWANCE, 1
-
-        def walk(cap: int, floor: int) -> JetModel | None:
-            note("round", self, cap)
-            return jet_model(self, cap, floor, meter.charge_columns)
-
         try:
-            while not (model := walk(cap, max(floor, self.reach or 0))):
+            while not (model := jet_model(self, cap, max(floor, self.reach or 0), meter.charge_columns)):
                 self.reach = cap
                 meter.allow(pairs)
                 try:
@@ -191,7 +186,7 @@ class Ideal:
             self.route = "jet" if model else "mora"
             if not model and exps is not None:
                 level = 1 + max((sum(e) for e in exps), default=-1)
-                model = walk(level + 1, level)
+                model = jet_model(self, level + 1, level, meter.charge_columns)
                 if model is None or model.colength != len(exps):
                     raise InternalError(f"the jet model at level {level} disagrees with Mora's colength")
             self.model = model
@@ -667,10 +662,11 @@ def _kept_entries(
     input or pair that was stopped, so it treats the pairs in the same order
     and keeps the same entries as a run never stopped.
     """
+    if collect is None and rank == 1 and any(v[0].constant_term() for v in inputs):
+        note("unit", inputs, cap)
+        return [_Entry(((((0, (0,) * ctx.n), 1),),))]
     kind = "tracked" if collect is not None else "uncapped" if cap is None else "capped"
     note("continued" if start is not None else kind, inputs, cap)
-    if collect is None and rank == 1 and any(v[0].constant_term() for v in inputs):
-        return [_Entry(((((0, (0,) * ctx.n), 1),),))]
     return _resume(_run(inputs, ctx, rank, budget, use_criteria, collect, cap, start))
 
 

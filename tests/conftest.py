@@ -361,7 +361,7 @@ def printed(inputs) -> tuple[str, ...]:
     return tuple(str(p) for v in inputs for p in v)
 
 
-RUN_KINDS = ("tracked", "uncapped", "capped", "continued")  # the kinds of a Mora run
+RUN_KINDS = ("tracked", "uncapped", "capped", "continued", "unit")  # a Mora run, or a unit input's answer
 
 
 class Recorder:
@@ -370,24 +370,25 @@ class Recorder:
     `log`: every (kind, subject, cap) entry; `walks`: (ideal, cap) of each
     `jet_model` call; `counted`: those a count makes of its own ideal;
     `echelons`: (ideal, cap) of each echelon a walk builds; `runs`: the
-    kind of each Mora run; `uncapped`: the printed inputs of each uncapped,
-    untracked run; `capped` and `continued`: the printed inputs and the cap
-    of each degree-capped run that starts from no basis, and of each that
-    continues the kept entries of another (`Ideal.mora`).
+    kind of each Mora run, or "unit" for a unit input answered with no run;
+    `uncapped`: the printed inputs of each uncapped, untracked run; `capped`
+    and `continued`: the printed inputs and the cap of each degree-capped
+    run that starts from no basis (a unit answer among them), and of each
+    that continues the kept entries of another (`Ideal.mora`).
     """
 
     def __init__(self, log: list):
         self.log = log
 
-    def of(self, kind: str) -> list:
-        return [(subject, cap) for k, subject, cap in self.log if k == kind]
+    def of(self, *kinds: str) -> list:
+        return [(subject, cap) for k, subject, cap in self.log if k in kinds]
 
-    walks = property(lambda self: self.of("walk"))
+    walks = property(lambda self: self.of("walk", "round"))
     counted = property(lambda self: self.of("round"))
     echelons = property(lambda self: self.of("echelon"))
     runs = property(lambda self: [k for k, *_ in self.log if k in RUN_KINDS])
     uncapped = property(lambda self: [printed(inputs) for inputs, _ in self.of("uncapped")])
-    capped = property(lambda self: [(printed(inputs), cap) for inputs, cap in self.of("capped")])
+    capped = property(lambda self: [(printed(inputs), cap) for inputs, cap in self.of("capped", "unit")])
     continued = property(lambda self: [(printed(inputs), cap) for inputs, cap in self.of("continued")])
 
 
@@ -396,7 +397,7 @@ def recorder() -> Iterator[Recorder]:
     """What the engines do from now on, read from their own log; the test fails if it saw no work."""
     with metered() as log:
         yield Recorder(log)
-    assert any(kind == "walk" or kind in RUN_KINDS for kind, *_ in log), (
+    assert any(kind in ("walk", "round", *RUN_KINDS) for kind, *_ in log), (
         "the recorder saw no walk and no Mora run"
     )
 

@@ -579,15 +579,16 @@ class TestOneProofPerIdeal:
         # f = x, so Jf = (1): the walk reads dim(1) - dim(0) = 0 off the
         # constant terms, and the check's Mora count is {1} before any run
         # (`_kept_entries` answers a unit input so): Jf's inputs are logged
-        # once, as the check's capped run at level 0.
+        # once, as the unit answer of the check's capped run at level 0,
+        # while the other checks start real runs.
         report = analyze(corpus_problem("wh_e6_f_x.brs"), oracle=True)
         jf = report.ideals["mu_f"]
         assert (jf.value, jf.model.level) == (0, 0)
         assert [cap for J, cap in recorder.echelons if J is jf] == []
         gens = tuple(map(str, jf.gens))
-        assert ((gens, 1) in recorder.capped) and recorder.runs
+        assert ((gens, 1) in recorder.capped) and set(recorder.runs) - {"unit"}
         runs = [(k, cap) for k, run, cap in recorder.log if k in RUN_KINDS and printed(run) == gens]
-        assert runs == [("capped", 1)]
+        assert runs == [("unit", 1)]
         assert {e.name: e.status for e in report.ledger}["oracle-mu_f"] == "pass"
 
     def test_a_capped_walk_starts_past_a_walk_that_gave_up(self, recorder):

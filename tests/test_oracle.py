@@ -374,7 +374,7 @@ class TestFloors:
 
 
 class TestWorkLog:
-    """The engines' work log: a `metered` scope logs its own thread's work; with none, nothing is kept."""
+    """The engines' work log: a `metered` scope logs its own context's work; with none, nothing is kept."""
 
     def test_a_nested_scope_logs_only_its_own_work(self):
         I, J = I2("x^2", "y^3"), I2("x^3", "y^2")
